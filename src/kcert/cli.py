@@ -51,6 +51,8 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(
             f"expected an exact rational like 3/4 or 2, got {text!r}"
         )
+    if int(match.group(2)) == 0:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
     return Fraction(int(match.group(1)), int(match.group(2)))
 
 
@@ -303,6 +305,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if any(x <= 0 for x in point):
+        print(
+            f"chart {args.chart} coordinates must be positive, got "
+            f"{','.join(str(x) for x in point)}",
+            file=sys.stderr,
+        )
+        return 2
     bundle = build_bundle(chart)
     what = args.what
     if what == "V":
@@ -390,7 +399,7 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError) as exc:

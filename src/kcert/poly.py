@@ -15,8 +15,11 @@ Conventions:
     reverse lexicographic (grevlex) in the declared variable order;
   * rational functions are held as numerator/denominator pairs, canonicalised
     by clearing rational content and forcing the denominator's grevlex-leading
-    coefficient positive.  Equality is decided by cross-multiplication, never
-    by multivariate gcd.
+    coefficient positive.  Equality holds at once when numerators and
+    denominators are identical polynomials, and is otherwise decided by
+    cross-multiplication, never by multivariate gcd;
+  * evaluation at a rational point sums integers and divides once (see
+    ``MultiPoly.evaluate``).
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ def grevlex_key(exponents: Exponents) -> tuple:
 
 # Exponent tuples are packed into single integers during multiplication
 # (component-wise addition becomes one int add).  24 bits per variable keeps
-# every degree this package produces far from overflow.
+# every degree this package produces far from overflow; ``MultiPoly.__mul__``
+# refuses operands whose exponent sums would carry into the next slot.
 _PACK_BITS = 24
 
 
@@ -203,6 +207,13 @@ class MultiPoly:
         if not self.terms or not other.terms:
             return MultiPoly.zero(self.variables)
         nvars = len(self.variables)
+        for name, a, b in zip(
+            self.variables, map(max, zip(*self.terms)), map(max, zip(*other.terms))
+        ):
+            if a + b >= 1 << _PACK_BITS:
+                raise ValueError(
+                    f"degree {a + b} in {name!r} reaches the 2^{_PACK_BITS} exponent limit"
+                )
         integral = all(c.denominator == 1 for c in self.terms.values()) and all(
             c.denominator == 1 for c in other.terms.values()
         )
@@ -273,29 +284,47 @@ class MultiPoly:
         return MultiPoly(self.variables, table)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
+        """Exact value at a rational point, accumulated as a single integer.
+
+        The sum is homogenised: with x_i = p_i/q_i and D_i the largest
+        exponent of variable i, each term c*prod(x_i^e_i) is multiplied by
+        lcd * prod(q_i^D_i), where lcd is the lcm of the coefficient
+        denominators.  It becomes the integer
+        (c*lcd) * prod(p_i^e_i * q_i^(D_i-e_i)), read from one weight table
+        per variable, and the total is divided by lcd * prod(q_i^D_i) once.
+        """
         values = [_as_fraction(x) for x in point]
         if len(values) != len(self.variables):
             raise ValueError(
                 f"point has {len(values)} coordinates, expected {len(self.variables)}"
             )
-        powers: list[dict[int, Fraction]] = [{0: Fraction(1)} for _ in values]
-        total = Fraction(0)
+        lcd = self.coefficient_denominator_lcm()
+        scale = lcd
+        weights: list[dict[int, int]] = []
+        for x, used in zip(values, map(set, zip(*self.terms))):
+            p, q, top = x.numerator, x.denominator, max(used)
+            weights.append({e: p ** e * q ** (top - e) for e in used})
+            scale *= q ** top
+        total = 0
         for exps, coeff in self.terms.items():
-            prod = coeff
-            for i, e in enumerate(exps):
-                cache = powers[i]
-                if e not in cache:
-                    cache[e] = values[i] ** e
-                prod *= cache[e]
+            prod = coeff.numerator * (lcd // coeff.denominator)
+            for table, e in zip(weights, exps):
+                prod *= table[e]
             total += prod
-        return total
+        return Fraction(total, scale)
 
     def substitute(
         self,
         images: Mapping[str, MultiPoly | Scalar],
         variables: Sequence[str],
     ) -> MultiPoly:
-        """Map every variable to a polynomial over ``variables`` and expand."""
+        """Map every variable to a polynomial over ``variables`` and expand.
+
+        When every image is a single nonzero term c_i*m_i, each term
+        c*prod(x_i^e_i) maps straight to c*prod(c_i^e_i) * prod(m_i^e_i), so
+        the expansion is a map on exponent tuples with no polynomial
+        products.  Any other image is expanded by multiplying out powers.
+        """
         target = tuple(variables)
         image_polys: list[MultiPoly] = []
         for name in self.variables:
@@ -309,6 +338,8 @@ class MultiPoly:
                     f"image of {name!r} is over {img.variables}, expected {target}"
                 )
             image_polys.append(img)
+        if all(len(img.terms) == 1 for img in image_polys):
+            return self._substitute_monomials(image_polys, target)
         power_cache: list[dict[int, MultiPoly]] = [
             {0: MultiPoly.const(target, 1)} for _ in image_polys
         ]
@@ -327,6 +358,23 @@ class MultiPoly:
                     prod = prod * cached_power(i, e)
             total = total + prod
         return total
+
+    def _substitute_monomials(
+        self, images: Sequence[MultiPoly], target: tuple[str, ...]
+    ) -> MultiPoly:
+        monomials = [next(iter(img.terms.items())) for img in images]
+        table: dict[Exponents, Fraction] = {}
+        for exps, coeff in self.terms.items():
+            image = [0] * len(target)
+            for (mono, c), e in zip(monomials, exps):
+                if e:
+                    coeff *= c ** e
+                    for j, m in enumerate(mono):
+                        image[j] += m * e
+            key = tuple(image)
+            # distinct terms can land on one monomial, as under gamma := beta
+            table[key] = table.get(key, 0) + coeff
+        return MultiPoly(target, table)
 
     # -- rendering -----------------------------------------------------------
 
@@ -398,8 +446,9 @@ class RatFunc:
 
     ``RatFunc.make`` produces the canonical representative: both parts scaled
     to coprime integer coefficients, denominator's grevlex-leading coefficient
-    positive.  No polynomial cancellation is ever attempted; equality is by
-    cross-multiplication.
+    positive.  No polynomial cancellation is ever attempted.  Two values with
+    equal numerators and equal denominators are equal at once; any other pair
+    is compared by cross-multiplication.
     """
 
     __slots__ = ("num", "den")
@@ -500,11 +549,13 @@ class RatFunc:
         return RatFunc.make(self.num ** exponent, self.den ** exponent)
 
     def equals(self, other: RatFunc) -> bool:
-        """Cross-multiplication identity num1*den2 == num2*den1."""
+        """Identical forms are equal; otherwise num1*den2 == num2*den1."""
         if self.variables != other.variables:
             raise VariableMismatchError(
                 f"variable lists differ: {self.variables} vs {other.variables}"
             )
+        if self.num == other.num and self.den == other.den:
+            return True
         return self.num * other.den == other.num * self.den
 
     def __eq__(self, other: object) -> bool:

@@ -17,6 +17,28 @@ def test_parse_rational_accepts_exact_only():
         parse_rational("0.5")
     with pytest.raises(argparse.ArgumentTypeError):
         parse_rational("1e-3")
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_rational("1/0")
+
+
+def test_zero_denominator_is_usage_error(tmp_path, monkeypatch, capsys):
+    assert run(["eval", "--chart", "k2", "--point", "1/0,1", "--what", "V"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+    assert run(["isolate", "--chart", "k2", "--width", "1/0"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"isolation_width": "1/0"}))
+    monkeypatch.setenv("KCERT_CONFIG", str(config_path))
+    assert run(["verify", "--lemma", "claritas"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", ["-1,1", "0,1", "1,-1/2"])
+def test_eval_outside_positive_orthant_is_usage_error(point, capsys):
+    assert run(["eval", "--chart", "k2", f"--point={point}", "--what", "calA"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be positive" in captured.err
 
 
 def test_eval_objective(capsys):

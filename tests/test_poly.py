@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from kcert.exprparse import parse_expression
 from kcert.poly import (
     MultiPoly,
     PiPowerMismatchError,
@@ -122,6 +123,156 @@ def test_second_derivative_matches_interpolation_oracle():
             (t, p.evaluate((point[0] + t, point[1] - t))) for t in ts
         ]
         assert d2 == _lagrange_second_derivative_at_zero(samples)
+
+
+def _termwise_evaluate(p, point):
+    """Reference: every term as a Fraction product, summed term by term."""
+    total = Fraction(0)
+    for exps, coeff in p.terms.items():
+        term = coeff
+        for x, e in zip(point, exps):
+            term *= Fraction(x) ** e
+        total += term
+    return total
+
+
+def _signed_rational(rng, bits):
+    half = 1 << (bits - 1)
+    return Fraction(rng.below(2 * half + 1) - half, 1 + rng.below(1 << bits))
+
+
+def test_evaluate_matches_termwise_reference():
+    rng = SplitMix64(0x5EED)
+    for case in range(250):
+        nvars = case % 5
+        variables = tuple(f"x{i}" for i in range(nvars))
+        bits = 1 + rng.below(48)
+        terms = {
+            tuple(rng.below(7) for _ in range(nvars)): _signed_rational(rng, bits)
+            for _ in range(rng.below(8))
+        }
+        point = []
+        for _ in range(nvars):
+            kind = rng.below(4)
+            if kind == 0:
+                point.append(0)
+            elif kind == 1:
+                point.append(rng.below(1 << bits) - (1 << (bits - 1)))
+            else:
+                point.append(_signed_rational(rng, bits))
+        constant = _signed_rational(rng, bits)
+        for p in (
+            MultiPoly(variables, terms),
+            MultiPoly.zero(variables),
+            MultiPoly.const(variables, constant),
+        ):
+            value = p.evaluate(point)
+            assert type(value) is Fraction
+            assert value == _termwise_evaluate(p, point)
+
+
+def _expanded_substitution(p, images, target):
+    """Reference: expand every term as a product of its images."""
+    total = MultiPoly.zero(target)
+    for exps, coeff in p.terms.items():
+        term = MultiPoly.const(target, coeff)
+        for name, e in zip(p.variables, exps):
+            image = images[name]
+            if not isinstance(image, MultiPoly):
+                image = MultiPoly.const(target, image)
+            for _ in range(e):
+                term = term * image
+        total = total + term
+    return total
+
+
+class _NoProducts(AssertionError):
+    pass
+
+
+def _forbid_products(monkeypatch):
+    def refuse(self, other):
+        raise _NoProducts("polynomial product taken")
+
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+    monkeypatch.setattr(MultiPoly, "__rmul__", refuse)
+
+
+def _random_poly(rng, variables, degree=4):
+    return MultiPoly(
+        variables,
+        {
+            tuple(rng.below(degree + 1) for _ in variables): _signed_rational(rng, 12)
+            for _ in range(12)
+        },
+    )
+
+
+def test_substitute_monomial_images_match_expansion(monkeypatch):
+    rng = SplitMix64(31)
+    target = ("alpha", "t")
+    alpha, t = MultiPoly.gens(target)
+    beta, gamma = gens()
+    cases = [
+        ({"beta": alpha ** 2 * t * Fraction(-3, 2), "gamma": 5 * t}, target),
+        ({"beta": -alpha, "gamma": alpha * t ** 3 * Fraction(7, 4)}, target),
+        ({"beta": Fraction(2, 3), "gamma": -4}, target),
+        ({"beta": MultiPoly.const(target, 3), "gamma": t}, target),
+        ({"beta": beta, "gamma": beta}, BG),  # colliding: gamma := beta
+        ({"beta": gamma, "gamma": beta}, BG),
+    ]
+    for _ in range(10):
+        p = _random_poly(rng, BG)
+        expected = [_expanded_substitution(p, images, tgt) for images, tgt in cases]
+        with monkeypatch.context() as patch:
+            _forbid_products(patch)
+            got = [p.substitute(images, tgt) for images, tgt in cases]
+        assert got == expected
+    # a collision whose terms cancel leaves no zero coefficient behind
+    assert (beta - gamma).substitute({"beta": beta, "gamma": beta}, BG).is_zero
+
+
+def test_substitute_zero_image_takes_the_expansion(monkeypatch):
+    rng = SplitMix64(32)
+    target = ("t",)
+    (t,) = MultiPoly.gens(target)
+    for images in (
+        {"beta": 0, "gamma": t},
+        {"beta": MultiPoly.zero(target), "gamma": 2 * t},
+        {"beta": 1 + t, "gamma": t},
+    ):
+        p = _random_poly(rng, BG) + 5
+        assert p.substitute(images, target) == _expanded_substitution(p, images, target)
+        with monkeypatch.context() as patch:
+            _forbid_products(patch)
+            with pytest.raises(_NoProducts):
+                p.substitute(images, target)
+
+
+def test_equals_identical_forms_without_products(monkeypatch):
+    beta, gamma = gens()
+    a = RatFunc.make(1 + beta * gamma, 3 + gamma ** 2)
+    same = RatFunc(MultiPoly(BG, a.num.terms), MultiPoly(BG, a.den.terms))
+    _forbid_products(monkeypatch)
+    assert a.equals(same) and same.equals(a)
+
+
+def test_equals_falls_back_to_cross_multiplication():
+    beta, gamma = gens()
+    uncancelled = RatFunc(beta * gamma, beta * beta)
+    assert uncancelled.equals(RatFunc.make(gamma, beta))
+    assert RatFunc.make(gamma, beta).equals(uncancelled)
+    assert not uncancelled.equals(RatFunc.make(beta, gamma))
+    assert not RatFunc.make(gamma, beta).equals(RatFunc.make(2 * gamma, beta))
+
+
+def test_exponent_packing_overflow_is_rejected():
+    with pytest.raises(ValueError, match="exponent limit"):
+        parse_expression("(((beta^64)^64)^64)^64", BG)
+    below = MultiPoly(BG, {(1 << 23, 0): 1}) * MultiPoly(BG, {((1 << 23) - 1, 2): 1})
+    assert below.terms == {((1 << 24) - 1, 2): 1}
+    with pytest.raises(ValueError, match="'gamma'"):
+        MultiPoly(BG, {(0, 1 << 23): 1}) * MultiPoly(BG, {(1, 1 << 23): 1})
 
 
 def test_coefficients_all_nonneg():
