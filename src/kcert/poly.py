@@ -19,14 +19,21 @@ Conventions:
     denominators are identical polynomials, and is otherwise decided by
     cross-multiplication, never by multivariate gcd;
   * evaluation at a rational point sums integers and divides once (see
-    ``MultiPoly.evaluate``).
+    ``MultiPoly.evaluate``);
+  * a product of at least 16 term pairs whose exponent box
+    prod_i(deg_a,i + deg_b,i + 1) has no more slots than pairs is dense and
+    is formed by Kronecker substitution: one big-integer product, in slots
+    of nb bytes with 2^(8*nb-1) > max|a|*max|b|*min(#a, #b), a bound on every
+    output coefficient.  Other products loop over term pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -55,6 +62,8 @@ def grevlex_key(exponents: Exponents) -> tuple:
 # every degree this package produces far from overflow; ``MultiPoly.__mul__``
 # refuses operands whose exponent sums would carry into the next slot.
 _PACK_BITS = 24
+
+_DENSE_MIN_PAIRS = 16  # fewest term pairs for which a product may be dense
 
 
 def _pack(exponents: Exponents) -> int:
@@ -96,6 +105,14 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     # -- constructors -------------------------------------------------------
+
+    @staticmethod
+    def _from_table(variables: tuple[str, ...], table: dict[Exponents, Fraction]) -> MultiPoly:
+        """Wrap a table of nonzero Fractions without re-checking it."""
+        poly = object.__new__(MultiPoly)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", table)
+        return poly
 
     @staticmethod
     def zero(variables: Sequence[str]) -> MultiPoly:
@@ -201,12 +218,22 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other: MultiPoly | Scalar) -> MultiPoly:
+        """Exact product; the kernel is chosen from sizes alone.
+
+        A product of at least 16 term pairs whose exponent box
+        prod_i(deg_a,i + deg_b,i + 1) holds no more slots than pairs goes
+        through Kronecker substitution (``_mul_dense``), in slots of nb bytes
+        with 2^(8*nb-1) > max|a|*max|b|*min(#a, #b): an output coefficient is
+        a sum of at most min(#a, #b) products.  Others loop over term pairs.
+        """
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check_compatible(other)
         if not self.terms or not other.terms:
             return MultiPoly.zero(self.variables)
         nvars = len(self.variables)
+        pairs = len(self.terms) * len(other.terms)
+        box = 1  # multiplied in place: a list per product slows the many tiny ones
         for name, a, b in zip(
             self.variables, map(max, zip(*self.terms)), map(max, zip(*other.terms))
         ):
@@ -214,6 +241,9 @@ class MultiPoly:
                 raise ValueError(
                     f"degree {a + b} in {name!r} reaches the 2^{_PACK_BITS} exponent limit"
                 )
+            box *= a + b + 1
+        if pairs >= _DENSE_MIN_PAIRS and box <= pairs:
+            return self._mul_dense(other, box)
         integral = all(c.denominator == 1 for c in self.terms.values()) and all(
             c.denominator == 1 for c in other.terms.values()
         )
@@ -237,6 +267,38 @@ class MultiPoly:
         }
         return MultiPoly(self.variables, table)
 
+    def _mul_dense(self, other: MultiPoly, box: int) -> MultiPoly:
+        """Pack both operands, multiply once, lift each slot by 2^(8*nb-1), unpack."""
+        tops = zip(map(max, zip(*self.terms)), map(max, zip(*other.terms)))
+        extents = [a + b + 1 for a, b in tops]
+        strides = [prod(extents[:i]) for i in range(len(extents))]
+        operands, den = [], 1
+        for poly in (self, other):
+            lcd = poly.coefficient_denominator_lcm()
+            den *= lcd
+            operands.append([
+                (sum(map(mul, e, strides)), c.numerator * (lcd // c.denominator))
+                for e, c in poly.terms.items()
+            ])
+        bound = min(map(len, operands)) * prod(max(abs(c) for _, c in s) for s in operands)
+        nb = bound.bit_length() // 8 + 1
+        packed = 1
+        for scaled in operands:
+            signs = (bytearray(nb * box), bytearray(nb * box))
+            for slot, c in scaled:
+                signs[c < 0][slot * nb:(slot + 1) * nb] = abs(c).to_bytes(nb, "little")
+            packed *= int.from_bytes(signs[0], "little") - int.from_bytes(signs[1], "little")
+        half = 1 << (8 * nb - 1)
+        zero = half.to_bytes(nb, "little")
+        digits = (packed + int.from_bytes(zero * box, "little")).to_bytes(nb * box, "little")
+        table: dict[Exponents, Fraction] = {}
+        slots = product(*map(range, reversed(extents)))
+        for at, reverse in zip(range(0, nb * box, nb), slots):
+            digit = digits[at:at + nb]
+            if digit != zero:
+                table[reverse[::-1]] = Fraction(int.from_bytes(digit, "little") - half, den)
+        return MultiPoly._from_table(self.variables, table)
+
     __rmul__ = __mul__
 
     def scale(self, value: Scalar) -> MultiPoly:
@@ -251,16 +313,16 @@ class MultiPoly:
     def __pow__(self, exponent: int) -> MultiPoly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial power requires a non-negative integer")
-        result = MultiPoly.const(self.variables, 1)
+        result = None
         base = self
         n = exponent
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return MultiPoly.const(self.variables, 1) if result is None else result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
@@ -432,13 +494,14 @@ def coefficients_all_nonneg(
     """Check every stored coefficient is >= 0.
 
     Returns (True, None) on success, else (False, witness) where the witness
-    is the most negative coefficient together with its monomial exponents.
+    is the most negative coefficient together with its monomial exponents,
+    the grevlex-largest among ties, whatever order the terms are stored in.
     """
-    worst: tuple[Fraction, Exponents] | None = None
-    for exps, coeff in p.terms.items():
-        if coeff < 0 and (worst is None or coeff < worst[0]):
-            worst = (coeff, exps)
-    return (worst is None), worst
+    negatives = [(-c, grevlex_key(e), e) for e, c in p.terms.items() if c < 0]
+    if not negatives:
+        return True, None
+    magnitude, _, exps = max(negatives)
+    return False, (-magnitude, exps)
 
 
 class RatFunc:
@@ -615,7 +678,8 @@ def directional_second_derivative(f: RatFunc, direction: Sequence[int]) -> RatFu
     with X_v the direction-weighted first derivative of X.  No cancellation is
     performed: the returned denominator is exactly D^3, and the numerator's
     coefficient signs are those of this structural form (which positivity
-    certificates inspect directly).
+    certificates inspect directly).  It is formed as the same polynomial
+    (N_vv*D - 2*N_v*D_v - N*D_vv)*D + 2*N*(D_v*D_v), with one product by D.
     """
     if len(direction) != len(f.variables):
         raise ValueError("direction length must match the variable count")
@@ -624,12 +688,7 @@ def directional_second_derivative(f: RatFunc, direction: Sequence[int]) -> RatFu
     d_v = directional_derivative(d, direction)
     n_vv = directional_derivative(n_v, direction)
     d_vv = directional_derivative(d_v, direction)
-    numerator = (
-        n_vv * d * d
-        - (n_v * d_v * d).scale(2)
-        - n * d_vv * d
-        + (n * d_v * d_v).scale(2)
-    )
+    numerator = (n_vv * d - (n_v * d_v).scale(2) - n * d_vv) * d + (n * (d_v * d_v)).scale(2)
     return RatFunc(numerator, d ** 3)
 
 

@@ -2,9 +2,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import tracemalloc
+
 import pytest
 
+from kcert import poly
+from kcert.delpezzo import K2_CHART, K3_CHART
 from kcert.exprparse import parse_expression
+from kcert.functional import build_bundle
 from kcert.poly import (
     MultiPoly,
     PiPowerMismatchError,
@@ -12,6 +17,7 @@ from kcert.poly import (
     RatFunc,
     VariableMismatchError,
     coefficients_all_nonneg,
+    directional_derivative,
     directional_second_derivative,
     partial_derivative,
 )
@@ -77,6 +83,20 @@ def test_directional_second_derivative_denominator_is_cube():
     f = RatFunc(beta ** 3, den)
     d2 = directional_second_derivative(f, (1, -1))
     assert d2.den == den ** 3
+
+
+@pytest.mark.parametrize("chart, direction", [(K2_CHART, (1, -1)), (K3_CHART, (1, -1, 0))])
+def test_second_derivative_numerator_is_the_literal_form(chart, direction):
+    f = build_bundle(chart).calA
+    n, d = f.num, f.den
+    n_v = directional_derivative(n, direction)
+    d_v = directional_derivative(d, direction)
+    n_vv = directional_derivative(n_v, direction)
+    d_vv = directional_derivative(d_v, direction)
+    literal = n_vv * d * d - 2 * n_v * d_v * d - n * d_vv * d + 2 * n * d_v * d_v
+    d2 = directional_second_derivative(f, direction)
+    assert d2.num == literal
+    assert d2.den == d * d * d
 
 
 def _lagrange_second_derivative_at_zero(points):
@@ -275,6 +295,152 @@ def test_exponent_packing_overflow_is_rejected():
         MultiPoly(BG, {(0, 1 << 23): 1}) * MultiPoly(BG, {(1, 1 << 23): 1})
 
 
+def _termwise_product(a, b):
+    """Reference: every term pair multiplied as Fractions, summed per monomial."""
+    table = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            table[key] = table.get(key, Fraction(0)) + ca * cb
+    return {e: c for e, c in table.items() if c != 0}
+
+
+def _assert_product(a, b):
+    got = a * b
+    assert got.terms == _termwise_product(a, b)
+    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+    assert all(type(e) is tuple and len(e) == len(a.variables) for e in got.terms)
+    return got
+
+
+def _spy_dense(monkeypatch):
+    calls = []
+    dense = MultiPoly._mul_dense
+
+    def spy(self, other, box):
+        calls.append((len(self.terms), len(other.terms)))
+        return dense(self, other, box)
+
+    monkeypatch.setattr(MultiPoly, "_mul_dense", spy)
+    return calls
+
+
+def test_mul_matches_termwise_reference(monkeypatch):
+    rng = SplitMix64(0xD15E)
+    calls = _spy_dense(monkeypatch)
+    products = 0
+    for case in range(300):
+        nvars = case % 4
+        variables = tuple(f"x{i}" for i in range(nvars))
+        operands = []
+        for _ in range(2):
+            # small exponent ranges give full boxes, large ones sparse products
+            top = 1 + rng.below(3) if rng.below(3) else 1 + rng.below(40)
+            bits, shift = 1 + rng.below(48), rng.below(48)
+            integral = rng.below(2)
+            terms = {}
+            for _ in range(rng.below(40) if rng.below(5) else 1):
+                coeff = _signed_rational(rng, bits) * (1 << shift)
+                terms[tuple(rng.below(top + 1) for _ in variables)] = (
+                    Fraction(coeff.numerator) if integral else coeff
+                )
+            operands.append(MultiPoly(variables, terms))
+        a, b = operands
+        _assert_product(a, b)
+        _assert_product(b, a)
+        products += 2
+    # cancelling products: (1 + x + ... + x^(n-1)) * (x - 1) = x^n - 1, and in
+    # three variables every inner coefficient of the box cancels as well
+    (x,) = MultiPoly.gens(("x",))
+    geometric = sum((x ** k for k in range(30)), MultiPoly.zero(("x",)))
+    assert _assert_product(geometric, x - 1) == x ** 30 - 1
+    _assert_product(MultiPoly.const(("x",), Fraction(-3, 7)), geometric)  # dense, one term
+    uvw = ("u", "v", "w")
+    u, v, w = MultiPoly.gens(uvw)
+    cube = MultiPoly(uvw, {(i, j, k): 1 for i in range(5) for j in range(5) for k in range(5)})
+    corners = _assert_product(cube, (u - 1) * (v - 1) * (w - 1))
+    assert len(corners.terms) == 8
+    assert _assert_product(MultiPoly.zero(("x",)), geometric).is_zero
+    assert len(calls) > 0 and products - len(calls) > 0  # both kernels ran
+
+
+def test_mul_slot_width_edge():
+    # every coefficient at +-max with one sign: the middle output coefficient
+    # of an n-term by n-term univariate product is exactly n*max|a|*max|b|,
+    # which for the first two cases is 2^(8*nb-1) - 1 at the chosen slot width
+    (x,) = MultiPoly.gens(("x",))
+    for n, ma, mb in ((7, 31, 151), (127, 1, 1), (128, 1, 1), (16, 1 << 40, 3)):
+        for sa, sb in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+            a = MultiPoly(("x",), {(k,): sa * ma for k in range(n)})
+            b = MultiPoly(("x",), {(k,): sb * mb for k in range(n)})
+            got = _assert_product(a, b)
+            assert got.terms[(n - 1,)] == sa * sb * n * ma * mb
+    assert 7 * 31 * 151 == (1 << 15) - 1 and 127 == (1 << 7) - 1
+
+
+def test_calA_k3_product_takes_the_dense_kernel(monkeypatch):
+    calA = build_bundle(K3_CHART).calA
+    calls = _spy_dense(monkeypatch)
+    dense = calA.num * calA.den
+    assert calls == [(len(calA.num.terms), len(calA.den.terms))]
+    monkeypatch.setattr(poly, "_DENSE_MIN_PAIRS", float("inf"))
+    assert dense.terms == (calA.num * calA.den).terms
+    assert len(calls) == 1
+
+
+def test_kernel_rule_boundaries(monkeypatch):
+    calls = _spy_dense(monkeypatch)
+    X = ("x",)
+
+    def poly_at(exponents):
+        return MultiPoly(X, {(e,): 2 * i - 3 for i, e in enumerate(exponents)})
+
+    full = poly_at(range(4))
+    _assert_product(full, poly_at((0, 4, 8, 12)))  # 16 pairs, box 16: dense
+    assert len(calls) == 1
+    _assert_product(full, poly_at((0, 4, 8, 13)))  # 16 pairs, box 17: loop
+    _assert_product(poly_at(range(3)), poly_at(range(5)))  # 15 pairs, box 7: loop
+    assert len(calls) == 1
+
+
+def test_sparse_high_degree_product_takes_the_loop(monkeypatch):
+    a = MultiPoly(BG, {(k << 20, k): 2 * k - 3 for k in range(4)})
+    b = MultiPoly(BG, {(k << 20, 0): Fraction(1, k + 1) for k in range(4)})
+    assert len(a.terms) * len(b.terms) == poly._DENSE_MIN_PAIRS
+    tracemalloc.start()
+    try:
+        got = _assert_product(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the 4*(6*2^20+1)-slot box would take far more
+
+    def refuse(self, other, box):
+        raise AssertionError("dense kernel taken")
+
+    monkeypatch.setattr(MultiPoly, "_mul_dense", refuse)
+    assert (a * b).terms == got.terms
+
+
+def test_power_skips_the_product_by_one(monkeypatch):
+    beta, gamma = gens()
+    p = 1 + beta - 2 * gamma
+    expected = [MultiPoly.const(BG, 1), p, p * p, p * p * p, p * p * p * p]
+    products = []
+    mul = MultiPoly.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    # p^2 = p*p, p^3 = p*(p*p), p^4 = (p*p)*(p*p): never a product by 1
+    for n, (want, count) in enumerate(zip(expected, (0, 0, 1, 2, 2))):
+        products.clear()
+        assert p ** n == want
+        assert len(products) == count
+
+
 def test_coefficients_all_nonneg():
     beta, _ = gens()
     ok, witness = coefficients_all_nonneg(1 + 3 * beta)
@@ -283,6 +449,16 @@ def test_coefficients_all_nonneg():
     assert not ok
     coeff, exps = witness
     assert coeff == -1 and exps == (1, 0)
+
+
+def test_nonneg_witness_ignores_insertion_order():
+    terms = [((0, 0), -3), ((1, 1), -3), ((2, 0), -3), ((0, 2), 1), ((1, 0), -1)]
+    forward = MultiPoly(BG, dict(terms))
+    backward = MultiPoly(BG, dict(reversed(terms)))
+    assert list(forward.terms) != list(backward.terms)
+    expected = (False, (Fraction(-3), (2, 0)))  # beta^2 is grevlex-largest
+    assert coefficients_all_nonneg(forward) == expected
+    assert coefficients_all_nonneg(backward) == expected
 
 
 def test_positive_coefficients_imply_positive_values():
