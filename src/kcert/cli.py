@@ -193,38 +193,64 @@ def emit_report(report: Report, fmt: str | None = None) -> str:
     return "\n".join(lines)
 
 
+# KCERT_CONFIG keys and the JSON types each accepts; true/false are not integers
+_ENV_CONFIG_TYPES = {
+    "sample_count": (int,),
+    "isolation_width": (str, int),
+    "jobs": (int,),
+    "format": (str,),
+    "fixtures_dir": (str, type(None)),
+    "seed": (int,),
+}
+_JSON_TYPE_NAMES = {int: "an integer", str: "a string", type(None): "null"}
+
+
 def _load_env_config() -> dict:
+    """The settings in the ``KCERT_CONFIG`` file, checked in one place.
+
+    The file must hold one JSON object whose keys are ``RunConfig`` fields
+    and whose values have that field's JSON type; anything else raises
+    ValueError, which ``run`` reports with exit 2.
+    """
     path = os.environ.get("KCERT_CONFIG")
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        settings = json.load(handle)
+    if not isinstance(settings, dict):
+        raise ValueError(f"KCERT_CONFIG must hold a JSON object, got {settings!r}")
+    for key, value in settings.items():
+        if key not in _ENV_CONFIG_TYPES:
+            raise ValueError(
+                f"unknown KCERT_CONFIG key {key!r}; known keys: {', '.join(_ENV_CONFIG_TYPES)}"
+            )
+        if type(value) not in _ENV_CONFIG_TYPES[key]:
+            expected = " or ".join(_JSON_TYPE_NAMES[t] for t in _ENV_CONFIG_TYPES[key])
+            raise ValueError(f"KCERT_CONFIG {key!r} must be {expected}, got {value!r}")
+    if settings.get("format", "json") not in ("json", "markdown"):
+        raise ValueError(
+            f"KCERT_CONFIG 'format' must be json or markdown, got {settings['format']!r}"
+        )
+    if "isolation_width" in settings:
+        settings["isolation_width"] = parse_rational(str(settings["isolation_width"]))
+    return settings
 
 
 def _config_from_args(args: argparse.Namespace, tasks: list[str]) -> RunConfig:
-    base = _load_env_config()
-    config = RunConfig(tasks=tasks)
-    for key in ("sample_count", "jobs", "format", "fixtures_dir", "seed"):
-        if key in base:
-            setattr(config, key, base[key])
-    if "isolation_width" in base:
-        config.isolation_width = parse_rational(str(base["isolation_width"]))
-    if getattr(args, "samples", None) is not None:
-        config.sample_count = args.samples
-    if getattr(args, "width", None) is not None:
-        config.isolation_width = args.width
-    if getattr(args, "jobs", None) is not None:
-        config.jobs = args.jobs
-    if getattr(args, "format", None) is not None:
-        config.format = args.format
-    if getattr(args, "fixtures_dir", None) is not None:
-        config.fixtures_dir = args.fixtures_dir
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "no_timing", False):
-        config.include_timing = False
-    config.__post_init__()
-    return config
+    """``KCERT_CONFIG`` settings overridden by flags; ``RunConfig`` checks the values."""
+    settings = _load_env_config()
+    for key, flag in (
+        ("sample_count", "samples"),
+        ("isolation_width", "width"),
+        ("jobs", "jobs"),
+        ("format", "format"),
+        ("fixtures_dir", "fixtures_dir"),
+        ("seed", "seed"),
+    ):
+        if getattr(args, flag, None) is not None:
+            settings[key] = getattr(args, flag)
+    include_timing = not getattr(args, "no_timing", False)
+    return RunConfig(tasks=tasks, include_timing=include_timing, **settings)
 
 
 def _run_lemmas(config: RunConfig, lemma_ids: list[str]) -> list[LemmaReport]:

@@ -18,19 +18,24 @@ Coordinates are u = 2*pi*x, v = 2*pi*y, chosen so that every vertex datum and
 every integral below is a parameter polynomial with rational coefficients; pi
 factors are restored downstream, in one place.
 
-Integrals:
-  * interior monomial moments by fan triangulation from the first vertex,
-    an affine map of each triangle onto the standard simplex, and the exact
-    simplex identity  integral s^i t^j ds dt = i! j! / (i+j+2)!;
+Integrals are edge sums over the counter-clockwise vertices (u_i, v_i), with
+integer weights and no triangulation:
+  * interior moments: with c_i = u_i v_{i+1} - u_{i+1} v_i,
+        int u^a v^b = a! b! / (a+b+2)! sum_i c_i sum_{k<=a, l<=b}
+            C(k+l, l) C(a+b-k-l, b-l) u_i^k u_{i+1}^(a-k) v_i^l v_{i+1}^(b-l);
   * boundary integrals in the lattice measure (a primitive segment has
     length 1), edge by edge with p(t) = start + t*direction, t in [0, length].
+A numeric polygon (no variables) runs the same sums on Python ints: its
+coordinates and lattice lengths are scaled by L, the lcm of their
+denominators, and the sum is divided once, by L^(a+b+2) (a+b+2)! / (a! b!)
+(interior) or by L^(a+b+1) times the weight denominator (boundary).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, lcm
 from typing import Sequence
 
 from .poly import MultiPoly, RatFunc, Scalar
@@ -131,87 +136,81 @@ def build_polygon(
     return polygon
 
 
-# st-polynomials: polynomials in the simplex coordinates (s, t) whose
-# coefficients are parameter polynomials.
-_StPoly = dict[tuple[int, int], MultiPoly]
+def _edge_data(polygon: ParamPolygon) -> tuple[list, list, list, object, int]:
+    """(u's, v's, lattice lengths, zero, L) in the type the edge sums run on:
+    MultiPolys with L = 1, or for a numeric polygon ints scaled by L."""
+    us, vs = [p.u for p in polygon.vertices], [p.v for p in polygon.vertices]
+    lengths = list(polygon.edge_lattice_lengths)
+    if polygon.variables:
+        return us, vs, lengths, MultiPoly.zero(polygon.variables), 1
+    values = [[c.constant_value() for c in group] for group in (us, vs, lengths)]
+    scale = lcm(*(q.denominator for group in values for q in group))
+    us, vs, lengths = ([q.numerator * (scale // q.denominator) for q in g] for g in values)
+    return us, vs, lengths, 0, scale
 
 
-def _st_mul(a: _StPoly, b: _StPoly) -> _StPoly:
-    out: _StPoly = {}
-    for (i, j), ca in a.items():
-        for (k, l), cb in b.items():
-            key = (i + k, j + l)
-            prod = ca * cb
-            out[key] = out[key] + prod if key in out else prod
+def _powers(x, n: int) -> list:
+    """[1, x, ..., x^n]; the int 1 multiplies either coordinate type."""
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * x)
     return out
 
 
-def _st_pow(base: _StPoly, exponent: int, variables: tuple[str, ...]) -> _StPoly:
-    result: _StPoly = {(0, 0): MultiPoly.const(variables, 1)}
-    for _ in range(exponent):
-        result = _st_mul(result, base)
-    return result
+def _divide(polygon: ParamPolygon, total, divisor: int) -> MultiPoly:
+    if polygon.variables:
+        return total.scale(Fraction(1, divisor))
+    return MultiPoly.const((), Fraction(total, divisor))
 
 
 def integrate_monomial(polygon: ParamPolygon, a: int, b: int) -> MultiPoly:
-    """Exact interior integral of u^a v^b over the polygon."""
+    """Exact interior integral of u^a v^b over the polygon (edge sum above)."""
     if a < 0 or b < 0:
         raise ValueError("monomial exponents must be nonnegative")
-    varlist = polygon.variables
-    total = MultiPoly.zero(varlist)
-    verts = polygon.vertices
-    base = verts[0]
-    for i in range(1, len(verts) - 1):
-        p1, p2 = verts[i], verts[i + 1]
-        du1, dv1 = p1.u - base.u, p1.v - base.v
-        du2, dv2 = p2.u - base.u, p2.v - base.v
-        jacobian = du1 * dv2 - du2 * dv1
-        if jacobian.is_zero:
+    us, vs, _, zero, scale = _edge_data(polygon)
+    # one power table per vertex, shared by the vertex's two edges
+    u_powers = [_powers(u, a) for u in us]
+    v_powers = [_powers(v, b) for v in vs]
+    total = zero
+    for i in range(len(us)):
+        j = (i + 1) % len(us)
+        cross = us[i] * vs[j] - us[j] * vs[i]
+        if cross == zero:
             continue
-        u_st: _StPoly = {(0, 0): base.u, (1, 0): du1, (0, 1): du2}
-        v_st: _StPoly = {(0, 0): base.v, (1, 0): dv1, (0, 1): dv2}
-        integrand = _st_mul(
-            _st_pow(u_st, a, varlist), _st_pow(v_st, b, varlist)
-        )
-        piece = MultiPoly.zero(varlist)
-        for (i_s, j_t), coeff in integrand.items():
-            weight = Fraction(
-                factorial(i_s) * factorial(j_t), factorial(i_s + j_t + 2)
-            )
-            piece = piece + coeff.scale(weight)
-        total = total + jacobian * piece
-    return total
+        v_terms = [v_powers[i][l] * v_powers[j][b - l] for l in range(b + 1)]
+        inner = zero
+        for k in range(a + 1):
+            u_term = u_powers[i][k] * u_powers[j][a - k]
+            for l in range(b + 1):
+                weight = comb(k + l, l) * comb(a + b - k - l, b - l)
+                inner = inner + u_term * v_terms[l] * weight
+        total = total + cross * inner
+    divisor = comb(a + b, a) * (a + b + 1) * (a + b + 2) * scale ** (a + b + 2)
+    return _divide(polygon, total, divisor)
 
 
 def boundary_integral(polygon: ParamPolygon, a: int, b: int) -> MultiPoly:
-    """Exact boundary integral of u^a v^b in the lattice measure."""
+    """Exact boundary integral of u^a v^b in the lattice measure.
+
+    An edge from (u, v) along (dx, dy) adds sum_{p<=a, q<=b} C(a,p) C(b,q)
+    dx^p dy^q / (p+q+1) u^(a-p) v^(b-q) length^(p+q+1), in integer weights
+    over K = lcm(1..a+b+1); the divisor is K L^(a+b+1).
+    """
     if a < 0 or b < 0:
         raise ValueError("monomial exponents must be nonnegative")
-    varlist = polygon.variables
-    total = MultiPoly.zero(varlist)
-    nverts = len(polygon.vertices)
-    for i, ((dx, dy), length) in enumerate(
-        zip(polygon.edge_directions, polygon.edge_lattice_lengths)
-    ):
-        if length.is_zero:
+    us, vs, lengths, zero, scale = _edge_data(polygon)
+    common = lcm(*range(1, a + b + 2))
+    total = zero
+    for i, ((dx, dy), length) in enumerate(zip(polygon.edge_directions, lengths)):
+        if length == zero:
             continue
-        start = polygon.vertices[i % nverts]
-        u_powers = [start.u ** k for k in range(a + 1)]
-        v_powers = [start.v ** k for k in range(b + 1)]
-        length_powers = [MultiPoly.const(varlist, 1)]
-        for _ in range(a + b + 1):
-            length_powers.append(length_powers[-1] * length)
-        for p in range(a + 1):
-            for q in range(b + 1):
-                scalar = Fraction(
-                    comb(a, p) * comb(b, q) * dx ** p * dy ** q, p + q + 1
-                )
-                if scalar == 0:
-                    continue
-                total = total + (
-                    u_powers[a - p] * v_powers[b - q] * length_powers[p + q + 1]
-                ).scale(scalar)
-    return total
+        u_powers, v_powers = _powers(us[i], a), _powers(vs[i], b)
+        l_powers = _powers(length, a + b + 1)
+        for p in range(a + 1 if dx else 1):  # dx = 0 leaves p = 0 only, dy = 0 q = 0
+            for q in range(b + 1 if dy else 1):
+                weight = comb(a, p) * comb(b, q) * dx ** p * dy ** q * (common // (p + q + 1))
+                total = total + u_powers[a - p] * v_powers[b - q] * l_powers[p + q + 1] * weight
+    return _divide(polygon, total, common * scale ** (a + b + 1))
 
 
 def lattice_perimeter(polygon: ParamPolygon) -> MultiPoly:

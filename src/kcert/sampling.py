@@ -28,9 +28,13 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform draw from range(bound) by rejection on the top chunk."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform draw from range(bound) by rejection on the top chunk.
+
+        One 64-bit word per draw, so ``bound`` must lie in 1..2^64; a larger
+        bound would leave no accepted word.
+        """
+        if not 0 < bound <= 1 << 64:
+            raise ValueError(f"bound must be in 1..2^64, got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             value = self.next_u64()

@@ -173,3 +173,43 @@ def test_env_config_override(tmp_path, monkeypatch, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["sample_count"] == 7
     assert payload["config"]["seed"] == 99
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"jobs": "4"}', "'jobs' must be an integer, got '4'"),
+        ("[1, 2]", "must hold a JSON object, got [1, 2]"),
+        ('"seed"', "must hold a JSON object"),
+        ('{"seed": true}', "'seed' must be an integer"),
+        ('{"sample_count": 1.5}', "'sample_count' must be an integer"),
+        ('{"isolation_width": 0.5}', "'isolation_width' must be a string or an integer"),
+        ('{"fixtures_dir": 3}', "'fixtures_dir' must be a string or null"),
+        ('{"format": "xml"}', "'format' must be json or markdown"),
+        ('{"samples": 7}', "unknown KCERT_CONFIG key 'samples'"),
+        ('{"sample_count": 0}', "sample_count must be >= 1"),
+    ],
+)
+def test_bad_env_config_is_usage_error(text, message, tmp_path, monkeypatch, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(text)
+    monkeypatch.setenv("KCERT_CONFIG", str(config_path))
+    assert run(["verify", "--lemma", "claritas", "--no-timing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_env_config_flags_override_and_width(tmp_path, monkeypatch, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps({"sample_count": 7, "isolation_width": "1/1024", "jobs": 1, "fixtures_dir": None})
+    )
+    monkeypatch.setenv("KCERT_CONFIG", str(config_path))
+    args = ["verify", "--lemma", "claritas", "--format", "json", "--no-timing"]
+    assert run(args + ["--samples", "5"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["sample_count"] == 5
+    assert config["isolation_width"] == "1/1024"
+    assert config["fixtures_dir"] is None

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from kcert.delpezzo import K2_CHART, K3_CHART, pair
+from kcert.delpezzo import K2_CHART, K3_CHART, AreaVector, cremona, pair
 from kcert.poly import MultiPoly
 from kcert.polytope import (
     PolygonError,
@@ -143,7 +143,7 @@ def _greens_theorem_moment(vertices, a, b):
     """Interior integral of u^a v^b via the boundary of the numeric polygon.
 
     Uses int_P u^a v^b = oint u^(a+1)/(a+1) v^b dv counter-clockwise; exact in
-    rational arithmetic, no triangulation or simplex identity involved.
+    rational arithmetic and independent of the edge-sum formula under test.
     """
     total = Fraction(0)
     n = len(vertices)
@@ -194,3 +194,73 @@ def test_degenerate_edges_allowed():
     # E3 = 0 across the k2 chart: pentagon, one degenerate edge contributes 0
     polygon = k2_polygon()
     assert polygon.edge_lattice_lengths[-1].is_zero
+
+
+MOMENTS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def _simpson_boundary(vertices, a, b):
+    """Lattice-measure boundary integral of u^a v^b (a + b <= 3), by Simpson's
+    rule on each edge; the lattice length of an edge of the del Pezzo fan is
+    max(|du|, |dv|)."""
+    total = Fraction(0)
+    for (u0, v0), (u1, v1) in zip(vertices, vertices[1:] + vertices[:1]):
+        ends = u0 ** a * v0 ** b + u1 ** a * v1 ** b
+        mid = ((u0 + u1) / 2) ** a * ((v0 + v1) / 2) ** b
+        total += max(abs(u1 - u0), abs(v1 - v0)) * (ends + 4 * mid) / 6
+    return total
+
+
+def _numeric_classes():
+    """(label, area vector, k3 chart point or None) for SplitMix64 draws of
+    mixed height with delta = 1, delta > 0, delta = 0 and Cremona delta < 0,
+    plus the degenerate pentagon (E3 = 0), unit square and anticanonical
+    hexagon."""
+    rng = SplitMix64(0x5EED)
+
+    def draw(bits):
+        return Fraction(1 + rng.below(1 << bits), 1 + rng.below(1 << bits))
+
+    classes = []
+    for bits in (4, 16, 48):
+        alpha, beta, gamma, delta = (draw(bits) for _ in range(4))
+        classes += [
+            (f"delta=1/{bits}", AreaVector.from_abcd(alpha, beta, gamma, 1), (alpha, beta, gamma)),
+            (f"pentagon/{bits}", AreaVector.from_abcd(0, beta, gamma, 1), (0, beta, gamma)),
+            (f"delta>0/{bits}", AreaVector.from_abcd(alpha, beta, gamma, delta), None),
+            (f"delta=0/{bits}", AreaVector.from_abcd(alpha, beta, gamma, 0), None),
+            (f"cremona/{bits}", cremona(AreaVector.from_abcd(alpha, beta, gamma, delta)), None),
+        ]
+    classes += [
+        ("unit square", AreaVector(*map(Fraction, (0, 1, 1, 0, 1, 1))), None),
+        ("anticanonical", AreaVector.from_abcd(1, 1, 1, 0), None),
+    ]
+    return classes
+
+
+def test_numeric_route_matches_independent_references(monkeypatch):
+    symbolic = k3_polygon()
+    cases = []
+    for label, areas, point in _numeric_classes():
+        polygon = build_polygon(areas.as_tuple())
+        vertices = [(v.u.constant_value(), v.v.constant_value()) for v in polygon.vertices]
+        expected = [_greens_theorem_moment(vertices, a, b) for a, b in MOMENTS]
+        expected += [_simpson_boundary(vertices, a, b) for a, b in MOMENTS]
+        if point is not None:
+            chart = [integrate_monomial(symbolic, a, b).evaluate(point) for a, b in MOMENTS]
+            chart += [boundary_integral(symbolic, a, b).evaluate(point) for a, b in MOMENTS]
+            assert chart == expected, label
+        cases.append((label, polygon, expected))
+
+    def no_products(self, other):
+        raise AssertionError("the numeric route formed a polynomial product")
+
+    # the numeric route runs on ints: not one polynomial product
+    monkeypatch.setattr(MultiPoly, "__mul__", no_products)
+    monkeypatch.setattr(MultiPoly, "__rmul__", no_products)
+    for label, polygon, expected in cases:
+        got = [integrate_monomial(polygon, a, b) for a, b in MOMENTS]
+        got += [boundary_integral(polygon, a, b) for a, b in MOMENTS]
+        for value in got:
+            assert isinstance(value, MultiPoly) and value.variables == ()
+        assert [value.constant_value() for value in got] == expected, label
