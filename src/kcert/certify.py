@@ -15,7 +15,9 @@ Each lemma-level claim is reduced to exact, re-checkable evidence:
 
 Reports carry PASS/FAIL/NOTE, witnesses, and timings; FAIL always carries a
 concrete witness.  NOTE marks recorded deductions whose geometric input
-(the cone decomposition) is assumed rather than machine-verified.
+(the cone decomposition) is assumed rather than machine-verified.  Each lemma
+runs once per process: the composites (laudate, gaudete) take their
+ingredients' reports from ``run_lemma``'s memo.
 """
 
 from __future__ import annotations
@@ -566,14 +568,11 @@ def verify_uniqueness_k2(
     the isolating interval and an enclosure of the objective value there.
     """
     start = time.perf_counter()
-    failures: dict = {}
-    symmetry = verify_symmetry("symmetry2")
-    convexity = verify_convexity("k2", fixtures_dir=fixtures_dir, seed=seed)
-    prime = verify_prime2()
-    doubleprime = verify_doubleprime2()
-    for ingredient in (symmetry, convexity, prime, doubleprime):
-        if ingredient.status == "FAIL":
-            failures[ingredient.lemma_id] = ingredient.witnesses
+    ingredients = [
+        run_lemma(lemma_id, sample_count, isolation_width, seed, fixtures_dir)
+        for lemma_id in ("symmetry2", "convex2", "prime2", "doubleprime2")
+    ]
+    failures = {r.lemma_id: r.witnesses for r in ingredients if r.status == "FAIL"}
 
     diag = restrict_diagonal()
     intervals, sturm_data = sturm_isolate(
@@ -632,12 +631,7 @@ def verify_uniqueness_k2(
         "slope_at_0": str(slope_at_0),
         "slope_at_6/5": str(slope_at_6_5),
         "sampled_points": sample_count,
-        "ingredients": {
-            "symmetry2": symmetry.status,
-            "convex2": convexity.status,
-            "prime2": prime.status,
-            "doubleprime2": doubleprime.status,
-        },
+        "ingredients": {ingredient.lemma_id: ingredient.status for ingredient in ingredients},
     }
     if failures:
         witnesses["failures"] = failures
@@ -658,14 +652,11 @@ def verify_uniqueness_k3(
     minimality (objective >= 6 with equality at the anticanonical class).
     """
     start = time.perf_counter()
-    failures: dict = {}
-    symmetry_a = verify_symmetry("symmetry3a")
-    symmetry_b = verify_symmetry("symmetry3b")
-    convexity = verify_convexity("k3", fixtures_dir=fixtures_dir, seed=seed)
-    veritas = verify_veritas(max(1, sample_count // 2), seed)
-    for ingredient in (symmetry_a, symmetry_b, convexity, veritas):
-        if ingredient.status == "FAIL":
-            failures[ingredient.lemma_id] = ingredient.witnesses
+    ingredients = [
+        run_lemma(lemma_id, sample_count, DEFAULT_ISOLATION_WIDTH, seed, fixtures_dir)
+        for lemma_id in ("symmetry3a", "symmetry3b", "convex3", "veritas")
+    ]
+    failures = {r.lemma_id: r.witnesses for r in ingredients if r.status == "FAIL"}
 
     facts = _cremona_facts(max(1, sample_count // 5), seed)
     if not all(
@@ -759,16 +750,15 @@ def verify_uniqueness_k3(
             "with the sign of the first variation",
         },
         "sampled_points": sample_count,
-        "ingredients": {
-            "symmetry3a": symmetry_a.status,
-            "symmetry3b": symmetry_b.status,
-            "convex3": convexity.status,
-            "veritas": veritas.status,
-        },
+        "ingredients": {ingredient.lemma_id: ingredient.status for ingredient in ingredients},
     }
     if failures:
         witnesses["failures"] = failures
     return LemmaReport("gaudete", status, witnesses, time.perf_counter() - start)
+
+
+# lemma reports of this process, keyed by (lemma id, *the verifier's arguments)
+_REPORTS: dict[tuple, LemmaReport] = {}
 
 
 def run_lemma(
@@ -776,25 +766,33 @@ def run_lemma(
     sample_count: int = 100,
     isolation_width: Fraction = DEFAULT_ISOLATION_WIDTH,
     seed: int = DEFAULT_SEED,
-    fixtures_dir: Path | None = None,
+    fixtures_dir: Path | str | None = None,
 ) -> LemmaReport:
-    """Dispatch a lemma id to its verifier."""
-    if lemma_id == "convex2":
-        return verify_convexity("k2", fixtures_dir=fixtures_dir, seed=seed)
-    if lemma_id == "convex3":
-        return verify_convexity("k3", fixtures_dir=fixtures_dir, seed=seed)
-    if lemma_id in ("symmetry2", "symmetry3a", "symmetry3b"):
-        return verify_symmetry(lemma_id)
-    if lemma_id == "prime2":
-        return verify_prime2()
-    if lemma_id == "doubleprime2":
-        return verify_doubleprime2()
-    if lemma_id == "veritas":
-        return verify_veritas(max(1, sample_count // 2), seed)
-    if lemma_id == "claritas":
-        return verify_claritas()
-    if lemma_id == "laudate":
-        return verify_uniqueness_k2(sample_count, isolation_width, seed, fixtures_dir)
-    if lemma_id == "gaudete":
-        return verify_uniqueness_k3(sample_count, seed, fixtures_dir)
-    raise ValueError(f"unknown lemma id {lemma_id!r}")
+    """Dispatch a lemma id to its verifier, once per process for each key.
+
+    The key is the arguments the verifier receives, normalised (the fixtures
+    directory as a Path, the veritas sample count halved), not the call form,
+    so the CLI and the composite lemmas share one report.
+    """
+    directory = Path(fixtures_dir) if fixtures_dir else None
+    # looked up at call time, so that a wrapped verifier is the one called
+    calls = {
+        "convex2": (verify_convexity, ("k2", None, directory, seed)),
+        "convex3": (verify_convexity, ("k3", None, directory, seed)),
+        "symmetry2": (verify_symmetry, ("symmetry2",)),
+        "symmetry3a": (verify_symmetry, ("symmetry3a",)),
+        "symmetry3b": (verify_symmetry, ("symmetry3b",)),
+        "prime2": (verify_prime2, ()),
+        "doubleprime2": (verify_doubleprime2, ()),
+        "veritas": (verify_veritas, (max(1, sample_count // 2), seed)),
+        "claritas": (verify_claritas, ()),
+        "laudate": (verify_uniqueness_k2, (sample_count, isolation_width, seed, directory)),
+        "gaudete": (verify_uniqueness_k3, (sample_count, seed, directory)),
+    }
+    if lemma_id not in calls:
+        raise ValueError(f"unknown lemma id {lemma_id!r}")
+    verifier, args = calls[lemma_id]
+    key = (lemma_id, *args)
+    if key not in _REPORTS:
+        _REPORTS[key] = verifier(*args)
+    return _REPORTS[key]

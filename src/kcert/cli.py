@@ -22,10 +22,8 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 from . import __version__
 from .certify import (
@@ -76,6 +74,8 @@ class RunConfig:
             raise ValueError("sample_count must be >= 1")
         if self.isolation_width <= 0:
             raise ValueError("isolation_width must be positive")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
 
     def as_dict(self) -> dict:
         return {
@@ -254,23 +254,19 @@ def _config_from_args(args: argparse.Namespace, tasks: list[str]) -> RunConfig:
 
 
 def _run_lemmas(config: RunConfig, lemma_ids: list[str]) -> list[LemmaReport]:
-    def one(lemma_id: str) -> LemmaReport:
-        return run_lemma(
+    """Reports in ``LEMMA_IDS`` order, run in this thread; ``config.jobs``
+    is accepted and echoed but has no effect (threads only slowed this down)."""
+    return [
+        run_lemma(
             lemma_id,
             sample_count=config.sample_count,
             isolation_width=config.isolation_width,
             seed=config.seed,
-            fixtures_dir=Path(config.fixtures_dir) if config.fixtures_dir else None,
+            fixtures_dir=config.fixtures_dir,
         )
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(one, lemma_ids))
-    else:
-        results = [one(lemma_id) for lemma_id in lemma_ids]
-    # deterministic merge regardless of completion order
-    order = {lemma_id: i for i, lemma_id in enumerate(LEMMA_IDS)}
-    return sorted(results, key=lambda r: order.get(r.lemma_id, len(order)))
+        for lemma_id in LEMMA_IDS
+        if lemma_id in lemma_ids
+    ]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -380,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--samples", type=int, help="sample count (default 100)")
         p.add_argument("--width", type=parse_rational, help="isolation width (p/q)")
-        p.add_argument("--jobs", type=int, help="worker threads (default 1)")
+        p.add_argument("--jobs", type=int, help="accepted for older configurations; no effect")
         p.add_argument("--format", choices=("json", "markdown"))
         p.add_argument("--fixtures-dir", dest="fixtures_dir")
         p.add_argument("--seed", type=int)

@@ -27,12 +27,6 @@ from .poly import MultiPoly, Scalar
 Entry = Union[Fraction, MultiPoly]
 
 
-def _is_zero_entry(value: Entry) -> bool:
-    if isinstance(value, MultiPoly):
-        return value.is_zero
-    return value == 0
-
-
 def _as_entry(value: Entry | int) -> Entry:
     if isinstance(value, MultiPoly):
         return value
@@ -58,7 +52,7 @@ class CohClass:
         object.__setattr__(self, "e3", _as_entry(self.e3))
         exceptional = (self.e1, self.e2, self.e3)
         for i in range(self.k, 3):
-            if not _is_zero_entry(exceptional[i]):
+            if exceptional[i]:
                 raise ValueError(f"e{i + 1} must vanish for k = {self.k}")
 
     def exceptional(self) -> tuple[Entry, Entry, Entry]:
@@ -114,7 +108,7 @@ class AreaVector:
         omega = CohClass(h, self.a_e1, self.a_e2, self.a_e3, k)
         check_l13 = h - self.a_e1 - self.a_e3 - self.a_l13
         check_l23 = h - self.a_e2 - self.a_e3 - self.a_l23
-        if not (_is_zero_entry(check_l13) and _is_zero_entry(check_l23)):
+        if check_l13 or check_l23:
             raise ValueError("area vector is inconsistent with a single class")
         return omega
 
@@ -172,10 +166,8 @@ def subspace_membership(x: CohClass | AreaVector) -> tuple[bool, bool]:
     cyclic-permutation-invariant plane a_E1 = a_E2 = a_E3.
     """
     areas = AreaVector.from_coh(x) if isinstance(x, CohClass) else x
-    in_v = _is_zero_entry(areas.a_l12 - areas.a_e3)
-    in_w = _is_zero_entry(areas.a_e1 - areas.a_e2) and _is_zero_entry(
-        areas.a_e2 - areas.a_e3
-    )
+    in_v = not (areas.a_l12 - areas.a_e3)
+    in_w = not (areas.a_e1 - areas.a_e2) and not (areas.a_e2 - areas.a_e3)
     return in_v, in_w
 
 

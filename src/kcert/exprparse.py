@@ -270,6 +270,8 @@ def load_fixture(path: str | Path) -> tuple[FixtureFile, RatFunc]:
         den = parse_expression(denominator_text, variables)
     except ParseError as exc:
         raise FixtureError(f"{fixture.name}: {exc}") from exc
+    if den.is_zero:
+        raise FixtureError(f"{fixture.name}: [denominator] is the zero polynomial")
     return fixture, RatFunc.make(num, den)
 
 

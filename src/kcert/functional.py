@@ -24,6 +24,10 @@ denominator 8 * area * det, where det is the numerator of the moment
 determinant over area^2.  This keeps the convexity certificates' denominators
 manifestly positive and the second-derivative computation affordable; no
 cancellation is attempted anywhere.
+
+One assembly serves both routes: its formulas use operators only, so they
+build the chart rational functions on MultiPolys and the values at a numeric
+area vector on Fractions, with no polynomial product.
 """
 
 from __future__ import annotations
@@ -49,11 +53,13 @@ from .poly import (
     PiScalar,
     RatFunc,
     Scalar,
+    directional_second_derivative,
 )
 from .polytope import (
     ParamPolygon,
     build_polygon,
     boundary_integral,
+    central_moment_numerators,
     central_second_moments,
     integrate_monomial,
     lattice_perimeter,
@@ -161,26 +167,35 @@ def _polygon_from_areas(
     return build_polygon(entries, variables)
 
 
+def _obstruction_numerators(polygon: ParamPolygon, read=lambda integral: integral) -> tuple:
+    """(area, perimeter, m10, m01, q1, q2) with F_i = q_i / area and
+    q_i = 2 [ boundary(w_i) * area - perimeter * interior(w_i) ], w = (u, v).
+
+    ``read`` maps each integral to the route's type: MultiPolys as they are,
+    or ``MultiPoly.constant_value`` for a numeric polygon (Fractions).
+    """
+    area = read(integrate_monomial(polygon, 0, 0))
+    perimeter = read(lattice_perimeter(polygon))
+    m10 = read(integrate_monomial(polygon, 1, 0))
+    m01 = read(integrate_monomial(polygon, 0, 1))
+    bu = read(boundary_integral(polygon, 1, 0))
+    bv = read(boundary_integral(polygon, 0, 1))
+    q1 = (bu * area - perimeter * m10) * 2
+    q2 = (bv * area - perimeter * m01) * 2
+    return area, perimeter, m10, m01, q1, q2
+
+
 def futaki_boundary(
     areas: AreaVector | Sequence[MultiPoly | Scalar],
     variables: Sequence[str] = (),
 ) -> tuple[RatFunc, RatFunc]:
     """Obstruction components from boundary and interior polygon integrals.
 
-    F_i = 2 [ boundary(w_i) * area - perimeter * interior(w_i) ] / area with
-    w_1 = u, w_2 = v; exact in the cone parameters (or plain rationals when
-    the areas are numeric).
+    Exact in the cone parameters (or constant rational functions when the
+    areas are numeric); see ``_obstruction_numerators``.
     """
-    polygon = _polygon_from_areas(areas, variables)
-    area = integrate_monomial(polygon, 0, 0)
-    perimeter = lattice_perimeter(polygon)
-    m10 = integrate_monomial(polygon, 1, 0)
-    m01 = integrate_monomial(polygon, 0, 1)
-    bu = boundary_integral(polygon, 1, 0)
-    bv = boundary_integral(polygon, 0, 1)
-    f1 = RatFunc.make((bu * area - perimeter * m10).scale(2), area)
-    f2 = RatFunc.make((bv * area - perimeter * m01).scale(2), area)
-    return f1, f2
+    area, _, _, _, q1, q2 = _obstruction_numerators(_polygon_from_areas(areas, variables))
+    return RatFunc.make(q1, area), RatFunc.make(q2, area)
 
 
 def futaki_norm_sq(
@@ -200,6 +215,22 @@ def futaki_norm_sq(
     if determinant.rf.is_zero:
         raise DegenerateMomentMatrix("moment matrix determinant vanishes")
     return numerator / determinant
+
+
+def objective_parts(perimeter, volume, puu, pvv, puv, q1, q2) -> tuple:
+    """(det, N_F, numerator, denominator) with calA = numerator / denominator:
+
+        det  = puu*pvv - puv^2,
+        N_F  = q1^2*pvv - 2*q1*q2*puv + q2^2*puu,
+        calA = [ 4 * perimeter^2 * det + N_F ] / [ 8 * V * det ],
+
+    F_i = q_i / V.  Operators only: runs on MultiPolys and Fractions alike.
+    """
+    det = puu * pvv - puv * puv
+    if not det:
+        raise DegenerateMomentMatrix("moment matrix determinant vanishes")
+    n_f = q1 * q1 * pvv - q1 * q2 * puv * 2 + q2 * q2 * puu
+    return det, n_f, perimeter * perimeter * det * 4 + n_f, volume * det * 8
 
 
 @dataclass(frozen=True)
@@ -224,14 +255,9 @@ class FunctionalBundle:
 def build_bundle(chart: ConeChart) -> FunctionalBundle:
     """Assemble the objective and its ingredients on a chart, exactly.
 
-    The second term is assembled over the structured denominator
-    8 * V * det with det = puu*pvv - puv^2 (moment numerators over V), and the
-    full objective over 8 * V * det as well:
-
-        calA = [ 4 * perimeter^2 * det + N_F ] / [ 8 * V * det ],
-        N_F  = pvv*q1^2 - 2*puv*q1*q2 + puu*q2^2,
-
-    q_i being the closed-form brackets with F_i = q_i / V.
+    The second term and the full objective share the structured denominator
+    8 * V * det of ``objective_parts``, with the closed-form brackets as the
+    obstruction numerators q_i.
     """
     b1, b2, volume_closed = _closed_form_brackets(chart)
     polygon = _polygon_from_areas(chart.area_vector(), chart.variables)
@@ -246,16 +272,12 @@ def build_bundle(chart: ConeChart) -> FunctionalBundle:
     a = PiRatFunc(RatFunc.make(moments.puu.scale(quarter), volume), -2)
     b = PiRatFunc(RatFunc.make(moments.pvv.scale(quarter), volume), -2)
     c = PiRatFunc(RatFunc.make(moments.puv.scale(quarter), volume), -2)
-    det = moments.puu * moments.pvv - moments.puv * moments.puv
-    if det.is_zero:
-        raise DegenerateMomentMatrix("moment matrix determinant vanishes on the chart")
-    n_f = b1 * b1 * moments.pvv - (b1 * b2 * moments.puv).scale(2) + b2 * b2 * moments.puu
-    first_term = RatFunc.make(perimeter * perimeter, volume.scale(2))
-    second_term = RatFunc.make(n_f, (volume * det).scale(8))
-    cal_a = RatFunc.make(
-        (perimeter * perimeter * det).scale(4) + n_f,
-        (volume * det).scale(8),
+    det, n_f, numerator, denominator = objective_parts(
+        perimeter, volume, moments.puu, moments.pvv, moments.puv, b1, b2
     )
+    first_term = RatFunc.make(perimeter * perimeter, volume.scale(2))
+    second_term = RatFunc.make(n_f, denominator)
+    cal_a = RatFunc.make(numerator, denominator)
     return FunctionalBundle(
         chart=chart,
         volume=volume,
@@ -324,22 +346,15 @@ def restrict_diagonal() -> DiagonalRestriction:
         univar.to_multipoly(den_coeffs, "beta"),
     )
     n, d = f.num, f.den
-    dn = n.diff("beta")
-    dd = d.diff("beta")
-    d1_num = dn * d - n * dd
-    d2_num = (
-        dn.diff("beta") * d * d
-        - (dn * dd * d).scale(2)
-        - n * dd.diff("beta") * d
-        + (n * dd * dd).scale(2)
-    )
+    d1_num = n.diff("beta") * d - n * d.diff("beta")
+    d2f = directional_second_derivative(f, (1,))
     twelfth = Fraction(1, 12)
     return DiagonalRestriction(
         f=f,
         p=d1_num.scale(twelfth),
-        q=d2_num.scale(twelfth),
+        q=d2f.num.scale(twelfth),
         df=RatFunc(d1_num, d * d),
-        d2f=RatFunc(d2_num, d ** 3),
+        d2f=d2f,
     )
 
 
@@ -368,39 +383,25 @@ def evaluate_calA_on_areas(areas: Sequence[Scalar] | AreaVector) -> Fraction:
     """Exact objective value from a numeric six-area vector.
 
     Runs the full polygon pipeline (moments, boundary obstructions) at one
-    rational point; used for classes outside the coordinate charts and for
-    invariance sampling.
+    rational point, in Fractions; used for classes outside the coordinate
+    charts and for invariance sampling.
     """
-    entries = areas.as_tuple() if isinstance(areas, AreaVector) else tuple(areas)
-    values = [Fraction(x) if not isinstance(x, Fraction) else x for x in entries]
-    polygon = build_polygon(values, (), ())
-    area = integrate_monomial(polygon, 0, 0).constant_value()
-    perimeter = lattice_perimeter(polygon).constant_value()
-    m10 = integrate_monomial(polygon, 1, 0).constant_value()
-    m01 = integrate_monomial(polygon, 0, 1).constant_value()
-    m20 = integrate_monomial(polygon, 2, 0).constant_value()
-    m11 = integrate_monomial(polygon, 1, 1).constant_value()
-    m02 = integrate_monomial(polygon, 0, 2).constant_value()
-    bu = boundary_integral(polygon, 1, 0).constant_value()
-    bv = boundary_integral(polygon, 0, 1).constant_value()
-    puu = m20 * area - m10 * m10
-    pvv = m02 * area - m01 * m01
-    puv = m11 * area - m10 * m01
-    det = puu * pvv - puv * puv
-    if det == 0:
-        raise DegenerateMomentMatrix("moment matrix determinant vanishes")
-    q1 = 2 * (bu * area - perimeter * m10)
-    q2 = 2 * (bv * area - perimeter * m01)
-    n_f = pvv * q1 * q1 - 2 * puv * q1 * q2 + puu * q2 * q2
-    return perimeter * perimeter / (2 * area) + n_f / (8 * area * det)
+    polygon = _polygon_from_areas(areas)
+    read = MultiPoly.constant_value
+    area, perimeter, m10, m01, q1, q2 = _obstruction_numerators(polygon, read)
+    m20, m11, m02 = (read(integrate_monomial(polygon, a, b)) for a, b in ((2, 0), (1, 1), (0, 2)))
+    puu, pvv, puv = central_moment_numerators(area, m10, m01, m20, m11, m02)
+    _, _, numerator, denominator = objective_parts(perimeter, area, puu, pvv, puv, q1, q2)
+    return numerator / denominator
 
 
 def evaluate_futaki_on_areas(
     areas: Sequence[Scalar] | AreaVector,
 ) -> tuple[Fraction, Fraction]:
-    """Exact obstruction components at a numeric six-area vector."""
-    f1, f2 = futaki_boundary(areas, ())
-    return f1.evaluate(()), f2.evaluate(())
+    """Exact obstruction components at a numeric six-area vector, in Fractions."""
+    polygon = _polygon_from_areas(areas)
+    area, _, _, _, q1, q2 = _obstruction_numerators(polygon, MultiPoly.constant_value)
+    return q1 / area, q2 / area
 
 
 STANDARD_SAMPLE_POINTS = {

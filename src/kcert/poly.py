@@ -143,6 +143,10 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        """False exactly for the zero polynomial, as for numbers."""
+        return bool(self.terms)
+
     def total_degree(self) -> int:
         if not self.terms:
             return 0

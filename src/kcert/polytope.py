@@ -240,6 +240,12 @@ class CentralMoments:
     puv: MultiPoly
 
 
+def central_moment_numerators(area, m10, m01, m20, m11, m02) -> tuple:
+    """(puu, pvv, puv): the central second moments times the area.
+    Operators only: runs on MultiPolys and Fractions alike."""
+    return m20 * area - m10 * m10, m02 * area - m01 * m01, m11 * area - m10 * m01
+
+
 def central_second_moments(polygon: ParamPolygon) -> CentralMoments:
     area = integrate_monomial(polygon, 0, 0)
     if area.is_zero:
@@ -249,9 +255,7 @@ def central_second_moments(polygon: ParamPolygon) -> CentralMoments:
     m20 = integrate_monomial(polygon, 2, 0)
     m11 = integrate_monomial(polygon, 1, 1)
     m02 = integrate_monomial(polygon, 0, 2)
-    puu = m20 * area - m10 * m10
-    pvv = m02 * area - m01 * m01
-    puv = m11 * area - m10 * m01
+    puu, pvv, puv = central_moment_numerators(area, m10, m01, m20, m11, m02)
     return CentralMoments(
         area=area,
         u0=RatFunc.make(m10, area),

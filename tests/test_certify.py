@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from kcert import certify
 from kcert.certify import (
     check_all_fixtures,
     positivity_certificate,
@@ -153,6 +154,29 @@ def test_run_lemma_dispatch():
     assert run_lemma("claritas").status == "NOTE"
     with pytest.raises(ValueError):
         run_lemma("nonsense")
+
+
+def test_composite_lemmas_reuse_ingredient_reports(monkeypatch):
+    monkeypatch.setattr(certify, "_REPORTS", {})
+    # ingredients by position, composites by keyword: the memo keys on the
+    # normalised arguments, not on the call form
+    for lemma_id in ("symmetry2", "convex2", "prime2", "doubleprime2",
+                     "symmetry3a", "symmetry3b", "convex3"):
+        run_lemma(lemma_id, 12)
+    run_lemma("veritas", 13)  # halved to 6 samples, as for sample_count=12
+    assert run_lemma("convex2", seed=certify.DEFAULT_SEED) is run_lemma("convex2", 5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ingredient verifier ran again")
+
+    for name in ("verify_convexity", "verify_symmetry", "verify_prime2",
+                 "verify_doubleprime2", "verify_veritas"):
+        monkeypatch.setattr(certify, name, refuse)
+    laudate = run_lemma("laudate", sample_count=12)
+    gaudete = run_lemma("gaudete", sample_count=12, fixtures_dir=None)
+    assert laudate.status == "PASS" and gaudete.status == "PASS"
+    assert set(laudate.witnesses["ingredients"].values()) == {"PASS"}
+    assert set(gaudete.witnesses["ingredients"].values()) == {"PASS"}
 
 
 def test_fixture_battery():

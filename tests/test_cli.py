@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
 from fractions import Fraction
 
 import pytest
 
+from kcert import certify
 from kcert.cli import emit_report, parse_rational, run
 
 
@@ -150,6 +153,46 @@ def test_invalid_sample_count_is_usage_error(capsys):
     assert run(["verify", "--lemma", "claritas", "--samples", "0"]) == 2
 
 
+def test_invalid_jobs_flag_is_usage_error(capsys):
+    assert run(["verify", "--lemma", "claritas", "--jobs", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "jobs must be >= 1" in captured.err
+
+
+def test_zero_fixture_denominator_is_usage_error(tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(certify.FIXTURES_DIR, fixtures)
+    path = fixtures / "k2" / "P.fix"
+    head, _, _ = path.read_text(encoding="utf-8").partition("[denominator]")
+    path.write_text(head + "[denominator]\n0\n", encoding="utf-8")
+    assert run(["fixtures", "check", "--fixtures-dir", str(fixtures)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "P_k2: [denominator] is the zero polynomial" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_report_bytes_are_unchanged(monkeypatch, capsys):
+    # the --no-timing report changes only when the mathematics does; a fresh
+    # lemma memo makes this run compute every report itself
+    monkeypatch.setattr(certify, "_REPORTS", {})
+    assert run(["report", "--no-timing", "--format", "json"]) == 1
+    stdout = capsys.readouterr().out
+    assert hashlib.md5(stdout.encode("utf-8")).hexdigest() == "4636664ddd59ed8dd78be1fad15b35b2"
+
+
+def test_laudate_alone_matches_its_verify_all_entry(monkeypatch, capsys):
+    def laudate_entry(selection: list[str]) -> dict:
+        monkeypatch.setattr(certify, "_REPORTS", {})
+        args = ["verify", *selection, "--samples", "10", "--no-timing", "--format", "json"]
+        assert run(args) == 0
+        lemmas = json.loads(capsys.readouterr().out)["lemmas"]
+        return next(item for item in lemmas if item["id"] == "laudate")
+
+    assert laudate_entry(["--lemma", "laudate"]) == laudate_entry(["--all"])
+
+
 def test_report_includes_truncated_chart_summaries(capsys):
     code = run(["report", "--format", "markdown", "--no-timing", "--samples", "4"])
     out = capsys.readouterr().out
@@ -188,6 +231,7 @@ def test_env_config_override(tmp_path, monkeypatch, capsys):
         ('{"format": "xml"}', "'format' must be json or markdown"),
         ('{"samples": 7}', "unknown KCERT_CONFIG key 'samples'"),
         ('{"sample_count": 0}', "sample_count must be >= 1"),
+        ('{"jobs": 0}', "jobs must be >= 1"),
     ],
 )
 def test_bad_env_config_is_usage_error(text, message, tmp_path, monkeypatch, capsys):

@@ -132,6 +132,9 @@ def test_scale_invariance_sampled():
         areas = AreaVector.from_abcd(*(rng.rational() for _ in range(4)))
         lam = rng.rational()
         assert evaluate_calA_on_areas(areas.scale(lam)) == evaluate_calA_on_areas(areas)
+        # the obstruction is homogeneous of degree 2
+        f1, f2 = evaluate_futaki_on_areas(areas)
+        assert evaluate_futaki_on_areas(areas.scale(lam)) == (lam * lam * f1, lam * lam * f2)
 
 
 def test_cremona_invariance_sampled():
@@ -139,6 +142,27 @@ def test_cremona_invariance_sampled():
     for _ in range(50):
         areas = AreaVector.from_abcd(*(rng.rational() for _ in range(4)))
         assert evaluate_calA_on_areas(cremona(areas)) == evaluate_calA_on_areas(areas)
+        # the Cremona involution negates the obstruction
+        f1, f2 = evaluate_futaki_on_areas(areas)
+        assert evaluate_futaki_on_areas(cremona(areas)) == (-f1, -f2)
+
+
+@pytest.mark.parametrize("chart_id", ["k2", "k3"])
+def test_obstruction_on_areas_matches_the_chart(chart_id, bundle_k2, bundle_k3):
+    # the area-vector route and the chart closed forms share no code path
+    bundle = bundle_k2 if chart_id == "k2" else bundle_k3
+    rng = SplitMix64(0x5EED)
+    for _ in range(8):
+        point = rng.point(len(bundle.chart.variables))
+        areas = AreaVector.from_coh(bundle.chart.omega_at(point))
+        expected = (bundle.f1.evaluate(point), bundle.f2.evaluate(point))
+        assert evaluate_futaki_on_areas(areas) == expected
+        assert evaluate_calA_on_areas(areas) == bundle.calA.evaluate(point)
+        if chart_id == "k3":
+            # delta = d: d times the chart class at point, obstruction times d^2
+            d = rng.rational()
+            scaled = AreaVector.from_abcd(*(x * d for x in point), d)
+            assert evaluate_futaki_on_areas(scaled) == tuple(d * d * f for f in expected)
 
 
 def test_objective_at_anticanonical_class():
