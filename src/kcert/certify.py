@@ -128,7 +128,7 @@ class PositivityCertificate:
             "numerator_min_coeff": str(self.numerator_min_coeff),
             "denominator_base_terms": self.denominator_base_terms,
             "denominator_base_min_coeff": str(self.denominator_base_min_coeff),
-            "sample_values_positive": all(v > 0 for _, v in self.samples),
+            "sample_values_positive": bool(self.samples) and all(v > 0 for _, v in self.samples),
         }
         if self.witness_monomial is not None:
             out["witness_monomial"] = self.witness_monomial

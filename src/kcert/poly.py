@@ -1,20 +1,24 @@
 """Exact sparse multivariate polynomials, rational functions, and pi-tagged scalars.
 
-A polynomial is a map from exponent tuples to nonzero rational coefficients:
+A polynomial is a map from exponent tuples to nonzero integer numerators over
+one positive integer denominator:
 
-    beta^2*gamma + 3  over variables ("beta", "gamma")
-        ->  {(2, 1): Fraction(1), (0, 0): Fraction(3)}
+    beta^2*gamma + 3/2  over variables ("beta", "gamma")
+        ->  numerators {(2, 1): 2, (0, 0): 3}, den 2
 
-Everything is exact (``fractions.Fraction`` coefficients, arbitrary-precision
-integers) and immutable after construction; all operations are pure functions,
-so values can be shared freely between threads.
+The pair is reduced, gcd(den, every numerator) = 1, so each polynomial has one
+representation and the zero polynomial is ({}, 1).  Parts of canonical
+rational functions, and products of them, have den 1: their arithmetic is
+plain ``int`` arithmetic.  ``terms`` shows the coefficients as exact numbers.
+Values are immutable after construction and every operation is a pure
+function.
 
 Conventions:
   * two polynomials combine only over identical variable tuples;
   * term order for printing and leading-coefficient queries is graded
     reverse lexicographic (grevlex) in the declared variable order;
   * rational functions are held as numerator/denominator pairs, canonicalised
-    by clearing rational content and forcing the denominator's grevlex-leading
+    to coprime integer parts with the denominator's grevlex-leading
     coefficient positive.  Equality holds at once when numerators and
     denominators are identical polynomials, and is otherwise decided by
     cross-multiplication, never by multivariate gcd;
@@ -24,7 +28,7 @@ Conventions:
     prod_i(deg_a,i + deg_b,i + 1) has no more slots than pairs is dense and
     is formed by Kronecker substitution: one big-integer product, in slots
     of nb bytes with 2^(8*nb-1) > max|a|*max|b|*min(#a, #b), a bound on every
-    output coefficient.  Other products loop over term pairs.
+    output numerator.  Other products loop over term pairs.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
+from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -46,10 +51,6 @@ class VariableMismatchError(ValueError):
 
 class PiPowerMismatchError(ValueError):
     """Raised when adding pi-tagged values with different pi exponents."""
-
-
-def _as_fraction(value: Scalar) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def grevlex_key(exponents: Exponents) -> tuple:
@@ -83,35 +84,49 @@ def _unpack(packed: int, nvars: int) -> Exponents:
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+    """Sparse multivariate polynomial: nonzero int numerators over one int ``den``.
 
-    __slots__ = ("variables", "terms")
+    ``numerators`` maps exponent tuples to nonzero ints and ``den`` is a
+    positive int with gcd(den, every numerator) = 1; the coefficient of a
+    monomial is its numerator divided by ``den``.
+    """
+
+    __slots__ = ("variables", "numerators", "den")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Scalar]):
         varlist = tuple(variables)
-        table: dict[Exponents, Fraction] = {}
+        den = lcm(*(c.denominator for c in terms.values()))
+        table: dict[Exponents, int] = {}
         for exps, coeff in terms.items():
             if len(exps) != len(varlist):
                 raise ValueError(
                     f"exponent tuple {exps} does not match {len(varlist)} variables"
                 )
-            value = _as_fraction(coeff)
-            if value != 0:
-                table[tuple(exps)] = value
-        object.__setattr__(self, "variables", varlist)
-        object.__setattr__(self, "terms", table)
+            if coeff != 0:
+                table[tuple(exps)] = coeff.numerator * (den // coeff.denominator)
+        # den is the lcm of reduced denominators, so it is coprime to the table
+        self._set(varlist, table, den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MultiPoly is immutable")
 
     # -- constructors -------------------------------------------------------
 
+    def _set(self, variables: tuple[str, ...], table: dict[Exponents, int], den: int) -> None:
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "numerators", table)
+        object.__setattr__(self, "den", den)
+
     @staticmethod
-    def _from_table(variables: tuple[str, ...], table: dict[Exponents, Fraction]) -> MultiPoly:
-        """Wrap a table of nonzero Fractions without re-checking it."""
+    def _build(variables: tuple[str, ...], table: dict[Exponents, int], den: int = 1) -> MultiPoly:
+        """Wrap nonzero int numerators over a positive den, dividing out their gcd."""
+        if den != 1:
+            common = gcd(den, *table.values())
+            if common != 1:
+                table = {e: n // common for e, n in table.items()}
+                den //= common
         poly = object.__new__(MultiPoly)
-        object.__setattr__(poly, "variables", variables)
-        object.__setattr__(poly, "terms", table)
+        poly._set(variables, table, den)
         return poly
 
     @staticmethod
@@ -121,7 +136,7 @@ class MultiPoly:
     @staticmethod
     def const(variables: Sequence[str], value: Scalar) -> MultiPoly:
         zero_exp = (0,) * len(tuple(variables))
-        return MultiPoly(variables, {zero_exp: _as_fraction(value)})
+        return MultiPoly(variables, {zero_exp: value})
 
     @staticmethod
     def variable(variables: Sequence[str], name: str) -> MultiPoly:
@@ -129,7 +144,7 @@ class MultiPoly:
         if name not in varlist:
             raise ValueError(f"unknown variable {name!r} in {varlist}")
         exps = tuple(1 if v == name else 0 for v in varlist)
-        return MultiPoly(varlist, {exps: Fraction(1)})
+        return MultiPoly(varlist, {exps: 1})
 
     @staticmethod
     def gens(variables: Sequence[str]) -> tuple[MultiPoly, ...]:
@@ -140,52 +155,40 @@ class MultiPoly:
     # -- queries ------------------------------------------------------------
 
     @property
+    def terms(self) -> Mapping[Exponents, Scalar]:
+        """Read-only exact coefficients: the ints themselves when den is 1, else Fractions."""
+        if self.den == 1:
+            return MappingProxyType(self.numerators)
+        return MappingProxyType({e: Fraction(n, self.den) for e, n in self.numerators.items()})
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def __bool__(self) -> bool:
         """False exactly for the zero polynomial, as for numbers."""
-        return bool(self.terms)
+        return bool(self.numerators)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.numerators:
             return 0
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.numerators)
 
-    def degree_in(self, name: str) -> int:
-        idx = self.variables.index(name)
-        if not self.terms:
-            return 0
-        return max(e[idx] for e in self.terms)
-
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
         """Terms in decreasing grevlex order (leading term first)."""
         return sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]), reverse=True)
 
     def leading_coefficient(self) -> Fraction:
-        if not self.terms:
+        if not self.numerators:
             return Fraction(0)
-        lead = max(self.terms, key=grevlex_key)
-        return self.terms[lead]
+        lead = max(self.numerators, key=grevlex_key)
+        return Fraction(self.numerators[lead], self.den)
 
     def constant_value(self) -> Fraction:
         """Value of a constant polynomial (raises if not constant)."""
         if self.total_degree() != 0:
             raise ValueError(f"polynomial is not constant: {self.render()}")
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
-
-    def coefficient_denominator_lcm(self) -> int:
-        result = 1
-        for c in self.terms.values():
-            result = lcm(result, c.denominator)
-        return result
-
-    def integer_content(self) -> int:
-        """gcd of integer coefficients; only meaningful when all are integers."""
-        result = 0
-        for c in self.terms.values():
-            result = gcd(result, abs(c.numerator))
-        return result
+        return Fraction(self.numerators.get((0,) * len(self.variables), 0), self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -199,19 +202,22 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             other = MultiPoly.const(self.variables, other)
         self._check_compatible(other)
-        table = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            value = table.get(exps, Fraction(0)) + coeff
-            if value == 0:
-                table.pop(exps, None)
-            else:
+        den = lcm(self.den, other.den)
+        lift, other_lift = den // self.den, den // other.den
+        table = {e: n * lift for e, n in self.numerators.items()}
+        get = table.get
+        for exps, n in other.numerators.items():
+            value = get(exps, 0) + n * other_lift
+            if value:
                 table[exps] = value
-        return MultiPoly(self.variables, table)
+            else:
+                del table[exps]
+        return MultiPoly._build(self.variables, table, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: MultiPoly | Scalar) -> MultiPoly:
         if not isinstance(other, MultiPoly):
@@ -227,19 +233,20 @@ class MultiPoly:
         A product of at least 16 term pairs whose exponent box
         prod_i(deg_a,i + deg_b,i + 1) holds no more slots than pairs goes
         through Kronecker substitution (``_mul_dense``), in slots of nb bytes
-        with 2^(8*nb-1) > max|a|*max|b|*min(#a, #b): an output coefficient is
+        with 2^(8*nb-1) > max|a|*max|b|*min(#a, #b): an output numerator is
         a sum of at most min(#a, #b) products.  Others loop over term pairs.
+        Either way the numerators multiply as ints over the product of dens.
         """
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check_compatible(other)
-        if not self.terms or not other.terms:
+        if not self.numerators or not other.numerators:
             return MultiPoly.zero(self.variables)
         nvars = len(self.variables)
-        pairs = len(self.terms) * len(other.terms)
+        pairs = len(self.numerators) * len(other.numerators)
         box = 1  # multiplied in place: a list per product slows the many tiny ones
         for name, a, b in zip(
-            self.variables, map(max, zip(*self.terms)), map(max, zip(*other.terms))
+            self.variables, map(max, zip(*self.numerators)), map(max, zip(*other.numerators))
         ):
             if a + b >= 1 << _PACK_BITS:
                 raise ValueError(
@@ -248,71 +255,58 @@ class MultiPoly:
             box *= a + b + 1
         if pairs >= _DENSE_MIN_PAIRS and box <= pairs:
             return self._mul_dense(other, box)
-        integral = all(c.denominator == 1 for c in self.terms.values()) and all(
-            c.denominator == 1 for c in other.terms.values()
-        )
-        if integral:
-            left = [(_pack(e), c.numerator) for e, c in self.terms.items()]
-            right = [(_pack(e), c.numerator) for e, c in other.terms.items()]
-        else:
-            left = [(_pack(e), c) for e, c in self.terms.items()]
-            right = [(_pack(e), c) for e, c in other.terms.items()]
+        left = [(_pack(e), n) for e, n in self.numerators.items()]
+        right = [(_pack(e), n) for e, n in other.numerators.items()]
         if len(left) > len(right):
             left, right = right, left
-        acc: dict[int, object] = {}
+        acc: dict[int, int] = {}
         get = acc.get
         for ka, ca in left:
             for kb, cb in right:
                 key = ka + kb
                 prev = get(key)
                 acc[key] = ca * cb if prev is None else prev + ca * cb
-        table = {
-            _unpack(k, nvars): Fraction(v) for k, v in acc.items() if v != 0
-        }
-        return MultiPoly(self.variables, table)
+        table = {_unpack(k, nvars): v for k, v in acc.items() if v}
+        return MultiPoly._build(self.variables, table, self.den * other.den)
 
     def _mul_dense(self, other: MultiPoly, box: int) -> MultiPoly:
-        """Pack both operands, multiply once, lift each slot by 2^(8*nb-1), unpack."""
-        tops = zip(map(max, zip(*self.terms)), map(max, zip(*other.terms)))
+        """Pack both int numerator tables, multiply once, lift each slot by 2^(8*nb-1), unpack."""
+        tops = zip(map(max, zip(*self.numerators)), map(max, zip(*other.numerators)))
         extents = [a + b + 1 for a, b in tops]
         strides = [prod(extents[:i]) for i in range(len(extents))]
-        operands, den = [], 1
-        for poly in (self, other):
-            lcd = poly.coefficient_denominator_lcm()
-            den *= lcd
-            operands.append([
-                (sum(map(mul, e, strides)), c.numerator * (lcd // c.denominator))
-                for e, c in poly.terms.items()
-            ])
-        bound = min(map(len, operands)) * prod(max(abs(c) for _, c in s) for s in operands)
+        operands = [
+            [(sum(map(mul, e, strides)), n) for e, n in poly.numerators.items()]
+            for poly in (self, other)
+        ]
+        bound = min(map(len, operands)) * prod(max(abs(n) for _, n in s) for s in operands)
         nb = bound.bit_length() // 8 + 1
         packed = 1
-        for scaled in operands:
+        for slots in operands:
             signs = (bytearray(nb * box), bytearray(nb * box))
-            for slot, c in scaled:
-                signs[c < 0][slot * nb:(slot + 1) * nb] = abs(c).to_bytes(nb, "little")
+            for slot, n in slots:
+                signs[n < 0][slot * nb:(slot + 1) * nb] = abs(n).to_bytes(nb, "little")
             packed *= int.from_bytes(signs[0], "little") - int.from_bytes(signs[1], "little")
         half = 1 << (8 * nb - 1)
         zero = half.to_bytes(nb, "little")
         digits = (packed + int.from_bytes(zero * box, "little")).to_bytes(nb * box, "little")
-        table: dict[Exponents, Fraction] = {}
-        slots = product(*map(range, reversed(extents)))
-        for at, reverse in zip(range(0, nb * box, nb), slots):
+        table: dict[Exponents, int] = {}
+        exponents = product(*map(range, reversed(extents)))
+        for at, reverse in zip(range(0, nb * box, nb), exponents):
             digit = digits[at:at + nb]
             if digit != zero:
-                table[reverse[::-1]] = Fraction(int.from_bytes(digit, "little") - half, den)
-        return MultiPoly._from_table(self.variables, table)
+                table[reverse[::-1]] = int.from_bytes(digit, "little") - half
+        return MultiPoly._build(self.variables, table, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, value: Scalar) -> MultiPoly:
-        value = _as_fraction(value)
         if value == 0:
             return MultiPoly.zero(self.variables)
-        return MultiPoly(self.variables, {e: c * value for e, c in self.terms.items()})
+        table = {e: n * value.numerator for e, n in self.numerators.items()}
+        return MultiPoly._build(self.variables, table, self.den * value.denominator)
 
     def __truediv__(self, value: Scalar) -> MultiPoly:
-        return self.scale(Fraction(1, 1) / _as_fraction(value))
+        return self.scale(Fraction(1, value))
 
     def __pow__(self, exponent: int) -> MultiPoly:
         if not isinstance(exponent, int) or exponent < 0:
@@ -331,52 +325,50 @@ class MultiPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (
+            self.variables == other.variables
+            and self.den == other.den
+            and self.numerators == other.numerators
+        )
 
     def __hash__(self) -> int:
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, self.den, frozenset(self.numerators.items())))
 
     # -- calculus and evaluation ---------------------------------------------
 
     def diff(self, name: str) -> MultiPoly:
         idx = self.variables.index(name)
-        table: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
+        table: dict[Exponents, int] = {}
+        for exps, n in self.numerators.items():
             e = exps[idx]
-            if e == 0:
-                continue
-            lowered = exps[:idx] + (e - 1,) + exps[idx + 1:]
-            table[lowered] = table.get(lowered, Fraction(0)) + coeff * e
-        return MultiPoly(self.variables, table)
+            if e:
+                table[exps[:idx] + (e - 1,) + exps[idx + 1:]] = n * e
+        return MultiPoly._build(self.variables, table, self.den)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point, accumulated as a single integer.
 
         The sum is homogenised: with x_i = p_i/q_i and D_i the largest
-        exponent of variable i, each term c*prod(x_i^e_i) is multiplied by
-        lcd * prod(q_i^D_i), where lcd is the lcm of the coefficient
-        denominators.  It becomes the integer
-        (c*lcd) * prod(p_i^e_i * q_i^(D_i-e_i)), read from one weight table
-        per variable, and the total is divided by lcd * prod(q_i^D_i) once.
+        exponent of variable i, each term n*prod(x_i^e_i) of the numerator
+        sum is multiplied by prod(q_i^D_i).  It becomes the integer
+        n * prod(p_i^e_i * q_i^(D_i-e_i)), read from one weight table per
+        variable, and the total is divided by den * prod(q_i^D_i) once.
         """
-        values = [_as_fraction(x) for x in point]
-        if len(values) != len(self.variables):
+        if len(point) != len(self.variables):
             raise ValueError(
-                f"point has {len(values)} coordinates, expected {len(self.variables)}"
+                f"point has {len(point)} coordinates, expected {len(self.variables)}"
             )
-        lcd = self.coefficient_denominator_lcm()
-        scale = lcd
+        scale = self.den
         weights: list[dict[int, int]] = []
-        for x, used in zip(values, map(set, zip(*self.terms))):
+        for x, used in zip(point, map(set, zip(*self.numerators))):
             p, q, top = x.numerator, x.denominator, max(used)
             weights.append({e: p ** e * q ** (top - e) for e in used})
             scale *= q ** top
         total = 0
-        for exps, coeff in self.terms.items():
-            prod = coeff.numerator * (lcd // coeff.denominator)
+        for exps, n in self.numerators.items():
             for table, e in zip(weights, exps):
-                prod *= table[e]
-            total += prod
+                n *= table[e]
+            total += n
         return Fraction(total, scale)
 
     def substitute(
@@ -404,7 +396,7 @@ class MultiPoly:
                     f"image of {name!r} is over {img.variables}, expected {target}"
                 )
             image_polys.append(img)
-        if all(len(img.terms) == 1 for img in image_polys):
+        if all(len(img.numerators) == 1 for img in image_polys):
             return self._substitute_monomials(image_polys, target)
         power_cache: list[dict[int, MultiPoly]] = [
             {0: MultiPoly.const(target, 1)} for _ in image_polys
@@ -417,36 +409,40 @@ class MultiPoly:
             return cache[e]
 
         total = MultiPoly.zero(target)
-        for exps, coeff in self.terms.items():
-            prod = MultiPoly.const(target, coeff)
+        for exps, n in self.numerators.items():
+            term = MultiPoly.const(target, n)
             for i, e in enumerate(exps):
                 if e:
-                    prod = prod * cached_power(i, e)
-            total = total + prod
-        return total
+                    term = term * cached_power(i, e)
+            total = total + term
+        return total / self.den
 
     def _substitute_monomials(
         self, images: Sequence[MultiPoly], target: tuple[str, ...]
     ) -> MultiPoly:
-        monomials = [next(iter(img.terms.items())) for img in images]
-        table: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
+        """Image i is (c_i/d_i)*m_i; each term maps to one term over
+        den * prod(d_i^D_i), with D_i the top exponent of variable i.
+        """
+        monomials = [(m, c, img.den) for img in images for m, c in img.numerators.items()]
+        tops = list(map(max, zip(*self.numerators)))
+        den = self.den * prod(d ** top for (_, _, d), top in zip(monomials, tops))
+        table: dict[Exponents, int] = {}
+        for exps, n in self.numerators.items():
             image = [0] * len(target)
-            for (mono, c), e in zip(monomials, exps):
-                if e:
-                    coeff *= c ** e
-                    for j, m in enumerate(mono):
-                        image[j] += m * e
+            for (mono, c, d), e, top in zip(monomials, exps, tops):
+                n *= c ** e * d ** (top - e)
+                for j, m in enumerate(mono):
+                    image[j] += m * e
             key = tuple(image)
             # distinct terms can land on one monomial, as under gamma := beta
-            table[key] = table.get(key, 0) + coeff
-        return MultiPoly(target, table)
+            table[key] = table.get(key, 0) + n
+        return MultiPoly._build(target, {e: n for e, n in table.items() if n}, den)
 
     # -- rendering -----------------------------------------------------------
 
     def render(self) -> str:
         """Canonical text form: grevlex-sorted, explicit ``*`` and ``^``."""
-        if not self.terms:
+        if not self.numerators:
             return "0"
         pieces: list[str] = []
         for exps, coeff in self.sorted_terms():
@@ -512,10 +508,11 @@ class RatFunc:
     """Quotient of two MultiPoly values; denominator nonzero.
 
     ``RatFunc.make`` produces the canonical representative: both parts scaled
-    to coprime integer coefficients, denominator's grevlex-leading coefficient
-    positive.  No polynomial cancellation is ever attempted.  Two values with
-    equal numerators and equal denominators are equal at once; any other pair
-    is compared by cross-multiplication.
+    to coprime integer coefficients, so that each has ``den`` 1, and the
+    denominator's grevlex-leading coefficient positive.  No polynomial
+    cancellation is ever attempted.  Two values with equal numerators and
+    equal denominators are equal at once; any other pair is compared by
+    cross-multiplication.
     """
 
     __slots__ = ("num", "den")
@@ -535,7 +532,12 @@ class RatFunc:
 
     @staticmethod
     def make(num: MultiPoly, den: MultiPoly) -> RatFunc:
-        """Canonical form: integer-primitive pair, positive-leading denominator."""
+        """Canonical form: coprime int parts, each with den 1, positive-leading denominator.
+
+        num/den = (N/a)/(D/b) for int numerator tables N, D and dens a, b, so
+        the pair is cross-scaled to N*b and D*a and divided by the gcd of all
+        their numerators, negated when D's grevlex-leading numerator is < 0.
+        """
         if num.variables != den.variables:
             raise VariableMismatchError(
                 f"variable lists differ: {num.variables} vs {den.variables}"
@@ -544,16 +546,13 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
             return RatFunc(num, MultiPoly.const(den.variables, 1))
-        scale = lcm(num.coefficient_denominator_lcm(), den.coefficient_denominator_lcm())
-        num = num.scale(scale)
-        den = den.scale(scale)
-        content = gcd(num.integer_content(), den.integer_content())
-        if content > 1:
-            num = num / content
-            den = den / content
+        top = {e: n * den.den for e, n in num.numerators.items()}
+        bottom = {e: n * num.den for e, n in den.numerators.items()}
+        content = gcd(*top.values(), *bottom.values())
         if den.leading_coefficient() < 0:
-            num = -num
-            den = -den
+            content = -content
+        num = MultiPoly._build(num.variables, {e: n // content for e, n in top.items()})
+        den = MultiPoly._build(den.variables, {e: n // content for e, n in bottom.items()})
         return RatFunc(num, den)
 
     @staticmethod
@@ -709,7 +708,7 @@ class PiScalar:
     pi_power: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mantissa", _as_fraction(self.mantissa))
+        object.__setattr__(self, "mantissa", Fraction(self.mantissa))
         if self.mantissa == 0:
             object.__setattr__(self, "pi_power", 0)
 
@@ -736,14 +735,14 @@ class PiScalar:
 
     def __mul__(self, other: PiScalar | Scalar) -> PiScalar:
         if not isinstance(other, PiScalar):
-            return PiScalar(self.mantissa * _as_fraction(other), self.pi_power)
+            return PiScalar(self.mantissa * other, self.pi_power)
         return PiScalar(self.mantissa * other.mantissa, self.pi_power + other.pi_power)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: PiScalar | Scalar) -> PiScalar:
         if not isinstance(other, PiScalar):
-            return PiScalar(self.mantissa / _as_fraction(other), self.pi_power)
+            return PiScalar(self.mantissa / other, self.pi_power)
         if other.is_zero:
             raise ZeroDivisionError("division by zero PiScalar")
         return PiScalar(self.mantissa / other.mantissa, self.pi_power - other.pi_power)

@@ -101,8 +101,8 @@ def from_multipoly(p: MultiPoly) -> Coeffs:
     if p.is_zero:
         return ()
     coeffs = [Fraction(0)] * (p.total_degree() + 1)
-    for (power,), coeff in p.terms.items():
-        coeffs[power] = coeff
+    for (power,), n in p.numerators.items():
+        coeffs[power] = Fraction(n, p.den)
     return strip(coeffs)
 
 

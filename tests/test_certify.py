@@ -55,6 +55,8 @@ def test_negative_control_positivity():
     assert cert.numerator_min_coeff == -1
     assert cert.witness_monomial == "-1*beta^2"
     assert cert.recheck()
+    # no samples are drawn for a FAIL certificate, so none can be positive
+    assert cert.as_dict()["sample_values_positive"] is False
 
 
 def test_positivity_certificate_recheck_is_self_contained():

@@ -173,13 +173,22 @@ def test_zero_fixture_denominator_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_report_bytes_are_unchanged(monkeypatch, capsys):
-    # the --no-timing report changes only when the mathematics does; a fresh
-    # lemma memo makes this run compute every report itself
+@pytest.mark.parametrize(
+    "command, code, digest",
+    [
+        (["report"], 1, "4636664ddd59ed8dd78be1fad15b35b2"),
+        (["verify", "--all"], 0, "2b20ae30882781dc0944422d5f8f8f80"),
+        (["fixtures", "check"], 1, "0ca8cce540a802f69bff166716179909"),
+    ],
+    ids=["report", "verify-all", "fixtures-check"],
+)
+def test_report_bytes_are_unchanged(monkeypatch, capsys, command, code, digest):
+    # the --no-timing output changes only when the mathematics does; a fresh
+    # lemma memo makes each run compute every report itself
     monkeypatch.setattr(certify, "_REPORTS", {})
-    assert run(["report", "--no-timing", "--format", "json"]) == 1
+    assert run([*command, "--no-timing", "--format", "json"]) == code
     stdout = capsys.readouterr().out
-    assert hashlib.md5(stdout.encode("utf-8")).hexdigest() == "4636664ddd59ed8dd78be1fad15b35b2"
+    assert hashlib.md5(stdout.encode("utf-8")).hexdigest() == digest
 
 
 def test_laudate_alone_matches_its_verify_all_entry(monkeypatch, capsys):

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import tracemalloc
 
 import pytest
 
-from kcert import poly
+from kcert import poly, univar
 from kcert.delpezzo import K2_CHART, K3_CHART
 from kcert.exprparse import parse_expression
 from kcert.functional import build_bundle
@@ -161,16 +162,20 @@ def _signed_rational(rng, bits):
     return Fraction(rng.below(2 * half + 1) - half, 1 + rng.below(1 << bits))
 
 
+def _seeded_terms(rng, nvars, bits):
+    return {
+        tuple(rng.below(7) for _ in range(nvars)): _signed_rational(rng, bits)
+        for _ in range(rng.below(8))
+    }
+
+
 def test_evaluate_matches_termwise_reference():
     rng = SplitMix64(0x5EED)
     for case in range(250):
         nvars = case % 5
         variables = tuple(f"x{i}" for i in range(nvars))
         bits = 1 + rng.below(48)
-        terms = {
-            tuple(rng.below(7) for _ in range(nvars)): _signed_rational(rng, bits)
-            for _ in range(rng.below(8))
-        }
+        terms = _seeded_terms(rng, nvars, bits)
         point = []
         for _ in range(nvars):
             kind = rng.below(4)
@@ -305,12 +310,79 @@ def _termwise_product(a, b):
     return {e: c for e, c in table.items() if c != 0}
 
 
+def _assert_stored_form(p):
+    """Nonzero int numerators over an int den >= 1, coprime as a whole."""
+    assert all(type(n) is int and n != 0 for n in p.numerators.values())
+    assert type(p.den) is int and p.den >= 1
+    assert gcd(p.den, *p.numerators.values()) == 1
+    assert p.terms == {e: Fraction(n, p.den) for e, n in p.numerators.items()}
+    assert all(type(e) is tuple and len(e) == len(p.variables) for e in p.numerators)
+
+
 def _assert_product(a, b):
     got = a * b
     assert got.terms == _termwise_product(a, b)
-    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
-    assert all(type(e) is tuple and len(e) == len(a.variables) for e in got.terms)
+    _assert_stored_form(got)
     return got
+
+
+def test_stored_form_survives_every_operation():
+    rng = SplitMix64(0x5EED)
+    target = ("s", "t")
+    for case in range(120):
+        nvars = 1 + case % 4
+        variables = tuple(f"x{i}" for i in range(nvars))
+        bits = 1 + rng.below(48)
+        a = MultiPoly(variables, _seeded_terms(rng, nvars, bits))
+        b = MultiPoly(variables, _seeded_terms(rng, nvars, bits))
+        factor = _signed_rational(rng, bits) or Fraction(1, 3)
+        # single-term images take the monomial map, the others the expansion
+        images = {
+            v: MultiPoly(target, {(rng.below(3), rng.below(3)): _signed_rational(rng, bits)})
+            + (_signed_rational(rng, bits) if case % 2 else 0)
+            for v in variables
+        }
+        point = [_signed_rational(rng, bits) for _ in variables]
+        results = [a + b, a - b, a.scale(factor), a / factor, a.diff("x0")]
+        for p in (a, b, *results, a.substitute(images, target)):
+            _assert_stored_form(p)
+        x, y = a.evaluate(point), b.evaluate(point)
+        assert [r.evaluate(point) for r in results[:4]] == [x + y, x - y, x * factor, x / factor]
+        assert results[4].terms == {
+            (e[0] - 1, *e[1:]): c * e[0] for e, c in a.terms.items() if e[0]
+        }
+        at = (Fraction(2, 3), Fraction(-5, 7))
+        image_values = [images[v].evaluate(at) for v in variables]
+        assert a.substitute(images, target).evaluate(at) == a.evaluate(image_values)
+
+
+def test_ratfunc_parts_have_den_one():
+    rng = SplitMix64(0x5EED)
+    for _ in range(40):
+        num = MultiPoly(BG, _seeded_terms(rng, 2, 1 + rng.below(48)))
+        den = MultiPoly(BG, _seeded_terms(rng, 2, 1 + rng.below(48)))
+        if den.is_zero:
+            continue
+        f = RatFunc.make(num, den)
+        assert f.num.den == 1 and f.den.den == 1
+        assert f.equals(RatFunc(num, den))
+        assert (f * f).num.den == 1 and (f.num * f.den).den == 1
+    calA = build_bundle(K2_CHART).calA
+    assert calA.num.den == 1 and calA.den.den == 1
+
+
+def test_rational_accessors_return_fractions_for_integer_polynomials():
+    # callers divide these with "/", which on two ints would give a float
+    p = MultiPoly(BG, {(1, 0): 3, (0, 0): 2})
+    assert p.den == 1 and all(type(c) is int for c in p.terms.values())
+    for value in (
+        p.leading_coefficient(),
+        MultiPoly.const(BG, 5).constant_value(),
+        MultiPoly.zero(BG).constant_value(),
+        *univar.from_multipoly(MultiPoly(("x",), {(0,): 4, (2,): -1})),
+    ):
+        assert type(value) is Fraction
+    assert p.leading_coefficient() / 2 == Fraction(3, 2)
 
 
 def _spy_dense(monkeypatch):
