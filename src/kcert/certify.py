@@ -110,7 +110,11 @@ class PositivityCertificate:
 
     def recheck(self) -> bool:
         if self.verdict == "FAIL":
-            return self.numerator_min_coeff < 0 or self.denominator_base_min_coeff <= 0
+            return (
+                self.numerator_terms == 0
+                or self.numerator_min_coeff < 0
+                or self.denominator_base_min_coeff <= 0
+            )
         return (
             self.numerator_terms > 0
             and self.numerator_min_coeff >= 0
@@ -244,8 +248,10 @@ def verify_convexity(
 ) -> LemmaReport:
     """Positivity certificate for the antidiagonal second derivative.
 
-    Also compares the structural numerator against the transcribed display
-    (expected SCALED by the printed overall constant: 24 for k=2, 12 for k=3).
+    Also compares the structural numerator against the transcribed display:
+    the k=3 display is SCALED by its printed overall constant 12, while the
+    k=2 display is recorded as a MISMATCH (no positive constant, 24 included,
+    makes it match), so for k=2 the certificate alone carries the claim.
     """
     start = time.perf_counter()
     if direction is None:

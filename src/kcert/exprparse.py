@@ -294,16 +294,32 @@ class ComparisonVerdict:
 
 
 def compare_against_fixture(computed: RatFunc, fixture: RatFunc) -> ComparisonVerdict:
-    """Classify how pipeline output relates to a transcribed display."""
+    """Classify how pipeline output relates to a transcribed display.
+
+    Both sides are evaluated at up to ``COMPARISON_SAMPLES`` SplitMix64
+    points, in a fixed order; a point where either side's denominator
+    vanishes is skipped.  The decision order:
+
+    1. At the first point where the fixture value is nonzero, take the ratio
+       r of the two values.  If r > 0, check exactly (cross-multiplication)
+       whether ``computed`` equals r times the fixture: if so, return EXACT
+       (r = 1) or SCALED(r) at once.
+    2. Otherwise return MISMATCH at the first point where the values differ,
+       with that point and both values as witness, and stop sampling: no
+       check is left that could still give EXACT or SCALED.  A difference
+       found before r is taken lies where the fixture value is 0 and the
+       computed one is not, which no constant multiple of the fixture gives.
+    3. If the values agree at every point, return SAMPLED_ONLY when the
+       check at r = 1 failed, and otherwise decide EXACT or SAMPLED_ONLY by
+       one exact check (the fixture was zero or undefined at every point).
+    """
     if computed.variables != fixture.variables:
         raise ValueError(
             f"variable lists differ: {computed.variables} vs {fixture.variables}"
         )
     rng = SplitMix64(DEFAULT_SEED)
     dimension = len(computed.variables)
-    ratios: list[Fraction] = []
-    all_equal = True
-    witness: tuple[tuple[Fraction, ...], Fraction, Fraction] | None = None
+    ratio: Fraction | None = None
     for _ in range(COMPARISON_SAMPLES):
         point = rng.point(dimension)
         try:
@@ -311,24 +327,18 @@ def compare_against_fixture(computed: RatFunc, fixture: RatFunc) -> ComparisonVe
             right = fixture.evaluate(point)
         except ZeroDivisionError:
             continue
+        if ratio is None and right != 0:
+            ratio = left / right
+            if ratio > 0 and computed.equals(
+                RatFunc.make(fixture.num.scale(ratio), fixture.den)
+            ):
+                if ratio == 1:
+                    return ComparisonVerdict("EXACT")
+                return ComparisonVerdict("SCALED", constant=ratio)
         if left != right:
-            all_equal = False
-            if witness is None:
-                witness = (point, left, right)
-        if right != 0:
-            ratios.append(left / right)
-    if all_equal:
-        if computed.equals(fixture):
-            return ComparisonVerdict("EXACT")
-        return ComparisonVerdict("SAMPLED_ONLY")
-    if ratios and ratios[0] > 0 and all(r == ratios[0] for r in ratios):
-        constant = ratios[0]
-        scaled = RatFunc.make(
-            fixture.num.scale(constant), fixture.den
-        )
-        if computed.equals(scaled):
-            return ComparisonVerdict("SCALED", constant=constant)
-    assert witness is not None
-    return ComparisonVerdict(
-        "MISMATCH", witness_point=witness[0], witness_values=(witness[1], witness[2])
-    )
+            return ComparisonVerdict(
+                "MISMATCH", witness_point=point, witness_values=(left, right)
+            )
+    if ratio is None and computed.equals(fixture):
+        return ComparisonVerdict("EXACT")
+    return ComparisonVerdict("SAMPLED_ONLY")

@@ -19,6 +19,7 @@ from kcert.certify import (
     verify_uniqueness_k3,
     verify_veritas,
 )
+from kcert.exprparse import compare_against_fixture
 from kcert.poly import MultiPoly, RatFunc
 
 
@@ -57,6 +58,15 @@ def test_negative_control_positivity():
     assert cert.recheck()
     # no samples are drawn for a FAIL certificate, so none can be positive
     assert cert.as_dict()["sample_values_positive"] is False
+
+
+def test_zero_numerator_fail_certificate_rechecks():
+    variables = ("beta", "gamma")
+    zero = RatFunc(MultiPoly.zero(variables), MultiPoly.const(variables, 1))
+    cert = positivity_certificate(zero, MultiPoly.const(variables, 1), (1, 0), "zero")
+    assert cert.verdict == "FAIL"
+    assert cert.numerator_terms == 0
+    assert cert.recheck()
 
 
 def test_positivity_certificate_recheck_is_self_contained():
@@ -199,3 +209,28 @@ def test_fixture_battery():
     results = dict(check_all_fixtures())
     assert {name: v.kind for name, v in results.items()} == expected
     assert results["d2_alphabeta_k3"].constant == 12
+
+
+def test_fixture_comparisons_stop_sampling_once_decided(monkeypatch):
+    """An EXACT fixture needs one sample point, the k2 MISMATCH at most three."""
+    evaluations = 0
+    evaluate = RatFunc.evaluate
+
+    def counting_evaluate(self, point):
+        nonlocal evaluations
+        evaluations += 1
+        return evaluate(self, point)
+
+    # every fixture but the two second-derivative displays is EXACT
+    budgets = {
+        ("k2", "d2_antidiag"): 6,
+        **{("k2", name): 2 for name in ("calA", "F_beta", "P", "Q")},
+        **{("k3", name): 2 for name in ("F1", "F2", "A", "B", "C", "calA")},
+    }
+    monkeypatch.setattr(RatFunc, "evaluate", counting_evaluate)
+    for (chart_id, name), budget in budgets.items():
+        _, fixture = certify._named_fixture(chart_id, name, None)
+        computed = certify._fixture_target(chart_id, name)
+        evaluations = 0
+        compare_against_fixture(computed, fixture)
+        assert evaluations <= budget, (chart_id, name, evaluations)

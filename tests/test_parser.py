@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from kcert import exprparse
 from kcert.exprparse import (
+    ComparisonVerdict,
     FixtureError,
     ParseError,
     compare_against_fixture,
@@ -13,7 +15,7 @@ from kcert.exprparse import (
     parse_expression,
 )
 from kcert.poly import MultiPoly, RatFunc
-from kcert.sampling import SplitMix64
+from kcert.sampling import DEFAULT_SEED, SplitMix64
 
 BG = ("beta", "gamma")
 
@@ -151,3 +153,111 @@ def test_compare_scaled_and_mismatch():
     verdict = compare_against_fixture(other, base)
     assert verdict.kind == "MISMATCH"
     assert verdict.witness_point is not None
+
+
+def _reference_compare(computed: RatFunc, fixture: RatFunc) -> ComparisonVerdict:
+    """The sample-everything classifier: all points first, exact checks after."""
+    rng = SplitMix64(DEFAULT_SEED)
+    dimension = len(computed.variables)
+    ratios: list[Fraction] = []
+    all_equal = True
+    witness = None
+    for _ in range(exprparse.COMPARISON_SAMPLES):
+        point = rng.point(dimension)
+        try:
+            left = computed.evaluate(point)
+            right = fixture.evaluate(point)
+        except ZeroDivisionError:
+            continue
+        if left != right:
+            all_equal = False
+            if witness is None:
+                witness = (point, left, right)
+        if right != 0:
+            ratios.append(left / right)
+    if all_equal:
+        if computed.equals(fixture):
+            return ComparisonVerdict("EXACT")
+        return ComparisonVerdict("SAMPLED_ONLY")
+    if ratios and ratios[0] > 0 and all(r == ratios[0] for r in ratios):
+        constant = ratios[0]
+        if computed.equals(RatFunc.make(fixture.num.scale(constant), fixture.den)):
+            return ComparisonVerdict("SCALED", constant=constant)
+    assert witness is not None
+    return ComparisonVerdict(
+        "MISMATCH", witness_point=witness[0], witness_values=(witness[1], witness[2])
+    )
+
+
+def _comparison_family(seed: int, trials: int) -> list[tuple[str, RatFunc, RatFunc]]:
+    """Labelled (case, computed, fixture) pairs around one vanishing line.
+
+    ``vanish`` is zero at the first comparison point, so a difference carrying
+    it agrees there, and a denominator carrying it raises there.
+    """
+    beta, _ = MultiPoly.gens(BG)
+    vanish = beta - SplitMix64(DEFAULT_SEED).point(len(BG))[0]
+    one = MultiPoly.const(BG, 1)
+    zero = RatFunc.const(BG, 0)
+    rng = SplitMix64(seed)
+
+    def nonzero_poly() -> MultiPoly:
+        p = _random_poly(rng, max_terms=5)
+        return p if not p.is_zero else one
+
+    family = []
+    for _ in range(trials):
+        p, q, r, s = (nonzero_poly() for _ in range(4))
+        c = rng.rational()
+        if c == 1:
+            c = Fraction(7, 3)
+        fixture = RatFunc.make(p, q)
+        off_line = RatFunc.make(p + vanish * s, q)
+        undefined_first = RatFunc.make(p * vanish, q * vanish)
+        family += [
+            ("exact", RatFunc.make(p * r, q * r), fixture),
+            ("scaled", RatFunc.make(p.scale(c), q), fixture),
+            ("negative", RatFunc.make(p.scale(-c), q), fixture),
+            ("first point agrees", off_line, fixture),
+            ("unrelated", RatFunc.make(r, q), fixture),
+            ("zero fixture", fixture, zero),
+            ("zero both", zero, zero),
+            ("zero at first point", RatFunc.make(vanish * s, q), zero),
+            ("fixture undefined first, exact", RatFunc.make(p, q), undefined_first),
+            ("fixture undefined first, scaled", RatFunc.make(p.scale(c), q), undefined_first),
+            ("fixture undefined first, mismatch", off_line, undefined_first),
+            ("both undefined first", RatFunc.make(p.scale(c), q * vanish), RatFunc.make(p, q * vanish)),
+        ]
+    return family
+
+
+def test_compare_matches_sample_everything_reference():
+    kinds = {}
+    for case, computed, fixture in _comparison_family(0x5EED, trials=4):
+        verdict = compare_against_fixture(computed, fixture)
+        assert verdict == _reference_compare(computed, fixture), case
+        kinds.setdefault(case, set()).add(verdict.kind)
+    assert kinds["exact"] == {"EXACT"}
+    assert kinds["scaled"] == {"SCALED"}
+    assert kinds["negative"] == {"MISMATCH"}
+    assert kinds["first point agrees"] == {"MISMATCH"}
+    assert kinds["zero fixture"] == {"MISMATCH"}
+    assert kinds["zero both"] == {"EXACT"}
+    assert kinds["fixture undefined first, exact"] == {"EXACT"}
+    assert kinds["fixture undefined first, scaled"] == {"SCALED"}
+    assert kinds["both undefined first"] == {"SCALED"}
+
+
+def test_compare_matches_reference_with_one_sample(monkeypatch):
+    monkeypatch.setattr(exprparse, "COMPARISON_SAMPLES", 1)
+    kinds = {}
+    for case, computed, fixture in _comparison_family(0xFACE, trials=3):
+        verdict = compare_against_fixture(computed, fixture)
+        assert verdict == _reference_compare(computed, fixture), case
+        kinds.setdefault(case, set()).add(verdict.kind)
+    # the difference vanishes at the only point, and the exact check refutes it
+    assert kinds["first point agrees"] == {"SAMPLED_ONLY"}
+    assert kinds["zero at first point"] == {"SAMPLED_ONLY"}
+    # with the only point skipped nothing is sampled, and the exact check decides
+    assert kinds["fixture undefined first, exact"] == {"EXACT"}
+    assert kinds["fixture undefined first, mismatch"] == {"SAMPLED_ONLY"}
