@@ -3,7 +3,7 @@ for a curvature objective on del Pezzo Kahler cones."""
 
 from .poly import (
     MultiPoly,
-    PiScalar,
+    PiValue,
     RatFunc,
     coefficients_all_nonneg,
     directional_second_derivative,
@@ -39,8 +39,6 @@ from .delpezzo import (
 )
 from .functional import (
     FunctionalBundle,
-    PiRatFunc,
-    assemble_calA,
     build_bundle,
     evaluate_calA_on_areas,
     first_variation_along_c1,

@@ -217,7 +217,7 @@ def _fixture_target(chart_id: str, name: str) -> RatFunc:
     bundle = build_bundle(K3_CHART)
     if name in ("A", "B", "C"):
         # fixtures store the pi-free parts (display bracket over 288V or 576V)
-        return {"A": bundle.a, "B": bundle.b, "C": bundle.c}[name].rf
+        return {"A": bundle.a, "B": bundle.b, "C": bundle.c}[name].value
     return {"F1": bundle.f1, "F2": bundle.f2, "calA": bundle.calA}[name]
 
 

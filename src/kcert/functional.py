@@ -15,9 +15,9 @@ moment polygon.  Everything here reduces to exact polygon data:
 
 Two independent computations of F_i are provided: the transcribed closed
 forms on the coordinate charts and the boundary-measure route above; their
-agreement is a pipeline identity.  Pi powers ride along in PiRatFunc wrappers
-so that only genuinely pi-free quantities are ever exported as plain rational
-functions.
+agreement is a pipeline identity.  A quantity with a power of pi is a
+``PiValue``, so that only genuinely pi-free quantities are ever exported as
+plain rational functions.
 
 Denominator discipline: the objective is assembled over the structured
 denominator 8 * area * det, where det is the numerator of the moment
@@ -27,7 +27,7 @@ cancellation is attempted anywhere.
 
 One assembly serves both routes: its formulas use operators only, so they
 build the chart rational functions on MultiPolys and the values at a numeric
-area vector on Fractions, with no polynomial product.
+area vector on the numeric polygon's Fractions, with no polynomial at all.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ from .delpezzo import (
 )
 from .poly import (
     MultiPoly,
-    PiPowerMismatchError,
-    PiScalar,
+    PiValue,
     RatFunc,
     Scalar,
     directional_second_derivative,
@@ -68,60 +67,6 @@ from .polytope import (
 
 class DegenerateMomentMatrix(ZeroDivisionError):
     """The central second-moment matrix is singular (det = 0)."""
-
-
-@dataclass(frozen=True)
-class PiRatFunc:
-    """A rational function times an integer power of pi."""
-
-    rf: RatFunc
-    pi_power: int = 0
-
-    def __add__(self, other: PiRatFunc) -> PiRatFunc:
-        if self.rf.is_zero:
-            return other
-        if other.rf.is_zero:
-            return self
-        if self.pi_power != other.pi_power:
-            raise PiPowerMismatchError(
-                f"cannot add pi^{self.pi_power} and pi^{other.pi_power} terms"
-            )
-        return PiRatFunc(self.rf + other.rf, self.pi_power)
-
-    def __sub__(self, other: PiRatFunc) -> PiRatFunc:
-        return self + PiRatFunc(-other.rf, other.pi_power)
-
-    def __mul__(self, other: PiRatFunc | RatFunc | MultiPoly | Scalar) -> PiRatFunc:
-        if not isinstance(other, PiRatFunc):
-            return PiRatFunc(self.rf * other, self.pi_power)
-        return PiRatFunc(self.rf * other.rf, self.pi_power + other.pi_power)
-
-    def __truediv__(self, other: PiRatFunc | PiScalar) -> PiRatFunc:
-        if isinstance(other, PiScalar):
-            other = PiRatFunc(
-                RatFunc.const(self.rf.variables, other.mantissa), other.pi_power
-            )
-        return PiRatFunc(self.rf / other.rf, self.pi_power - other.pi_power)
-
-    def evaluate(self, point: Sequence[Scalar]) -> PiScalar:
-        return PiScalar(self.rf.evaluate(point), self.pi_power)
-
-    def as_pi_free(self) -> RatFunc:
-        if self.pi_power != 0 and not self.rf.is_zero:
-            raise PiPowerMismatchError(
-                f"value carries pi^{self.pi_power}, not exportable as rational"
-            )
-        return self.rf
-
-    def equals(self, other: PiRatFunc) -> bool:
-        if self.rf.is_zero and other.rf.is_zero:
-            return True
-        return self.pi_power == other.pi_power and self.rf.equals(other.rf)
-
-    def render(self) -> str:
-        if self.pi_power == 0:
-            return self.rf.render()
-        return f"({self.rf.render()})*pi^{self.pi_power}"
 
 
 def _closed_form_brackets(chart: ConeChart) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
@@ -167,19 +112,17 @@ def _polygon_from_areas(
     return build_polygon(entries, variables)
 
 
-def _obstruction_numerators(polygon: ParamPolygon, read=lambda integral: integral) -> tuple:
+def _obstruction_numerators(polygon: ParamPolygon) -> tuple:
     """(area, perimeter, m10, m01, q1, q2) with F_i = q_i / area and
-    q_i = 2 [ boundary(w_i) * area - perimeter * interior(w_i) ], w = (u, v).
-
-    ``read`` maps each integral to the route's type: MultiPolys as they are,
-    or ``MultiPoly.constant_value`` for a numeric polygon (Fractions).
+    q_i = 2 [ boundary(w_i) * area - perimeter * interior(w_i) ], w = (u, v),
+    in the polygon's type: MultiPolys, or Fractions for a numeric polygon.
     """
-    area = read(integrate_monomial(polygon, 0, 0))
-    perimeter = read(lattice_perimeter(polygon))
-    m10 = read(integrate_monomial(polygon, 1, 0))
-    m01 = read(integrate_monomial(polygon, 0, 1))
-    bu = read(boundary_integral(polygon, 1, 0))
-    bv = read(boundary_integral(polygon, 0, 1))
+    area = integrate_monomial(polygon, 0, 0)
+    perimeter = lattice_perimeter(polygon)
+    m10 = integrate_monomial(polygon, 1, 0)
+    m01 = integrate_monomial(polygon, 0, 1)
+    bu = boundary_integral(polygon, 1, 0)
+    bv = boundary_integral(polygon, 0, 1)
     q1 = (bu * area - perimeter * m10) * 2
     q2 = (bv * area - perimeter * m01) * 2
     return area, perimeter, m10, m01, q1, q2
@@ -191,28 +134,29 @@ def futaki_boundary(
 ) -> tuple[RatFunc, RatFunc]:
     """Obstruction components from boundary and interior polygon integrals.
 
-    Exact in the cone parameters (or constant rational functions when the
-    areas are numeric); see ``_obstruction_numerators``.
+    Exact in the cone parameters; see ``_obstruction_numerators``.  Numeric
+    areas go to ``evaluate_futaki_on_areas``.
     """
+    if not variables:
+        raise ValueError(
+            "futaki_boundary needs the cone variables; "
+            "use evaluate_futaki_on_areas for numeric areas"
+        )
     area, _, _, _, q1, q2 = _obstruction_numerators(_polygon_from_areas(areas, variables))
     return RatFunc.make(q1, area), RatFunc.make(q2, area)
 
 
 def futaki_norm_sq(
-    f1: RatFunc | PiRatFunc,
-    f2: RatFunc | PiRatFunc,
-    a: PiRatFunc,
-    b: PiRatFunc,
-    c: PiRatFunc,
-) -> PiRatFunc:
+    f1: RatFunc | PiValue,
+    f2: RatFunc | PiValue,
+    a: PiValue,
+    b: PiValue,
+    c: PiValue,
+) -> PiValue:
     """||F||^2 = (B F1^2 - 2 C F1 F2 + A F2^2) / (AB - C^2); carries pi^2."""
-    if isinstance(f1, RatFunc):
-        f1 = PiRatFunc(f1, 0)
-    if isinstance(f2, RatFunc):
-        f2 = PiRatFunc(f2, 0)
     numerator = b * f1 * f1 - (c * f1 * f2) * 2 + a * f2 * f2
     determinant = a * b - c * c
-    if determinant.rf.is_zero:
+    if not determinant.value:
         raise DegenerateMomentMatrix("moment matrix determinant vanishes")
     return numerator / determinant
 
@@ -242,9 +186,9 @@ class FunctionalBundle:
     c1_pairing: MultiPoly          # c1 . Omega = lattice perimeter
     f1: RatFunc
     f2: RatFunc
-    a: PiRatFunc                   # carries pi^-2
-    b: PiRatFunc
-    c: PiRatFunc
+    a: PiValue                     # carries pi^-2
+    b: PiValue
+    c: PiValue
     moment_det: MultiPoly          # puu*pvv - puv^2, the moment determinant over V^2
     first_term: RatFunc
     futaki_norm_sq_over_32pi2: RatFunc
@@ -269,9 +213,9 @@ def build_bundle(chart: ConeChart) -> FunctionalBundle:
         )
     perimeter = lattice_perimeter(polygon)
     quarter = Fraction(1, 4)
-    a = PiRatFunc(RatFunc.make(moments.puu.scale(quarter), volume), -2)
-    b = PiRatFunc(RatFunc.make(moments.pvv.scale(quarter), volume), -2)
-    c = PiRatFunc(RatFunc.make(moments.puv.scale(quarter), volume), -2)
+    a = PiValue(RatFunc.make(moments.puu.scale(quarter), volume), -2)
+    b = PiValue(RatFunc.make(moments.pvv.scale(quarter), volume), -2)
+    c = PiValue(RatFunc.make(moments.puv.scale(quarter), volume), -2)
     det, n_f, numerator, denominator = objective_parts(
         perimeter, volume, moments.puu, moments.pvv, moments.puv, b1, b2
     )
@@ -294,16 +238,10 @@ def build_bundle(chart: ConeChart) -> FunctionalBundle:
     )
 
 
-def assemble_calA(chart: ConeChart) -> RatFunc:
-    return build_bundle(chart).calA
-
-
-def average_scalar_curvature(chart: ConeChart) -> PiRatFunc:
+def average_scalar_curvature(chart: ConeChart) -> PiValue:
     """s0 = 4 pi (c1 . Omega) / V on the chart."""
     bundle = build_bundle(chart)
-    return PiRatFunc(
-        RatFunc.make(bundle.c1_pairing.scale(4), bundle.volume), 1
-    )
+    return PiValue(RatFunc.make(bundle.c1_pairing.scale(4), bundle.volume), 1)
 
 
 @dataclass(frozen=True)
@@ -387,9 +325,8 @@ def evaluate_calA_on_areas(areas: Sequence[Scalar] | AreaVector) -> Fraction:
     charts and for invariance sampling.
     """
     polygon = _polygon_from_areas(areas)
-    read = MultiPoly.constant_value
-    area, perimeter, m10, m01, q1, q2 = _obstruction_numerators(polygon, read)
-    m20, m11, m02 = (read(integrate_monomial(polygon, a, b)) for a, b in ((2, 0), (1, 1), (0, 2)))
+    area, perimeter, m10, m01, q1, q2 = _obstruction_numerators(polygon)
+    m20, m11, m02 = (integrate_monomial(polygon, a, b) for a, b in ((2, 0), (1, 1), (0, 2)))
     puu, pvv, puv = central_moment_numerators(area, m10, m01, m20, m11, m02)
     _, _, numerator, denominator = objective_parts(perimeter, area, puu, pvv, puv, q1, q2)
     return numerator / denominator
@@ -400,7 +337,7 @@ def evaluate_futaki_on_areas(
 ) -> tuple[Fraction, Fraction]:
     """Exact obstruction components at a numeric six-area vector, in Fractions."""
     polygon = _polygon_from_areas(areas)
-    area, _, _, _, q1, q2 = _obstruction_numerators(polygon, MultiPoly.constant_value)
+    area, _, _, _, q1, q2 = _obstruction_numerators(polygon)
     return q1 / area, q2 / area
 
 

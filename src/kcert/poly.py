@@ -1,4 +1,4 @@
-"""Exact sparse multivariate polynomials, rational functions, and pi-tagged scalars.
+"""Exact sparse multivariate polynomials, rational functions, and pi-tagged values.
 
 A polynomial is a map from exponent tuples to nonzero integer numerators over
 one positive integer denominator:
@@ -28,7 +28,9 @@ Conventions:
     prod_i(deg_a,i + deg_b,i + 1) has no more slots than pairs is dense and
     is formed by Kronecker substitution: one big-integer product, in slots
     of nb bytes with 2^(8*nb-1) > max|a|*max|b|*min(#a, #b), a bound on every
-    output numerator.  Other products loop over term pairs.
+    output numerator.  Other products loop over term pairs;
+  * a quantity that carries a power of pi is one ``PiValue``: a Fraction or
+    a RatFunc times pi^n, whichever the computation produced.
 """
 
 from __future__ import annotations
@@ -183,12 +185,6 @@ class MultiPoly:
             return Fraction(0)
         lead = max(self.numerators, key=grevlex_key)
         return Fraction(self.numerators[lead], self.den)
-
-    def constant_value(self) -> Fraction:
-        """Value of a constant polynomial (raises if not constant)."""
-        if self.total_degree() != 0:
-            raise ValueError(f"polynomial is not constant: {self.render()}")
-        return Fraction(self.numerators.get((0,) * len(self.variables), 0), self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -571,6 +567,10 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    def __bool__(self) -> bool:
+        """False exactly for the zero function, as for numbers."""
+        return bool(self.num)
+
     def __add__(self, other: RatFunc | MultiPoly | Scalar) -> RatFunc:
         other = _coerce(other, self.variables)
         if self.den == other.den:
@@ -696,61 +696,63 @@ def directional_second_derivative(f: RatFunc, direction: Sequence[int]) -> RatFu
 
 
 @dataclass(frozen=True)
-class PiScalar:
-    """Exact rational multiple of an integer power of pi.
+class PiValue:
+    """An exact value times an integer power of pi.
 
-    Addition is defined only between equal pi powers (a zero mantissa is
-    neutral); mixing powers raises instead of silently coercing, which makes
-    dimension bookkeeping errors loud.
+    ``value`` is a Fraction, or a RatFunc over the chart variables.  A zero
+    value carries pi^0.  Addition is defined only between equal pi powers (a
+    zero value is neutral); mixing powers raises instead of silently
+    coercing, which makes dimension bookkeeping errors loud.  Equality is that
+    of the fields, and ``RatFunc.__eq__`` is exact.
     """
 
-    mantissa: Fraction
+    value: Fraction | RatFunc
     pi_power: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mantissa", Fraction(self.mantissa))
-        if self.mantissa == 0:
+        if not isinstance(self.value, RatFunc):
+            object.__setattr__(self, "value", Fraction(self.value))
+        if not self.value:
             object.__setattr__(self, "pi_power", 0)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.mantissa == 0
-
-    def __add__(self, other: PiScalar) -> PiScalar:
-        if self.is_zero:
+    def __add__(self, other: PiValue) -> PiValue:
+        if not self.value:
             return other
-        if other.is_zero:
+        if not other.value:
             return self
         if self.pi_power != other.pi_power:
             raise PiPowerMismatchError(
                 f"cannot add pi^{self.pi_power} and pi^{other.pi_power} terms"
             )
-        return PiScalar(self.mantissa + other.mantissa, self.pi_power)
+        return PiValue(self.value + other.value, self.pi_power)
 
-    def __neg__(self) -> PiScalar:
-        return PiScalar(-self.mantissa, self.pi_power)
+    def __neg__(self) -> PiValue:
+        return PiValue(-self.value, self.pi_power)
 
-    def __sub__(self, other: PiScalar) -> PiScalar:
+    def __sub__(self, other: PiValue) -> PiValue:
         return self + (-other)
 
-    def __mul__(self, other: PiScalar | Scalar) -> PiScalar:
-        if not isinstance(other, PiScalar):
-            return PiScalar(self.mantissa * other, self.pi_power)
-        return PiScalar(self.mantissa * other.mantissa, self.pi_power + other.pi_power)
+    def __mul__(self, other: PiValue | RatFunc | Scalar) -> PiValue:
+        if isinstance(other, PiValue):
+            return PiValue(self.value * other.value, self.pi_power + other.pi_power)
+        return PiValue(self.value * other, self.pi_power)
 
-    __rmul__ = __mul__
+    def __truediv__(self, other: PiValue | RatFunc | Scalar) -> PiValue:
+        if isinstance(other, PiValue):
+            return PiValue(self.value / other.value, self.pi_power - other.pi_power)
+        return PiValue(self.value / other, self.pi_power)
 
-    def __truediv__(self, other: PiScalar | Scalar) -> PiScalar:
-        if not isinstance(other, PiScalar):
-            return PiScalar(self.mantissa / other, self.pi_power)
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero PiScalar")
-        return PiScalar(self.mantissa / other.mantissa, self.pi_power - other.pi_power)
+    def evaluate(self, point: Sequence[Scalar]) -> PiValue:
+        """The value at a point of the chart: a RatFunc value becomes a Fraction."""
+        return PiValue(self.value.evaluate(point), self.pi_power)
+
+    def as_pi_free(self) -> Fraction | RatFunc:
+        if self.pi_power != 0:
+            raise PiPowerMismatchError(
+                f"value carries pi^{self.pi_power}, not exportable as rational"
+            )
+        return self.value
 
     def render(self) -> str:
-        if self.pi_power == 0 or self.is_zero:
-            return str(self.mantissa)
-        return f"({self.mantissa})*pi^{self.pi_power}"
-
-    def __repr__(self) -> str:
-        return f"PiScalar({self.render()!r})"
+        text = self.value.render() if isinstance(self.value, RatFunc) else str(self.value)
+        return text if self.pi_power == 0 else f"({text})*pi^{self.pi_power}"

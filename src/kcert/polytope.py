@@ -25,8 +25,9 @@ integer weights and no triangulation:
             C(k+l, l) C(a+b-k-l, b-l) u_i^k u_{i+1}^(a-k) v_i^l v_{i+1}^(b-l);
   * boundary integrals in the lattice measure (a primitive segment has
     length 1), edge by edge with p(t) = start + t*direction, t in [0, length].
-A numeric polygon (no variables) runs the same sums on Python ints: its
-coordinates and lattice lengths are scaled by L, the lcm of their
+A numeric polygon (no variables) holds Fractions: its lattice lengths and
+vertex coordinates, and the integrals it returns.  It runs the same sums on
+Python ints: coordinates and lattice lengths are scaled by L, the lcm of their
 denominators, and the sum is divided once, by L^(a+b+2) (a+b+2)! / (a! b!)
 (interior) or by L^(a+b+1) times the weight denominator (boundary).
 """
@@ -36,9 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Sequence
+from typing import Sequence, Union
 
-from .poly import MultiPoly, RatFunc, Scalar
+from .poly import MultiPoly, Scalar
 
 AREA_SLOTS = ("E3", "L13", "E1", "L12", "E2", "L23")
 EDGE_SLOTS = ("L13", "E1", "L12", "E2", "L23", "E3")
@@ -49,20 +50,27 @@ class PolygonError(ValueError):
     """Closure violation or invalid edge data."""
 
 
+Coordinate = Union[MultiPoly, Fraction]
+
+
+def _text(x: Coordinate) -> str:
+    return x.render() if isinstance(x, MultiPoly) else str(x)
+
+
 @dataclass(frozen=True)
 class AffinePoint:
-    """A vertex whose coordinates are degree <= 1 parameter polynomials."""
+    """A vertex: Fractions, or degree <= 1 parameter polynomials."""
 
-    u: MultiPoly
-    v: MultiPoly
+    u: Coordinate
+    v: Coordinate
 
     def __post_init__(self) -> None:
         for coord in (self.u, self.v):
-            if coord.total_degree() > 1:
+            if isinstance(coord, MultiPoly) and coord.total_degree() > 1:
                 raise ValueError(f"vertex coordinate has degree > 1: {coord.render()}")
 
     def render(self) -> str:
-        return f"({self.u.render()}, {self.v.render()})"
+        return f"({_text(self.u)}, {_text(self.v)})"
 
 
 @dataclass(frozen=True)
@@ -72,20 +80,25 @@ class ParamPolygon:
     variables: tuple[str, ...]
     vertices: tuple[AffinePoint, ...]
     edge_directions: tuple[tuple[int, int], ...]
-    edge_lattice_lengths: tuple[MultiPoly, ...]
+    edge_lattice_lengths: tuple[Coordinate, ...]
 
     def render(self) -> str:
         return "[" + ", ".join(p.render() for p in self.vertices) + "]"
 
 
-def _as_poly(value: MultiPoly | Scalar, variables: tuple[str, ...]) -> MultiPoly:
+def _as_area(value: MultiPoly | Scalar, variables: tuple[str, ...]) -> Coordinate:
+    """A Fraction when there are no variables, else a MultiPoly over them."""
     if isinstance(value, MultiPoly):
-        if value.variables != variables:
+        if not variables or value.variables != variables:
             raise ValueError(
-                f"area is over {value.variables}, expected {variables}"
+                f"area is over {value.variables}, expected {variables or 'a number'}"
             )
         return value
-    return MultiPoly.const(variables, value)
+    return MultiPoly.const(variables, value) if variables else Fraction(value)
+
+
+def _at(x: Coordinate, point: Sequence[Scalar]) -> Fraction:
+    return x.evaluate(point) if isinstance(x, MultiPoly) else x
 
 
 def build_polygon(
@@ -99,39 +112,37 @@ def build_polygon(
     closure relations a_L13 + a_E3 = a_L12 + a_E2 and a_L23 + a_E3 =
     a_L12 + a_E1 are checked as polynomial identities; lattice lengths must be
     nonnegative (and the area positive) at a strictly positive sample point,
-    by default all-ones.
+    by default all-ones.  With no variables the areas are numbers and the
+    polygon holds Fractions.
     """
     varlist = tuple(variables)
     if len(areas) != 6:
         raise PolygonError(f"expected 6 areas, got {len(areas)}")
-    polys = [_as_poly(a, varlist) for a in areas]
-    by_slot = dict(zip(AREA_SLOTS, polys))
+    by_slot = dict(zip(AREA_SLOTS, (_as_area(a, varlist) for a in areas)))
     closure_a = by_slot["L13"] + by_slot["E3"] - by_slot["L12"] - by_slot["E2"]
     closure_b = by_slot["L23"] + by_slot["E3"] - by_slot["L12"] - by_slot["E1"]
-    if not closure_a.is_zero or not closure_b.is_zero:
+    if closure_a or closure_b:
         raise PolygonError(
             "closure relations violated: "
-            f"L13+E3-L12-E2 = {closure_a.render()}, "
-            f"L23+E3-L12-E1 = {closure_b.render()}"
+            f"L13+E3-L12-E2 = {_text(closure_a)}, "
+            f"L23+E3-L12-E1 = {_text(closure_b)}"
         )
     lengths = tuple(by_slot[slot] for slot in EDGE_SLOTS)
     if sample_point is None:
         sample_point = (Fraction(1),) * len(varlist)
     for slot, length in zip(EDGE_SLOTS, lengths):
-        value = length.evaluate(sample_point)
+        value = _at(length, sample_point)
         if value < 0:
             raise PolygonError(
                 f"edge {slot} has negative lattice length {value} at the sample point"
             )
-    zero = MultiPoly.zero(varlist)
+    zero = by_slot["E3"] * 0  # of the areas' type
     vertices = [AffinePoint(by_slot["E3"], zero)]
     for (dx, dy), length in zip(EDGE_DIRECTIONS[:-1], lengths[:-1]):
         prev = vertices[-1]
-        vertices.append(
-            AffinePoint(prev.u + length.scale(dx), prev.v + length.scale(dy))
-        )
+        vertices.append(AffinePoint(prev.u + length * dx, prev.v + length * dy))
     polygon = ParamPolygon(varlist, tuple(vertices), EDGE_DIRECTIONS, lengths)
-    if integrate_monomial(polygon, 0, 0).evaluate(sample_point) <= 0:
+    if _at(integrate_monomial(polygon, 0, 0), sample_point) <= 0:
         raise PolygonError("polygon has nonpositive area at the sample point")
     return polygon
 
@@ -143,9 +154,9 @@ def _edge_data(polygon: ParamPolygon) -> tuple[list, list, list, object, int]:
     lengths = list(polygon.edge_lattice_lengths)
     if polygon.variables:
         return us, vs, lengths, MultiPoly.zero(polygon.variables), 1
-    values = [[c.constant_value() for c in group] for group in (us, vs, lengths)]
-    scale = lcm(*(q.denominator for group in values for q in group))
-    us, vs, lengths = ([q.numerator * (scale // q.denominator) for q in g] for g in values)
+    groups = (us, vs, lengths)
+    scale = lcm(*(q.denominator for group in groups for q in group))
+    us, vs, lengths = ([q.numerator * (scale // q.denominator) for q in g] for g in groups)
     return us, vs, lengths, 0, scale
 
 
@@ -157,13 +168,7 @@ def _powers(x, n: int) -> list:
     return out
 
 
-def _divide(polygon: ParamPolygon, total, divisor: int) -> MultiPoly:
-    if polygon.variables:
-        return total.scale(Fraction(1, divisor))
-    return MultiPoly.const((), Fraction(total, divisor))
-
-
-def integrate_monomial(polygon: ParamPolygon, a: int, b: int) -> MultiPoly:
+def integrate_monomial(polygon: ParamPolygon, a: int, b: int) -> Coordinate:
     """Exact interior integral of u^a v^b over the polygon (edge sum above)."""
     if a < 0 or b < 0:
         raise ValueError("monomial exponents must be nonnegative")
@@ -186,10 +191,10 @@ def integrate_monomial(polygon: ParamPolygon, a: int, b: int) -> MultiPoly:
                 inner = inner + u_term * v_terms[l] * weight
         total = total + cross * inner
     divisor = comb(a + b, a) * (a + b + 1) * (a + b + 2) * scale ** (a + b + 2)
-    return _divide(polygon, total, divisor)
+    return total * Fraction(1, divisor)
 
 
-def boundary_integral(polygon: ParamPolygon, a: int, b: int) -> MultiPoly:
+def boundary_integral(polygon: ParamPolygon, a: int, b: int) -> Coordinate:
     """Exact boundary integral of u^a v^b in the lattice measure.
 
     An edge from (u, v) along (dx, dy) adds sum_{p<=a, q<=b} C(a,p) C(b,q)
@@ -210,34 +215,26 @@ def boundary_integral(polygon: ParamPolygon, a: int, b: int) -> MultiPoly:
             for q in range(b + 1 if dy else 1):
                 weight = comb(a, p) * comb(b, q) * dx ** p * dy ** q * (common // (p + q + 1))
                 total = total + u_powers[a - p] * v_powers[b - q] * l_powers[p + q + 1] * weight
-    return _divide(polygon, total, common * scale ** (a + b + 1))
+    return total * Fraction(1, common * scale ** (a + b + 1))
 
 
-def lattice_perimeter(polygon: ParamPolygon) -> MultiPoly:
-    total = MultiPoly.zero(polygon.variables)
-    for length in polygon.edge_lattice_lengths:
-        total = total + length
-    return total
+def lattice_perimeter(polygon: ParamPolygon) -> Coordinate:
+    return sum(polygon.edge_lattice_lengths)
 
 
 @dataclass(frozen=True)
 class CentralMoments:
-    """Area, barycenter, and central second moments of a polygon.
+    """Area and central second moments of a polygon.
 
-    iuu = int u^2 - (int u)^2/area etc. as rational functions; puu/pvv/puv are
-    the numerators over the common denominator ``area`` (handy for assembling
-    larger expressions without denominator growth).
+    puu/pvv/puv are the central second moments times the area, e.g.
+    puu = area int u^2 - (int u)^2: numerators over the common denominator
+    ``area``, for assembling larger expressions without denominator growth.
     """
 
-    area: MultiPoly
-    u0: RatFunc
-    v0: RatFunc
-    iuu: RatFunc
-    ivv: RatFunc
-    iuv: RatFunc
-    puu: MultiPoly
-    pvv: MultiPoly
-    puv: MultiPoly
+    area: Coordinate
+    puu: Coordinate
+    pvv: Coordinate
+    puv: Coordinate
 
 
 def central_moment_numerators(area, m10, m01, m20, m11, m02) -> tuple:
@@ -248,22 +245,7 @@ def central_moment_numerators(area, m10, m01, m20, m11, m02) -> tuple:
 
 def central_second_moments(polygon: ParamPolygon) -> CentralMoments:
     area = integrate_monomial(polygon, 0, 0)
-    if area.is_zero:
-        raise PolygonError("polygon area polynomial is identically zero")
-    m10 = integrate_monomial(polygon, 1, 0)
-    m01 = integrate_monomial(polygon, 0, 1)
-    m20 = integrate_monomial(polygon, 2, 0)
-    m11 = integrate_monomial(polygon, 1, 1)
-    m02 = integrate_monomial(polygon, 0, 2)
-    puu, pvv, puv = central_moment_numerators(area, m10, m01, m20, m11, m02)
-    return CentralMoments(
-        area=area,
-        u0=RatFunc.make(m10, area),
-        v0=RatFunc.make(m01, area),
-        iuu=RatFunc.make(puu, area),
-        ivv=RatFunc.make(pvv, area),
-        iuv=RatFunc.make(puv, area),
-        puu=puu,
-        pvv=pvv,
-        puv=puv,
-    )
+    if not area:
+        raise PolygonError("polygon area is identically zero")
+    moments = (integrate_monomial(polygon, a, b) for a, b in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+    return CentralMoments(area, *central_moment_numerators(area, *moments))

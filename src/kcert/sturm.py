@@ -33,6 +33,10 @@ def sturm_chain(p: Coeffs) -> list[Coeffs]:
 
 
 def sign_variations(chain: list[Coeffs], x: Fraction) -> int:
+    if univar.evaluate(chain[-1], x) == 0:
+        # x is a multiple root of p, where every member vanishes: count on the
+        # chain divided by its last member, gcd(p, p') up to a constant
+        chain = [univar.exact_div(member, chain[-1]) for member in chain]
     signs = []
     for member in chain:
         value = univar.evaluate(member, x)
@@ -46,14 +50,6 @@ def count_roots(chain: list[Coeffs], lo: Fraction, hi: Fraction) -> int:
     if lo >= hi:
         raise ValueError("empty interval")
     return sign_variations(chain, lo) - sign_variations(chain, hi)
-
-
-def _nudge_endpoint(p: Coeffs, x: Fraction, step: Fraction, direction: int) -> Fraction:
-    """Shift x inward by halving steps until p does not vanish there."""
-    while univar.evaluate(p, x) == 0:
-        x = x + direction * step
-        step = step / 2
-    return x
 
 
 @dataclass(frozen=True)
@@ -81,11 +77,13 @@ def sturm_isolate(
     interval: tuple[Fraction, Fraction],
     target_width: Fraction,
 ) -> tuple[list[tuple[Fraction, Fraction]], SturmData]:
-    """Isolate every real root of a one-variable polynomial in an interval.
+    """Isolate every real root of a one-variable polynomial in (lo, hi].
 
-    Returns disjoint rational intervals, each certified by the Sturm chain to
-    contain exactly one root and each of width <= target_width, together with
-    the chain and the query log.
+    Returns disjoint half-open rational intervals (a, b], each certified by
+    the Sturm chain to contain exactly one root and each of width <=
+    target_width, together with the chain and the query log.  Counts stay
+    valid at roots of p, so a root at hi or at a bisection midpoint is
+    reported, and one at lo is not.
     """
     if target_width <= 0:
         raise ValueError("target width must be positive")
@@ -95,9 +93,6 @@ def sturm_isolate(
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     if lo >= hi:
         raise ValueError("empty interval")
-    width = hi - lo
-    lo = _nudge_endpoint(coeffs, lo, width / 1024, +1)
-    hi = _nudge_endpoint(coeffs, hi, width / 1024, -1)
     chain = sturm_chain(coeffs)
     queries: list[tuple[Fraction, Fraction, int]] = []
 
@@ -116,7 +111,6 @@ def sturm_isolate(
             isolated.append((a, b))
             continue
         mid = (a + b) / 2
-        mid = _nudge_endpoint(coeffs, mid, (b - a) / 1024, +1)
         left = counted(a, mid)
         stack.append((mid, b, n - left))
         stack.append((a, mid, left))

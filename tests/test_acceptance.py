@@ -30,7 +30,7 @@ from kcert.delpezzo import (
 )
 from kcert.exprparse import parse_expression
 from kcert.functional import evaluate_calA_on_areas, futaki_boundary
-from kcert.poly import MultiPoly, PiScalar, RatFunc, coefficients_all_nonneg
+from kcert.poly import MultiPoly, PiValue, RatFunc, coefficients_all_nonneg
 from kcert.polytope import build_polygon, integrate_monomial, lattice_perimeter
 from kcert.sampling import DEFAULT_SEED, SplitMix64
 from kcert.sturm import count_roots, sturm_chain, sturm_isolate
@@ -65,12 +65,12 @@ def test_criterion_1_moment_pipeline(bundle_k2, bundle_k3):
     }
     den288 = parse_expression(f"144 {v2}", BG)
     den576 = parse_expression(f"288 {v2}", BG)
-    assert bundle_k2.a.rf.equals(RatFunc.make(parse_expression(texts["a"], BG), den288))
-    assert bundle_k2.b.rf.equals(RatFunc.make(parse_expression(texts["b"], BG), den288))
-    assert bundle_k2.c.rf.equals(RatFunc.make(parse_expression(texts["c"], BG), den576))
+    assert bundle_k2.a.value.equals(RatFunc.make(parse_expression(texts["a"], BG), den288))
+    assert bundle_k2.b.value.equals(RatFunc.make(parse_expression(texts["b"], BG), den288))
+    assert bundle_k2.c.value.equals(RatFunc.make(parse_expression(texts["c"], BG), den576))
     for name in ("A", "B", "C"):
         assert fixture_comparison("k3", name)[1].kind == "EXACT"
-    assert bundle_k2.a.evaluate((1, 1)) == PiScalar(Fraction(265, 1008), -2)
+    assert bundle_k2.a.evaluate((1, 1)) == PiValue(Fraction(265, 1008), -2)
     _passline(1, "moment pipeline identities")
 
 

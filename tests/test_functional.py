@@ -7,7 +7,6 @@ import pytest
 from kcert.delpezzo import AreaVector, K2_CHART, K3_CHART, c1_class, cremona
 from kcert.exprparse import parse_expression
 from kcert.functional import (
-    PiRatFunc,
     average_scalar_curvature,
     evaluate_calA_on_areas,
     evaluate_futaki_on_areas,
@@ -16,7 +15,7 @@ from kcert.functional import (
     futaki_closed_form,
     futaki_norm_sq,
 )
-from kcert.poly import MultiPoly, PiPowerMismatchError, PiScalar, RatFunc
+from kcert.poly import MultiPoly, PiPowerMismatchError, PiValue, RatFunc
 from kcert.sampling import SplitMix64
 
 BG = K2_CHART.variables
@@ -42,8 +41,13 @@ def test_boundary_route_matches_closed_form_symbolically(bundle_k2, bundle_k3):
 
 
 def test_boundary_spot_value():
-    f1, _ = futaki_boundary([Fraction(0), 2, 1, 1, 1, 2])
-    assert f1.evaluate(()) == Fraction(-2, 3)
+    f1, _ = evaluate_futaki_on_areas([Fraction(0), 2, 1, 1, 1, 2])
+    assert f1 == Fraction(-2, 3)
+
+
+def test_futaki_boundary_rejects_numeric_areas():
+    with pytest.raises(ValueError, match="evaluate_futaki_on_areas"):
+        futaki_boundary([Fraction(0), 2, 1, 1, 1, 2])
 
 
 def test_anticanonical_hexagon_obstruction_vanishes():
@@ -52,9 +56,9 @@ def test_anticanonical_hexagon_obstruction_vanishes():
 
 def test_moment_matrix_entries_carry_pi(bundle_k2):
     value = bundle_k2.a.evaluate((1, 1))
-    assert value == PiScalar(Fraction(265, 1008), -2)
-    assert bundle_k2.b.evaluate((1, 1)) == PiScalar(Fraction(265, 1008), -2)
-    assert bundle_k2.c.evaluate((1, 1)) == PiScalar(Fraction(-121, 2016), -2)
+    assert value == PiValue(Fraction(265, 1008), -2)
+    assert bundle_k2.b.evaluate((1, 1)) == PiValue(Fraction(265, 1008), -2)
+    assert bundle_k2.c.evaluate((1, 1)) == PiValue(Fraction(-121, 2016), -2)
     with pytest.raises(PiPowerMismatchError):
         bundle_k2.a.as_pi_free()
 
@@ -74,10 +78,10 @@ def test_k2_moment_brackets_match_transcribed_displays(bundle_k2):
     )
     c_text = "-(1 + 6 (1 + beta) (1 + gamma) (beta + gamma + 3 beta gamma))"
     den = parse_expression(f"144 {v2}", BG)
-    assert bundle_k2.a.rf.equals(RatFunc.make(parse_expression(a_text, BG), den))
-    assert bundle_k2.b.rf.equals(RatFunc.make(parse_expression(b_text, BG), den))
+    assert bundle_k2.a.value.equals(RatFunc.make(parse_expression(a_text, BG), den))
+    assert bundle_k2.b.value.equals(RatFunc.make(parse_expression(b_text, BG), den))
     c_den = parse_expression(f"288 {v2}", BG)
-    assert bundle_k2.c.rf.equals(RatFunc.make(parse_expression(c_text, BG), c_den))
+    assert bundle_k2.c.value.equals(RatFunc.make(parse_expression(c_text, BG), c_den))
 
 
 def test_norm_sq_generic_op_k2_spot(bundle_k2):
@@ -85,27 +89,27 @@ def test_norm_sq_generic_op_k2_spot(bundle_k2):
         bundle_k2.f1, bundle_k2.f2, bundle_k2.a, bundle_k2.b, bundle_k2.c
     )
     assert norm.pi_power == 2
-    second = norm / PiScalar(Fraction(32), 2)
+    second = norm / PiValue(Fraction(32), 2)
     assert second.pi_power == 0
-    assert second.rf.evaluate((1, 1)) == Fraction(56, 409)
-    assert second.rf.equals(bundle_k2.futaki_norm_sq_over_32pi2)
+    assert second.value.evaluate((1, 1)) == Fraction(56, 409)
+    assert second.value.equals(bundle_k2.futaki_norm_sq_over_32pi2)
 
 
 def test_norm_sq_generic_op_matches_structured_k3(bundle_k3):
     norm = futaki_norm_sq(
         bundle_k3.f1, bundle_k3.f2, bundle_k3.a, bundle_k3.b, bundle_k3.c
     )
-    second = norm / PiScalar(Fraction(32), 2)
+    second = norm / PiValue(Fraction(32), 2)
     rng = SplitMix64(3)
     for _ in range(10):
         point = rng.point(3)
-        assert second.rf.evaluate(point) == bundle_k3.futaki_norm_sq_over_32pi2.evaluate(point)
+        assert second.value.evaluate(point) == bundle_k3.futaki_norm_sq_over_32pi2.evaluate(point)
 
 
 def test_norm_sq_zero_obstruction(bundle_k2):
     zero = RatFunc.const(BG, 0)
     norm = futaki_norm_sq(zero, zero, bundle_k2.a, bundle_k2.b, bundle_k2.c)
-    assert norm.rf.is_zero
+    assert norm.value.is_zero
 
 
 def test_norm_vanishes_identically_on_equal_areas_plane(bundle_k3):
@@ -165,6 +169,27 @@ def test_obstruction_on_areas_matches_the_chart(chart_id, bundle_k2, bundle_k3):
             assert evaluate_futaki_on_areas(scaled) == tuple(d * d * f for f in expected)
 
 
+def test_numeric_route_builds_no_polynomial(monkeypatch):
+    # SplitMix64 classes with delta > 0, the Cremona image (delta < 0) and the
+    # E3 = 0 pentagon, plus the anticanonical hexagon
+    rng = SplitMix64(0x5EED)
+    classes = [AreaVector.from_abcd(1, 1, 1, 0)]
+    for _ in range(4):
+        alpha, beta, gamma, delta = (rng.rational() for _ in range(4))
+        areas = AreaVector.from_abcd(alpha, beta, gamma, delta)
+        classes += [areas, cremona(areas), AreaVector.from_abcd(0, beta, gamma, delta)]
+    expected = [(evaluate_calA_on_areas(a), evaluate_futaki_on_areas(a)) for a in classes]
+
+    def no_polynomial(*args, **kwargs):
+        raise AssertionError("the numeric route built a polynomial")
+
+    monkeypatch.setattr(MultiPoly, "__init__", no_polynomial)
+    monkeypatch.setattr(MultiPoly, "_build", staticmethod(no_polynomial))
+    for areas, (value, futaki) in zip(classes, expected):
+        assert evaluate_calA_on_areas(areas) == value
+        assert evaluate_futaki_on_areas(areas) == futaki
+
+
 def test_objective_at_anticanonical_class():
     assert evaluate_calA_on_areas([Fraction(1)] * 6) == 6
 
@@ -199,14 +224,14 @@ def test_average_scalar_curvature_identity(bundle_k2, bundle_k3):
         s0 = average_scalar_curvature(bundle.chart)
         assert s0.pi_power == 1
         lhs = s0 * s0 * bundle.volume
-        rhs = PiRatFunc(
+        rhs = PiValue(
             RatFunc.make(
                 (bundle.c1_pairing * bundle.c1_pairing).scale(32),
                 bundle.volume.scale(2),
             ),
             2,
         )
-        assert lhs.equals(rhs)
+        assert lhs == rhs
 
 
 def test_exported_objective_is_pi_free(bundle_k2):
@@ -215,7 +240,7 @@ def test_exported_objective_is_pi_free(bundle_k2):
     )
     with pytest.raises(PiPowerMismatchError):
         norm.as_pi_free()
-    assert (norm / PiScalar(Fraction(32), 2)).as_pi_free() is not None
+    assert (norm / PiValue(Fraction(32), 2)).as_pi_free() is not None
 
 
 def test_unsupported_chart_rejected():

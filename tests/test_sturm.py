@@ -40,13 +40,44 @@ def test_count_distinct_roots():
 
 
 def test_isolation_handles_root_at_endpoint():
-    # root exactly at an interval endpoint triggers the exact nudge
+    # roots exactly at interval endpoints: the interval is half-open (lo, hi]
     p = poly_from_coeffs([0, 1])  # x
     intervals, _ = sturm_isolate(p, (Fraction(0), Fraction(1)), Fraction(1, 16))
-    assert intervals == []  # nudged off zero, no root strictly inside
+    assert intervals == []  # the root at lo = 0 is outside (0, 1]
     p2 = poly_from_coeffs([-1, 0, 1])  # x^2 - 1, roots at +-1
     intervals, _ = sturm_isolate(p2, (Fraction(-1), Fraction(2)), Fraction(1, 16))
     assert len(intervals) == 1
+
+
+def test_isolation_keeps_roots_next_to_an_endpoint():
+    # each root lies within width/1024 of a root at an endpoint
+    width = Fraction(1, 2 ** 20)
+    p = poly_from_coeffs([1025, -2049, 1024])  # (x - 1)(1024x - 1025)
+    intervals, data = sturm_isolate(p, (Fraction(1), Fraction(2)), width)
+    assert len(intervals) == 1 and recheck_sturm_data(data)
+    lo, hi = intervals[0]
+    assert lo < Fraction(1025, 1024) <= hi and hi - lo <= width
+    p = poly_from_coeffs([0, -1, 2048])  # x (2048x - 1)
+    intervals, data = sturm_isolate(p, (Fraction(0), Fraction(2)), width)
+    assert len(intervals) == 1 and recheck_sturm_data(data)
+    lo, hi = intervals[0]
+    assert lo < Fraction(1, 2048) <= hi and hi - lo <= width
+    # a root at hi is reported
+    intervals, _ = sturm_isolate(p, (Fraction(-1), Fraction(1, 2048)), width)
+    assert len(intervals) == 2 and intervals[-1][1] == Fraction(1, 2048)
+
+
+def test_counts_at_a_multiple_root():
+    # (x - 1)^2 (x - 3): every chain member vanishes at the double root 1
+    coeffs = tuple(map(Fraction, (-3, 7, -5, 1)))
+    chain = sturm_chain(coeffs)
+    assert count_roots(chain, Fraction(0), Fraction(1)) == 1
+    assert count_roots(chain, Fraction(1), Fraction(4)) == 1
+    assert count_roots(chain, Fraction(1), Fraction(2)) == 0
+    # bisecting (0, 4] reaches the double root 1 as a midpoint
+    intervals, _ = sturm_isolate(poly_from_coeffs(coeffs), (Fraction(0), Fraction(4)), Fraction(1, 64))
+    assert len(intervals) == 2
+    assert intervals[0][0] < 1 <= intervals[0][1] and intervals[1][0] < 3 <= intervals[1][1]
 
 
 def test_zero_polynomial_rejected():
