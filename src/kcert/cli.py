@@ -35,7 +35,7 @@ from .certify import (
 )
 from .delpezzo import CHARTS
 from .functional import build_bundle, bundle_summary, restrict_diagonal
-from .sampling import DEFAULT_SEED
+from .sampling import DEFAULT_SEED, check_seed
 from .sturm import sturm_isolate
 
 
@@ -76,6 +76,7 @@ class RunConfig:
             raise ValueError("isolation_width must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        check_seed(self.seed)
 
     def as_dict(self) -> dict:
         return {

@@ -29,6 +29,9 @@ Conventions:
     is formed by Kronecker substitution: one big-integer product, in slots
     of nb bytes with 2^(8*nb-1) > max|a|*max|b|*min(#a, #b), a bound on every
     output numerator.  Other products loop over term pairs;
+  * a directional second derivative of N/D has denominator exactly D^3,
+    formed once per distinct denominator per process (``_cube``, keyed on
+    D by value) and shared by every direction;
   * a quantity that carries a power of pi is one ``PiValue``: a Fraction or
     a RatFunc times pi^n, whichever the computation produced.
 """
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
@@ -683,6 +687,8 @@ def directional_second_derivative(f: RatFunc, direction: Sequence[int]) -> RatFu
     coefficient signs are those of this structural form (which positivity
     certificates inspect directly).  It is formed as the same polynomial
     (N_vv*D - 2*N_v*D_v - N*D_vv)*D + 2*N*(D_v*D_v), with one product by D.
+    D^3 does not depend on the direction: it is formed once per denominator
+    per process, and every result over D shares that one immutable object.
     """
     if len(direction) != len(f.variables):
         raise ValueError("direction length must match the variable count")
@@ -692,7 +698,13 @@ def directional_second_derivative(f: RatFunc, direction: Sequence[int]) -> RatFu
     n_vv = directional_derivative(n_v, direction)
     d_vv = directional_derivative(d_v, direction)
     numerator = (n_vv * d - (n_v * d_v).scale(2) - n * d_vv) * d + (n * (d_v * d_v)).scale(2)
-    return RatFunc(numerator, d ** 3)
+    return RatFunc(numerator, _cube(d))
+
+
+@lru_cache(maxsize=None)
+def _cube(d: MultiPoly) -> MultiPoly:
+    """D^3, keyed on D by value (MultiPoly is immutable and hashes its terms)."""
+    return d ** 3
 
 
 @dataclass(frozen=True)

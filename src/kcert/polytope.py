@@ -28,13 +28,14 @@ integer weights and no triangulation:
 A numeric polygon (no variables) holds Fractions: its lattice lengths and
 vertex coordinates, and the integrals it returns.  It runs the same sums on
 Python ints: coordinates and lattice lengths are scaled by L, the lcm of their
-denominators, and the sum is divided once, by L^(a+b+2) (a+b+2)! / (a! b!)
-(interior) or by L^(a+b+1) times the weight denominator (boundary).
+denominators, once when the polygon is made, and the sum is divided once, by
+L^(a+b+2) (a+b+2)! / (a! b!) (interior) or by L^(a+b+1) times the weight
+denominator (boundary).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 from typing import Sequence, Union
@@ -69,21 +70,34 @@ class AffinePoint:
             if isinstance(coord, MultiPoly) and coord.total_degree() > 1:
                 raise ValueError(f"vertex coordinate has degree > 1: {coord.render()}")
 
-    def render(self) -> str:
-        return f"({_text(self.u)}, {_text(self.v)})"
-
 
 @dataclass(frozen=True)
 class ParamPolygon:
-    """Cyclically ordered CCW vertex list with the fixed del Pezzo fan."""
+    """Cyclically ordered CCW vertex list with the fixed del Pezzo fan.
+
+    A numeric polygon (no variables) also holds ``scaled``: its u's, v's and
+    lattice lengths as ints scaled by L, the lcm of their denominators, and
+    L itself, made once here for every integral over it; None otherwise.
+    """
 
     variables: tuple[str, ...]
     vertices: tuple[AffinePoint, ...]
     edge_directions: tuple[tuple[int, int], ...]
     edge_lattice_lengths: tuple[Coordinate, ...]
+    scaled: tuple | None = field(init=False, repr=False, compare=False)
 
-    def render(self) -> str:
-        return "[" + ", ".join(p.render() for p in self.vertices) + "]"
+    def __post_init__(self) -> None:
+        scaled = None
+        if not self.variables:
+            groups = (
+                [p.u for p in self.vertices],
+                [p.v for p in self.vertices],
+                self.edge_lattice_lengths,
+            )
+            scale = lcm(*(q.denominator for group in groups for q in group))
+            ints = (tuple(q.numerator * (scale // q.denominator) for q in g) for g in groups)
+            scaled = (*ints, scale)
+        object.__setattr__(self, "scaled", scaled)
 
 
 def _as_area(value: MultiPoly | Scalar, variables: tuple[str, ...]) -> Coordinate:
@@ -147,17 +161,14 @@ def build_polygon(
     return polygon
 
 
-def _edge_data(polygon: ParamPolygon) -> tuple[list, list, list, object, int]:
+def _edge_data(polygon: ParamPolygon) -> tuple[Sequence, Sequence, Sequence, object, int]:
     """(u's, v's, lattice lengths, zero, L) in the type the edge sums run on:
-    MultiPolys with L = 1, or for a numeric polygon ints scaled by L."""
+    MultiPolys with L = 1, or for a numeric polygon its ints scaled by L."""
+    if polygon.scaled is not None:
+        us, vs, lengths, scale = polygon.scaled
+        return us, vs, lengths, 0, scale
     us, vs = [p.u for p in polygon.vertices], [p.v for p in polygon.vertices]
-    lengths = list(polygon.edge_lattice_lengths)
-    if polygon.variables:
-        return us, vs, lengths, MultiPoly.zero(polygon.variables), 1
-    groups = (us, vs, lengths)
-    scale = lcm(*(q.denominator for group in groups for q in group))
-    us, vs, lengths = ([q.numerator * (scale // q.denominator) for q in g] for g in groups)
-    return us, vs, lengths, 0, scale
+    return us, vs, polygon.edge_lattice_lengths, MultiPoly.zero(polygon.variables), 1
 
 
 def _powers(x, n: int) -> list:

@@ -14,11 +14,22 @@ DEFAULT_SEED = 0xC0FFEE
 _MASK = (1 << 64) - 1
 
 
+def check_seed(seed: int) -> int:
+    """The seed itself, or ValueError when it lies outside 0..2^64-1.
+
+    A seed is one 64-bit state word; reducing it mod 2^64 would give -1 the
+    stream of 2^64-1 while reports echo -1.
+    """
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
+    return seed
+
+
 class SplitMix64:
     """64-bit splitmix generator; deterministic and platform independent."""
 
     def __init__(self, seed: int = DEFAULT_SEED):
-        self._state = seed & _MASK
+        self._state = check_seed(seed)
 
     def next_u64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK

@@ -160,6 +160,25 @@ def test_invalid_jobs_flag_is_usage_error(capsys):
     assert "jobs must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_out_of_range_seed_flag_is_usage_error(seed, capsys):
+    # masking to 64 bits would run -1 as 2^64-1 while the report echoed -1
+    assert run(["verify", "--lemma", "veritas", "--seed", seed, "--no-timing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"seed must be in 0..2^64-1, got {seed}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+def test_seed_range_ends_run(seed, capsys):
+    args = ["verify", "--lemma", "veritas", "--samples", "2", "--seed", str(seed)]
+    assert run(args + ["--no-timing", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["seed"] == seed
+    assert payload["lemmas"][0]["witnesses"]["V_samples"] == 1
+
+
 def test_zero_fixture_denominator_is_usage_error(tmp_path, capsys):
     fixtures = tmp_path / "fixtures"
     shutil.copytree(certify.FIXTURES_DIR, fixtures)
@@ -241,6 +260,8 @@ def test_env_config_override(tmp_path, monkeypatch, capsys):
         ('{"samples": 7}', "unknown KCERT_CONFIG key 'samples'"),
         ('{"sample_count": 0}', "sample_count must be >= 1"),
         ('{"jobs": 0}', "jobs must be >= 1"),
+        ('{"seed": -1}', "seed must be in 0..2^64-1, got -1"),
+        ('{"seed": 18446744073709551616}', "seed must be in 0..2^64-1"),
     ],
 )
 def test_bad_env_config_is_usage_error(text, message, tmp_path, monkeypatch, capsys):

@@ -100,6 +100,65 @@ def test_second_derivative_numerator_is_the_literal_form(chart, direction):
     assert d2.den == d * d * d
 
 
+def test_second_derivative_k3_matches_uncached_reference():
+    """Antidiagonals and a seeded direction: the structural form over a D^3
+    formed here, with no cache, and one shared cube object across directions."""
+    f = build_bundle(K3_CHART).calA
+    n, d = f.num, f.den
+    cube = d ** 3
+    rng = SplitMix64(0xD2)
+    seeded = tuple((-3, -2, -1, 1, 2, 3)[rng.below(6)] for _ in range(3))
+    results = []
+    for direction in ((1, -1, 0), (0, 1, -1), (1, 0, -1), seeded):
+        n_v = directional_derivative(n, direction)
+        d_v = directional_derivative(d, direction)
+        n_vv = directional_derivative(n_v, direction)
+        d_vv = directional_derivative(d_v, direction)
+        numerator = (n_vv * d - 2 * n_v * d_v - n * d_vv) * d + 2 * n * (d_v * d_v)
+        d2 = directional_second_derivative(f, direction)
+        assert d2.num == numerator
+        assert d2.den == cube
+        results.append(d2)
+    assert all(d2.den is results[0].den for d2 in results)
+
+
+def test_second_derivative_forms_each_cube_once(monkeypatch):
+    """A cold call makes 8 products, a warm one 6: D^3 costs two."""
+    beta, gamma = gens()
+    f = RatFunc(beta ** 3 - gamma, 5 + 3 * beta * gamma ** 2 + 7 * gamma ** 3)
+    products = 0
+    mul = MultiPoly.__mul__
+
+    def counting(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    poly._cube.cache_clear()  # the first call is cold however the suite is run
+    counts = []
+    for direction in ((1, -1), (2, 1)):
+        products = 0
+        directional_second_derivative(f, direction)
+        counts.append(products)
+    assert counts == [8, 6]
+
+
+def test_second_derivative_cube_per_denominator():
+    beta, gamma = gens()
+    f = RatFunc(beta, 1 + beta + gamma)
+    g = RatFunc(beta, 2 + beta + gamma)
+    f2 = directional_second_derivative(f, (1, -1))
+    g2 = directional_second_derivative(g, (1, -1))
+    assert f2.den == f.den ** 3
+    assert g2.den == g.den ** 3
+    assert f2.den != g2.den
+    # an equal denominator built separately finds the same cube
+    h = RatFunc(gamma, 1 + gamma + beta)
+    assert h.den is not f.den
+    assert directional_second_derivative(h, (1, 1)).den is f2.den
+
+
 def _lagrange_second_derivative_at_zero(points):
     """g''(0) for the exact polynomial interpolating (t, value) pairs."""
     total = Fraction(0)

@@ -72,6 +72,17 @@ def test_anticanonical_hexagon():
     assert type(perimeter) is Fraction and perimeter == 6
 
 
+def test_numeric_polygon_holds_its_scaled_ints():
+    polygon = build_polygon(AreaVector.from_abcd(Fraction(1, 2), Fraction(2, 3), 1, 1).as_tuple())
+    us, vs, lengths, scale = polygon.scaled
+    assert scale == 6
+    assert [Fraction(u, scale) for u in us] == [p.u for p in polygon.vertices]
+    assert [Fraction(v, scale) for v in vs] == [p.v for p in polygon.vertices]
+    assert [Fraction(n, scale) for n in lengths] == list(polygon.edge_lattice_lengths)
+    assert all(type(n) is int for group in (us, vs, lengths) for n in group)
+    assert k2_polygon().scaled is None
+
+
 def test_closure_violation_rejected():
     with pytest.raises(PolygonError):
         build_polygon([1, 1, 1, 1, 1, 2])

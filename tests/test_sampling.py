@@ -32,3 +32,15 @@ def test_below_rejects_bounds_outside_one_word(bound):
     worker.join(timeout=10)
     assert not worker.is_alive(), f"below({bound}) did not return"
     assert len(outcome) == 1 and isinstance(outcome[0], ValueError)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seed_outside_one_word_is_rejected(seed):
+    with pytest.raises(ValueError, match="seed must be in 0..2"):
+        SplitMix64(seed)
+
+
+def test_seed_range_ends_are_distinct_streams():
+    low, high = SplitMix64(0), SplitMix64((1 << 64) - 1)
+    assert low.next_u64() == 16294208416658607535
+    assert high.next_u64() == 16490336266968443936
