@@ -34,6 +34,7 @@ from .certify import (
     run_lemma,
 )
 from .delpezzo import CHARTS
+from .exprparse import FixtureError
 from .functional import build_bundle, bundle_summary, restrict_diagonal
 from .sampling import DEFAULT_SEED, check_seed
 from .sturm import sturm_isolate
@@ -422,6 +423,9 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except FixtureError as exc:
+        print(f"fixture error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

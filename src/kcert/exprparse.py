@@ -8,7 +8,10 @@ Grammar (whitespace and line breaks insignificant, juxtaposition multiplies):
     base   := nat | symbol | '(' expr ')'
 
 A unary minus is accepted only at the start of an expression or parenthesis
-group.  Exponents above 64 are rejected.  Syntax errors carry line/column.
+group.  Exponents above 64 are rejected.  Syntax errors carry line/column, and
+so do the arithmetic's limits: a literal longer than the interpreter's
+int-string digit limit, or a product whose degree reaches the polynomial
+exponent guard.
 
 Fixture files hold one transcribed display each::
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 from typing import Sequence
 
@@ -117,6 +121,19 @@ class _Parser:
         token = self.peek()
         return ParseError(message, token.line, token.column)
 
+    @staticmethod
+    def at(token: _Token, operation, *operands):
+        """``operation(*operands)``, with a ValueError raised as a ParseError at ``token``.
+
+        Such errors are limits of the arithmetic rather than syntax: a literal
+        longer than the interpreter's int-string digit limit, or a product
+        reaching the polynomial exponent guard.
+        """
+        try:
+            return operation(*operands)
+        except ValueError as exc:
+            raise ParseError(str(exc), token.line, token.column) from exc
+
     def parse(self) -> MultiPoly:
         value = self.expr()
         if self.peek().kind != "END":
@@ -147,13 +164,11 @@ class _Parser:
             token = self.peek()
             if token.kind == "OP" and token.text == "*":
                 self.advance()
-                value = value * self.factor()
-            elif token.kind in ("NAT", "SYMBOL") or (
+            elif not (token.kind in ("NAT", "SYMBOL") or (
                 token.kind == "OP" and token.text == "("
-            ):
-                value = value * self.factor()
-            else:
+            )):
                 return value
+            value = self.at(token, mul, value, self.factor())
 
     def factor(self) -> MultiPoly:
         value = self.base()
@@ -164,21 +179,21 @@ class _Parser:
             if exp_token.kind != "NAT":
                 raise self.fail("expected a natural-number exponent after '^'")
             self.advance()
-            exponent = int(exp_token.text)
+            exponent = self.at(exp_token, int, exp_token.text)
             if exponent > MAX_EXPONENT:
                 raise ParseError(
                     f"exponent {exponent} exceeds the {MAX_EXPONENT} limit",
                     exp_token.line,
                     exp_token.column,
                 )
-            value = value ** exponent
+            value = self.at(exp_token, pow, value, exponent)
         return value
 
     def base(self) -> MultiPoly:
         token = self.peek()
         if token.kind == "NAT":
             self.advance()
-            return MultiPoly.const(self.variables, int(token.text))
+            return MultiPoly.const(self.variables, self.at(token, int, token.text))
         if token.kind == "SYMBOL":
             if token.text not in self.variables:
                 raise ParseError(
@@ -265,11 +280,13 @@ def load_fixture(path: str | Path) -> tuple[FixtureFile, RatFunc]:
         provenance=meta.get("provenance", ""),
         path=str(path),
     )
-    try:
-        num = parse_expression(numerator_text, variables)
-        den = parse_expression(denominator_text, variables)
-    except ParseError as exc:
-        raise FixtureError(f"{fixture.name}: {exc}") from exc
+    parts = []
+    for section, text in (("numerator", numerator_text), ("denominator", denominator_text)):
+        try:
+            parts.append(parse_expression(text, variables))
+        except ParseError as exc:
+            raise FixtureError(f"{fixture.name}: [{section}] {exc}") from exc
+    num, den = parts
     if den.is_zero:
         raise FixtureError(f"{fixture.name}: [denominator] is the zero polynomial")
     return fixture, RatFunc.make(num, den)

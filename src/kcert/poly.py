@@ -26,9 +26,15 @@ Conventions:
     ``MultiPoly.evaluate``);
   * a product of at least 16 term pairs whose exponent box
     prod_i(deg_a,i + deg_b,i + 1) has no more slots than pairs is dense and
-    is formed by Kronecker substitution: one big-integer product, in slots
-    of nb bytes with 2^(8*nb-1) > max|a|*max|b|*min(#a, #b), a bound on every
-    output numerator.  Other products loop over term pairs;
+    is formed by Kronecker substitution in decimal slots: one multiply of
+    the standard library's ``decimal`` (libmpdec, which multiplies large
+    operands by a number-theoretic transform), in slots of k digits with
+    10^(k-1) > max|a|*max|b|*min(#a, #b), a bound on every output
+    numerator.  The multiply runs in a private context, always passed
+    explicitly, that holds every integer exactly and traps any rounding;
+    the thread's decimal context is never read or set.  A dense product
+    whose k exceeds ``sys.get_int_max_str_digits()`` (its slots could not
+    pass through ``int``) loops over term pairs, as other products do;
   * a directional second derivative of N/D has denominator exactly D^3,
     formed once per distinct denominator per process (``_cube``, keyed on
     D by value) and shared by every direction;
@@ -38,12 +44,25 @@ Conventions:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+)
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
+from struct import iter_unpack
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
@@ -71,6 +90,33 @@ def grevlex_key(exponents: Exponents) -> tuple:
 _PACK_BITS = 24
 
 _DENSE_MIN_PAIRS = 16  # fewest term pairs for which a product may be dense
+
+# Every dense product runs in this context, always passed explicitly: it holds
+# any integer exactly, and a digit that would be lost raises instead of rounding.
+_EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[Inexact, Rounded, InvalidOperation, Overflow],
+)
+
+
+def _decimal(digits: bytes | bytearray) -> Decimal:
+    return _EXACT.create_decimal(digits.decode("ascii"))
+
+
+def _slot_width(a: MultiPoly, b: MultiPoly) -> int:
+    """Digits k of a decimal slot with 10^(k-1) > min(#a, #b) * max|a| * max|b|.
+
+    That bounds every numerator of a*b, a sum of at most min(#a, #b) products.
+    """
+    bound = min(len(a.numerators), len(b.numerators))
+    for poly in (a, b):
+        bound *= max(map(abs, poly.numerators.values()))
+    digits = bound.bit_length() * 1233 >> 12  # digits of bound, or fewer
+    while 10 ** digits <= bound:
+        digits += 1
+    return digits + 1
 
 
 def _pack(exponents: Exponents) -> int:
@@ -232,10 +278,13 @@ class MultiPoly:
 
         A product of at least 16 term pairs whose exponent box
         prod_i(deg_a,i + deg_b,i + 1) holds no more slots than pairs goes
-        through Kronecker substitution (``_mul_dense``), in slots of nb bytes
-        with 2^(8*nb-1) > max|a|*max|b|*min(#a, #b): an output numerator is
-        a sum of at most min(#a, #b) products.  Others loop over term pairs.
-        Either way the numerators multiply as ints over the product of dens.
+        through Kronecker substitution (``_mul_dense``), in decimal slots of
+        k digits with 10^(k-1) > max|a|*max|b|*min(#a, #b): an output
+        numerator is a sum of at most min(#a, #b) products.  When k exceeds
+        ``sys.get_int_max_str_digits()`` (0 means no limit) the slots could
+        not be converted to and from ints, and the product loops over term
+        pairs like every other.  Either way the numerators multiply exactly
+        over the product of dens.
         """
         if not isinstance(other, MultiPoly):
             return self.scale(other)
@@ -254,7 +303,9 @@ class MultiPoly:
                 )
             box *= a + b + 1
         if pairs >= _DENSE_MIN_PAIRS and box <= pairs:
-            return self._mul_dense(other, box)
+            width = _slot_width(self, other)
+            if width <= (sys.get_int_max_str_digits() or width):
+                return self._mul_dense(other, box, width)
         left = [(_pack(e), n) for e, n in self.numerators.items()]
         right = [(_pack(e), n) for e, n in other.numerators.items()]
         if len(left) > len(right):
@@ -269,32 +320,39 @@ class MultiPoly:
         table = {_unpack(k, nvars): v for k, v in acc.items() if v}
         return MultiPoly._build(self.variables, table, self.den * other.den)
 
-    def _mul_dense(self, other: MultiPoly, box: int) -> MultiPoly:
-        """Pack both int numerator tables, multiply once, lift each slot by 2^(8*nb-1), unpack."""
-        tops = zip(map(max, zip(*self.numerators)), map(max, zip(*other.numerators)))
-        extents = [a + b + 1 for a, b in tops]
-        strides = [prod(extents[:i]) for i in range(len(extents))]
-        operands = [
-            [(sum(map(mul, e, strides)), n) for e, n in poly.numerators.items()]
-            for poly in (self, other)
+    def _mul_dense(self, other: MultiPoly, box: int, width: int) -> MultiPoly:
+        """Kronecker substitution in decimal slots of ``width`` digits, one multiply.
+
+        Exponent e maps to slot sum_i(e_i * stride_i) of the exponent box,
+        and numerator n goes into its slot as the ``width`` digits of
+        half + n, with half = 5*10^(width-1).  An operand is that digit string
+        as one Decimal less the all-half offset.  Every output numerator c
+        has |c| < 10^(width-1), so each slot of product + offset holds half + c
+        in exactly ``width`` digits with no carry between slots; the slots are
+        read back from the string one at a time.  Every operation runs in
+        ``_EXACT``, which raises rather than lose a digit.
+        """
+        tops = [
+            a + b for a, b in zip(map(max, zip(*self.numerators)), map(max, zip(*other.numerators)))
         ]
-        bound = min(map(len, operands)) * prod(max(abs(n) for _, n in s) for s in operands)
-        nb = bound.bit_length() // 8 + 1
-        packed = 1
-        for slots in operands:
-            signs = (bytearray(nb * box), bytearray(nb * box))
+        # the last variable varies fastest, as in product()
+        strides = [prod(t + 1 for t in tops[i + 1:]) for i in range(len(tops))]
+        half = 5 * 10 ** (width - 1)
+        zero = b"%d" % half
+        factors = []
+        for poly in (self, other):
+            slots = [(sum(map(mul, e, strides)), n) for e, n in poly.numerators.items()]
+            count = max(slot for slot, _ in slots) + 1
+            digits = bytearray(zero * count)
             for slot, n in slots:
-                signs[n < 0][slot * nb:(slot + 1) * nb] = abs(n).to_bytes(nb, "little")
-            packed *= int.from_bytes(signs[0], "little") - int.from_bytes(signs[1], "little")
-        half = 1 << (8 * nb - 1)
-        zero = half.to_bytes(nb, "little")
-        digits = (packed + int.from_bytes(zero * box, "little")).to_bytes(nb * box, "little")
-        table: dict[Exponents, int] = {}
-        exponents = product(*map(range, reversed(extents)))
-        for at, reverse in zip(range(0, nb * box, nb), exponents):
-            digit = digits[at:at + nb]
-            if digit != zero:
-                table[reverse[::-1]] = int.from_bytes(digit, "little") - half
+                at = (count - 1 - slot) * width
+                digits[at:at + width] = b"%d" % (half + n)
+            factors.append(_EXACT.subtract(_decimal(digits), _decimal(zero * count)))
+        total = _EXACT.add(_EXACT.multiply(*factors), _decimal(zero * box))
+        # the digits run from the top slot down, as do these exponent tuples
+        slots = iter_unpack(f"{width}s", _EXACT.to_sci_string(total).encode("ascii"))
+        exponents = product(*[range(top, -1, -1) for top in tops])
+        table = {e: int(digit) - half for e, (digit,) in zip(exponents, slots) if digit != zero}
         return MultiPoly._build(self.variables, table, self.den * other.den)
 
     __rmul__ = __mul__

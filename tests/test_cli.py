@@ -193,6 +193,25 @@ def test_zero_fixture_denominator_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "numerator, column",
+    [("1 + beta +\n  3 " + "7" * 5000 + " beta", 5), ("1 +\n(((beta^64)^64)^64)^64", 21)],
+    ids=["5000-digit-literal", "exponent-guard"],
+)
+def test_fixture_arithmetic_limits_are_positioned_errors(numerator, column, tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(certify.FIXTURES_DIR, fixtures)
+    path = fixtures / "k2" / "P.fix"
+    head, _, _ = path.read_text(encoding="utf-8").partition("[numerator]")
+    path.write_text(head + "[numerator]\n" + numerator + "\n", encoding="utf-8")
+    assert run(["fixtures", "check", "--fixtures-dir", str(fixtures)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fixture error: P_k2: [numerator] ")
+    assert f"(line 2, column {column})" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
     "command, code, digest",
     [
         (["report"], 1, "4636664ddd59ed8dd78be1fad15b35b2"),

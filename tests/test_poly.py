@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import decimal
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -446,9 +448,9 @@ def _spy_dense(monkeypatch):
     calls = []
     dense = MultiPoly._mul_dense
 
-    def spy(self, other, box):
+    def spy(self, other, *shape):
         calls.append((len(self.terms), len(other.terms)))
-        return dense(self, other, box)
+        return dense(self, other, *shape)
 
     monkeypatch.setattr(MultiPoly, "_mul_dense", spy)
     return calls
@@ -495,16 +497,59 @@ def test_mul_matches_termwise_reference(monkeypatch):
 
 def test_mul_slot_width_edge():
     # every coefficient at +-max with one sign: the middle output coefficient
-    # of an n-term by n-term univariate product is exactly n*max|a|*max|b|,
-    # which for the first two cases is 2^(8*nb-1) - 1 at the chosen slot width
+    # of an n-term by n-term univariate product is exactly n*max|a|*max|b|.
+    # In the first two byte edges it is 2^(8*nb-1) - 1 for a slot of nb
+    # bytes; in the decimal edges it is 10^(k-1) - 1 for the slot width k
+    # the kernel chooses, the largest value a k-digit slot must hold.
     (x,) = MultiPoly.gens(("x",))
-    for n, ma, mb in ((7, 31, 151), (127, 1, 1), (128, 1, 1), (16, 1 << 40, 3)):
+    byte_edges = ((7, 31, 151), (127, 1, 1), (128, 1, 1), (16, 1 << 40, 3))
+    decimal_edges = ((9, 3, 37), (9, 11, 101), (21, 143, 333), (9, (10 ** 30 - 1) // 9, 1))
+    for n, ma, mb in byte_edges + decimal_edges:
         for sa, sb in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
             a = MultiPoly(("x",), {(k,): sa * ma for k in range(n)})
             b = MultiPoly(("x",), {(k,): sb * mb for k in range(n)})
             got = _assert_product(a, b)
             assert got.terms[(n - 1,)] == sa * sb * n * ma * mb
     assert 7 * 31 * 151 == (1 << 15) - 1 and 127 == (1 << 7) - 1
+    for n, ma, mb in decimal_edges:
+        a = MultiPoly(("x",), {(k,): ma for k in range(n)})
+        b = MultiPoly(("x",), {(k,): mb for k in range(n)})
+        assert 10 ** (poly._slot_width(a, b) - 1) == n * ma * mb + 1
+
+
+def test_mul_past_the_int_digit_limit_takes_the_loop(monkeypatch):
+    # slots wider than sys.get_int_max_str_digits() could not be read back
+    # with int(), so such a product is formed term pair by term pair
+    rng = SplitMix64(0xB16)
+    big = [rng.below(1 << 62) * 10 ** 5000 + 1 + rng.below(1 << 62) for _ in range(8)]
+    a = MultiPoly(BG, {(k % 2, k // 2): (-1) ** k * c for k, c in enumerate(big)})
+    b = MultiPoly(BG, {(k // 2, k % 2): c for k, c in enumerate(reversed(big))})
+    assert len(a.terms) * len(b.terms) >= poly._DENSE_MIN_PAIRS
+    assert poly._slot_width(a, b) > sys.get_int_max_str_digits() > 0
+    calls = _spy_dense(monkeypatch)
+    got = _assert_product(a, b)
+    assert calls == []
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit: the same product goes dense
+    try:
+        assert (a * b).terms == got.terms and len(calls) == 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_products_ignore_the_thread_decimal_context():
+    calA = build_bundle(K2_CHART).calA
+    edges = [
+        MultiPoly(("x",), {(k,): s * 999_999 for k in range(21)}) for s in (1, -1)
+    ]
+    with decimal.localcontext() as context:
+        context.prec = 5
+        context.clear_traps()
+        context.clear_flags()
+        _assert_product(calA.num, calA.den)
+        _assert_product(*edges)
+        assert decimal.getcontext() is context and context.prec == 5
+        assert not any(context.flags.values())
 
 
 def test_calA_k3_product_takes_the_dense_kernel(monkeypatch):
@@ -544,7 +589,7 @@ def test_sparse_high_degree_product_takes_the_loop(monkeypatch):
         tracemalloc.stop()
     assert peak < 1 << 20  # the 4*(6*2^20+1)-slot box would take far more
 
-    def refuse(self, other, box):
+    def refuse(self, other, *shape):
         raise AssertionError("dense kernel taken")
 
     monkeypatch.setattr(MultiPoly, "_mul_dense", refuse)
