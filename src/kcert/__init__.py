@@ -7,7 +7,6 @@ from .poly import (
     RatFunc,
     coefficients_all_nonneg,
     directional_second_derivative,
-    partial_derivative,
 )
 from .exprparse import (
     ComparisonVerdict,
@@ -34,7 +33,6 @@ from .delpezzo import (
     c1_class,
     cremona,
     pair,
-    permute_exceptional,
     subspace_membership,
 )
 from .functional import (
@@ -44,10 +42,9 @@ from .functional import (
     first_variation_along_c1,
     futaki_boundary,
     futaki_closed_form,
-    futaki_norm_sq,
     restrict_diagonal,
 )
-from .sturm import SturmData, sturm_isolate
+from .sturm import sturm_isolate
 from .certify import (
     LemmaReport,
     PositivityCertificate,

@@ -13,6 +13,12 @@ Each lemma-level claim is reduced to exact, re-checkable evidence:
     identities, plus deterministic exact sampling where a full semialgebraic
     proof is out of scope (those criteria are labelled "sampled").
 
+Two certificates are rechecked from what they emit before their lemmas can
+PASS: each convexity certificate from its own payload
+(``PositivityCertificate.recheck``), and the laudate critical interval by one
+more Sturm count on it, with the chain that isolated it.  The charts come from ``CHARTS``, and each
+chart's convexity lemma, direction and display from the ``CONVEXITY`` table.
+
 Reports carry PASS/FAIL/NOTE, witnesses, and timings; FAIL always carries a
 concrete witness.  NOTE marks recorded deductions whose geometric input
 (the cone decomposition) is assumed rather than machine-verified.  Each lemma
@@ -30,6 +36,7 @@ from pathlib import Path
 
 from . import univar
 from .delpezzo import (
+    CHARTS,
     AreaVector,
     CohClass,
     K2_CHART,
@@ -183,14 +190,13 @@ def positivity_certificate(
 
 
 def _named_fixture(chart_id: str, name: str, fixtures_dir: Path | None):
-    base = Path(fixtures_dir) if fixtures_dir is not None else FIXTURES_DIR
+    base = FIXTURES_DIR if fixtures_dir is None else fixtures_dir
     return load_fixture(base / chart_id / f"{name}.fix")
 
 
 @lru_cache(maxsize=None)
 def _second_derivative(chart_id: str, direction: tuple[int, ...]) -> RatFunc:
-    chart = K2_CHART if chart_id == "k2" else K3_CHART
-    return directional_second_derivative(build_bundle(chart).calA, direction)
+    return directional_second_derivative(build_bundle(CHARTS[chart_id]).calA, direction)
 
 
 FIXTURE_NAMES = {
@@ -198,23 +204,26 @@ FIXTURE_NAMES = {
     "k3": ("F1", "F2", "A", "B", "C", "calA", "d2_alphabeta"),
 }
 
+# per chart: the convexity lemma, its antidiagonal direction, and the
+# transcribed display of the second derivative along it
+CONVEXITY = {
+    "k2": ("convex2", (1, -1), "d2_antidiag"),
+    "k3": ("convex3", (1, -1, 0), "d2_alphabeta"),
+}
+
 
 def _fixture_target(chart_id: str, name: str) -> RatFunc:
     """The pipeline object a fixture is compared against."""
-    if name == "d2_antidiag":
-        return _second_derivative("k2", (1, -1))
-    if name == "d2_alphabeta":
-        return _second_derivative("k3", (1, -1, 0))
-    if chart_id == "k2":
+    _, direction, display = CONVEXITY[chart_id]
+    if name == display:
+        return _second_derivative(chart_id, direction)
+    if name in ("F_beta", "P", "Q"):
+        # the k = 2 objective on the diagonal beta = gamma
         diag = restrict_diagonal()
-        if name == "F_beta":
-            return diag.f
-        if name == "P":
-            return RatFunc.from_poly(diag.p)
-        if name == "Q":
-            return RatFunc.from_poly(diag.q)
-        return build_bundle(K2_CHART).calA
-    bundle = build_bundle(K3_CHART)
+        return {
+            "F_beta": diag.f, "P": RatFunc.from_poly(diag.p), "Q": RatFunc.from_poly(diag.q)
+        }[name]
+    bundle = build_bundle(CHARTS[chart_id])
     if name in ("A", "B", "C"):
         # fixtures store the pi-free parts (display bracket over 288V or 576V)
         return {"A": bundle.a, "B": bundle.b, "C": bundle.c}[name].value
@@ -222,15 +231,18 @@ def _fixture_target(chart_id: str, name: str) -> RatFunc:
 
 
 @lru_cache(maxsize=None)
-def fixture_comparison(chart_id: str, name: str, fixtures_dir: str | None = None):
-    """Compare one shipped fixture against its pipeline target (cached)."""
-    directory = Path(fixtures_dir) if fixtures_dir is not None else None
-    meta, fixture_rf = _named_fixture(chart_id, name, directory)
+def fixture_comparison(chart_id: str, name: str, fixtures_dir: Path | None = None):
+    """Compare one fixture against its pipeline target (cached).
+
+    ``fixtures_dir`` is None for the shipped fixtures, or a Path: ``RunConfig``
+    normalises the directory once, so one directory has one cache entry.
+    """
+    meta, fixture_rf = _named_fixture(chart_id, name, fixtures_dir)
     computed = _fixture_target(chart_id, name)
     return meta, compare_against_fixture(computed, fixture_rf)
 
 
-def check_all_fixtures(fixtures_dir: str | None = None) -> list[tuple[str, object]]:
+def check_all_fixtures(fixtures_dir: Path | None = None) -> list[tuple[str, object]]:
     """(fixture name, verdict) for every shipped fixture, in a fixed order."""
     results = []
     for chart_id in ("k2", "k3"):
@@ -252,24 +264,21 @@ def verify_convexity(
     the k=3 display is SCALED by its printed overall constant 12, while the
     k=2 display is recorded as a MISMATCH (no positive constant, 24 included,
     makes it match), so for k=2 the certificate alone carries the claim.
+    The certificate is rechecked from its own payload; a failed recheck is a
+    FAIL, with a ``recheck_failure`` witness beside the payload.
     """
     start = time.perf_counter()
-    if direction is None:
-        direction = (1, -1) if chart_id == "k2" else (1, -1, 0)
-    chart = K2_CHART if chart_id == "k2" else K3_CHART
-    bundle = build_bundle(chart)
-    d2 = _second_derivative(chart_id, tuple(direction))
+    lemma_id, antidiagonal, fixture_name = CONVEXITY[chart_id]
+    direction = antidiagonal if direction is None else tuple(direction)
+    d2 = _second_derivative(chart_id, direction)
     certificate = positivity_certificate(
         d2,
-        bundle.calA.den,
-        tuple(direction),
-        f"second derivative of the {chart_id} objective along {tuple(direction)}",
+        build_bundle(CHARTS[chart_id]).calA.den,
+        direction,
+        f"second derivative of the {chart_id} objective along {direction}",
         seed=seed,
     )
-    fixture_name = "d2_antidiag" if chart_id == "k2" else "d2_alphabeta"
-    _, comparison = fixture_comparison(
-        chart_id, fixture_name, str(fixtures_dir) if fixtures_dir else None
-    )
+    _, comparison = fixture_comparison(chart_id, fixture_name, fixtures_dir)
     # The convexity claim stands or falls with the positivity certificate; the
     # pipeline, not the transcribed display, is the source of truth.  A
     # non-matching display is recorded as a discrepancy, never patched.
@@ -278,17 +287,21 @@ def verify_convexity(
         "certificate": certificate.as_dict(),
         "fixture": {fixture_name: comparison.as_dict()},
     }
+    if not certificate.recheck():
+        status = "FAIL"
+        witnesses["recheck_failure"] = (
+            f"the {certificate.verdict} verdict does not follow from the certificate's payload"
+        )
     if comparison.kind not in ("EXACT", "SCALED"):
         witnesses["recorded_discrepancy"] = (
             f"transcribed display {fixture_name} disagrees with the computed "
             f"second derivative ({comparison.kind}); kept as transcribed"
         )
-    lemma_id = "convex2" if chart_id == "k2" else "convex3"
     return LemmaReport(lemma_id, status, witnesses, time.perf_counter() - start)
 
 
 def _symmetry_identity(chart_id: str, swap: dict[str, str]) -> bool:
-    chart = K2_CHART if chart_id == "k2" else K3_CHART
+    chart = CHARTS[chart_id]
     cal_a = build_bundle(chart).calA
     gens = {name: MultiPoly.variable(chart.variables, name) for name in chart.variables}
     images = {name: gens[swap.get(name, name)] for name in chart.variables}
@@ -581,19 +594,21 @@ def verify_uniqueness_k2(
     failures = {r.lemma_id: r.witnesses for r in ingredients if r.status == "FAIL"}
 
     diag = restrict_diagonal()
-    intervals, sturm_data = sturm_isolate(
+    intervals, p_chain = sturm_isolate(
         diag.p, (Fraction(0), Fraction(2)), isolation_width
     )
     one_root = len(intervals) == 1
     inside = one_root and Fraction(1) <= intervals[0][0] and intervals[0][1] <= Fraction(6, 5)
-    p_chain = sturm_data.chain
     total_positive = count_roots(p_chain, Fraction(0), Fraction(2))
+    # the emitted interval, recounted: one query rechecks the isolation
+    recount = count_roots(p_chain, *intervals[0]) if one_root else None
     slope_at_0 = diag.df_at(Fraction(0))
     slope_at_6_5 = diag.df_at(Fraction(6, 5))
-    if not (one_root and inside and total_positive == 1):
+    if not (one_root and inside and recount == 1 and total_positive == 1):
         failures["sturm"] = {
             "intervals": [[str(a), str(b)] for a, b in intervals],
             "count_(0,2]": total_positive,
+            "recount": recount,
         }
     if slope_at_0 != -12:
         failures["slope_at_0"] = str(slope_at_0)
@@ -772,19 +787,18 @@ def run_lemma(
     sample_count: int = 100,
     isolation_width: Fraction = DEFAULT_ISOLATION_WIDTH,
     seed: int = DEFAULT_SEED,
-    fixtures_dir: Path | str | None = None,
+    fixtures_dir: Path | None = None,
 ) -> LemmaReport:
     """Dispatch a lemma id to its verifier, once per process for each key.
 
-    The key is the arguments the verifier receives, normalised (the fixtures
-    directory as a Path, the veritas sample count halved), not the call form,
-    so the CLI and the composite lemmas share one report.
+    The key is the arguments the verifier receives (the veritas sample count
+    halved), not the call form, so the CLI and the composite lemmas share one
+    report.
     """
-    directory = Path(fixtures_dir) if fixtures_dir else None
     # looked up at call time, so that a wrapped verifier is the one called
     calls = {
-        "convex2": (verify_convexity, ("k2", None, directory, seed)),
-        "convex3": (verify_convexity, ("k3", None, directory, seed)),
+        "convex2": (verify_convexity, ("k2", None, fixtures_dir, seed)),
+        "convex3": (verify_convexity, ("k3", None, fixtures_dir, seed)),
         "symmetry2": (verify_symmetry, ("symmetry2",)),
         "symmetry3a": (verify_symmetry, ("symmetry3a",)),
         "symmetry3b": (verify_symmetry, ("symmetry3b",)),
@@ -792,8 +806,8 @@ def run_lemma(
         "doubleprime2": (verify_doubleprime2, ()),
         "veritas": (verify_veritas, (max(1, sample_count // 2), seed)),
         "claritas": (verify_claritas, ()),
-        "laudate": (verify_uniqueness_k2, (sample_count, isolation_width, seed, directory)),
-        "gaudete": (verify_uniqueness_k3, (sample_count, seed, directory)),
+        "laudate": (verify_uniqueness_k2, (sample_count, isolation_width, seed, fixtures_dir)),
+        "gaudete": (verify_uniqueness_k3, (sample_count, seed, fixtures_dir)),
     }
     if lemma_id not in calls:
         raise ValueError(f"unknown lemma id {lemma_id!r}")

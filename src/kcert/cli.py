@@ -20,10 +20,12 @@ import argparse
 import json
 import os
 import re
+import string
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 from . import __version__
 from .certify import (
@@ -41,17 +43,19 @@ from .sturm import sturm_isolate
 
 
 def parse_rational(text: str) -> Fraction:
-    """Exact ``p/q`` or integer; decimals are rejected, never rounded."""
-    text = text.strip()
-    if re.fullmatch(r"-?\d+", text):
-        return Fraction(int(text))
-    match = re.fullmatch(r"(-?\d+)\s*/\s*(\d+)", text)
+    """Exact ``p/q`` or integer in ASCII digits; decimals are rejected, never rounded."""
+    stripped = text.strip(string.whitespace)
+    if re.fullmatch(r"-?[0-9]+", stripped):
+        return Fraction(int(stripped))
+    match = re.fullmatch(r"(-?[0-9]+)\s*/\s*([0-9]+)", stripped, re.ASCII)
     if match is None:
+        foreign = next((i for i, ch in enumerate(text) if not ch.isascii()), None)
+        where = "" if foreign is None else f" (non-ASCII {text[foreign]!r} at column {foreign + 1})"
         raise argparse.ArgumentTypeError(
-            f"expected an exact rational like 3/4 or 2, got {text!r}"
+            f"expected an exact rational like 3/4 or 2, got {stripped!r}{where}"
         )
     if int(match.group(2)) == 0:
-        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
+        raise argparse.ArgumentTypeError(f"zero denominator in {stripped!r}")
     return Fraction(int(match.group(1)), int(match.group(2)))
 
 
@@ -66,7 +70,7 @@ class RunConfig:
     isolation_width: Fraction = DEFAULT_ISOLATION_WIDTH
     jobs: int = 1
     format: str = "json"
-    fixtures_dir: str | None = None
+    fixtures_dir: Path | None = None
     seed: int = DEFAULT_SEED
     include_timing: bool = True
 
@@ -78,6 +82,12 @@ class RunConfig:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         check_seed(self.seed)
+        if self.fixtures_dir is not None:
+            if self.fixtures_dir == "":
+                raise ValueError("fixtures_dir must name a directory")
+            # one spelling per directory (DIR and DIR/ alike), so that every
+            # fixture comparison of the run shares one cache entry
+            self.fixtures_dir = Path(self.fixtures_dir)
 
     def as_dict(self) -> dict:
         return {
@@ -86,7 +96,7 @@ class RunConfig:
             "isolation_width": str(self.isolation_width),
             "jobs": self.jobs,
             "format": self.format,
-            "fixtures_dir": self.fixtures_dir,
+            "fixtures_dir": None if self.fixtures_dir is None else str(self.fixtures_dir),
             "seed": self.seed,
         }
 
@@ -136,10 +146,9 @@ def _json_report(report: Report) -> dict:
     return out
 
 
-def emit_report(report: Report, fmt: str | None = None) -> str:
-    fmt = fmt or report.config.format
+def emit_report(report: Report) -> str:
     payload = _json_report(report)
-    if fmt == "json":
+    if report.config.format == "json":
         return json.dumps(payload, indent=2)
     lines = ["# verification report", ""]
     lines.append(f"- version: {payload['version']}")

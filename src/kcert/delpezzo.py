@@ -14,13 +14,19 @@ The six-curve area vector uses the slot order of the polygon builder,
 On the four linear coordinates (alpha, beta, gamma, delta) =
 (a_E3, a_E2, a_E1, a_L12 - a_E3) the Cremona involution acts by
 (alpha, beta, gamma, delta) -> (alpha+delta, beta+delta, gamma+delta, -delta).
+
+The coordinate charts fix delta = 1.  The k = 3 chart has the variables
+(alpha, beta, gamma); the k = 2 chart is its alpha = 0 face, with the
+variables (beta, gamma).  ``ConeChart.coordinates`` returns all three on
+either chart, so each chart formula is written once, over (alpha, beta,
+gamma), and the anticanonical class is ``c1_class(chart.k)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from .poly import MultiPoly, Scalar
 
@@ -54,9 +60,6 @@ class CohClass:
         for i in range(self.k, 3):
             if exceptional[i]:
                 raise ValueError(f"e{i + 1} must vanish for k = {self.k}")
-
-    def exceptional(self) -> tuple[Entry, Entry, Entry]:
-        return (self.e1, self.e2, self.e3)
 
     def scale(self, factor: Scalar) -> CohClass:
         return CohClass(
@@ -171,40 +174,7 @@ def subspace_membership(x: CohClass | AreaVector) -> tuple[bool, bool]:
     return in_v, in_w
 
 
-def permute_exceptional(
-    x: CohClass | AreaVector, perm: Sequence[int]
-) -> CohClass | AreaVector:
-    """Relabel exceptional curves by a permutation of {1..k} (E_i -> E_perm[i])."""
-    sigma = tuple(perm)
-    k = x.k if isinstance(x, CohClass) else 3
-    if sorted(sigma) != list(range(1, k + 1)):
-        raise ValueError(f"{sigma} is not a permutation of 1..{k}")
-    sigma = sigma + tuple(range(k + 1, 4))
-    inverse = [0] * 3
-    for i, s in enumerate(sigma):
-        inverse[s - 1] = i + 1
-    if isinstance(x, CohClass):
-        old = x.exceptional()
-        new = tuple(old[inverse[j] - 1] for j in range(3))
-        return CohClass(x.h, new[0], new[1], new[2], x.k)
-    exceptional = {1: x.a_e1, 2: x.a_e2, 3: x.a_e3}
-    lines = {
-        frozenset({1, 2}): x.a_l12,
-        frozenset({1, 3}): x.a_l13,
-        frozenset({2, 3}): x.a_l23,
-    }
-    new_exceptional = {j: exceptional[inverse[j - 1]] for j in (1, 2, 3)}
-    new_lines = {
-        key: lines[frozenset(inverse[j - 1] for j in key)] for key in lines
-    }
-    return AreaVector(
-        a_e3=new_exceptional[3],
-        a_l13=new_lines[frozenset({1, 3})],
-        a_e1=new_exceptional[1],
-        a_l12=new_lines[frozenset({1, 2})],
-        a_e2=new_exceptional[2],
-        a_l23=new_lines[frozenset({2, 3})],
-    )
+CHART_VARIABLES = ("alpha", "beta", "gamma")
 
 
 @dataclass(frozen=True)
@@ -220,36 +190,28 @@ class ConeChart:
     k: int
     variables: tuple[str, ...]
 
-    def gens(self) -> tuple[MultiPoly, ...]:
-        return MultiPoly.gens(self.variables)
+    def coordinates(self) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+        """(alpha, beta, gamma) on this chart, the zero polynomial for each it lacks.
+
+        A chart on k points is the face of the k = 3 chart where the first
+        3 - k coordinates vanish, so its variables must be the last k of
+        (alpha, beta, gamma).
+        """
+        names = CHART_VARIABLES[3 - self.k:] if self.k in (1, 2, 3) else None
+        if self.variables != names:
+            raise ValueError(
+                f"unsupported chart {self.chart_id!r}: its variables {self.variables} "
+                f"are not the last {self.k} of {CHART_VARIABLES}"
+            )
+        zero = MultiPoly.zero(self.variables)
+        return (zero,) * (3 - self.k) + MultiPoly.gens(self.variables)
 
     def omega(self) -> CohClass:
-        one = MultiPoly.const(self.variables, 1)
-        zero = MultiPoly.zero(self.variables)
-        if self.chart_id == "k2":
-            beta, gamma = self.gens()
-            return CohClass(one + beta + gamma, gamma, beta, zero, 2)
-        if self.chart_id == "k3":
-            alpha, beta, gamma = self.gens()
-            return CohClass(one + alpha + beta + gamma, gamma, beta, alpha, 3)
-        raise ValueError(f"unknown chart {self.chart_id!r}")
-
-    def c1(self) -> CohClass:
-        one = MultiPoly.const(self.variables, 1)
-        zero = MultiPoly.zero(self.variables)
-        entries = [one, one, one] if self.k == 3 else [one, one, zero]
-        return CohClass(one.scale(3), entries[0], entries[1], entries[2], self.k)
+        alpha, beta, gamma = self.coordinates()
+        return CohClass(1 + alpha + beta + gamma, gamma, beta, alpha, self.k)
 
     def area_vector(self) -> AreaVector:
         return AreaVector.from_coh(self.omega())
-
-    def omega_at(self, point: Sequence[Scalar]) -> CohClass:
-        symbolic = self.omega()
-        values = [
-            entry.evaluate(point) for entry in
-            (symbolic.h, symbolic.e1, symbolic.e2, symbolic.e3)
-        ]
-        return CohClass(values[0], values[1], values[2], values[3], self.k)
 
 
 K2_CHART = ConeChart("k2", 2, ("beta", "gamma"))

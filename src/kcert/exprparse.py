@@ -6,12 +6,15 @@ Grammar (whitespace and line breaks insignificant, juxtaposition multiplies):
     term   := factor ('*'? factor)*
     factor := base ('^' nat)?
     base   := nat | symbol | '(' expr ')'
+    nat    := [0-9]+
+    symbol := [A-Za-z_][A-Za-z0-9_]*
 
-A unary minus is accepted only at the start of an expression or parenthesis
-group.  Exponents above 64 are rejected.  Syntax errors carry line/column, and
-so do the arithmetic's limits: a literal longer than the interpreter's
-int-string digit limit, or a product whose degree reaches the polynomial
-exponent guard.
+Text is ASCII: a digit, letter or space of any other script is an unexpected
+character.  A unary minus is accepted only at the start of an expression or
+parenthesis group.  Exponents above 64 are rejected.  Syntax errors carry
+line/column (in a fixture, the line of the file), and so do the arithmetic's
+limits: a literal longer than the interpreter's int-string digit limit, or a
+product whose degree reaches the polynomial exponent guard.
 
 Fixture files hold one transcribed display each::
 
@@ -24,15 +27,17 @@ Fixture files hold one transcribed display each::
     [denominator]
     1 + 10 gamma + ...
 
-The denominator section may be omitted or empty (defaults to 1).  Comparison
-against pipeline output reports EXACT (cross-multiplication identity), SCALED
-(equal up to a positive rational constant, constant reported), SAMPLED_ONLY
-(agrees on 100 deterministic samples but not symbolically: flags a
-transcription or convention issue), or MISMATCH with a witness point.
+Each section appears once.  The denominator section may be omitted or empty
+(defaults to 1).  Comparison against pipeline output reports EXACT
+(cross-multiplication identity), SCALED (equal up to a positive rational
+constant, constant reported), SAMPLED_ONLY (agrees on 100 deterministic
+samples but not symbolically: flags a transcription or convention issue), or
+MISMATCH with a witness point.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -63,43 +68,29 @@ class _Token:
     column: int
 
 
-def _tokenize(text: str) -> list[_Token]:
+# ASCII only: a digit or letter of another script is an unexpected character
+_TOKEN = re.compile(
+    r"(?P<NAT>[0-9]+)|(?P<SYMBOL>[A-Za-z_][A-Za-z0-9_]*)|(?P<OP>[-+*^()])|[ \t\r\f\v]+"
+)
+
+
+def _tokenize(text: str, first_line: int = 1) -> list[_Token]:
+    """Tokens with 1-based positions; ``first_line`` is the line ``text`` starts on."""
     tokens: list[_Token] = []
-    line, column = 1, 1
-    i = 0
-    n = len(text)
+    line, line_start = first_line, 0
+    i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
+        if text[i] == "\n":
             i += 1
+            line, line_start = line + 1, i
             continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            tokens.append(_Token("NAT", text[start:i], line, column))
-            column += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("SYMBOL", text[start:i], line, column))
-            column += i - start
-            continue
-        if ch in "+-*^()":
-            tokens.append(_Token("OP", ch, line, column))
-            column += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(_Token("END", "", line, column))
+        match = _TOKEN.match(text, i)
+        if match is None:
+            raise ParseError(f"unexpected character {text[i]!r}", line, i - line_start + 1)
+        if match.lastgroup is not None:
+            tokens.append(_Token(match.lastgroup, match.group(), line, i - line_start + 1))
+        i = match.end()
+    tokens.append(_Token("END", "", line, i - line_start + 1))
     return tokens
 
 
@@ -214,9 +205,13 @@ class _Parser:
         )
 
 
-def parse_expression(text: str, variables: Sequence[str]) -> MultiPoly:
-    """Parse a display expression into an exact polynomial."""
-    return _Parser(_tokenize(text), tuple(variables)).parse()
+def parse_expression(text: str, variables: Sequence[str], first_line: int = 1) -> MultiPoly:
+    """Parse a display expression into an exact polynomial.
+
+    Error positions count lines from ``first_line``, the line of the
+    enclosing file that ``text`` starts on.
+    """
+    return _Parser(_tokenize(text, first_line), tuple(variables)).parse()
 
 
 @dataclass(frozen=True)
@@ -233,16 +228,19 @@ class FixtureError(ValueError):
     """Malformed fixture file (missing section/keys or parse failure)."""
 
 
-def _read_sections(raw: str) -> dict[str, list[str]]:
-    sections: dict[str, list[str]] = {}
+def _read_sections(raw: str) -> dict[str, tuple[int, list[str]]]:
+    """Each section's lines, with the file line number of the first of them."""
+    sections: dict[str, tuple[int, list[str]]] = {}
     current: str | None = None
-    for line in raw.splitlines():
+    for number, line in enumerate(raw.split("\n"), 1):
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             current = stripped[1:-1].strip().lower()
-            sections.setdefault(current, [])
+            if current in sections:
+                raise FixtureError(f"section [{current}] repeated on line {number}")
+            sections[current] = (number + 1, [])
         elif current is not None:
-            sections[current].append(line)
+            sections[current][1].append(line)
         elif stripped:
             raise FixtureError(f"content before first section: {stripped!r}")
     return sections
@@ -258,7 +256,7 @@ def load_fixture(path: str | Path) -> tuple[FixtureFile, RatFunc]:
     if "numerator" not in sections:
         raise FixtureError(f"{path.name}: missing [numerator] section")
     meta: dict[str, str] = {}
-    for line in sections["meta"]:
+    for line in sections["meta"][1]:
         stripped = line.strip()
         if not stripped:
             continue
@@ -270,20 +268,26 @@ def load_fixture(path: str | Path) -> tuple[FixtureFile, RatFunc]:
         if required not in meta:
             raise FixtureError(f"{path.name}: [meta] is missing {required!r}")
     variables = tuple(meta["vars"].split())
-    numerator_text = "\n".join(sections["numerator"]).strip()
-    denominator_text = "\n".join(sections.get("denominator", [])).strip() or "1"
+    # each section is parsed as it stands in the file, so errors carry file lines
+    bodies = {}
+    for section in ("numerator", "denominator"):
+        first_line, lines = sections.get(section, (1, []))
+        bodies[section] = (first_line, "\n".join(lines))
+    if not bodies["denominator"][1].strip():
+        bodies["denominator"] = (1, "1")
     fixture = FixtureFile(
         name=meta["name"],
         variables=variables,
-        numerator_text=numerator_text,
-        denominator_text=denominator_text,
+        numerator_text=bodies["numerator"][1].strip(),
+        denominator_text=bodies["denominator"][1].strip(),
         provenance=meta.get("provenance", ""),
         path=str(path),
     )
     parts = []
-    for section, text in (("numerator", numerator_text), ("denominator", denominator_text)):
+    for section in ("numerator", "denominator"):
+        first_line, text = bodies[section]
         try:
-            parts.append(parse_expression(text, variables))
+            parts.append(parse_expression(text, variables, first_line))
         except ParseError as exc:
             raise FixtureError(f"{fixture.name}: [{section}] {exc}") from exc
     num, den = parts

@@ -15,7 +15,10 @@ moment polygon.  Everything here reduces to exact polygon data:
 
 Two independent computations of F_i are provided: the transcribed closed
 forms on the coordinate charts and the boundary-measure route above; their
-agreement is a pipeline identity.  A quantity with a power of pi is a
+agreement is a pipeline identity.  The closed forms are written once, over
+(alpha, beta, gamma); the k = 2 chart takes them on its alpha = 0 face.
+``futaki_norm_sq`` forms ||F||^2 generically on ``PiValue``s, a second route
+to the structured assembly below.  A quantity with a power of pi is a
 ``PiValue``, so that only genuinely pi-free quantities are ever exported as
 plain rational functions.
 
@@ -70,32 +73,22 @@ class DegenerateMomentMatrix(ZeroDivisionError):
 
 
 def _closed_form_brackets(chart: ConeChart) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """(bracket1, bracket2, volume) with F_i = bracket_i / volume on the chart."""
+    """(bracket1, bracket2, volume) with F_i = bracket_i / volume on the chart.
+
+    Written once over (alpha, beta, gamma): on the k = 2 chart, alpha is the
+    zero polynomial, and a chart whose variables are not the last k of them
+    raises ValueError.
+    """
+    alpha, beta, gamma = chart.coordinates()
     third = Fraction(1, 3)
-    half = Fraction(1, 2)
-    if chart.chart_id == "k2":
-        beta, gamma = chart.gens()
-        b1 = (beta - 2 * gamma) * (gamma ** 2 + gamma + third) + gamma * (
-            gamma - beta
-        ) * (beta + 2 * gamma + 2)
-        b2 = (gamma - 2 * beta) * (beta ** 2 + beta + third) + beta * (
-            beta - gamma
-        ) * (gamma + 2 * beta + 2)
-        volume = beta * gamma + beta + gamma + half
-        return b1, b2, volume
-    if chart.chart_id == "k3":
-        alpha, beta, gamma = chart.gens()
-        b1 = (alpha + beta - 2 * gamma) * (gamma ** 2 + gamma + third) + (
-            gamma - alpha
-        ) * (gamma - beta) * (alpha + beta + 2 * gamma + 2)
-        b2 = (alpha + gamma - 2 * beta) * (beta ** 2 + beta + third) + (
-            beta - alpha
-        ) * (beta - gamma) * (alpha + gamma + 2 * beta + 2)
-        volume = (
-            alpha * beta + alpha * gamma + beta * gamma + alpha + beta + gamma + half
-        )
-        return b1, b2, volume
-    raise ValueError(f"unsupported chart {chart.chart_id!r}")
+    b1 = (alpha + beta - 2 * gamma) * (gamma ** 2 + gamma + third) + (
+        gamma - alpha
+    ) * (gamma - beta) * (alpha + beta + 2 * gamma + 2)
+    b2 = (alpha + gamma - 2 * beta) * (beta ** 2 + beta + third) + (
+        beta - alpha
+    ) * (beta - gamma) * (alpha + gamma + 2 * beta + 2)
+    volume = alpha * beta + alpha * gamma + beta * gamma + alpha + beta + gamma + Fraction(1, 2)
+    return b1, b2, volume
 
 
 def futaki_closed_form(chart: ConeChart) -> tuple[RatFunc, RatFunc]:
@@ -189,9 +182,6 @@ class FunctionalBundle:
     a: PiValue                     # carries pi^-2
     b: PiValue
     c: PiValue
-    moment_det: MultiPoly          # puu*pvv - puv^2, the moment determinant over V^2
-    first_term: RatFunc
-    futaki_norm_sq_over_32pi2: RatFunc
     calA: RatFunc
 
 
@@ -216,12 +206,9 @@ def build_bundle(chart: ConeChart) -> FunctionalBundle:
     a = PiValue(RatFunc.make(moments.puu.scale(quarter), volume), -2)
     b = PiValue(RatFunc.make(moments.pvv.scale(quarter), volume), -2)
     c = PiValue(RatFunc.make(moments.puv.scale(quarter), volume), -2)
-    det, n_f, numerator, denominator = objective_parts(
+    _, _, numerator, denominator = objective_parts(
         perimeter, volume, moments.puu, moments.pvv, moments.puv, b1, b2
     )
-    first_term = RatFunc.make(perimeter * perimeter, volume.scale(2))
-    second_term = RatFunc.make(n_f, denominator)
-    cal_a = RatFunc.make(numerator, denominator)
     return FunctionalBundle(
         chart=chart,
         volume=volume,
@@ -231,17 +218,8 @@ def build_bundle(chart: ConeChart) -> FunctionalBundle:
         a=a,
         b=b,
         c=c,
-        moment_det=det,
-        first_term=first_term,
-        futaki_norm_sq_over_32pi2=second_term,
-        calA=cal_a,
+        calA=RatFunc.make(numerator, denominator),
     )
-
-
-def average_scalar_curvature(chart: ConeChart) -> PiValue:
-    """s0 = 4 pi (c1 . Omega) / V on the chart."""
-    bundle = build_bundle(chart)
-    return PiValue(RatFunc.make(bundle.c1_pairing.scale(4), bundle.volume), 1)
 
 
 @dataclass(frozen=True)
@@ -257,7 +235,6 @@ class DiagonalRestriction:
     p: MultiPoly
     q: MultiPoly
     df: RatFunc
-    d2f: RatFunc
 
     def df_at(self, x: Scalar) -> Fraction:
         return self.df.evaluate((x,))
@@ -285,14 +262,12 @@ def restrict_diagonal() -> DiagonalRestriction:
     )
     n, d = f.num, f.den
     d1_num = n.diff("beta") * d - n * d.diff("beta")
-    d2f = directional_second_derivative(f, (1,))
     twelfth = Fraction(1, 12)
     return DiagonalRestriction(
         f=f,
         p=d1_num.scale(twelfth),
-        q=d2f.num.scale(twelfth),
+        q=directional_second_derivative(f, (1,)).num.scale(twelfth),
         df=RatFunc(d1_num, d * d),
-        d2f=d2f,
     )
 
 

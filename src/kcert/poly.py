@@ -395,6 +395,9 @@ class MultiPoly:
     # -- calculus and evaluation ---------------------------------------------
 
     def diff(self, name: str) -> MultiPoly:
+        """Exact formal partial derivative with respect to a declared variable."""
+        if name not in self.variables:
+            raise ValueError(f"unknown variable {name!r} in {self.variables}")
         idx = self.variables.index(name)
         table: dict[Exponents, int] = {}
         for exps, n in self.numerators.items():
@@ -529,13 +532,6 @@ class MultiPoly:
 # -- free functions over MultiPoly -------------------------------------------
 
 
-def partial_derivative(p: MultiPoly, name: str) -> MultiPoly:
-    """Exact formal partial derivative with respect to a declared variable."""
-    if name not in p.variables:
-        raise ValueError(f"unknown variable {name!r} in {p.variables}")
-    return p.diff(name)
-
-
 def directional_derivative(p: MultiPoly, direction: Sequence[int]) -> MultiPoly:
     if len(direction) != len(p.variables):
         raise ValueError("direction length must match the variable count")
@@ -666,16 +662,6 @@ class RatFunc:
             return RatFunc.make(self.num, other.num)
         return RatFunc.make(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other: Scalar) -> RatFunc:
-        return _coerce(other, self.variables) / self
-
-    def __pow__(self, exponent: int) -> RatFunc:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("rational function power requires a non-negative integer")
-        if exponent == 0:
-            return RatFunc.const(self.variables, 1)
-        return RatFunc.make(self.num ** exponent, self.den ** exponent)
-
     def equals(self, other: RatFunc) -> bool:
         """Identical forms are equal; otherwise num1*den2 == num2*den1."""
         if self.variables != other.variables:
@@ -701,16 +687,6 @@ class RatFunc:
                 f"denominator vanishes at {tuple(str(x) for x in point)}"
             )
         return self.num.evaluate(point) / bottom
-
-    def substitute(
-        self,
-        images: Mapping[str, MultiPoly | Scalar],
-        variables: Sequence[str],
-    ) -> RatFunc:
-        return RatFunc.make(
-            self.num.substitute(images, variables),
-            self.den.substitute(images, variables),
-        )
 
     def render(self) -> str:
         if self.den == MultiPoly.const(self.variables, 1):
@@ -815,13 +791,6 @@ class PiValue:
     def evaluate(self, point: Sequence[Scalar]) -> PiValue:
         """The value at a point of the chart: a RatFunc value becomes a Fraction."""
         return PiValue(self.value.evaluate(point), self.pi_power)
-
-    def as_pi_free(self) -> Fraction | RatFunc:
-        if self.pi_power != 0:
-            raise PiPowerMismatchError(
-                f"value carries pi^{self.pi_power}, not exportable as rational"
-            )
-        return self.value
 
     def render(self) -> str:
         text = self.value.render() if isinstance(self.value, RatFunc) else str(self.value)

@@ -4,11 +4,13 @@ The chain is the classical one, p0 = p, p1 = p', p_{i+1} = -rem(p_{i-1}, p_i),
 each member rescaled to a primitive integer polynomial (a positive rescaling
 never changes sign variations).  The number of distinct real roots in a
 half-open interval (a, b] is Var(a) - Var(b).  Everything is exact.
+
+``sturm_isolate`` returns its intervals together with the chain, so that a
+caller can recount an interval it emits with one more query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import univar
@@ -52,36 +54,16 @@ def count_roots(chain: list[Coeffs], lo: Fraction, hi: Fraction) -> int:
     return sign_variations(chain, lo) - sign_variations(chain, hi)
 
 
-@dataclass(frozen=True)
-class SturmData:
-    """A chain plus the interval queries answered with it (all serialisable)."""
-
-    polynomial: MultiPoly
-    chain: list[Coeffs]
-    queries: list[tuple[Fraction, Fraction, int]] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "polynomial": self.polynomial.render(),
-            "chain_degrees": [univar.degree(c) for c in self.chain],
-            "chain": [[str(c) for c in member] for member in self.chain],
-            "queries": [
-                {"interval": [str(lo), str(hi)], "roots": n}
-                for lo, hi, n in self.queries
-            ],
-        }
-
-
 def sturm_isolate(
     p: MultiPoly,
     interval: tuple[Fraction, Fraction],
     target_width: Fraction,
-) -> tuple[list[tuple[Fraction, Fraction]], SturmData]:
+) -> tuple[list[tuple[Fraction, Fraction]], list[Coeffs]]:
     """Isolate every real root of a one-variable polynomial in (lo, hi].
 
     Returns disjoint half-open rational intervals (a, b], each certified by
     the Sturm chain to contain exactly one root and each of width <=
-    target_width, together with the chain and the query log.  Counts stay
+    target_width, together with the chain that certifies them.  Counts stay
     valid at roots of p, so a root at hi or at a bisection midpoint is
     reported, and one at lo is not.
     """
@@ -94,15 +76,8 @@ def sturm_isolate(
     if lo >= hi:
         raise ValueError("empty interval")
     chain = sturm_chain(coeffs)
-    queries: list[tuple[Fraction, Fraction, int]] = []
-
-    def counted(a: Fraction, b: Fraction) -> int:
-        n = count_roots(chain, a, b)
-        queries.append((a, b, n))
-        return n
-
     isolated: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, counted(lo, hi))]
+    stack = [(lo, hi, count_roots(chain, lo, hi))]
     while stack:
         a, b, n = stack.pop()
         if n == 0:
@@ -111,26 +86,8 @@ def sturm_isolate(
             isolated.append((a, b))
             continue
         mid = (a + b) / 2
-        left = counted(a, mid)
+        left = count_roots(chain, a, mid)
         stack.append((mid, b, n - left))
         stack.append((a, mid, left))
     isolated.sort()
-    data = SturmData(polynomial=p, chain=chain, queries=queries)
-    return isolated, data
-
-
-def recheck_sturm_data(data: SturmData) -> bool:
-    """Re-validate a serialized Sturm certificate from its own payload.
-
-    Confirms the stored chain really is the Sturm chain of the stored
-    polynomial (up to positive rescaling) and that every logged root count
-    matches the sign-variation difference it claims.
-    """
-    coeffs = univar.from_multipoly(data.polynomial)
-    expected = sturm_chain(coeffs)
-    if expected != [univar.scale_primitive(c) for c in data.chain]:
-        return False
-    for lo, hi, n in data.queries:
-        if count_roots(data.chain, lo, hi) != n:
-            return False
-    return True
+    return isolated, chain

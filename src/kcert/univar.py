@@ -23,10 +23,6 @@ def strip(coeffs: Sequence[Fraction]) -> Coeffs:
     return tuple(values)
 
 
-def degree(p: Coeffs) -> int:
-    return len(p) - 1
-
-
 def evaluate(p: Coeffs, x: Fraction) -> Fraction:
     total = Fraction(0)
     for coeff in reversed(p):

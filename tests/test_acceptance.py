@@ -282,9 +282,9 @@ def test_criterion_9_property_suites():
         coeffs = univar.strip(
             tuple(Fraction(rng.below(21) - 10) for _ in range(degree + 1))
         )
-        if univar.degree(coeffs) < 1:
+        if len(coeffs) < 2:
             continue
-        if univar.degree(univar.poly_gcd(coeffs, univar.derivative(coeffs))) > 0:
+        if len(univar.poly_gcd(coeffs, univar.derivative(coeffs))) > 1:
             continue
         lo, hi = Fraction(-8), Fraction(8)
         if univar.evaluate(coeffs, lo) == 0 or univar.evaluate(coeffs, hi) == 0:
@@ -304,5 +304,5 @@ def test_criterion_9_property_suites():
             total_u = total_u + length.scale(dx)
             total_v = total_v + length.scale(dy)
         assert total_u.is_zero and total_v.is_zero
-        assert lattice_perimeter(polygon) == pair(chart.c1(), chart.omega())
+        assert lattice_perimeter(polygon) == pair(c1_class(chart.k), chart.omega())
     _passline(9, "property suites")

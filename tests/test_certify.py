@@ -87,6 +87,46 @@ def test_positivity_certificate_recheck_is_self_contained():
     assert not broken.recheck()
 
 
+def test_tampered_certificate_fails_convexity(monkeypatch):
+    from dataclasses import replace
+
+    real = certify.positivity_certificate
+
+    def tampered(*args, **kwargs):
+        return replace(real(*args, **kwargs), numerator_min_coeff=Fraction(-1))
+
+    monkeypatch.setattr(certify, "positivity_certificate", tampered)
+    report = verify_convexity("k2")
+    assert report.witnesses["certificate"]["verdict"] == "PASS"
+    assert report.status == "FAIL"
+    assert report.witnesses["certificate"]["numerator_min_coeff"] == "-1"
+    assert report.witnesses["recheck_failure"] == (
+        "the PASS verdict does not follow from the certificate's payload"
+    )
+
+
+def test_laudate_interval_recounts_to_one_root(monkeypatch):
+    from kcert import univar
+    from kcert.functional import restrict_diagonal
+    from kcert.sturm import count_roots, sturm_chain
+
+    report = verify_uniqueness_k2(sample_count=4)
+    lo, hi = (Fraction(x) for x in report.witnesses["critical_interval"])
+    chain = sturm_chain(univar.from_multipoly(restrict_diagonal().p))
+    assert count_roots(chain, lo, hi) == 1
+    # an isolation that emits the interval just below the root fails the recount
+    real = certify.sturm_isolate
+
+    def shifted(*args):
+        intervals, chain = real(*args)
+        return [(2 * a - b, a) for a, b in intervals], chain
+
+    monkeypatch.setattr(certify, "sturm_isolate", shifted)
+    report = verify_uniqueness_k2(sample_count=4)
+    assert report.status == "FAIL"
+    assert report.witnesses["failures"]["sturm"]["recount"] == 0
+
+
 def test_convexity_samples_positive():
     report = verify_convexity("k3")
     assert report.witnesses["certificate"]["sample_values_positive"]

@@ -24,6 +24,23 @@ def test_parse_rational_accepts_exact_only():
         parse_rational("1/0")
 
 
+@pytest.mark.parametrize("text", ["\u0663", "\uff13", "1/\u0663", "\u00b2", "3\u00a0/4"])
+def test_parse_rational_is_ascii_only(text):
+    import argparse
+
+    with pytest.raises(argparse.ArgumentTypeError, match="non-ASCII"):
+        parse_rational(text)
+
+
+def test_non_ascii_point_is_usage_error(capsys):
+    # an Arabic-Indic three: read as 3 by int(), it must not reach the pipeline
+    assert run(["eval", "--chart", "k2", "--point", "\u0663,1", "--what", "calA"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-ASCII '\u0663' at column 1" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_zero_denominator_is_usage_error(tmp_path, monkeypatch, capsys):
     assert run(["eval", "--chart", "k2", "--point", "1/0,1", "--what", "V"]) == 2
     assert "zero denominator" in capsys.readouterr().err
@@ -132,7 +149,7 @@ def test_empty_task_list_passes():
 
     report = Report("0", RunConfig(tasks=[]), [], [], 0.0)
     assert report.aggregate == "PASS"
-    assert json.loads(emit_report(report, "json"))["aggregate"] == "PASS"
+    assert json.loads(emit_report(report))["aggregate"] == "PASS"
 
 
 def test_jobs_flag_merges_deterministically(capsys):
@@ -207,8 +224,50 @@ def test_fixture_arithmetic_limits_are_positioned_errors(numerator, column, tmp_
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("fixture error: P_k2: [numerator] ")
-    assert f"(line 2, column {column})" in captured.err
+    # the second line of the section, counted from the top of the file
+    assert f"(line {head.count(chr(10)) + 3}, column {column})" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "bad, column",
+    [("3 \u0663 beta", 3), ("beta\u00b2", 5), ("3 \uff42eta", 3), ("3\u00a0beta", 2)],
+    ids=["arabic-indic-digit", "superscript", "fullwidth-letter", "no-break-space"],
+)
+def test_non_ascii_fixture_text_is_a_positioned_error(bad, column, tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(certify.FIXTURES_DIR, fixtures)
+    path = fixtures / "k2" / "P.fix"
+    head, _, _ = path.read_text(encoding="utf-8").partition("[numerator]")
+    path.write_text(head + "[numerator]\n\n1 + beta +\n" + bad + "\n", encoding="utf-8")
+    assert run(["fixtures", "check", "--fixtures-dir", str(fixtures)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fixture error: P_k2: [numerator] unexpected character ")
+    # the bad token's line of the file: header, a blank line, then two lines
+    assert f"(line {head.count(chr(10)) + 4}, column {column})" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_fixtures_dir_spellings_share_one_load_each(tmp_path, monkeypatch, capsys):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(certify.FIXTURES_DIR, fixtures)
+    loads = []
+    real_load = certify.load_fixture
+
+    def counting_load(path):
+        loads.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(certify, "load_fixture", counting_load)
+    args = ["report", "--fixtures-dir", f"{fixtures}/", "--no-timing", "--format", "json"]
+    assert run(args) == 1
+    # the two convexity lemmas and the fixture check share each comparison
+    assert len(loads) == 12 == len(set(loads))
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["fixtures_dir"] == str(fixtures)
+    assert run(["fixtures", "check", "--fixtures-dir", ""]) == 2
+    assert "fixtures_dir must name a directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from kcert.delpezzo import (
     c1_class,
     cremona,
     pair,
-    permute_exceptional,
     subspace_membership,
 )
 from kcert.poly import MultiPoly
@@ -28,7 +27,7 @@ def test_anticanonical_self_intersection():
 def test_k2_chart_pairings():
     beta, gamma = MultiPoly.gens(K2_CHART.variables)
     omega = K2_CHART.omega()
-    assert pair(K2_CHART.c1(), omega) == 3 + 2 * beta + 2 * gamma
+    assert pair(c1_class(2), omega) == 3 + 2 * beta + 2 * gamma
     half = MultiPoly.const(K2_CHART.variables, Fraction(1, 2))
     assert pair(omega, omega) == (beta * gamma + beta + gamma + half).scale(2)
 
@@ -144,37 +143,6 @@ def test_subspace_membership():
     assert subspace_membership(v_only) == (True, False)
     w_only = AreaVector.from_abcd(1, 1, 1, 1).to_coh(3)
     assert subspace_membership(w_only) == (False, True)
-
-
-def test_permute_exceptional_k2_swap():
-    omega = K2_CHART.omega()
-    swapped = permute_exceptional(omega, (2, 1))
-    beta, gamma = MultiPoly.gens(K2_CHART.variables)
-    # chart point (beta, gamma) maps to (gamma, beta)
-    assert swapped.e1 == beta and swapped.e2 == gamma
-    assert swapped.h == omega.h
-
-
-def test_permute_exceptional_three_cycle_fixes_c1():
-    c1 = c1_class(3)
-    assert permute_exceptional(c1, (2, 3, 1)) == c1
-
-
-def test_permute_exceptional_k3_chart_coordinates():
-    av = K3_CHART.area_vector()
-    alpha, beta, gamma = MultiPoly.gens(K3_CHART.variables)
-    swapped = permute_exceptional(av, (1, 3, 2))  # exchange E2 and E3
-    a2, b2, g2, d2 = swapped.to_abcd()
-    assert (a2, b2, g2) == (beta, alpha, gamma)
-    assert d2 == MultiPoly.const(K3_CHART.variables, 1)
-    swapped12 = permute_exceptional(av, (2, 1, 3))  # exchange E1 and E2
-    a3, b3, g3, _ = swapped12.to_abcd()
-    assert (a3, b3, g3) == (alpha, gamma, beta)
-
-
-def test_permute_exceptional_invalid():
-    with pytest.raises(ValueError):
-        permute_exceptional(c1_class(3), (1, 1, 2))
 
 
 def test_reverse_cauchy_schwarz_sampled():

@@ -7,7 +7,7 @@ import pytest
 from kcert.delpezzo import AreaVector, K2_CHART, K3_CHART, c1_class, cremona
 from kcert.exprparse import parse_expression
 from kcert.functional import (
-    average_scalar_curvature,
+    _closed_form_brackets,
     evaluate_calA_on_areas,
     evaluate_futaki_on_areas,
     first_variation_along_c1,
@@ -15,11 +15,51 @@ from kcert.functional import (
     futaki_closed_form,
     futaki_norm_sq,
 )
-from kcert.poly import MultiPoly, PiPowerMismatchError, PiValue, RatFunc
+from kcert.poly import (
+    MultiPoly,
+    PiPowerMismatchError,
+    PiValue,
+    RatFunc,
+    directional_second_derivative,
+)
 from kcert.sampling import SplitMix64
 
 BG = K2_CHART.variables
 ABG = K3_CHART.variables
+
+
+def _first_term(bundle) -> RatFunc:
+    """(c1 . Omega)^2 / Omega^2, from the bundle's parts."""
+    return RatFunc.make(bundle.c1_pairing * bundle.c1_pairing, bundle.volume.scale(2))
+
+
+def _second_term(bundle) -> PiValue:
+    """||F||^2 / (32 pi^2), by the generic PiValue operation."""
+    norm = futaki_norm_sq(bundle.f1, bundle.f2, bundle.a, bundle.b, bundle.c)
+    return norm / PiValue(Fraction(32), 2)
+
+
+def test_k2_closed_forms_are_the_alpha_zero_face_of_k3():
+    # the k = 2 brackets and volume as transcribed for that chart on its own
+    beta, gamma = MultiPoly.gens(BG)
+    third = Fraction(1, 3)
+    b1 = (beta - 2 * gamma) * (gamma ** 2 + gamma + third) + gamma * (gamma - beta) * (
+        beta + 2 * gamma + 2
+    )
+    b2 = (gamma - 2 * beta) * (beta ** 2 + beta + third) + beta * (beta - gamma) * (
+        gamma + 2 * beta + 2
+    )
+    volume = beta * gamma + beta + gamma + Fraction(1, 2)
+    assert _closed_form_brackets(K2_CHART) == (b1, b2, volume)
+
+
+def test_calA_k3_at_alpha_zero_is_calA_k2(bundle_k2, bundle_k3):
+    # a cross-chart identity: the two objectives are assembled separately
+    beta, gamma = MultiPoly.gens(BG)
+    images = {"alpha": MultiPoly.zero(BG), "beta": beta, "gamma": gamma}
+    cal_a = bundle_k3.calA
+    face = RatFunc.make(cal_a.num.substitute(images, BG), cal_a.den.substitute(images, BG))
+    assert face == bundle_k2.calA
 
 
 def test_closed_form_spot_values():
@@ -60,7 +100,7 @@ def test_moment_matrix_entries_carry_pi(bundle_k2):
     assert bundle_k2.b.evaluate((1, 1)) == PiValue(Fraction(265, 1008), -2)
     assert bundle_k2.c.evaluate((1, 1)) == PiValue(Fraction(-121, 2016), -2)
     with pytest.raises(PiPowerMismatchError):
-        bundle_k2.a.as_pi_free()
+        bundle_k2.a + PiValue(bundle_k2.f1)
 
 
 def test_k2_moment_brackets_match_transcribed_displays(bundle_k2):
@@ -92,18 +132,18 @@ def test_norm_sq_generic_op_k2_spot(bundle_k2):
     second = norm / PiValue(Fraction(32), 2)
     assert second.pi_power == 0
     assert second.value.evaluate((1, 1)) == Fraction(56, 409)
-    assert second.value.equals(bundle_k2.futaki_norm_sq_over_32pi2)
+    assert second.value.equals(bundle_k2.calA - _first_term(bundle_k2))
 
 
 def test_norm_sq_generic_op_matches_structured_k3(bundle_k3):
-    norm = futaki_norm_sq(
-        bundle_k3.f1, bundle_k3.f2, bundle_k3.a, bundle_k3.b, bundle_k3.c
-    )
-    second = norm / PiValue(Fraction(32), 2)
+    second = _second_term(bundle_k3)
+    first = _first_term(bundle_k3)
     rng = SplitMix64(3)
     for _ in range(10):
         point = rng.point(3)
-        assert second.value.evaluate(point) == bundle_k3.futaki_norm_sq_over_32pi2.evaluate(point)
+        assert second.value.evaluate(point) == (
+            bundle_k3.calA.evaluate(point) - first.evaluate(point)
+        )
 
 
 def test_norm_sq_zero_obstruction(bundle_k2):
@@ -115,19 +155,15 @@ def test_norm_sq_zero_obstruction(bundle_k2):
 def test_norm_vanishes_identically_on_equal_areas_plane(bundle_k3):
     t = MultiPoly.variable(("t",), "t")
     images = {"alpha": t, "beta": t, "gamma": t}
-    restricted = bundle_k3.futaki_norm_sq_over_32pi2.num.substitute(images, ("t",))
+    restricted = _second_term(bundle_k3).value.num.substitute(images, ("t",))
     assert restricted.is_zero
 
 
 def test_assembled_objective_values(bundle_k2, bundle_k3):
     assert bundle_k2.calA.evaluate((1, 1)) == Fraction(2919, 409)
     assert bundle_k3.calA.evaluate((1, 1, 1)) == Fraction(81, 13)
-    assert bundle_k2.calA.equals(
-        bundle_k2.first_term + bundle_k2.futaki_norm_sq_over_32pi2
-    )
-    assert bundle_k3.calA.equals(
-        bundle_k3.first_term + bundle_k3.futaki_norm_sq_over_32pi2
-    )
+    for bundle in (bundle_k2, bundle_k3):
+        assert bundle.calA.equals(_first_term(bundle) + _second_term(bundle).value)
 
 
 def test_scale_invariance_sampled():
@@ -158,7 +194,7 @@ def test_obstruction_on_areas_matches_the_chart(chart_id, bundle_k2, bundle_k3):
     rng = SplitMix64(0x5EED)
     for _ in range(8):
         point = rng.point(len(bundle.chart.variables))
-        areas = AreaVector.from_coh(bundle.chart.omega_at(point))
+        areas = AreaVector(*(a.evaluate(point) for a in bundle.chart.area_vector().as_tuple()))
         expected = (bundle.f1.evaluate(point), bundle.f2.evaluate(point))
         assert evaluate_futaki_on_areas(areas) == expected
         assert evaluate_calA_on_areas(areas) == bundle.calA.evaluate(point)
@@ -204,7 +240,8 @@ def test_diagonal_restriction(diagonal):
     raw = n.diff("beta") * d - n * d.diff("beta")
     assert raw == diagonal.p.scale(12)
     assert diagonal.df.den == d * d
-    assert diagonal.d2f.den == d ** 3
+    d2f = directional_second_derivative(diagonal.f, (1,))
+    assert d2f.num == diagonal.q.scale(12) and d2f.den == d ** 3
 
 
 def test_first_variation_values():
@@ -221,7 +258,7 @@ def test_first_variation_values():
 def test_average_scalar_curvature_identity(bundle_k2, bundle_k3):
     # s0^2 * V = 32 pi^2 (c1.Omega)^2 / Omega^2 with s0 = 4 pi (c1.Omega)/V
     for bundle in (bundle_k2, bundle_k3):
-        s0 = average_scalar_curvature(bundle.chart)
+        s0 = PiValue(RatFunc.make(bundle.c1_pairing.scale(4), bundle.volume), 1)
         assert s0.pi_power == 1
         lhs = s0 * s0 * bundle.volume
         rhs = PiValue(
@@ -238,9 +275,9 @@ def test_exported_objective_is_pi_free(bundle_k2):
     norm = futaki_norm_sq(
         bundle_k2.f1, bundle_k2.f2, bundle_k2.a, bundle_k2.b, bundle_k2.c
     )
-    with pytest.raises(PiPowerMismatchError):
-        norm.as_pi_free()
-    assert (norm / PiValue(Fraction(32), 2)).as_pi_free() is not None
+    assert norm.pi_power == 2
+    exported = norm / PiValue(Fraction(32), 2)
+    assert exported.pi_power == 0 and isinstance(exported.value, RatFunc)
 
 
 def test_unsupported_chart_rejected():

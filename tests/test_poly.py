@@ -22,7 +22,6 @@ from kcert.poly import (
     coefficients_all_nonneg,
     directional_derivative,
     directional_second_derivative,
-    partial_derivative,
 )
 from kcert.sampling import SplitMix64
 
@@ -60,10 +59,10 @@ def test_moment_numerator_expansion_value():
 
 def test_partial_derivative_basics():
     beta, gamma = gens()
-    assert partial_derivative(beta ** 2 * gamma, "beta") == 2 * beta * gamma
-    assert partial_derivative(MultiPoly.const(BG, 5), "gamma").is_zero
-    with pytest.raises(ValueError):
-        partial_derivative(beta, "delta")
+    assert (beta ** 2 * gamma).diff("beta") == 2 * beta * gamma
+    assert MultiPoly.const(BG, 5).diff("gamma").is_zero
+    with pytest.raises(ValueError, match="unknown variable 'delta'"):
+        beta.diff("delta")
 
 
 def test_directional_second_derivative_quadratic():
@@ -663,7 +662,7 @@ def test_cross_multiplication_equality_and_inverse():
     a = RatFunc.make(1 + beta, 1 + gamma)
     b = RatFunc.make((1 + beta) * (2 + beta), (1 + gamma) * (2 + beta))
     assert a.equals(b)
-    product = a * (1 / a)
+    product = a * (RatFunc.const(BG, 1) / a)
     assert product.equals(RatFunc.const(BG, 1))
     # equivalence is transitive across differently padded representatives
     c = RatFunc.make(
@@ -671,11 +670,6 @@ def test_cross_multiplication_equality_and_inverse():
         (1 + gamma) * (2 + beta) * (3 + gamma),
     )
     assert b.equals(c) and a.equals(c)
-
-
-def test_ratfunc_zero_pow_zero_is_one():
-    zero = RatFunc.const(BG, 0)
-    assert (zero ** 0).equals(RatFunc.const(BG, 1))
 
 
 def test_variable_mismatch_rejected():

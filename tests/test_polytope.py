@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from kcert.delpezzo import K2_CHART, K3_CHART, AreaVector, cremona, pair
+from kcert.delpezzo import K2_CHART, K3_CHART, AreaVector, c1_class, cremona, pair
 from kcert.poly import MultiPoly
 from kcert.polytope import (
     PolygonError,
@@ -149,7 +149,7 @@ def test_area_equals_half_selfintersection():
 def test_perimeter_equals_anticanonical_pairing():
     for chart, polygon in ((K2_CHART, k2_polygon()), (K3_CHART, k3_polygon())):
         omega = chart.omega()
-        assert lattice_perimeter(polygon) == pair(chart.c1(), omega)
+        assert lattice_perimeter(polygon) == pair(c1_class(chart.k), omega)
 
 
 def _greens_theorem_moment(vertices, a, b):
