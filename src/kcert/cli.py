@@ -42,6 +42,12 @@ from .sampling import DEFAULT_SEED, check_seed
 from .sturm import sturm_isolate
 
 
+def _non_ascii(text: str) -> str:
+    """Where the first non-ASCII character of ``text`` stands, or ""."""
+    foreign = next((i for i, ch in enumerate(text) if not ch.isascii()), None)
+    return "" if foreign is None else f" (non-ASCII {text[foreign]!r} at column {foreign + 1})"
+
+
 def parse_rational(text: str) -> Fraction:
     """Exact ``p/q`` or integer in ASCII digits; decimals are rejected, never rounded."""
     stripped = text.strip(string.whitespace)
@@ -49,14 +55,23 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(stripped))
     match = re.fullmatch(r"(-?[0-9]+)\s*/\s*([0-9]+)", stripped, re.ASCII)
     if match is None:
-        foreign = next((i for i, ch in enumerate(text) if not ch.isascii()), None)
-        where = "" if foreign is None else f" (non-ASCII {text[foreign]!r} at column {foreign + 1})"
         raise argparse.ArgumentTypeError(
-            f"expected an exact rational like 3/4 or 2, got {stripped!r}{where}"
+            f"expected an exact rational like 3/4 or 2, got {stripped!r}{_non_ascii(text)}"
         )
     if int(match.group(2)) == 0:
         raise argparse.ArgumentTypeError(f"zero denominator in {stripped!r}")
     return Fraction(int(match.group(1)), int(match.group(2)))
+
+
+def parse_integer(text: str) -> int:
+    """An integer in ASCII digits, as ``parse_rational`` reads them; ranges are
+    checked by ``RunConfig``."""
+    stripped = text.strip(string.whitespace)
+    if re.fullmatch(r"-?[0-9]+", stripped) is None:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer like 42, got {stripped!r}{_non_ascii(text)}"
+        )
+    return int(stripped)
 
 
 def parse_point(text: str) -> tuple[Fraction, ...]:
@@ -385,12 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--samples", type=int, help="sample count (default 100)")
+        p.add_argument("--samples", type=parse_integer, help="sample count (default 100)")
         p.add_argument("--width", type=parse_rational, help="isolation width (p/q)")
-        p.add_argument("--jobs", type=int, help="accepted for older configurations; no effect")
+        p.add_argument(
+            "--jobs", type=parse_integer, help="accepted for older configurations; no effect"
+        )
         p.add_argument("--format", choices=("json", "markdown"))
         p.add_argument("--fixtures-dir", dest="fixtures_dir")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=parse_integer)
         p.add_argument("--no-timing", action="store_true", dest="no_timing")
 
     verify = sub.add_parser("verify", help="run lemma certifications")

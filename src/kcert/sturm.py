@@ -2,8 +2,11 @@
 
 The chain is the classical one, p0 = p, p1 = p', p_{i+1} = -rem(p_{i-1}, p_i),
 each member rescaled to a primitive integer polynomial (a positive rescaling
-never changes sign variations).  The number of distinct real roots in a
-half-open interval (a, b] is Var(a) - Var(b).  Everything is exact.
+never changes sign variations) and held as a tuple of ints.  Remainders are
+taken by integer pseudo-division, and the sign of a member at a/b is that of
+the integer b^m * p(a/b), m its degree, formed by a homogeneous Horner
+scheme.  The number of distinct real roots in a half-open interval (a, b] is
+Var(a) - Var(b).  Everything is exact.
 
 ``sturm_isolate`` returns its intervals together with the chain, so that a
 caller can recount an interval it emits with one more query.
@@ -12,42 +15,100 @@ caller can recount an interval it emits with one more query.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import univar
 from .poly import MultiPoly
 from .univar import Coeffs
 
+IntCoeffs = tuple[int, ...]
 
-def sturm_chain(p: Coeffs) -> list[Coeffs]:
+
+def _primitive(p: Coeffs | IntCoeffs) -> IntCoeffs:
+    """Scaled by a positive rational to integer and content-free (sign kept)."""
+    common = lcm(*(c.denominator for c in p))
+    scaled = [c.numerator * (common // c.denominator) for c in p]
+    content = gcd(*scaled)
+    return tuple(c // content for c in scaled)
+
+
+def _negated_remainder(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
+    """-rem(a, b) times a positive integer, by integer pseudo-division."""
+    r = list(a)
+    lead = b[-1]
+    negate = True
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
+        common = gcd(lead, r[-1])
+        scale, factor = lead // common, r[-1] // common
+        r = [c * scale for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= factor * c
+        if scale < 0:  # the remainder was scaled by a negative number
+            negate = not negate
+        while r and r[-1] == 0:
+            r.pop()
+    return tuple(-c for c in r) if negate else tuple(r)
+
+
+def _exact_quotient(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
+    """a / b for a primitive b that divides a: by Gauss's lemma it is integral."""
+    r = list(a)
+    quotient = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(quotient) - 1, -1, -1):
+        factor, rest = divmod(r[shift + len(b) - 1], b[-1])
+        if rest:
+            raise ValueError("polynomial division left a remainder")
+        quotient[shift] = factor
+        for i, c in enumerate(b):
+            r[shift + i] -= factor * c
+    if any(r):
+        raise ValueError("polynomial division left a remainder")
+    return tuple(quotient)
+
+
+def sturm_chain(p: Coeffs | IntCoeffs) -> list[IntCoeffs]:
     if not p:
         raise ValueError("zero polynomial has no Sturm chain")
     # only positive rescaling preserves the sign-variation count
-    chain = [univar.scale_primitive(p)]
-    d = univar.derivative(p)
+    chain = [_primitive(p)]
+    d = univar.derivative(chain[0])
     if d:
-        chain.append(univar.scale_primitive(d))
+        chain.append(_primitive(d))
         while True:
-            remainder = univar.poly_divmod(chain[-2], chain[-1])[1]
+            remainder = _negated_remainder(chain[-2], chain[-1])
             if not remainder:
                 break
-            chain.append(univar.scale_primitive(tuple(-c for c in remainder)))
+            chain.append(_primitive(remainder))
     return chain
 
 
-def sign_variations(chain: list[Coeffs], x: Fraction) -> int:
-    if univar.evaluate(chain[-1], x) == 0:
+def _values(chain: list[IntCoeffs], a: int, b: int) -> list[int]:
+    """b^m * member(a/b) for each member of degree m: the member's sign at a/b."""
+    powers = [1]
+    for _ in range(max(map(len, chain)) - 1):
+        powers.append(powers[-1] * b)
+    values = []
+    for member in chain:
+        total = member[-1]
+        for k, c in enumerate(reversed(member[:-1]), 1):
+            total = total * a + c * powers[k]
+        values.append(total)
+    return values
+
+
+def sign_variations(chain: list[IntCoeffs], x: Fraction) -> int:
+    a, b = x.numerator, x.denominator
+    values = _values(chain, a, b)
+    if values[-1] == 0:
         # x is a multiple root of p, where every member vanishes: count on the
         # chain divided by its last member, gcd(p, p') up to a constant
-        chain = [univar.exact_div(member, chain[-1]) for member in chain]
-    signs = []
-    for member in chain:
-        value = univar.evaluate(member, x)
-        if value != 0:
-            signs.append(1 if value > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        values = _values([_exact_quotient(member, chain[-1]) for member in chain], a, b)
+    signs = [value > 0 for value in values if value]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def count_roots(chain: list[Coeffs], lo: Fraction, hi: Fraction) -> int:
+def count_roots(chain: list[IntCoeffs], lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots in the half-open interval (lo, hi]."""
     if lo >= hi:
         raise ValueError("empty interval")
@@ -58,14 +119,15 @@ def sturm_isolate(
     p: MultiPoly,
     interval: tuple[Fraction, Fraction],
     target_width: Fraction,
-) -> tuple[list[tuple[Fraction, Fraction]], list[Coeffs]]:
+) -> tuple[list[tuple[Fraction, Fraction]], list[IntCoeffs]]:
     """Isolate every real root of a one-variable polynomial in (lo, hi].
 
     Returns disjoint half-open rational intervals (a, b], each certified by
     the Sturm chain to contain exactly one root and each of width <=
     target_width, together with the chain that certifies them.  Counts stay
     valid at roots of p, so a root at hi or at a bisection midpoint is
-    reported, and one at lo is not.
+    reported, and one at lo is not.  Each point's sign variations are counted
+    once: an interval carries the counts at both its ends.
     """
     if target_width <= 0:
         raise ValueError("target width must be positive")
@@ -77,17 +139,18 @@ def sturm_isolate(
         raise ValueError("empty interval")
     chain = sturm_chain(coeffs)
     isolated: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, count_roots(chain, lo, hi))]
+    stack = [(lo, hi, sign_variations(chain, lo), sign_variations(chain, hi))]
     while stack:
-        a, b, n = stack.pop()
+        a, b, var_a, var_b = stack.pop()
+        n = var_a - var_b
         if n == 0:
             continue
         if n == 1 and b - a <= target_width:
             isolated.append((a, b))
             continue
         mid = (a + b) / 2
-        left = count_roots(chain, a, mid)
-        stack.append((mid, b, n - left))
-        stack.append((a, mid, left))
+        var_mid = sign_variations(chain, mid)
+        stack.append((mid, b, var_mid, var_b))
+        stack.append((a, mid, var_a, var_mid))
     isolated.sort()
     return isolated, chain

@@ -1,8 +1,9 @@
 """Dense univariate polynomial helpers over exact rationals.
 
 Coefficient tuples are ascending (index = power) with no trailing zeros; the
-zero polynomial is the empty tuple.  These routines back the Sturm chains and
-the one-variable reductions; multivariate values never pass through here.
+zero polynomial is the empty tuple.  These routines back the one-variable
+reductions and feed the Sturm chains, which hold their members as ints
+(``sturm``); multivariate values never pass through here.
 """
 
 from __future__ import annotations
@@ -21,13 +22,6 @@ def strip(coeffs: Sequence[Fraction]) -> Coeffs:
     while values and values[-1] == 0:
         values.pop()
     return tuple(values)
-
-
-def evaluate(p: Coeffs, x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for coeff in reversed(p):
-        total = total * x + coeff
-    return total
 
 
 def derivative(p: Coeffs) -> Coeffs:

@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import kcert
 from kcert import certify
 from kcert.cli import emit_report, parse_rational, run
 
@@ -184,6 +189,22 @@ def test_out_of_range_seed_flag_is_usage_error(seed, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"seed must be in 0..2^64-1, got {seed}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [("--samples", "\u0663"), ("--seed", "1_0"), ("--jobs", "\uff12"), ("--samples", "+2"),
+     ("--seed", "0x10"), ("--samples", "")],
+)
+def test_integer_flags_take_ascii_digits_only(flag, text, capsys):
+    # int() reads an Arabic-Indic three as 3 and 1_0 as 10; neither may run
+    assert run(["verify", "--lemma", "veritas", flag, text, "--no-timing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected an integer like 42, got {text.strip()!r}" in captured.err
+    if not text.isascii():
+        assert f"non-ASCII {text!r} at column 1" in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -365,3 +386,22 @@ def test_env_config_flags_override_and_width(tmp_path, monkeypatch, capsys):
     assert config["sample_count"] == 5
     assert config["isolation_width"] == "1/1024"
     assert config["fixtures_dir"] is None
+
+
+def test_cold_verify_all_forms_no_hessian():
+    """The CLI asks one direction of each objective per process, so a cold
+    ``verify --all`` takes the direct route everywhere and forms no Hessian."""
+    program = (
+        "import contextlib, io\n"
+        "from kcert import cli, poly\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.run(['verify', '--all', '--no-timing', '--format', 'json'])\n"
+        "print(code, len(poly._first_directions), len(poly._hessians))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(kcert.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    # k2 and k3 calA along their antidiagonals, and the k = 2 diagonal objective
+    assert done.stdout.split() == ["0", "3", "0"]

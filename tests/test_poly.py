@@ -12,7 +12,7 @@ import pytest
 from kcert import poly, univar
 from kcert.delpezzo import K2_CHART, K3_CHART
 from kcert.exprparse import parse_expression
-from kcert.functional import build_bundle
+from kcert.functional import build_bundle, restrict_diagonal
 from kcert.poly import (
     MultiPoly,
     PiPowerMismatchError,
@@ -87,18 +87,29 @@ def test_directional_second_derivative_denominator_is_cube():
     assert d2.den == den ** 3
 
 
-@pytest.mark.parametrize("chart, direction", [(K2_CHART, (1, -1)), (K3_CHART, (1, -1, 0))])
-def test_second_derivative_numerator_is_the_literal_form(chart, direction):
-    f = build_bundle(chart).calA
+def _literal_second_derivative(f, direction):
+    """The structural numerator N_vv*D^2 - 2*N_v*D_v*D - N*D_vv*D + 2*N*D_v^2."""
     n, d = f.num, f.den
     n_v = directional_derivative(n, direction)
     d_v = directional_derivative(d, direction)
     n_vv = directional_derivative(n_v, direction)
     d_vv = directional_derivative(d_v, direction)
-    literal = n_vv * d * d - 2 * n_v * d_v * d - n * d_vv * d + 2 * n * d_v * d_v
+    return n_vv * d * d - 2 * n_v * d_v * d - n * d_vv * d + 2 * n * d_v * d_v
+
+
+@pytest.fixture
+def cold_objectives(monkeypatch):
+    """No objective has been asked for a direction yet, however the suite is run."""
+    monkeypatch.setattr(poly, "_first_directions", {})
+    monkeypatch.setattr(poly, "_hessians", {})
+
+
+@pytest.mark.parametrize("chart, direction", [(K2_CHART, (1, -1)), (K3_CHART, (1, -1, 0))])
+def test_second_derivative_numerator_is_the_literal_form(chart, direction):
+    f = build_bundle(chart).calA
     d2 = directional_second_derivative(f, direction)
-    assert d2.num == literal
-    assert d2.den == d * d * d
+    assert d2.num == _literal_second_derivative(f, direction)
+    assert d2.den == f.den * f.den * f.den
 
 
 def test_second_derivative_k3_matches_uncached_reference():
@@ -123,8 +134,61 @@ def test_second_derivative_k3_matches_uncached_reference():
     assert all(d2.den is results[0].den for d2 in results)
 
 
-def test_second_derivative_forms_each_cube_once(monkeypatch):
-    """A cold call makes 8 products, a warm one 6: D^3 costs two."""
+# per variable count: an objective, and its antidiagonals (the diagonal for one variable)
+OBJECTIVES = {
+    1: (lambda: restrict_diagonal().f, [(1,)]),
+    2: (lambda: build_bundle(K2_CHART).calA, [(1, -1)]),
+    3: (lambda: build_bundle(K3_CHART).calA, [(1, -1, 0), (0, 1, -1), (1, 0, -1)]),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_hessian_route_is_the_literal_form(k, cold_objectives):
+    """After the first direction every direction is a combination of the
+    Hessian columns; each is the literal structural numerator over the shared
+    D^3: antidiagonals, seeded directions, zero components, the zero direction
+    and a rational direction."""
+    objective, directions = OBJECTIVES[k]
+    f = objective()
+    rng = SplitMix64(0x4E55 + k)
+    directions = directions + [tuple(rng.below(7) - 3 for _ in range(k)) for _ in range(3)]
+    directions += [(2,) + (0,) * (k - 1), (0,) * k]
+    directions.append(tuple(Fraction(rng.below(9) - 4, 1 + rng.below(6)) for _ in range(k)))
+    for count, direction in enumerate(directions, 1):
+        d2 = directional_second_derivative(f, direction)
+        assert d2.num == _literal_second_derivative(f, direction), direction
+        assert d2.den is poly._cube(f.den)
+        distinct = len(set(directions[:count]))
+        assert ((f.num, f.den) in poly._hessians) == (distinct > 1)
+
+
+def test_hessian_route_handles_parts_with_denominators(cold_objectives):
+    """RatFunc parts need not have den 1: the Hessian of N/D is formed from
+    their integer numerators and divided by N.den * D.den^2 again."""
+    beta, gamma = gens()
+    f = RatFunc(beta ** 3 / 2 - gamma / 3, Fraction(5, 7) + beta * gamma ** 2 / 4 + gamma ** 3)
+    assert f.num.den == 6 and f.den.den == 28
+    for direction in ((1, -1), (2, 1), (Fraction(-1, 3), 5), (0, 1)):
+        d2 = directional_second_derivative(f, direction)
+        assert d2.num == _literal_second_derivative(f, direction)
+    assert (f.num, f.den) in poly._hessians
+
+
+def test_hessian_route_falls_back_when_a_slot_could_overflow(cold_objectives):
+    """A direction whose coefficient bound exceeds the slot width takes the direct route."""
+    f = build_bundle(K2_CHART).calA
+    directional_second_derivative(f, (1, -1))
+    directional_second_derivative(f, (1, 1))
+    hessian = poly._hessians[(f.num, f.den)]
+    huge = (1 << (4 * hessian.size), -1)
+    assert hessian.along(huge) is None
+    assert directional_second_derivative(f, huge).num == _literal_second_derivative(f, huge)
+
+
+def test_second_derivative_forms_each_cube_once(monkeypatch, cold_objectives):
+    """A cold call makes 8 products, D^3 costing two of them.  The second
+    distinct direction forms the Hessian (10 products for two variables) and
+    no cube; a third direction makes no product at all."""
     beta, gamma = gens()
     f = RatFunc(beta ** 3 - gamma, 5 + 3 * beta * gamma ** 2 + 7 * gamma ** 3)
     products = 0
@@ -138,11 +202,45 @@ def test_second_derivative_forms_each_cube_once(monkeypatch):
     monkeypatch.setattr(MultiPoly, "__mul__", counting)
     poly._cube.cache_clear()  # the first call is cold however the suite is run
     counts = []
-    for direction in ((1, -1), (2, 1)):
+    for direction in ((1, -1), (2, 1), (1, 1)):
         products = 0
         directional_second_derivative(f, direction)
         counts.append(products)
-    assert counts == [8, 6]
+    assert counts == [8, 10, 0]
+    assert poly._cube.cache_info().misses == 1
+
+
+def test_second_derivative_route_selection(monkeypatch, cold_objectives):
+    """The first direction, and that direction asked again, take the direct
+    route and form no Hessian; the second distinct direction forms it once;
+    later directions only combine its columns."""
+    f = build_bundle(K3_CHART).calA
+    poly._cube(f.den)  # warm, so that every count below is of the numerator alone
+    formed = []
+    init = poly._Hessian.__init__
+
+    def counting(self, n, d):
+        formed.append((n, d))
+        init(self, n, d)
+
+    monkeypatch.setattr(poly._Hessian, "__init__", counting)
+    products = 0
+    mul = MultiPoly.__mul__
+
+    def counting_mul(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+    counts = []
+    for direction in ((1, -1, 0), (1, -1, 0), (0, 1, -1), (1, 0, -1), (3, -2, 1)):
+        products = 0
+        directional_second_derivative(f, direction)
+        counts.append((products, len(formed)))
+    assert counts[:2] == [(6, 0), (6, 0)]
+    assert counts[2] == (2 * 3 + 2 * 6, 1)  # G_i: two products each; H_ij: two each
+    assert counts[3:] == [(0, 1), (0, 1)]
 
 
 def test_second_derivative_cube_per_denominator():

@@ -88,6 +88,14 @@ def test_nested_refinement_stability():
     assert a <= c and d <= b
 
 
+def horner(coeffs, x):
+    """Reference value of ascending Fraction coefficients at x."""
+    total = Fraction(0)
+    for coeff in reversed(coeffs):
+        total = total * x + coeff
+    return total
+
+
 def _bisection_sign_change_count(coeffs, lo, hi):
     """Naive oracle: subdivide until the sign-change count stabilises."""
     previous = None
@@ -96,7 +104,7 @@ def _bisection_sign_change_count(coeffs, lo, hi):
         values = []
         for i in range(pieces + 1):
             x = lo + (hi - lo) * Fraction(i, pieces)
-            values.append(univar.evaluate(coeffs, x))
+            values.append(horner(coeffs, x))
         changes = 0
         last_sign = 0
         for v in values:
@@ -128,7 +136,7 @@ def test_sturm_against_bisection_oracle():
         if len(univar.poly_gcd(coeffs, univar.derivative(coeffs))) > 1:
             continue
         lo, hi = Fraction(-8), Fraction(8)
-        if univar.evaluate(coeffs, lo) == 0 or univar.evaluate(coeffs, hi) == 0:
+        if horner(coeffs, lo) == 0 or horner(coeffs, hi) == 0:
             continue
         chain = sturm_chain(coeffs)
         assert count_roots(chain, lo, hi) == _bisection_sign_change_count(
@@ -143,3 +151,55 @@ def test_isolate_returns_the_sturm_chain():
     assert chain == sturm_chain(univar.from_multipoly(p))
     # each emitted interval recounts to one root with the returned chain
     assert [count_roots(chain, lo, hi) for lo, hi in intervals] == [1]
+
+
+def _fraction_chain(coeffs):
+    """The classical chain in Fraction arithmetic, each member scaled primitive."""
+    chain = [univar.scale_primitive(coeffs)]
+    d = univar.derivative(chain[0])
+    if d:
+        chain.append(univar.scale_primitive(d))
+        while True:
+            remainder = univar.poly_divmod(chain[-2], chain[-1])[1]
+            if not remainder:
+                break
+            chain.append(univar.scale_primitive(tuple(-c for c in remainder)))
+    return chain
+
+
+def test_chain_is_integer_and_matches_fraction_arithmetic(diagonal):
+    rng = SplitMix64(0x57C4)
+    cases = [univar.from_multipoly(diagonal.p), univar.from_multipoly(diagonal.q)]
+    # a double root, (x-1)^2 (x+2), and random draws, some with a negative lead
+    cases.append(tuple(Fraction(c) for c in (2, -3, 0, 1)))
+    for _ in range(10):
+        draw = [Fraction(rng.below(21) - 10, 1 + rng.below(4)) for _ in range(7)]
+        cases.append(univar.strip(draw))
+    for coeffs in cases:
+        if not coeffs:
+            continue
+        chain = sturm_chain(coeffs)
+        assert all(type(c) is int for member in chain for c in member)
+        assert chain == _fraction_chain(coeffs)
+
+
+def test_isolation_counts_each_point_once(diagonal, monkeypatch):
+    """Bisection reuses the counts at an interval's ends: every distinct point
+    has its sign variations counted exactly once."""
+    from kcert import sturm
+
+    counted = []
+    real = sturm.sign_variations
+
+    def counting(chain, x):
+        counted.append(x)
+        return real(chain, x)
+
+    monkeypatch.setattr(sturm, "sign_variations", counting)
+    intervals, chain = sturm_isolate(diagonal.p, (Fraction(0), Fraction(2)), Fraction(1, 1 << 20))
+    assert len(intervals) == 1
+    assert len(counted) == len(set(counted)) > 20
+    monkeypatch.setattr(sturm, "sign_variations", real)
+    lo, hi = intervals[0]
+    assert count_roots(chain, lo, hi) == 1 and hi - lo <= Fraction(1, 1 << 20)
+
