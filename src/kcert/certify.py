@@ -56,6 +56,7 @@ from .functional import (
 from .poly import (
     MultiPoly,
     RatFunc,
+    _cube,
     coefficients_all_nonneg,
     directional_second_derivative,
 )
@@ -156,8 +157,13 @@ def positivity_certificate(
 ) -> PositivityCertificate:
     """Certify f > 0 on the positive orthant from coefficient signs.
 
-    ``f`` must be given over the structural denominator denominator_base^3.
+    ``f`` must be given over the structural denominator D^3, D =
+    ``denominator_base``; any other denominator is a ValueError.  So each spot
+    value is the exact f.num(p) / D(p)^3, with D evaluated rather than its cube.
     """
+    cube = _cube(denominator_base)
+    if f.den is not cube and f.den != cube:
+        raise ValueError("f must be given over the cube of denominator_base")
     nonneg, witness = coefficients_all_nonneg(f.num)
     den_min = min(denominator_base.terms.values(), default=Fraction(0))
     ok = nonneg and not f.num.is_zero and den_min > 0
@@ -166,7 +172,7 @@ def positivity_certificate(
     if ok:
         for _ in range(sample_count):
             point = rng.point(len(f.variables))
-            samples.append((point, f.evaluate(point)))
+            samples.append((point, f.num.evaluate(point) / denominator_base.evaluate(point) ** 3))
         ok = all(value > 0 for _, value in samples)
     num_min = min(f.num.terms.values(), default=Fraction(0))
     witness_text = None

@@ -16,6 +16,12 @@ line/column (in a fixture, the line of the file), and so do the arithmetic's
 limits: a literal longer than the interpreter's int-string digit limit, or a
 product whose degree reaches the polynomial exponent guard.
 
+Expansion is cheap for transcribed displays, which are mostly sums of
+``coefficient * symbol powers * (group)`` terms: within a term, numbers and
+symbol powers fold into one monomial as they are read, so the only
+polynomial products are those between parenthesised groups and one by the
+folded monomial; an expression's terms are summed into one table.
+
 Fixture files hold one transcribed display each::
 
     [meta]
@@ -42,9 +48,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .poly import MultiPoly, RatFunc
+from .poly import _PACK_BITS, MultiPoly, RatFunc
 from .sampling import DEFAULT_SEED, SplitMix64
 
 MAX_EXPONENT = 64
@@ -60,8 +66,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NAT, SYMBOL, OP, END
     text: str
     line: int
@@ -132,66 +137,105 @@ class _Parser:
         return value
 
     def expr(self) -> MultiPoly:
-        negate = False
+        """The sum of the terms, accumulated in one table (every parsed
+        polynomial has integer coefficients)."""
+        sign = 1
         token = self.peek()
         if token.kind == "OP" and token.text == "-":
             self.advance()
-            negate = True
-        value = self.term()
-        if negate:
-            value = -value
+            sign = -1
+        table: dict = {}
+        get = table.get
         while True:
+            for e, n in self.term().numerators.items():
+                table[e] = get(e, 0) + sign * n
             token = self.peek()
-            if token.kind == "OP" and token.text in "+-":
-                self.advance()
-                rhs = self.term()
-                value = value + rhs if token.text == "+" else value - rhs
-            else:
-                return value
+            if not (token.kind == "OP" and token.text in "+-"):
+                return MultiPoly._build(self.variables, {e: n for e, n in table.items() if n})
+            self.advance()
+            sign = 1 if token.text == "+" else -1
 
     def term(self) -> MultiPoly:
-        value = self.factor()
+        """The product of the term's factors, with each number and symbol power
+        folded, as it is read, into one monomial: an int coefficient and an
+        exponent vector.  Parenthesised factors are multiplied in order, and
+        the monomial joins their product once, at the end.
+
+        Errors stay where a product formed one factor at a time raises them:
+        the exponent guard fires at the factor (or its '*') where the running
+        degree in some variable reaches it, unless a factor so far was zero.
+        """
+        variables = self.variables
+        coefficient, exponents = 1, [0] * len(variables)
+        groups = None  # the parenthesised factors' product
+        reach = [0] * len(variables)  # the running product's degree in each variable
+        token = None  # the '*' or first token of each factor after the first
         while True:
+            first = self.peek()
+            if first.kind == "NAT":
+                self.advance()
+                coefficient *= self.at(first, int, first.text) ** self.exponent()[0]
+            elif first.kind == "SYMBOL" and first.text in variables:
+                self.advance()
+                i = variables.index(first.text)
+                power = self.exponent()[0]
+                exponents[i] += power
+                reach[i] += power
+                self.guard(token, coefficient, reach)
+            else:
+                group = self.factor()
+                if not group:
+                    coefficient = 0
+                elif coefficient:
+                    reach = [r + max(e) for r, e in zip(reach, zip(*group.numerators))]
+                    self.guard(token, coefficient, reach)
+                    groups = group if groups is None else groups * group
             token = self.peek()
             if token.kind == "OP" and token.text == "*":
                 self.advance()
             elif not (token.kind in ("NAT", "SYMBOL") or (
                 token.kind == "OP" and token.text == "("
             )):
-                return value
-            value = self.at(token, mul, value, self.factor())
+                break
+        if not coefficient:
+            return MultiPoly.zero(variables)
+        monomial = MultiPoly._build(variables, {tuple(exponents): coefficient})
+        return monomial if groups is None else monomial * groups
+
+    def guard(self, token: _Token | None, coefficient: int, reach: list[int]) -> None:
+        """At a factor after the first, raise the exponent guard's own error if
+        the running product is nonzero and its degrees ``reach`` reach it."""
+        if token is not None and coefficient and max(reach) >> _PACK_BITS:
+            monomial = MultiPoly._build(self.variables, {tuple(reach): 1})
+            self.at(token, mul, monomial, MultiPoly.const(self.variables, 1))
+
+    def exponent(self) -> tuple[int, _Token | None]:
+        """The natural number after an optional '^', with its token: (1, None) without one."""
+        token = self.peek()
+        if not (token.kind == "OP" and token.text == "^"):
+            return 1, None
+        self.advance()
+        token = self.peek()
+        if token.kind != "NAT":
+            raise self.fail("expected a natural-number exponent after '^'")
+        self.advance()
+        exponent = self.at(token, int, token.text)
+        if exponent > MAX_EXPONENT:
+            raise ParseError(
+                f"exponent {exponent} exceeds the {MAX_EXPONENT} limit", token.line, token.column
+            )
+        return exponent, token
 
     def factor(self) -> MultiPoly:
         value = self.base()
-        token = self.peek()
-        if token.kind == "OP" and token.text == "^":
-            self.advance()
-            exp_token = self.peek()
-            if exp_token.kind != "NAT":
-                raise self.fail("expected a natural-number exponent after '^'")
-            self.advance()
-            exponent = self.at(exp_token, int, exp_token.text)
-            if exponent > MAX_EXPONENT:
-                raise ParseError(
-                    f"exponent {exponent} exceeds the {MAX_EXPONENT} limit",
-                    exp_token.line,
-                    exp_token.column,
-                )
-            value = self.at(exp_token, pow, value, exponent)
-        return value
+        exponent, token = self.exponent()
+        return value if token is None else self.at(token, pow, value, exponent)
 
     def base(self) -> MultiPoly:
+        """A parenthesised expression; the term reads numbers and declared symbols."""
         token = self.peek()
-        if token.kind == "NAT":
-            self.advance()
-            return MultiPoly.const(self.variables, self.at(token, int, token.text))
         if token.kind == "SYMBOL":
-            if token.text not in self.variables:
-                raise ParseError(
-                    f"undeclared symbol {token.text!r}", token.line, token.column
-                )
-            self.advance()
-            return MultiPoly.variable(self.variables, token.text)
+            raise ParseError(f"undeclared symbol {token.text!r}", token.line, token.column)
         if token.kind == "OP" and token.text == "(":
             self.advance()
             value = self.expr()
@@ -322,9 +366,11 @@ def compare_against_fixture(computed: RatFunc, fixture: RatFunc) -> ComparisonVe
     vanishes is skipped.  The decision order:
 
     1. At the first point where the fixture value is nonzero, take the ratio
-       r of the two values.  If r > 0, check exactly (cross-multiplication)
+       r of the two values.  If r > 0, check exactly (``RatFunc.equals``)
        whether ``computed`` equals r times the fixture: if so, return EXACT
-       (r = 1) or SCALED(r) at once.
+       (r = 1) or SCALED(r) at once.  An r that the two sides' extreme terms
+       already refute costs no polynomial product; otherwise the check
+       cross-multiplies.
     2. Otherwise return MISMATCH at the first point where the values differ,
        with that point and both values as witness, and stop sampling: no
        check is left that could still give EXACT or SCALED.  A difference

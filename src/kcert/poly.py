@@ -20,7 +20,8 @@ Conventions:
   * rational functions are held as numerator/denominator pairs, canonicalised
     to coprime integer parts with the denominator's grevlex-leading
     coefficient positive.  Equality holds at once when numerators and
-    denominators are identical polynomials, and is otherwise decided by
+    denominators are identical polynomials, fails at once when the extreme
+    terms of the two cross products differ, and is otherwise decided by
     cross-multiplication, never by multivariate gcd;
   * evaluation at a rational point sums integers and divides once (see
     ``MultiPoly.evaluate``);
@@ -66,7 +67,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, product, repeat
 from math import gcd, lcm, prod
-from operator import mul, sub
+from operator import add, mul, sub
 from struct import iter_unpack, unpack
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
@@ -573,7 +574,8 @@ class RatFunc:
     denominator's grevlex-leading coefficient positive.  No polynomial
     cancellation is ever attempted.  Two values with equal numerators and
     equal denominators are equal at once; any other pair is compared by
-    cross-multiplication.
+    cross-multiplication, after a comparison of the products' extreme terms
+    that can refute it without forming them.
     """
 
     __slots__ = ("num", "den")
@@ -670,13 +672,26 @@ class RatFunc:
         return RatFunc.make(self.num * other.den, self.den * other.num)
 
     def equals(self, other: RatFunc) -> bool:
-        """Identical forms are equal; otherwise num1*den2 == num2*den1."""
+        """Identical forms are equal; otherwise num1*den2 == num2*den1.
+
+        Before either product is formed, its lex-leading and lex-trailing
+        terms are compared, exponents and exact coefficients: under a
+        monomial order the extreme terms of a product are the products of
+        its factors' extreme terms, so a difference there proves the forms
+        unequal.  When they agree, the full cross-multiplication decides.
+        A zero numerator equals only a zero numerator (denominators are
+        nonzero).
+        """
         if self.variables != other.variables:
             raise VariableMismatchError(
                 f"variable lists differ: {self.variables} vs {other.variables}"
             )
         if self.num == other.num and self.den == other.den:
             return True
+        if not self.num or not other.num:
+            return not self.num and not other.num
+        if _extreme_terms(self.num, other.den) != _extreme_terms(other.num, self.den):
+            return False
         return self.num * other.den == other.num * self.den
 
     def __eq__(self, other: object) -> bool:
@@ -702,6 +717,17 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self.render()!r})"
+
+
+def _extreme_terms(a: MultiPoly, b: MultiPoly) -> list[tuple[Exponents, Fraction]]:
+    """The lex-leading and lex-trailing terms of a*b, for nonzero a and b, without
+    forming it."""
+    out = []
+    for pick in (max, min):
+        ea, eb = pick(a.numerators), pick(b.numerators)
+        coefficient = Fraction(a.numerators[ea] * b.numerators[eb], a.den * b.den)
+        out.append((tuple(map(add, ea, eb)), coefficient))
+    return out
 
 
 def _coerce(value: RatFunc | MultiPoly | Scalar, variables: tuple[str, ...]) -> RatFunc:

@@ -69,6 +69,20 @@ def test_zero_numerator_fail_certificate_rechecks():
     assert cert.recheck()
 
 
+def test_positivity_certificate_requires_the_cube_denominator():
+    """Spot values are taken over D, so f must be over D^3 exactly."""
+    beta, gamma = MultiPoly.gens(("beta", "gamma"))
+    base = 1 + beta + gamma
+    numerator = 1 + beta * gamma
+    for den in (base ** 2, base ** 3 + 1, 2 * base ** 3):
+        with pytest.raises(ValueError, match="cube of denominator_base"):
+            positivity_certificate(RatFunc(numerator, den), base, (1, 0), "wrong denominator")
+    cert = positivity_certificate(RatFunc(numerator, base ** 3), base, (1, 0), "cube")
+    assert cert.verdict == "PASS"
+    for point, value in cert.samples:
+        assert value == RatFunc(numerator, base ** 3).evaluate(point)
+
+
 def test_positivity_certificate_recheck_is_self_contained():
     from dataclasses import replace
 

@@ -405,3 +405,37 @@ def test_cold_verify_all_forms_no_hessian():
     assert done.returncode == 0, done.stderr
     # k2 and k3 calA along their antidiagonals, and the k = 2 diagonal objective
     assert done.stdout.split() == ["0", "3", "0"]
+
+
+def test_cold_verify_convex2_refutes_the_display_without_products():
+    """A cold ``verify --lemma convex2`` keeps its bytes, and its comparison of
+    the k2 display ``d2_antidiag`` forms no polynomial product: the display is
+    refuted by the leading terms of the cross products."""
+    program = (
+        "import contextlib, hashlib, io\n"
+        "from kcert import certify, cli\n"
+        "from kcert.poly import MultiPoly\n"
+        "multiply, compare = MultiPoly.__mul__, certify.compare_against_fixture\n"
+        "products, comparisons = [], []\n"
+        "def comparing(computed, fixture):\n"
+        "    MultiPoly.__mul__ = lambda a, b: products.append(1) or multiply(a, b)\n"
+        "    try:\n"
+        "        return compare(computed, fixture)\n"
+        "    finally:\n"
+        "        MultiPoly.__mul__ = multiply\n"
+        "        comparisons.append((computed.num.variables, len(products)))\n"
+        "certify.compare_against_fixture = comparing\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = cli.run(['verify', '--lemma', 'convex2', '--no-timing', '--format', 'json'])\n"
+        "print(code, hashlib.md5(out.getvalue().encode()).hexdigest(), comparisons)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(kcert.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    # one comparison, of the k2 display over (beta, gamma), with no product
+    assert done.stdout.split(maxsplit=2) == [
+        "0", "d2e87cf74eeaffd21fcc63cd5b74a69d", "[(('beta', 'gamma'), 0)]\n"
+    ]

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from kcert import exprparse
+from kcert import certify, exprparse
 from kcert.exprparse import (
+    MAX_EXPONENT,
     ComparisonVerdict,
     FixtureError,
     ParseError,
@@ -101,6 +103,119 @@ def test_fuzzed_tokens_parse_or_positioned_error():
         except ParseError as exc:
             assert exc.line >= 1 and exc.column >= 1
         # any other exception type is a bug
+
+
+def _generated_expression(rng: SplitMix64, depth: int) -> tuple[str, MultiPoly]:
+    """Display text and the polynomial it denotes, built by plain products,
+    one factor at a time."""
+    total = MultiPoly.zero(BG)
+    pieces = []
+    for index in range(1 + rng.below(4)):
+        sign = -1 if (index or rng.below(2)) and rng.below(2) else 1
+        if index:
+            pieces.append(" - " if sign < 0 else " + ")
+        elif sign < 0:
+            pieces.append("-")
+        value = MultiPoly.const(BG, 1)
+        for position in range(1 + rng.below(5)):
+            kind = rng.below(5) if depth else rng.below(4)
+            if kind == 0:
+                number = rng.below(4) if rng.below(4) == 0 else rng.below(10 ** (1 + rng.below(18)))
+                text, base = str(number), MultiPoly.const(BG, number)
+            elif kind < 4:
+                name = BG[kind % 2]
+                text, base = name, MultiPoly.variable(BG, name)
+            else:
+                inner, base = _generated_expression(rng, depth - 1)
+                text = f"({inner})"
+            if rng.below(3) == 0:
+                if kind == 4:
+                    exponent = rng.below(4)
+                else:
+                    exponent = rng.below(7) if rng.below(4) else MAX_EXPONENT - rng.below(2)
+                text, base = f"{text}^{exponent}", base ** exponent
+            if position:
+                pieces.append((" ", "*", " * ")[rng.below(3)])
+            pieces.append(text)
+            value = value * base
+        total = total + value.scale(sign)
+    return "".join(pieces), total
+
+
+def test_generated_expressions_parse_to_plain_products():
+    """Folded runs of numbers and symbol powers expand to the same polynomial
+    as products formed one factor at a time, zero factors and ^0 included."""
+    rng = SplitMix64(0xF01D)
+    for _ in range(300):
+        text, reference = _generated_expression(rng, depth=2)
+        assert parse_expression(text, BG) == reference, text
+
+
+# sha256 of every shipped fixture's parsed numerator and denominator, as
+# parsed one factor at a time; the fixture files are data and never change
+FIXTURE_PARSE_DIGESTS = {
+    "k2/calA": "86ccea06eebd3099",
+    "k2/d2_antidiag": "e90117a1fbb6e797",
+    "k2/F_beta": "5be55073fb90f34e",
+    "k2/P": "bef6e8844fd7ea36",
+    "k2/Q": "09fab977b9ad8b23",
+    "k3/F1": "cd5c0aea7160cd85",
+    "k3/F2": "e0952e167c4fdb12",
+    "k3/A": "eeebb44d94c93895",
+    "k3/B": "2c5efc7622e1ea2d",
+    "k3/C": "022cb0645983ee48",
+    "k3/calA": "cc3bd0b76db7b09e",
+    "k3/d2_alphabeta": "93a8055baa99a71e",
+}
+
+
+def test_shipped_fixtures_parse_to_recorded_polynomials():
+    digests = {}
+    for chart_id, names in certify.FIXTURE_NAMES.items():
+        for name in names:
+            meta, _ = load_fixture(certify.FIXTURES_DIR / chart_id / f"{name}.fix")
+            parts = [
+                parse_expression(text, meta.variables)
+                for text in (meta.numerator_text, meta.denominator_text)
+            ]
+            text = repr([(p.den, sorted(p.numerators.items())) for p in parts])
+            digests[f"{chart_id}/{name}"] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digests == FIXTURE_PARSE_DIGESTS
+
+
+_GROUP = "(((beta^64)^64)^63) "  # one monomial of degree 258048 in beta
+
+
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("2 beta " + "7" * 5000 + " gamma", "Exceeds the limit (4300 digits)", 8),
+        ("3 beta gamma^", "expected a natural-number exponent after '^'", 14),
+        ("3 beta^2 gamma^65 beta", "exponent 65 exceeds the 64 limit", 16),
+        # 65 groups and 64 folded beta^64 reach 2^24 at the last beta
+        (_GROUP * 65 + "gamma " + "beta^64 " * 64 + "beta",
+         "degree 16777216 in 'beta' reaches the 2^24 exponent limit", 1811),
+        (_GROUP * 65 + "gamma * " + "beta^64 * " * 63 + " beta^64 * beta",
+         "degree 16777216 in 'beta' reaches the 2^24 exponent limit", 1937),
+        (_GROUP * 65 + "beta^63 " + _GROUP,
+         "degree 17031231 in 'beta' reaches the 2^24 exponent limit", 1309),
+    ],
+    ids=["digit-limit", "caret-at-end", "exponent-65", "guard-juxtaposed", "guard-star",
+         "guard-group"],
+)
+def test_folded_runs_keep_positioned_errors(text, message, column):
+    """Positions and messages as when every factor was its own product."""
+    with pytest.raises(ParseError) as info:
+        parse_expression(text, BG)
+    assert str(info.value).startswith(message)
+    assert (info.value.line, info.value.column) == (1, column)
+
+
+def test_zero_factor_stops_the_exponent_guard():
+    """A product with a zero factor is zero, as one formed factor by factor is,
+    however far its other factors' degrees reach."""
+    for zero in ("0 ", "(beta - beta) "):
+        assert parse_expression(_GROUP * 65 + zero + "beta^64 " * 70, BG).is_zero
 
 
 def test_load_fixture_roundtrip(tmp_path: Path):

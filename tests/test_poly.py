@@ -449,6 +449,85 @@ def test_equals_falls_back_to_cross_multiplication():
     assert not RatFunc.make(gamma, beta).equals(RatFunc.make(2 * gamma, beta))
 
 
+def _counting_products(monkeypatch) -> list:
+    """Record every polynomial product taken after the call."""
+    products = []
+    multiply = MultiPoly.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counting)
+    return products
+
+
+def _extremes(p: MultiPoly) -> tuple:
+    return tuple((e, Fraction(p.numerators[e], p.den)) for e in (max(p.numerators), min(p.numerators)))
+
+
+def test_equals_matches_cross_multiplication_reference(monkeypatch):
+    """Equal forms in different representations, pairs that agree in both
+    extreme terms but differ inside, and unrelated pairs: ``equals`` agrees
+    with plain cross-multiplication, and forms no product exactly when the
+    extreme terms of the two cross products already differ."""
+    rng = SplitMix64(0xE0A1)
+    variables = ("x", "y", "z")
+    cases = []
+    for _ in range(200):
+        a, b, c = (
+            MultiPoly(variables, _seeded_terms(rng, 3, 1 + rng.below(40))) or MultiPoly.const(variables, 1)
+            for _ in range(3)
+        )
+        cases.append((RatFunc(a * c, b * c), RatFunc.make(a, b)))  # equal, uncancelled
+        cases.append((RatFunc(a, b), RatFunc(c, b)))
+        cases.append((RatFunc.make(a, b), RatFunc.make(c, a + b) if a + b else RatFunc(c, b)))
+        inside = sorted(a.numerators)[1:-1]
+        if inside:
+            # one interior coefficient of the numerator moves; the extremes stay
+            bump = MultiPoly(variables, {inside[rng.below(len(inside))]: Fraction(1 + rng.below(9))})
+            cases.append((RatFunc(a, b), RatFunc(a + bump, b)))
+    interior = 0
+    for f, g in cases:
+        left, right = f.num * g.den, g.num * f.den
+        expected = left == right
+        products = _counting_products(monkeypatch)
+        assert f.equals(g) is expected and g.equals(f) is expected
+        monkeypatch.undo()
+        refuted = not f.num or not g.num or _extremes(left) != _extremes(right)
+        if f.num == g.num and f.den == g.den:
+            assert products == []
+        elif refuted:
+            assert products == [] and not expected
+        else:
+            assert len(products) == 4  # two cross products, each way round
+            interior += not expected
+    assert interior > 0  # some pairs were refuted only by the full products
+
+
+def test_equals_zero_numerators_form_no_product(monkeypatch):
+    beta, gamma = gens()
+    zero = MultiPoly.zero(BG)
+    products = _counting_products(monkeypatch)
+    assert RatFunc(zero, 1 + beta).equals(RatFunc(zero, gamma))
+    assert not RatFunc(zero, 1 + beta).equals(RatFunc.make(gamma, beta))
+    assert not RatFunc.make(gamma, beta).equals(RatFunc(zero, 1 + beta))
+    assert products == []
+
+
+def test_k2_display_comparison_forms_no_product(monkeypatch):
+    """The recorded k2 MISMATCH is refuted by the leading terms alone."""
+    from kcert import certify
+    from kcert.exprparse import compare_against_fixture
+
+    _, fixture = certify._named_fixture("k2", "d2_antidiag", None)
+    computed = certify._fixture_target("k2", "d2_antidiag")
+    products = _counting_products(monkeypatch)
+    assert compare_against_fixture(computed, fixture).kind == "MISMATCH"
+    assert products == []
+
+
 def test_exponent_packing_overflow_is_rejected():
     with pytest.raises(ValueError, match="exponent limit"):
         parse_expression("(((beta^64)^64)^64)^64", BG)
