@@ -337,24 +337,19 @@ def verify_symmetry(lemma_id: str) -> LemmaReport:
 
 def _coefficient_split(
     poly: MultiPoly, split_degree: int, low_sign: int
-) -> tuple[bool, Fraction, Fraction]:
+) -> tuple[bool, int, int]:
     """Check signs below/above a degree split; return the two absolute sums.
 
     low_sign = -1 expects coefficients of degree <= split_degree nonpositive
-    and the rest nonnegative; +1 expects the reverse.
+    and the rest nonnegative; +1 expects the reverse.  The sums are printed
+    as poly's own coefficient totals, so poly must have integer coefficients.
     """
+    if poly.den != 1:
+        raise ValueError(f"coefficient split needs integer coefficients, got den {poly.den}")
     coeffs = univar.from_multipoly(poly)
-    low_total = Fraction(0)
-    high_total = Fraction(0)
-    ok = True
-    for i, c in enumerate(coeffs):
-        if i <= split_degree:
-            ok = ok and (c * low_sign >= 0)
-            low_total += abs(c)
-        else:
-            ok = ok and (c * low_sign <= 0)
-            high_total += abs(c)
-    return ok, low_total, high_total
+    low, high = coeffs[: split_degree + 1], coeffs[split_degree + 1 :]
+    ok = all(c * low_sign >= 0 for c in low) and all(c * low_sign <= 0 for c in high)
+    return ok, sum(map(abs, low)), sum(map(abs, high))
 
 
 def verify_inequality_chain(kind: str) -> LemmaReport:
@@ -407,12 +402,6 @@ def verify_inequality_chain(kind: str) -> LemmaReport:
     )
 
 
-def _cauchy_root_bound(coeffs) -> Fraction:
-    lead = abs(coeffs[-1])
-    biggest = max(abs(c) for c in coeffs[:-1]) if len(coeffs) > 1 else Fraction(0)
-    return 1 + biggest / lead
-
-
 def verify_prime2() -> LemmaReport:
     """First-derivative sign: positive for all x >= 6/5.
 
@@ -425,7 +414,7 @@ def verify_prime2() -> LemmaReport:
     chain_report = verify_inequality_chain("prime2_bound")
     p_coeffs = univar.from_multipoly(diag.p)
     chain = sturm_chain(p_coeffs)
-    bound = _cauchy_root_bound(p_coeffs)
+    bound = univar.cauchy_root_bound(p_coeffs)
     roots_beyond = count_roots(chain, Fraction(6, 5), bound)
     value_at_1 = diag.p.evaluate((Fraction(1),))
     value_at_6_5 = diag.p.evaluate((Fraction(6, 5),))

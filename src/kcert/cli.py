@@ -242,7 +242,10 @@ def _load_env_config() -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as handle:
-        settings = json.load(handle)
+        try:
+            settings = json.load(handle)
+        except RecursionError:
+            raise ValueError("KCERT_CONFIG nests too deeply to decode") from None
     if not isinstance(settings, dict):
         raise ValueError(f"KCERT_CONFIG must hold a JSON object, got {settings!r}")
     for key, value in settings.items():

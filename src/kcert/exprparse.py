@@ -11,7 +11,8 @@ Grammar (whitespace and line breaks insignificant, juxtaposition multiplies):
 
 Text is ASCII: a digit, letter or space of any other script is an unexpected
 character.  A unary minus is accepted only at the start of an expression or
-parenthesis group.  Exponents above 64 are rejected.  Syntax errors carry
+parenthesis group.  Exponents above 64 are rejected, and so is a '(' that
+would open a 65th group inside others (``MAX_NESTING``).  Syntax errors carry
 line/column (in a fixture, the line of the file), and so do the arithmetic's
 limits: a literal longer than the interpreter's int-string digit limit, or a
 product whose degree reaches the polynomial exponent guard.
@@ -54,6 +55,7 @@ from .poly import _PACK_BITS, MultiPoly, RatFunc
 from .sampling import DEFAULT_SEED, SplitMix64
 
 MAX_EXPONENT = 64
+MAX_NESTING = 64  # open groups at once; the shipped fixtures nest at most 4 deep
 COMPARISON_SAMPLES = 100
 
 
@@ -75,27 +77,30 @@ class _Token(NamedTuple):
 
 # ASCII only: a digit or letter of another script is an unexpected character
 _TOKEN = re.compile(
-    r"(?P<NAT>[0-9]+)|(?P<SYMBOL>[A-Za-z_][A-Za-z0-9_]*)|(?P<OP>[-+*^()])|[ \t\r\f\v]+"
+    r"(?P<NAT>[0-9]+)|(?P<SYMBOL>[A-Za-z_][A-Za-z0-9_]*)|(?P<OP>[-+*^()])"
+    r"|(?P<NEWLINE>\n)|[ \t\r\f\v]+|(?P<BAD>.)",
+    re.DOTALL,
 )
 
 
 def _tokenize(text: str, first_line: int = 1) -> list[_Token]:
     """Tokens with 1-based positions; ``first_line`` is the line ``text`` starts on."""
     tokens: list[_Token] = []
+    append = tokens.append
     line, line_start = first_line, 0
-    i, n = 0, len(text)
-    while i < n:
-        if text[i] == "\n":
-            i += 1
-            line, line_start = line + 1, i
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind is None:
             continue
-        match = _TOKEN.match(text, i)
-        if match is None:
-            raise ParseError(f"unexpected character {text[i]!r}", line, i - line_start + 1)
-        if match.lastgroup is not None:
-            tokens.append(_Token(match.lastgroup, match.group(), line, i - line_start + 1))
-        i = match.end()
-    tokens.append(_Token("END", "", line, i - line_start + 1))
+        if kind == "NEWLINE":
+            line, line_start = line + 1, match.end()
+        elif kind == "BAD":
+            raise ParseError(
+                f"unexpected character {match.group()!r}", line, match.start() - line_start + 1
+            )
+        else:
+            append(_Token(kind, match.group(), line, match.start() - line_start + 1))
+    tokens.append(_Token("END", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -104,6 +109,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
+        self.depth = 0  # groups open at the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -237,8 +243,14 @@ class _Parser:
         if token.kind == "SYMBOL":
             raise ParseError(f"undeclared symbol {token.text!r}", token.line, token.column)
         if token.kind == "OP" and token.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"groups nest deeper than the {MAX_NESTING} limit", token.line, token.column
+                )
             self.advance()
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             closing = self.peek()
             if not (closing.kind == "OP" and closing.text == ")"):
                 raise self.fail("expected ')'")

@@ -254,11 +254,9 @@ def restrict_diagonal() -> DiagonalRestriction:
     num_coeffs = univar.from_multipoly(raw_num)
     den_coeffs = univar.from_multipoly(raw_den)
     common = univar.poly_gcd(num_coeffs, den_coeffs)
-    num_coeffs = univar.exact_div(num_coeffs, common)
-    den_coeffs = univar.exact_div(den_coeffs, common)
     f = RatFunc.make(
-        univar.to_multipoly(num_coeffs, "beta"),
-        univar.to_multipoly(den_coeffs, "beta"),
+        univar.to_multipoly(univar.exact_quotient(num_coeffs, common), "beta", raw_num.den),
+        univar.to_multipoly(univar.exact_quotient(den_coeffs, common), "beta", raw_den.den),
     )
     n, d = f.num, f.den
     d1_num = n.diff("beta") * d - n * d.diff("beta")

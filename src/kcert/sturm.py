@@ -2,11 +2,12 @@
 
 The chain is the classical one, p0 = p, p1 = p', p_{i+1} = -rem(p_{i-1}, p_i),
 each member rescaled to a primitive integer polynomial (a positive rescaling
-never changes sign variations) and held as a tuple of ints.  Remainders are
-taken by integer pseudo-division, and the sign of a member at a/b is that of
-the integer b^m * p(a/b), m its degree, formed by a homogeneous Horner
-scheme.  The number of distinct real roots in a half-open interval (a, b] is
-Var(a) - Var(b).  Everything is exact.
+never changes sign variations) and held as a tuple of ints; the remainders
+come from ``univar``'s integer pseudo-division.  This module only builds
+chains, evaluates them, and counts and isolates roots: the sign of a member
+at a/b is that of the integer b^m * p(a/b), m its degree, formed by a
+homogeneous Horner scheme, and the number of distinct real roots in a
+half-open interval (a, b] is Var(a) - Var(b).  Everything is exact.
 
 ``sturm_isolate`` returns its intervals together with the chain, so that a
 caller can recount an interval it emits with one more query.
@@ -15,71 +16,24 @@ caller can recount an interval it emits with one more query.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
-from . import univar
 from .poly import MultiPoly
-from .univar import Coeffs
-
-IntCoeffs = tuple[int, ...]
+from .univar import IntCoeffs, derivative, exact_quotient, from_multipoly, negated_remainder, primitive
 
 
-def _primitive(p: Coeffs | IntCoeffs) -> IntCoeffs:
-    """Scaled by a positive rational to integer and content-free (sign kept)."""
-    common = lcm(*(c.denominator for c in p))
-    scaled = [c.numerator * (common // c.denominator) for c in p]
-    content = gcd(*scaled)
-    return tuple(c // content for c in scaled)
-
-
-def _negated_remainder(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
-    """-rem(a, b) times a positive integer, by integer pseudo-division."""
-    r = list(a)
-    lead = b[-1]
-    negate = True
-    while len(r) >= len(b):
-        shift = len(r) - len(b)
-        common = gcd(lead, r[-1])
-        scale, factor = lead // common, r[-1] // common
-        r = [c * scale for c in r]
-        for i, c in enumerate(b):
-            r[shift + i] -= factor * c
-        if scale < 0:  # the remainder was scaled by a negative number
-            negate = not negate
-        while r and r[-1] == 0:
-            r.pop()
-    return tuple(-c for c in r) if negate else tuple(r)
-
-
-def _exact_quotient(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
-    """a / b for a primitive b that divides a: by Gauss's lemma it is integral."""
-    r = list(a)
-    quotient = [0] * (len(a) - len(b) + 1)
-    for shift in range(len(quotient) - 1, -1, -1):
-        factor, rest = divmod(r[shift + len(b) - 1], b[-1])
-        if rest:
-            raise ValueError("polynomial division left a remainder")
-        quotient[shift] = factor
-        for i, c in enumerate(b):
-            r[shift + i] -= factor * c
-    if any(r):
-        raise ValueError("polynomial division left a remainder")
-    return tuple(quotient)
-
-
-def sturm_chain(p: Coeffs | IntCoeffs) -> list[IntCoeffs]:
+def sturm_chain(p: IntCoeffs) -> list[IntCoeffs]:
     if not p:
         raise ValueError("zero polynomial has no Sturm chain")
     # only positive rescaling preserves the sign-variation count
-    chain = [_primitive(p)]
-    d = univar.derivative(chain[0])
+    chain = [primitive(p)]
+    d = derivative(chain[0])
     if d:
-        chain.append(_primitive(d))
+        chain.append(primitive(d))
         while True:
-            remainder = _negated_remainder(chain[-2], chain[-1])
+            remainder = negated_remainder(chain[-2], chain[-1])
             if not remainder:
                 break
-            chain.append(_primitive(remainder))
+            chain.append(primitive(remainder))
     return chain
 
 
@@ -103,7 +57,7 @@ def sign_variations(chain: list[IntCoeffs], x: Fraction) -> int:
     if values[-1] == 0:
         # x is a multiple root of p, where every member vanishes: count on the
         # chain divided by its last member, gcd(p, p') up to a constant
-        values = _values([_exact_quotient(member, chain[-1]) for member in chain], a, b)
+        values = _values([exact_quotient(member, chain[-1]) for member in chain], a, b)
     signs = [value > 0 for value in values if value]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
@@ -131,7 +85,7 @@ def sturm_isolate(
     """
     if target_width <= 0:
         raise ValueError("target width must be positive")
-    coeffs = univar.from_multipoly(p)
+    coeffs = from_multipoly(p)
     if not coeffs:
         raise ValueError("cannot isolate roots of the zero polynomial")
     lo, hi = Fraction(interval[0]), Fraction(interval[1])

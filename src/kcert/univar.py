@@ -1,100 +1,96 @@
-"""Dense univariate polynomial helpers over exact rationals.
+"""Dense one-variable polynomials with integer coefficients.
 
-Coefficient tuples are ascending (index = power) with no trailing zeros; the
-zero polynomial is the empty tuple.  These routines back the one-variable
-reductions and feed the Sturm chains, which hold their members as ints
-(``sturm``); multivariate values never pass through here.
+A polynomial is an ascending tuple of ints (index = power) whose last entry
+is nonzero; the zero polynomial is the empty tuple.  ``from_multipoly``
+reads a one-variable ``MultiPoly`` as its int numerators, a positive
+rescaling, which changes neither roots nor signs.  Division is integer
+pseudo-division, and gcds are taken by Euclid on primitive pseudo-remainders
+(Knuth, TAOCP Vol. 2, 4.6.1), so no Fraction is formed.  These routines back
+the diagonal's reduction to lowest terms and the Sturm chains (``sturm``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Sequence
+from math import gcd
 
 from .poly import MultiPoly
 
-Coeffs = tuple[Fraction, ...]
+IntCoeffs = tuple[int, ...]
 
 
-def strip(coeffs: Sequence[Fraction]) -> Coeffs:
-    values = list(coeffs)
-    while values and values[-1] == 0:
-        values.pop()
-    return tuple(values)
+def derivative(p: IntCoeffs) -> IntCoeffs:
+    return tuple(c * i for i, c in enumerate(p) if i)
 
 
-def derivative(p: Coeffs) -> Coeffs:
-    return strip(tuple(coeff * i for i, coeff in enumerate(p) if i))
+def primitive(p: IntCoeffs) -> IntCoeffs:
+    """p divided by the gcd of its coefficients (sign kept)."""
+    content = gcd(*p)
+    return tuple(c // content for c in p)
 
 
-def poly_divmod(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    remainder = list(a)
-    quotient = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+def negated_remainder(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
+    """-rem(a, b) times a positive integer, by integer pseudo-division."""
+    r = list(a)
     lead = b[-1]
-    while len(remainder) >= len(b) and strip(remainder):
-        shift = len(remainder) - len(b)
-        factor = remainder[-1] / lead
+    negate = True
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
+        common = gcd(lead, r[-1])
+        scale, factor = lead // common, r[-1] // common
+        r = [c * scale for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= factor * c
+        if scale < 0:  # the remainder was scaled by a negative number
+            negate = not negate
+        while r and r[-1] == 0:
+            r.pop()
+    return tuple(-c for c in r) if negate else tuple(r)
+
+
+def exact_quotient(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
+    """a / b for a primitive b that divides a: by Gauss's lemma it is integral."""
+    r = list(a)
+    quotient = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(quotient) - 1, -1, -1):
+        factor, rest = divmod(r[shift + len(b) - 1], b[-1])
+        if rest:
+            raise ValueError("polynomial division left a remainder")
         quotient[shift] = factor
-        for i, coeff in enumerate(b):
-            remainder[shift + i] -= factor * coeff
-        while remainder and remainder[-1] == 0:
-            remainder.pop()
-    return strip(quotient), strip(remainder)
-
-
-def exact_div(a: Coeffs, b: Coeffs) -> Coeffs:
-    q, r = poly_divmod(a, b)
-    if r:
+        for i, c in enumerate(b):
+            r[shift + i] -= factor * c
+    if any(r):
         raise ValueError("polynomial division left a remainder")
-    return q
+    return tuple(quotient)
 
 
-def scale_primitive(p: Coeffs) -> Coeffs:
-    """Scale by a positive rational to integer and content-free (sign kept)."""
-    if not p:
-        return p
-    denominator_lcm = 1
-    for c in p:
-        denominator_lcm = lcm(denominator_lcm, c.denominator)
-    scaled = [c * denominator_lcm for c in p]
-    content = 0
-    for c in scaled:
-        content = gcd(content, abs(c.numerator))
-    return tuple(c / content for c in scaled)
-
-
-def make_primitive(p: Coeffs) -> Coeffs:
-    """Scale to integer, content-free, positive-leading (sign may flip)."""
-    result = scale_primitive(p)
-    if result and result[-1] < 0:
-        result = tuple(-c for c in result)
-    return result
-
-
-def poly_gcd(a: Coeffs, b: Coeffs) -> Coeffs:
+def poly_gcd(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
     """Euclidean gcd, returned primitive with positive leading coefficient."""
     while b:
-        a, b = b, poly_divmod(a, b)[1]
-        if b:
-            b = make_primitive(b)
-    if not a:
-        return ()
-    return make_primitive(a)
+        a, b = b, primitive(negated_remainder(a, b))
+    if a and a[-1] < 0:
+        a = tuple(-c for c in a)
+    return primitive(a)
 
 
-def from_multipoly(p: MultiPoly) -> Coeffs:
+def cauchy_root_bound(p: IntCoeffs) -> Fraction:
+    """1 + max|p_i| / |lead|: every real root of p lies strictly inside it."""
+    biggest = max(map(abs, p[:-1]), default=0)
+    return 1 + Fraction(biggest, abs(p[-1]))
+
+
+def from_multipoly(p: MultiPoly) -> IntCoeffs:
+    """The int numerators of a one-variable p: p times its positive ``den``."""
     if len(p.variables) != 1:
         raise ValueError(f"expected one variable, got {p.variables}")
     if p.is_zero:
         return ()
-    coeffs = [Fraction(0)] * (p.total_degree() + 1)
+    coeffs = [0] * (p.total_degree() + 1)
     for (power,), n in p.numerators.items():
-        coeffs[power] = Fraction(n, p.den)
-    return strip(coeffs)
+        coeffs[power] = n
+    return tuple(coeffs)
 
 
-def to_multipoly(p: Coeffs, name: str) -> MultiPoly:
-    return MultiPoly((name,), {(i,): c for i, c in enumerate(p)})
+def to_multipoly(p: IntCoeffs, name: str, den: int = 1) -> MultiPoly:
+    """The polynomial p / den in the variable ``name``."""
+    return MultiPoly._build((name,), {(i,): c for i, c in enumerate(p) if c}, den)

@@ -135,7 +135,7 @@ def test_criterion_5_root_certification(diagonal):
     p_coeffs = univar.from_multipoly(diagonal.p)
     chain = sturm_chain(p_coeffs)
     assert count_roots(chain, Fraction(0), Fraction(2)) == 1
-    bound = 1 + max(abs(c) for c in p_coeffs[:-1]) / abs(p_coeffs[-1])
+    bound = 1 + Fraction(max(abs(c) for c in p_coeffs[:-1]), abs(p_coeffs[-1]))
     assert count_roots(chain, Fraction(6, 5), bound) == 0
     intervals, _ = sturm_isolate(diagonal.p, (Fraction(0), Fraction(2)), WIDTH)
     assert len(intervals) == 1
@@ -274,14 +274,12 @@ def test_criterion_9_property_suites():
                 )
 
     # Sturm counts vs the naive bisection oracle on 20 random polynomials
-    from test_sturm import _bisection_sign_change_count, horner
+    from test_sturm import _bisection_sign_change_count, _strip, horner
 
     checked = 0
     while checked < 20:
         degree = 2 + rng.below(9)
-        coeffs = univar.strip(
-            tuple(Fraction(rng.below(21) - 10) for _ in range(degree + 1))
-        )
+        coeffs = _strip(rng.below(21) - 10 for _ in range(degree + 1))
         if len(coeffs) < 2:
             continue
         if len(univar.poly_gcd(coeffs, univar.derivative(coeffs))) > 1:

@@ -166,6 +166,15 @@ def test_inequality_chains_exact_constants():
         verify_inequality_chain("bogus")
 
 
+def test_coefficient_split_needs_integer_coefficients():
+    # the totals are printed as the polynomial's own coefficients
+    ok, low, high = certify._coefficient_split(MultiPoly(("x",), {(0,): -3, (2,): 2}), 0, -1)
+    assert (ok, low, high) == (True, 3, 2) and type(low) is int
+    halves = MultiPoly(("x",), {(0,): Fraction(-3, 2), (2,): 1})
+    with pytest.raises(ValueError, match="integer coefficients"):
+        certify._coefficient_split(halves, 0, -1)
+
+
 def test_derivative_sign_lemmas():
     prime = verify_prime2()
     assert prime.status == "PASS"

@@ -232,8 +232,13 @@ def test_zero_fixture_denominator_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "numerator, column",
-    [("1 + beta +\n  3 " + "7" * 5000 + " beta", 5), ("1 +\n(((beta^64)^64)^64)^64", 21)],
-    ids=["5000-digit-literal", "exponent-guard"],
+    [
+        ("1 + beta +\n  3 " + "7" * 5000 + " beta", 5),
+        ("1 +\n(((beta^64)^64)^64)^64", 21),
+        # the 65th open '(' is refused before the recursive parser can overflow
+        ("1 +\n" + "(" * 250 + "beta" + ")" * 250, 65),
+    ],
+    ids=["5000-digit-literal", "exponent-guard", "nesting-limit"],
 )
 def test_fixture_arithmetic_limits_are_positioned_errors(numerator, column, tmp_path, capsys):
     fixtures = tmp_path / "fixtures"
@@ -361,6 +366,7 @@ def test_env_config_override(tmp_path, monkeypatch, capsys):
         ('{"jobs": 0}', "jobs must be >= 1"),
         ('{"seed": -1}', "seed must be in 0..2^64-1, got -1"),
         ('{"seed": 18446744073709551616}', "seed must be in 0..2^64-1"),
+        ("[" * 200_000, "KCERT_CONFIG nests too deeply to decode"),
     ],
 )
 def test_bad_env_config_is_usage_error(text, message, tmp_path, monkeypatch, capsys):

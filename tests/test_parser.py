@@ -9,6 +9,7 @@ import pytest
 from kcert import certify, exprparse
 from kcert.exprparse import (
     MAX_EXPONENT,
+    MAX_NESTING,
     ComparisonVerdict,
     FixtureError,
     ParseError,
@@ -66,6 +67,14 @@ def test_exponent_overflow():
     with pytest.raises(ParseError):
         parse_expression("beta^65", BG)
     assert parse_expression("beta^64", BG).total_degree() == 64
+
+
+def test_nesting_limit():
+    deepest = "(" * MAX_NESTING + "beta" + ")" * MAX_NESTING
+    assert parse_expression(deepest, BG) == MultiPoly.variable(BG, "beta")
+    with pytest.raises(ParseError, match="nest deeper") as info:
+        parse_expression("2 (" + deepest + ")", BG)
+    assert (info.value.line, info.value.column) == (1, 3 + MAX_NESTING)  # the 65th "("
 
 
 def test_syntax_error_has_position():

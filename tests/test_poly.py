@@ -612,12 +612,13 @@ def test_rational_accessors_return_fractions_for_integer_polynomials():
     # callers divide these with "/", which on two ints would give a float
     p = MultiPoly(BG, {(1, 0): 3, (0, 0): 2})
     assert p.den == 1 and all(type(c) is int for c in p.terms.values())
-    for value in (
-        p.leading_coefficient(),
-        *univar.from_multipoly(MultiPoly(("x",), {(0,): 4, (2,): -1})),
-    ):
-        assert type(value) is Fraction
+    assert type(p.leading_coefficient()) is Fraction
     assert p.leading_coefficient() / 2 == Fraction(3, 2)
+    # univar holds int numerators and divides them only into a Fraction
+    coeffs = univar.from_multipoly(MultiPoly(("x",), {(0,): 3, (2,): -2}))
+    assert coeffs == (3, 0, -2) and all(type(c) is int for c in coeffs)
+    bound = univar.cauchy_root_bound(coeffs)
+    assert type(bound) is Fraction and bound == Fraction(5, 2)
 
 
 def _spy_dense(monkeypatch):

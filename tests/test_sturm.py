@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -26,8 +27,7 @@ def test_isolate_sqrt_two():
 
 def test_count_distinct_roots():
     # (x-1)(x-2)(x-3)
-    p = [Fraction(c) for c in (-6, 11, -6, 1)]
-    chain = sturm_chain(tuple(p))
+    chain = sturm_chain((-6, 11, -6, 1))
     assert count_roots(chain, Fraction(0), Fraction(4)) == 3
     assert count_roots(chain, Fraction(0), Fraction(5, 2)) == 2
     assert count_roots(chain, Fraction(3), Fraction(4)) == 0  # half-open: 3 excluded... root at 3 counted at lo
@@ -64,7 +64,7 @@ def test_isolation_keeps_roots_next_to_an_endpoint():
 
 def test_counts_at_a_multiple_root():
     # (x - 1)^2 (x - 3): every chain member vanishes at the double root 1
-    coeffs = tuple(map(Fraction, (-3, 7, -5, 1)))
+    coeffs = (-3, 7, -5, 1)
     chain = sturm_chain(coeffs)
     assert count_roots(chain, Fraction(0), Fraction(1)) == 1
     assert count_roots(chain, Fraction(1), Fraction(4)) == 1
@@ -89,11 +89,74 @@ def test_nested_refinement_stability():
 
 
 def horner(coeffs, x):
-    """Reference value of ascending Fraction coefficients at x."""
+    """Reference value of ascending rational coefficients at x."""
     total = Fraction(0)
     for coeff in reversed(coeffs):
         total = total * x + coeff
     return total
+
+
+def _strip(coeffs):
+    values = list(coeffs)
+    while values and values[-1] == 0:
+        values.pop()
+    return tuple(values)
+
+
+def _integer(coeffs):
+    """Rational coefficients times the lcm of their denominators, as ints."""
+    common = lcm(*(Fraction(c).denominator for c in coeffs))
+    return tuple(int(c * common) for c in coeffs)
+
+
+def _times(a, b):
+    product = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    return tuple(product)
+
+
+def _fraction_remainder(a, b):
+    """rem(a, b) by long division in Fraction arithmetic."""
+    r = [Fraction(c) for c in a]
+    while len(r) >= len(b):
+        factor, shift = r[-1] / b[-1], len(r) - len(b)
+        for i, c in enumerate(b):
+            r[shift + i] -= factor * c
+        r = list(_strip(r))
+    return tuple(r)
+
+
+def _scale_primitive(coeffs):
+    """Scaled by a positive rational to integer and content-free (sign kept)."""
+    ints = _integer(coeffs)
+    content = gcd(*ints)
+    return tuple(Fraction(c, content) for c in ints)
+
+
+def _fraction_chain(coeffs):
+    """The classical chain in Fraction arithmetic, each member scaled primitive."""
+    chain = [_scale_primitive(coeffs)]
+    d = tuple(c * i for i, c in enumerate(chain[0]) if i)
+    if d:
+        chain.append(_scale_primitive(d))
+        while True:
+            remainder = _fraction_remainder(chain[-2], chain[-1])
+            if not remainder:
+                break
+            chain.append(_scale_primitive(tuple(-c for c in remainder)))
+    return chain
+
+
+def _fraction_gcd(a, b):
+    """Euclid in Fraction arithmetic, scaled primitive with positive lead."""
+    while b:
+        a, b = b, _fraction_remainder(a, b)
+    if not a:
+        return ()
+    a = _scale_primitive(a)
+    return a if a[-1] > 0 else tuple(-c for c in a)
 
 
 def _bisection_sign_change_count(coeffs, lo, hi):
@@ -126,14 +189,13 @@ def test_sturm_against_bisection_oracle():
     checked = 0
     while checked < 20:
         degree = 2 + rng.below(9)
-        coeffs = tuple(
-            Fraction(rng.below(21) - 10) for _ in range(degree + 1)
-        )
-        coeffs = univar.strip(coeffs)
+        coeffs = _strip(rng.below(21) - 10 for _ in range(degree + 1))
         if len(coeffs) < 2:
             continue
         # restrict to squarefree draws so both methods count the same thing
-        if len(univar.poly_gcd(coeffs, univar.derivative(coeffs))) > 1:
+        common = univar.poly_gcd(coeffs, univar.derivative(coeffs))
+        assert common == _fraction_gcd(coeffs, univar.derivative(coeffs))
+        if len(common) > 1:
             continue
         lo, hi = Fraction(-8), Fraction(8)
         if horner(coeffs, lo) == 0 or horner(coeffs, hi) == 0:
@@ -153,20 +215,6 @@ def test_isolate_returns_the_sturm_chain():
     assert [count_roots(chain, lo, hi) for lo, hi in intervals] == [1]
 
 
-def _fraction_chain(coeffs):
-    """The classical chain in Fraction arithmetic, each member scaled primitive."""
-    chain = [univar.scale_primitive(coeffs)]
-    d = univar.derivative(chain[0])
-    if d:
-        chain.append(univar.scale_primitive(d))
-        while True:
-            remainder = univar.poly_divmod(chain[-2], chain[-1])[1]
-            if not remainder:
-                break
-            chain.append(univar.scale_primitive(tuple(-c for c in remainder)))
-    return chain
-
-
 def test_chain_is_integer_and_matches_fraction_arithmetic(diagonal):
     rng = SplitMix64(0x57C4)
     cases = [univar.from_multipoly(diagonal.p), univar.from_multipoly(diagonal.q)]
@@ -174,13 +222,21 @@ def test_chain_is_integer_and_matches_fraction_arithmetic(diagonal):
     cases.append(tuple(Fraction(c) for c in (2, -3, 0, 1)))
     for _ in range(10):
         draw = [Fraction(rng.below(21) - 10, 1 + rng.below(4)) for _ in range(7)]
-        cases.append(univar.strip(draw))
+        cases.append(_strip(draw))
+    cases = [coeffs for coeffs in cases if coeffs]
     for coeffs in cases:
-        if not coeffs:
-            continue
-        chain = sturm_chain(coeffs)
+        chain = sturm_chain(_integer(coeffs))
         assert all(type(c) is int for member in chain for c in member)
         assert chain == _fraction_chain(coeffs)
+    # gcds of neighbouring cases, and of the same pairs times a third case
+    for a, b, factor in zip(cases, cases[1:], cases[2:]):
+        for x, y in ((a, b), (_times(a, factor), _times(b, factor))):
+            common = univar.poly_gcd(_integer(x), _integer(y))
+            assert all(type(c) is int for c in common)
+            assert common == _fraction_gcd(x, y)
+    # a divisor with content, a zero argument, and a negative lead
+    for x, y in (((-1, 0, 1), (2, 2)), ((0, 6), ()), ((), (0, -4)), ((), ())):
+        assert univar.poly_gcd(x, y) == _fraction_gcd(x, y)
 
 
 def test_isolation_counts_each_point_once(diagonal, monkeypatch):
