@@ -47,6 +47,7 @@ from .delpezzo import (
 )
 from .exprparse import compare_against_fixture, load_fixture
 from .functional import (
+    DiagonalRestriction,
     build_bundle,
     evaluate_calA_on_areas,
     evaluate_futaki_on_areas,
@@ -200,11 +201,6 @@ def _named_fixture(chart_id: str, name: str, fixtures_dir: Path | None):
     return load_fixture(base / chart_id / f"{name}.fix")
 
 
-@lru_cache(maxsize=None)
-def _second_derivative(chart_id: str, direction: tuple[int, ...]) -> RatFunc:
-    return directional_second_derivative(build_bundle(CHARTS[chart_id]).calA, direction)
-
-
 FIXTURE_NAMES = {
     "k2": ("calA", "d2_antidiag", "F_beta", "P", "Q"),
     "k3": ("F1", "F2", "A", "B", "C", "calA", "d2_alphabeta"),
@@ -222,7 +218,7 @@ def _fixture_target(chart_id: str, name: str) -> RatFunc:
     """The pipeline object a fixture is compared against."""
     _, direction, display = CONVEXITY[chart_id]
     if name == display:
-        return _second_derivative(chart_id, direction)
+        return directional_second_derivative(build_bundle(CHARTS[chart_id]).calA, direction)
     if name in ("F_beta", "P", "Q"):
         # the k = 2 objective on the diagonal beta = gamma
         diag = restrict_diagonal()
@@ -276,10 +272,10 @@ def verify_convexity(
     start = time.perf_counter()
     lemma_id, antidiagonal, fixture_name = CONVEXITY[chart_id]
     direction = antidiagonal if direction is None else tuple(direction)
-    d2 = _second_derivative(chart_id, direction)
+    cal_a = build_bundle(CHARTS[chart_id]).calA
     certificate = positivity_certificate(
-        d2,
-        build_bundle(CHARTS[chart_id]).calA.den,
+        directional_second_derivative(cal_a, direction),
+        cal_a.den,
         direction,
         f"second derivative of the {chart_id} objective along {direction}",
         seed=seed,
@@ -568,6 +564,19 @@ def verify_claritas() -> LemmaReport:
     return LemmaReport("claritas", "NOTE", witnesses, time.perf_counter() - start)
 
 
+def _value_enclosure(diag: DiagonalRestriction, a: Fraction, b: Fraction) -> tuple:
+    """Bounds (lower, upper) on the diagonal objective's minimum over (a, b],
+    which holds its one critical point, and whether they place it strictly
+    between 7 and 2919/409, the value at the symmetric class (1, 1).  From
+    below: the tangent at the end where the slope is negative (a, else b);
+    from above: the smaller end value."""
+    fa, fb = diag.f_at(a), diag.f_at(b)
+    dfa = diag.df_at(a)
+    lower = fa + dfa * (b - a) if dfa < 0 else fb + diag.df_at(b) * (a - b)
+    upper = min(fa, fb)
+    return (lower, upper), Fraction(7) < lower and upper < Fraction(2919, 409)
+
+
 def verify_uniqueness_k2(
     sample_count: int = 100,
     isolation_width: Fraction = DEFAULT_ISOLATION_WIDTH,
@@ -593,6 +602,17 @@ def verify_uniqueness_k2(
         diag.p, (Fraction(0), Fraction(2)), isolation_width
     )
     one_root = len(intervals) == 1
+    f_interval, encloses = None, False
+    if one_root:
+        # a coarse isolation is bisected on the same chain until the interval
+        # lies in [1, 6/5] and its enclosure decides, or is as narrow as the default
+        (a, b), floor = intervals[0], min(isolation_width, DEFAULT_ISOLATION_WIDTH)
+        f_interval, encloses = _value_enclosure(diag, a, b)
+        while b - a > floor and not (1 <= a and b <= Fraction(6, 5) and encloses):
+            mid = (a + b) / 2
+            a, b = (a, mid) if count_roots(p_chain, a, mid) else (mid, b)
+            f_interval, encloses = _value_enclosure(diag, a, b)
+        intervals = [(a, b)]
     inside = one_root and Fraction(1) <= intervals[0][0] and intervals[0][1] <= Fraction(6, 5)
     total_positive = count_roots(p_chain, Fraction(0), Fraction(2))
     # the emitted interval, recounted: one query rechecks the isolation
@@ -610,16 +630,8 @@ def verify_uniqueness_k2(
     if slope_at_6_5 <= 0:
         failures["slope_at_6/5"] = str(slope_at_6_5)
 
-    f_interval: tuple[Fraction, Fraction] | None = None
-    if one_root:
-        a, b = intervals[0]
-        fa, fb = diag.f_at(a), diag.f_at(b)
-        dfa = diag.df_at(a)
-        lower = fa + dfa * (b - a) if dfa < 0 else fb + diag.df_at(b) * (a - b)
-        upper = min(fa, fb)
-        f_interval = (lower, upper)
-        if not (Fraction(7) < lower and upper < Fraction(2919, 409)):
-            failures["value_enclosure"] = [str(lower), str(upper)]
+    if f_interval is not None and not encloses:
+        failures["value_enclosure"] = [str(x) for x in f_interval]
 
     rng = SplitMix64(seed)
     cal_a = build_bundle(K2_CHART).calA

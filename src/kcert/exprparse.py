@@ -284,6 +284,9 @@ class FixtureError(ValueError):
     """Malformed fixture file (missing section/keys or parse failure)."""
 
 
+_UNDECODED = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, under surrogateescape
+
+
 def _read_sections(raw: str) -> dict[str, tuple[int, list[str]]]:
     """Each section's lines, with the file line number of the first of them."""
     sections: dict[str, tuple[int, list[str]]] = {}
@@ -305,7 +308,14 @@ def _read_sections(raw: str) -> dict[str, tuple[int, list[str]]]:
 def load_fixture(path: str | Path) -> tuple[FixtureFile, RatFunc]:
     """Read a fixture file and parse it into a canonical rational function."""
     path = Path(path)
-    raw = path.read_text(encoding="utf-8")
+    raw = path.read_text(encoding="utf-8", errors="surrogateescape")
+    bad = _UNDECODED.search(raw)
+    if bad:
+        byte, at = ord(bad.group()) - 0xDC00, bad.start()
+        line, column = raw.count("\n", 0, at) + 1, at - raw.rfind("\n", 0, at)
+        raise FixtureError(
+            f"{path.name}: byte 0x{byte:02x} is not UTF-8 (line {line}, column {column})"
+        )
     sections = _read_sections(raw)
     if "meta" not in sections:
         raise FixtureError(f"{path.name}: missing [meta] section")

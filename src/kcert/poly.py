@@ -36,14 +36,14 @@ Conventions:
     the thread's decimal context is never read or set.  A dense product
     whose k exceeds ``sys.get_int_max_str_digits()`` (its slots could not
     pass through ``int``) loops over term pairs, as other products do;
-  * a directional second derivative of N/D has denominator exactly D^3,
-    formed once per distinct denominator per process (``_cube``, keyed on
-    D by value) and shared by every direction.  Its numerator is formed
-    directly, with six products, for the first direction asked of (N, D);
-    a second distinct direction forms the Hessian numerators of N/D once
-    per process (``_Hessian``, keyed on (N, D) by value), packed one int
-    per column, and every later direction is their linear combination,
-    with no polynomial product;
+  * a directional second derivative of N/D is H_vv / D^3, its numerator
+    H_ij = D*(G_i)_j - 2*G_i*D_j written once (``_structural_terms``).  D^3
+    is formed once per denominator per process (``_cube``, keyed on D by
+    value).  The first direction asked of (N, D) forms H_vv with four
+    products and is remembered with it (``_routes``, keyed on (N, D) by
+    value); a second distinct direction forms the packed Hessian columns
+    once (``_Hessian``), and every later direction is their linear
+    combination, with no polynomial product;
   * a quantity that carries a power of pi is one ``PiValue``: a Fraction or
     a RatFunc times pi^n, whichever the computation produced.
 """
@@ -70,7 +70,7 @@ from math import gcd, lcm, prod
 from operator import add, mul, sub
 from struct import iter_unpack, unpack
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
 Scalar = Union[Fraction, int]
@@ -82,6 +82,12 @@ class VariableMismatchError(ValueError):
 
 class PiPowerMismatchError(ValueError):
     """Raised when adding pi-tagged values with different pi exponents."""
+
+
+def _check_variables(left: tuple[str, ...], right: tuple[str, ...]) -> None:
+    """Polynomials and rational functions combine only over identical variable tuples."""
+    if left != right:
+        raise VariableMismatchError(f"variable lists differ: {left} vs {right}")
 
 
 def grevlex_key(exponents: Exponents) -> tuple:
@@ -246,16 +252,10 @@ class MultiPoly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_compatible(self, other: MultiPoly) -> None:
-        if self.variables != other.variables:
-            raise VariableMismatchError(
-                f"variable lists differ: {self.variables} vs {other.variables}"
-            )
-
     def __add__(self, other: MultiPoly | Scalar) -> MultiPoly:
         if not isinstance(other, MultiPoly):
             other = MultiPoly.const(self.variables, other)
-        self._check_compatible(other)
+        _check_variables(self.variables, other.variables)
         den = lcm(self.den, other.den)
         lift, other_lift = den // self.den, den // other.den
         table = {e: n * lift for e, n in self.numerators.items()}
@@ -296,7 +296,7 @@ class MultiPoly:
         """
         if not isinstance(other, MultiPoly):
             return self.scale(other)
-        self._check_compatible(other)
+        _check_variables(self.variables, other.variables)
         if not self.numerators or not other.numerators:
             return MultiPoly.zero(self.variables)
         nvars = len(self.variables)
@@ -366,6 +366,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def scale(self, value: Scalar) -> MultiPoly:
+        if value == 1:
+            return self  # immutable, so the same polynomial serves
         if value == 0:
             return MultiPoly.zero(self.variables)
         table = {e: n * value.numerator for e, n in self.numerators.items()}
@@ -543,11 +545,8 @@ class MultiPoly:
 def directional_derivative(p: MultiPoly, direction: Sequence[int]) -> MultiPoly:
     if len(direction) != len(p.variables):
         raise ValueError("direction length must match the variable count")
-    out = MultiPoly.zero(p.variables)
-    for name, weight in zip(p.variables, direction):
-        if weight:
-            out = out + p.diff(name).scale(weight)
-    return out
+    parts = [p.diff(name).scale(weight) for name, weight in zip(p.variables, direction) if weight]
+    return sum(parts[1:], parts[0]) if parts else MultiPoly.zero(p.variables)
 
 
 def coefficients_all_nonneg(
@@ -581,10 +580,7 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
-        if num.variables != den.variables:
-            raise VariableMismatchError(
-                f"variable lists differ: {num.variables} vs {den.variables}"
-            )
+        _check_variables(num.variables, den.variables)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         object.__setattr__(self, "num", num)
@@ -601,10 +597,7 @@ class RatFunc:
         the pair is cross-scaled to N*b and D*a and divided by the gcd of all
         their numerators, negated when D's grevlex-leading numerator is < 0.
         """
-        if num.variables != den.variables:
-            raise VariableMismatchError(
-                f"variable lists differ: {num.variables} vs {den.variables}"
-            )
+        _check_variables(num.variables, den.variables)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
@@ -682,10 +675,7 @@ class RatFunc:
         A zero numerator equals only a zero numerator (denominators are
         nonzero).
         """
-        if self.variables != other.variables:
-            raise VariableMismatchError(
-                f"variable lists differ: {self.variables} vs {other.variables}"
-            )
+        _check_variables(self.variables, other.variables)
         if self.num == other.num and self.den == other.den:
             return True
         if not self.num or not other.num:
@@ -732,10 +722,7 @@ def _extreme_terms(a: MultiPoly, b: MultiPoly) -> list[tuple[Exponents, Fraction
 
 def _coerce(value: RatFunc | MultiPoly | Scalar, variables: tuple[str, ...]) -> RatFunc:
     if isinstance(value, RatFunc):
-        if value.variables != variables:
-            raise VariableMismatchError(
-                f"variable lists differ: {value.variables} vs {variables}"
-            )
+        _check_variables(value.variables, variables)
         return value
     if isinstance(value, MultiPoly):
         return RatFunc.from_poly(value)
@@ -745,46 +732,55 @@ def _coerce(value: RatFunc | MultiPoly | Scalar, variables: tuple[str, ...]) -> 
 def directional_second_derivative(f: RatFunc, direction: Sequence[Scalar]) -> RatFunc:
     """Second derivative of f along a constant direction with rational components.
 
-    Computed structurally from f = N/D as
+    For f = N/D it is H_vv / D^3, H_vv = D*(G_v)_v - 2*G_v*D_v with
+    G_v = N_v*D - N*D_v and X_v the derivative of X along v, written once in
+    ``_structural_terms``.  Nothing cancels: the denominator is exactly D^3,
+    shared by every direction, and the numerator's coefficient signs are
+    those of this structural form, which positivity certificates inspect.
 
-        [N_vv*D^2 - 2*N_v*D_v*D - N*D_vv*D + 2*N*D_v^2] / D^3
-
-    with X_v the direction-weighted first derivative of X.  No cancellation is
-    performed: the returned denominator is exactly D^3, and the numerator's
-    coefficient signs are those of this structural form (which positivity
-    certificates inspect directly).  D^3 does not depend on the direction: it
-    is formed once per denominator per process, and every result over D
-    shares that one immutable object.
-
-    The numerator is one polynomial, reached by one of two routes:
-
-      * the first direction asked of an objective (N, D) forms it directly,
-        as (N_vv*D - 2*N_v*D_v - N*D_vv)*D + 2*N*(D_v*D_v): six products;
-      * a second distinct direction forms the objective's Hessian numerators
-        once (``_Hessian``), and from then on every direction v is the
-        quadratic form sum_ij v_i*v_j*H_ij, a linear combination with no
-        polynomial product.
-
-    Both give the same canonical ``MultiPoly``.  A process that asks one
-    direction per objective, as the CLI does, never pays for the Hessian.
+    ``_routes`` holds one record per objective (N, D), keyed by value.  The
+    first direction forms H_vv directly, with four products, and is stored
+    with it, so that asking it again forms nothing.  A second distinct
+    direction drops that numerator and forms the Hessian numerators once
+    (``_Hessian``); every later direction v is then the quadratic form
+    sum_ij v_i*v_j*H_ij, with no product.  Both routes give the same
+    canonical ``MultiPoly``; the CLI asks one direction per objective.
     """
     if len(direction) != len(f.variables):
         raise ValueError("direction length must match the variable count")
     direction = tuple(direction)
-    n, d = f.num, f.den
-    key = (n, d)
-    hessian = _hessians.get(key)
-    if hessian is None and _first_directions.setdefault(key, direction) != direction:
-        hessian = _hessians[key] = _Hessian(n, d)
-        del _first_directions[key]
-    numerator = None if hessian is None else hessian.along(direction)
+    n, d = key = f.num, f.den
+    route = _routes.get(key)
+    if route is None:
+        route = _routes[key] = (direction, _direct(n, d, direction))
+    elif isinstance(route, tuple) and route[0] != direction:
+        del _routes[key], route  # the stored numerator goes before the Hessian is formed
+        route = _routes[key] = _Hessian(n, d)
+    numerator = route[1] if isinstance(route, tuple) else route.along(direction)
     if numerator is None:
-        n_v = directional_derivative(n, direction)
-        d_v = directional_derivative(d, direction)
-        n_vv = directional_derivative(n_v, direction)
-        d_vv = directional_derivative(d_v, direction)
-        numerator = (n_vv * d - (n_v * d_v).scale(2) - n * d_vv) * d + (n * (d_v * d_v)).scale(2)
+        numerator = _direct(n, d, direction)
     return RatFunc(numerator, _cube(d))
+
+
+def _structural_terms(
+    n: MultiPoly, d: MultiPoly, directions: Sequence[Sequence[Scalar]]
+) -> Iterator[tuple[int, int, MultiPoly]]:
+    """(i, j, term) for the two terms of each H_ij, i <= j, one at a time:
+    D*(G_i)_j, then -2*G_i*D_j, with G_i = N_i*D - N*D_i and X_i the
+    derivative of X along ``directions[i]``.  G_i takes two products and each
+    term one; the signs ride on derivatives of D, so no term is scaled.
+    """
+    d_partials = [directional_derivative(d, v) for v in directions]
+    for i, v in enumerate(directions):
+        g = directional_derivative(n, v) * d + n * -d_partials[i]
+        for j in range(i, len(directions)):
+            yield i, j, d * directional_derivative(g, directions[j])
+            yield i, j, g * d_partials[j].scale(-2)
+
+
+def _direct(n: MultiPoly, d: MultiPoly, direction: tuple[Scalar, ...]) -> MultiPoly:
+    (_, _, first), (_, _, second) = _structural_terms(n, d, (direction,))
+    return first + second
 
 
 @lru_cache(maxsize=None)
@@ -793,38 +789,29 @@ def _cube(d: MultiPoly) -> MultiPoly:
     return d ** 3
 
 
-# Per objective (N, D), keyed by value like ``_cube``: the first direction
-# asked of it, until a second distinct one forms its Hessian.
-_first_directions: dict[tuple[MultiPoly, MultiPoly], tuple[Scalar, ...]] = {}
-_hessians: dict[tuple[MultiPoly, MultiPoly], _Hessian] = {}
+# per objective (N, D), keyed by value: (first direction, its numerator), or the Hessian
+_routes: dict[tuple[MultiPoly, MultiPoly], tuple[tuple[Scalar, ...], MultiPoly] | _Hessian] = {}
 
 
 class _Hessian:
-    """The Hessian numerators of f = N/D over D^3, packed one int per column.
+    """The Hessian numerators H_ij of f = N/D over D^3, packed one int per column.
 
-    With G_i = N_i*D - N*D_i (so f_i = G_i/D^2) and G_ij its x_j-derivative,
-
-        f_ij = H_ij / D^3,    H_ij = D*G_ij - 2*G_i*D_j,
-
-    which is d/dx_j(M_i) - 3*G_i*D_j with M_i = D*G_i, and the structural
-    numerator along v is sum_{i<=j} c_ij*H_ij with c_ii = v_i^2 and
-    c_ij = 2*v_i*v_j.  Column ij stores H_ij for integer N and D (each part's
-    own den is divided out again in ``along``) as the int sum_s h_s * 2^(w*s):
-    h_s is the coefficient at slot s of the exponent box with tops
-    deg_k(N) + 2*deg_k(D), laid out as in ``MultiPoly._mul_dense``, and
-    w = 8*``size`` bits.  Slots are signed, so the packing is linear: a
+    H_ij comes from ``_structural_terms`` over the unit basis, and the
+    structural numerator along v is sum_{i<=j} c_ij*H_ij with c_ii = v_i^2
+    and c_ij = 2*v_i*v_j.  Column ij stores H_ij for integer N and D (each
+    part's own den is divided out again in ``along``) as the int
+    sum_s h_s * 2^(w*s): h_s is the coefficient at slot s of the exponent box
+    with tops deg_k(N) + 2*deg_k(D), laid out as in ``MultiPoly._mul_dense``,
+    and w = 8*``size`` bits.  Slots are signed, so the packing is linear: a
     combination of columns is the packed combination, read back slot by slot
-    when |every slot| < 2^(w-1).  Each column is packed from its two terms,
-    D*G_ij and G_i*D_j, as they are formed, so no Hessian-sized polynomial
-    outlives its packing (holding M_i for its row raised the traced peak by
-    0.9 MB on the k = 3 objective).
+    when |every slot| < 2^(w-1).  Each term is packed and dropped before the
+    next is formed (holding one longer raised the k = 3 peak by 0.9 MB).
     """
 
     __slots__ = ("variables", "den", "tops", "strides", "box", "size", "columns")
 
     def __init__(self, n: MultiPoly, d: MultiPoly):
-        variables = n.variables
-        self.variables = variables
+        self.variables = variables = n.variables
         self.den = n.den * d.den ** 2
         n = MultiPoly._build(variables, n.numerators)  # the same int table, over den 1
         d = MultiPoly._build(variables, d.numerators)
@@ -836,22 +823,19 @@ class _Hessian:
         # the last variable varies fastest, as in product()
         self.strides = [prod(t + 1 for t in self.tops[k + 1:]) for k in range(len(self.tops))]
         self.box = prod(t + 1 for t in self.tops)
-        # D*G_ij is a sum of four signed triple products f*g*h, f a derivative
-        # of N and g, h of D, with two derivatives in all; G_i*D_j is a sum of
-        # two.  A coefficient of f*g*h is at most #g*#h*max|f|*max|g|*max|h|,
-        # so at most #D^2 * deg^2 * max|N| * max|D|^2.
+        # Each term is a sum of four signed triple products f*g*h (f a derivative
+        # of N, g and h of D, two derivatives in all), and a coefficient of f*g*h
+        # is at most #g*#h*max|f|*max|g|*max|h| <= #D^2 * deg^2 * max|N| * max|D|^2.
         degree = max((max(e) for p in (n, d) for e in p.numerators), default=0)
         bound = 4 * len(d.numerators) ** 2 * degree ** 2 * _max_abs(n) * _max_abs(d) ** 2
         self.size = (bound.bit_length() + 8) // 8  # 2^(8*size - 1) > bound
-        self.columns: list[tuple[int, int, int, int]] = []  # (i, j, packed H_ij, max|H_ij|)
-        d_partials = [d.diff(x) for x in variables]
-        for i, x in enumerate(variables):
-            g = n.diff(x) * d - n * d_partials[i]
-            for j in range(i, len(variables)):
-                # each term is packed and dropped before the next is formed
-                packed, top = self._pack(d * g.diff(variables[j]))
-                packed_gd, top_gd = self._pack(g * d_partials[j])
-                self.columns.append((i, j, packed - 2 * packed_gd, top + 2 * top_gd))
+        basis = [tuple(int(k == i) for k in range(len(variables))) for i in range(len(variables))]
+        columns: dict[tuple[int, int], tuple[int, int]] = {}  # (i, j): (packed H_ij, max|H_ij|)
+        for i, j, term in _structural_terms(n, d, basis):
+            packed, top = columns.get((i, j), (0, 0))
+            columns[i, j] = tuple(map(add, (packed, top), self._pack(term)))
+            del term, packed  # dropped before the next term is formed
+        self.columns = [(i, j, packed, top) for (i, j), (packed, top) in columns.items()]
 
     def _pack(self, p: MultiPoly) -> tuple[int, int]:
         """sum_s h_s * 2^(8*size*s) for the coefficients h_s of p in their box

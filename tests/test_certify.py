@@ -86,13 +86,14 @@ def test_positivity_certificate_requires_the_cube_denominator():
 def test_positivity_certificate_recheck_is_self_contained():
     from dataclasses import replace
 
-    from kcert.certify import _second_derivative
     from kcert.delpezzo import K2_CHART
     from kcert.functional import build_bundle
+    from kcert.poly import directional_second_derivative
 
+    cal_a = build_bundle(K2_CHART).calA
     cert = positivity_certificate(
-        _second_derivative("k2", (1, -1)),
-        build_bundle(K2_CHART).calA.den,
+        directional_second_derivative(cal_a, (1, -1)),
+        cal_a.den,
         (1, -1),
         "recheck probe",
     )
@@ -139,6 +140,27 @@ def test_laudate_interval_recounts_to_one_root(monkeypatch):
     report = verify_uniqueness_k2(sample_count=4)
     assert report.status == "FAIL"
     assert report.witnesses["failures"]["sturm"]["recount"] == 0
+
+
+@pytest.mark.parametrize("width", ["1/2", "1/4", "1/8", "1/16"])
+def test_laudate_verdict_does_not_depend_on_the_width(width):
+    """A coarse isolation is bisected on the same chain until the interval
+    lies in [1, 6/5] and its value enclosure decides."""
+    report = verify_uniqueness_k2(sample_count=4, isolation_width=Fraction(width))
+    assert report.status == "PASS", report.witnesses.get("failures")
+    assert report.witnesses["critical_interval"] == ["1", "17/16"]
+    assert report.witnesses["interval_width"] == "1/16"
+
+
+def test_laudate_refinement_stops_at_the_default_width(monkeypatch):
+    """An enclosure that never decides is refined no further than the default
+    isolation width, and is a FAIL there."""
+    real = certify._value_enclosure
+    monkeypatch.setattr(certify, "_value_enclosure", lambda *args: (real(*args)[0], False))
+    report = verify_uniqueness_k2(sample_count=4, isolation_width=Fraction(1, 2))
+    assert report.status == "FAIL"
+    assert set(report.witnesses["failures"]) == {"value_enclosure"}
+    assert Fraction(report.witnesses["interval_width"]) == certify.DEFAULT_ISOLATION_WIDTH
 
 
 def test_convexity_samples_positive():

@@ -255,21 +255,32 @@ def test_fixture_arithmetic_limits_are_positioned_errors(numerator, column, tmp_
     assert "Traceback" not in captured.err
 
 
+UNEXPECTED = "P_k2: [numerator] unexpected character "
+
+
 @pytest.mark.parametrize(
-    "bad, column",
-    [("3 \u0663 beta", 3), ("beta\u00b2", 5), ("3 \uff42eta", 3), ("3\u00a0beta", 2)],
-    ids=["arabic-indic-digit", "superscript", "fullwidth-letter", "no-break-space"],
+    "bad, column, message",
+    [
+        ("3 \u0663 beta", 3, UNEXPECTED),
+        ("beta\u00b2", 5, UNEXPECTED),
+        ("3 \uff42eta", 3, UNEXPECTED),
+        ("3\u00a0beta", 2, UNEXPECTED),
+        # written as the byte 0xff, which no UTF-8 text holds
+        ("3 \udcff beta", 3, "P.fix: byte 0xff is not UTF-8 "),
+    ],
+    ids=["arabic-indic-digit", "superscript", "fullwidth-letter", "no-break-space", "not-utf-8"],
 )
-def test_non_ascii_fixture_text_is_a_positioned_error(bad, column, tmp_path, capsys):
+def test_non_ascii_fixture_text_is_a_positioned_error(bad, column, message, tmp_path, capsys):
     fixtures = tmp_path / "fixtures"
     shutil.copytree(certify.FIXTURES_DIR, fixtures)
     path = fixtures / "k2" / "P.fix"
     head, _, _ = path.read_text(encoding="utf-8").partition("[numerator]")
-    path.write_text(head + "[numerator]\n\n1 + beta +\n" + bad + "\n", encoding="utf-8")
+    text = head + "[numerator]\n\n1 + beta +\n" + bad + "\n"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert run(["fixtures", "check", "--fixtures-dir", str(fixtures)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("fixture error: P_k2: [numerator] unexpected character ")
+    assert captured.err.startswith("fixture error: " + message)
     # the bad token's line of the file: header, a blank line, then two lines
     assert f"(line {head.count(chr(10)) + 4}, column {column})" in captured.err
     assert "Traceback" not in captured.err
@@ -367,11 +378,13 @@ def test_env_config_override(tmp_path, monkeypatch, capsys):
         ('{"seed": -1}', "seed must be in 0..2^64-1, got -1"),
         ('{"seed": 18446744073709551616}', "seed must be in 0..2^64-1"),
         ("[" * 200_000, "KCERT_CONFIG nests too deeply to decode"),
+        # the byte 0xff, which no UTF-8 text holds
+        ('{"seed": 1}\udcff', "KCERT_CONFIG is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
     ],
 )
 def test_bad_env_config_is_usage_error(text, message, tmp_path, monkeypatch, capsys):
     config_path = tmp_path / "config.json"
-    config_path.write_text(text)
+    config_path.write_bytes(text.encode("utf-8", "surrogateescape"))
     monkeypatch.setenv("KCERT_CONFIG", str(config_path))
     assert run(["verify", "--lemma", "claritas", "--no-timing"]) == 2
     captured = capsys.readouterr()
@@ -402,7 +415,9 @@ def test_cold_verify_all_forms_no_hessian():
         "from kcert import cli, poly\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.run(['verify', '--all', '--no-timing', '--format', 'json'])\n"
-        "print(code, len(poly._first_directions), len(poly._hessians))\n"
+        "routes = list(poly._routes.values())\n"
+        "direct = sum(isinstance(route, tuple) for route in routes)\n"
+        "print(code, direct, sum(isinstance(route, poly._Hessian) for route in routes))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(kcert.__file__).resolve().parents[1]))
     done = subprocess.run(
@@ -411,6 +426,29 @@ def test_cold_verify_all_forms_no_hessian():
     assert done.returncode == 0, done.stderr
     # k2 and k3 calA along their antidiagonals, and the k = 2 diagonal objective
     assert done.stdout.split() == ["0", "3", "0"]
+
+
+def test_cold_verify_convex3_forms_one_numerator():
+    """A cold ``verify --lemma convex3`` forms the k3 structural numerator
+    once: its certificate and its ``d2_alphabeta`` comparison share it."""
+    program = (
+        "import contextlib, io\n"
+        "from kcert import cli, poly\n"
+        "terms, calls = poly._structural_terms, []\n"
+        "def counting(n, d, directions):\n"
+        "    calls.append((n.variables, tuple(map(tuple, directions))))\n"
+        "    return terms(n, d, directions)\n"
+        "poly._structural_terms = counting\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.run(['verify', '--lemma', 'convex3', '--no-timing', '--format', 'json'])\n"
+        "print(code, calls)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(kcert.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 [(('alpha', 'beta', 'gamma'), ((1, -1, 0),))]"
 
 
 def test_cold_verify_convex2_refutes_the_display_without_products():

@@ -100,8 +100,7 @@ def _literal_second_derivative(f, direction):
 @pytest.fixture
 def cold_objectives(monkeypatch):
     """No objective has been asked for a direction yet, however the suite is run."""
-    monkeypatch.setattr(poly, "_first_directions", {})
-    monkeypatch.setattr(poly, "_hessians", {})
+    monkeypatch.setattr(poly, "_routes", {})
 
 
 @pytest.mark.parametrize("chart, direction", [(K2_CHART, (1, -1)), (K3_CHART, (1, -1, 0))])
@@ -159,7 +158,7 @@ def test_hessian_route_is_the_literal_form(k, cold_objectives):
         assert d2.num == _literal_second_derivative(f, direction), direction
         assert d2.den is poly._cube(f.den)
         distinct = len(set(directions[:count]))
-        assert ((f.num, f.den) in poly._hessians) == (distinct > 1)
+        assert isinstance(poly._routes[f.num, f.den], poly._Hessian) == (distinct > 1)
 
 
 def test_hessian_route_handles_parts_with_denominators(cold_objectives):
@@ -171,7 +170,7 @@ def test_hessian_route_handles_parts_with_denominators(cold_objectives):
     for direction in ((1, -1), (2, 1), (Fraction(-1, 3), 5), (0, 1)):
         d2 = directional_second_derivative(f, direction)
         assert d2.num == _literal_second_derivative(f, direction)
-    assert (f.num, f.den) in poly._hessians
+    assert isinstance(poly._routes[f.num, f.den], poly._Hessian)
 
 
 def test_hessian_route_falls_back_when_a_slot_could_overflow(cold_objectives):
@@ -179,14 +178,14 @@ def test_hessian_route_falls_back_when_a_slot_could_overflow(cold_objectives):
     f = build_bundle(K2_CHART).calA
     directional_second_derivative(f, (1, -1))
     directional_second_derivative(f, (1, 1))
-    hessian = poly._hessians[(f.num, f.den)]
+    hessian = poly._routes[f.num, f.den]
     huge = (1 << (4 * hessian.size), -1)
     assert hessian.along(huge) is None
     assert directional_second_derivative(f, huge).num == _literal_second_derivative(f, huge)
 
 
 def test_second_derivative_forms_each_cube_once(monkeypatch, cold_objectives):
-    """A cold call makes 8 products, D^3 costing two of them.  The second
+    """A cold call makes 6 products, D^3 costing two of them.  The second
     distinct direction forms the Hessian (10 products for two variables) and
     no cube; a third direction makes no product at all."""
     beta, gamma = gens()
@@ -206,14 +205,15 @@ def test_second_derivative_forms_each_cube_once(monkeypatch, cold_objectives):
         products = 0
         directional_second_derivative(f, direction)
         counts.append(products)
-    assert counts == [8, 10, 0]
+    assert counts == [6, 10, 0]
     assert poly._cube.cache_info().misses == 1
 
 
 def test_second_derivative_route_selection(monkeypatch, cold_objectives):
-    """The first direction, and that direction asked again, take the direct
-    route and form no Hessian; the second distinct direction forms it once;
-    later directions only combine its columns."""
+    """The first direction takes the direct route, four products, and that
+    direction asked again returns its stored numerator; neither forms a
+    Hessian.  The second distinct direction forms it once; later directions
+    only combine its columns."""
     f = build_bundle(K3_CHART).calA
     poly._cube(f.den)  # warm, so that every count below is of the numerator alone
     formed = []
@@ -238,9 +238,29 @@ def test_second_derivative_route_selection(monkeypatch, cold_objectives):
         products = 0
         directional_second_derivative(f, direction)
         counts.append((products, len(formed)))
-    assert counts[:2] == [(6, 0), (6, 0)]
+    assert counts[:2] == [(4, 0), (0, 0)]
     assert counts[2] == (2 * 3 + 2 * 6, 1)  # G_i: two products each; H_ij: two each
     assert counts[3:] == [(0, 1), (0, 1)]
+
+
+def test_repeated_first_direction_forms_no_product(monkeypatch, cold_objectives):
+    """The first direction is stored with its numerator: asked again, it
+    returns that numerator over the same cube and forms no product."""
+    beta, gamma = gens()
+    f = RatFunc(beta ** 3 - gamma, 5 + 3 * beta * gamma ** 2 + 7 * gamma ** 3)
+    first = directional_second_derivative(f, (1, -1))
+    products = []
+    mul = MultiPoly.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    again = directional_second_derivative(f, [1, -1])
+    assert products == []
+    assert again.num is first.num and again.den is first.den
+    assert poly._routes[f.num, f.den] == ((1, -1), first.num)
 
 
 def test_second_derivative_cube_per_denominator():
