@@ -201,6 +201,11 @@ def _named_fixture(chart_id: str, name: str, fixtures_dir: Path | None):
     return load_fixture(base / chart_id / f"{name}.fix")
 
 
+@lru_cache(maxsize=None)
+def _second_derivative(chart_id: str, direction: tuple[int, ...]) -> RatFunc:
+    return directional_second_derivative(build_bundle(CHARTS[chart_id]).calA, direction)
+
+
 FIXTURE_NAMES = {
     "k2": ("calA", "d2_antidiag", "F_beta", "P", "Q"),
     "k3": ("F1", "F2", "A", "B", "C", "calA", "d2_alphabeta"),
@@ -218,7 +223,7 @@ def _fixture_target(chart_id: str, name: str) -> RatFunc:
     """The pipeline object a fixture is compared against."""
     _, direction, display = CONVEXITY[chart_id]
     if name == display:
-        return directional_second_derivative(build_bundle(CHARTS[chart_id]).calA, direction)
+        return _second_derivative(chart_id, direction)
     if name in ("F_beta", "P", "Q"):
         # the k = 2 objective on the diagonal beta = gamma
         diag = restrict_diagonal()
@@ -272,10 +277,10 @@ def verify_convexity(
     start = time.perf_counter()
     lemma_id, antidiagonal, fixture_name = CONVEXITY[chart_id]
     direction = antidiagonal if direction is None else tuple(direction)
-    cal_a = build_bundle(CHARTS[chart_id]).calA
+    d2 = _second_derivative(chart_id, direction)
     certificate = positivity_certificate(
-        directional_second_derivative(cal_a, direction),
-        cal_a.den,
+        d2,
+        build_bundle(CHARTS[chart_id]).calA.den,
         direction,
         f"second derivative of the {chart_id} objective along {direction}",
         seed=seed,

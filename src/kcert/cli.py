@@ -143,12 +143,6 @@ def _truncate_terms(text: str, limit: int = 40) -> str:
     return "".join(parts[:limit]) + f" ...({len(parts) - limit} more terms)"
 
 
-def _markdown_block(title: str, payload: object) -> list[str]:
-    """A ``###`` section holding ``payload`` as indented JSON, long lines truncated."""
-    text = json.dumps(payload, indent=2)
-    return ["", f"### {title}", "", "```", *map(_truncate_terms, text.splitlines()), "```"]
-
-
 def _json_report(report: Report) -> dict:
     include_timing = report.config.include_timing
     out: dict = {
@@ -176,10 +170,15 @@ def emit_report(report: Report) -> str:
     lines.append(f"- aggregate: **{payload['aggregate']}**")
     if "total_seconds" in payload:
         lines.append(f"- total seconds: {payload['total_seconds']}")
-    lines += ["", "## configuration", ""]
-    lines += [f"- {key}: {value}" for key, value in payload["config"].items()]
+    lines.append("")
+    lines.append("## configuration")
+    lines.append("")
+    for key, value in payload["config"].items():
+        lines.append(f"- {key}: {value}")
     if payload["lemmas"]:
-        lines += ["", "## lemmas", ""]
+        lines.append("")
+        lines.append("## lemmas")
+        lines.append("")
         lines.append("| id | status |" + (" seconds |" if report.config.include_timing else ""))
         lines.append("|----|--------|" + ("---------|" if report.config.include_timing else ""))
         for item in payload["lemmas"]:
@@ -188,18 +187,34 @@ def emit_report(report: Report) -> str:
                 row += f" {item['seconds']} |"
             lines.append(row)
         for item in payload["lemmas"]:
-            lines += _markdown_block(item["id"], item["witnesses"])
+            lines.append("")
+            lines.append(f"### {item['id']}")
+            lines.append("")
+            lines.append("```")
+            text = json.dumps(item["witnesses"], indent=2)
+            lines.extend(_truncate_terms(line) for line in text.splitlines())
+            lines.append("```")
     if payload["fixtures"]:
-        lines += ["", "## fixtures", ""]
-        lines += ["| name | verdict | constant |", "|------|---------|----------|"]
+        lines.append("")
+        lines.append("## fixtures")
+        lines.append("")
+        lines.append("| name | verdict | constant |")
+        lines.append("|------|---------|----------|")
         for item in payload["fixtures"]:
             lines.append(
                 f"| {item['name']} | {item['verdict']} | {item.get('constant', '')} |"
             )
     if payload.get("bundles"):
-        lines += ["", "## chart summaries"]
+        lines.append("")
+        lines.append("## chart summaries")
         for summary in payload["bundles"]:
-            lines += _markdown_block(summary["chart"], summary)
+            lines.append("")
+            lines.append(f"### {summary['chart']}")
+            lines.append("")
+            lines.append("```")
+            text = json.dumps(summary, indent=2)
+            lines.extend(_truncate_terms(line) for line in text.splitlines())
+            lines.append("```")
     lines.append("")
     return "\n".join(lines)
 

@@ -39,11 +39,11 @@ Conventions:
   * a directional second derivative of N/D is H_vv / D^3, its numerator
     H_ij = D*(G_i)_j - 2*G_i*D_j written once (``_structural_terms``).  D^3
     is formed once per denominator per process (``_cube``, keyed on D by
-    value).  The first direction asked of (N, D) forms H_vv with four
-    products and is remembered with it (``_routes``, keyed on (N, D) by
-    value); a second distinct direction forms the packed Hessian columns
-    once (``_Hessian``), and every later direction is their linear
-    combination, with no polynomial product;
+    value).  Each direction asked of (N, D) forms H_vv with four products
+    until a second distinct one is asked (``_routes``, keyed on (N, D) by
+    value); that forms the packed Hessian columns once (``_Hessian``), and
+    every later direction is their linear combination, with no polynomial
+    product;
   * a quantity that carries a power of pi is one ``PiValue``: a Fraction or
     a RatFunc times pi^n, whichever the computation produced.
 """
@@ -739,26 +739,25 @@ def directional_second_derivative(f: RatFunc, direction: Sequence[Scalar]) -> Ra
     those of this structural form, which positivity certificates inspect.
 
     ``_routes`` holds one record per objective (N, D), keyed by value.  The
-    first direction forms H_vv directly, with four products, and is stored
-    with it, so that asking it again forms nothing.  A second distinct
-    direction drops that numerator and forms the Hessian numerators once
-    (``_Hessian``); every later direction v is then the quadratic form
-    sum_ij v_i*v_j*H_ij, with no product.  Both routes give the same
-    canonical ``MultiPoly``; the CLI asks one direction per objective.
+    first direction forms H_vv directly, with four products, and is recorded;
+    asked again, it is formed again the same way.  A second distinct
+    direction forms the Hessian numerators once (``_Hessian``), and every
+    later direction v is the quadratic form sum_ij v_i*v_j*H_ij, with no
+    product.  Both routes give the same canonical ``MultiPoly``; the CLI asks
+    one direction per objective and never pays for the Hessian.
     """
     if len(direction) != len(f.variables):
         raise ValueError("direction length must match the variable count")
     direction = tuple(direction)
-    n, d = key = f.num, f.den
-    route = _routes.get(key)
-    if route is None:
-        route = _routes[key] = (direction, _direct(n, d, direction))
-    elif isinstance(route, tuple) and route[0] != direction:
-        del _routes[key], route  # the stored numerator goes before the Hessian is formed
+    n, d = f.num, f.den
+    key = (n, d)
+    route = _routes.setdefault(key, direction)
+    if isinstance(route, tuple) and route != direction:
         route = _routes[key] = _Hessian(n, d)
-    numerator = route[1] if isinstance(route, tuple) else route.along(direction)
+    numerator = None if isinstance(route, tuple) else route.along(direction)
     if numerator is None:
-        numerator = _direct(n, d, direction)
+        (_, _, first), (_, _, second) = _structural_terms(n, d, (direction,))
+        numerator = first + second
     return RatFunc(numerator, _cube(d))
 
 
@@ -778,19 +777,15 @@ def _structural_terms(
             yield i, j, g * d_partials[j].scale(-2)
 
 
-def _direct(n: MultiPoly, d: MultiPoly, direction: tuple[Scalar, ...]) -> MultiPoly:
-    (_, _, first), (_, _, second) = _structural_terms(n, d, (direction,))
-    return first + second
-
-
 @lru_cache(maxsize=None)
 def _cube(d: MultiPoly) -> MultiPoly:
     """D^3, keyed on D by value (MultiPoly is immutable and hashes its terms)."""
     return d ** 3
 
 
-# per objective (N, D), keyed by value: (first direction, its numerator), or the Hessian
-_routes: dict[tuple[MultiPoly, MultiPoly], tuple[tuple[Scalar, ...], MultiPoly] | _Hessian] = {}
+# per objective (N, D), keyed by value like ``_cube``: the first direction
+# asked of it, until a second distinct one forms its Hessian
+_routes: dict[tuple[MultiPoly, MultiPoly], tuple[Scalar, ...] | _Hessian] = {}
 
 
 class _Hessian:
@@ -811,7 +806,8 @@ class _Hessian:
     __slots__ = ("variables", "den", "tops", "strides", "box", "size", "columns")
 
     def __init__(self, n: MultiPoly, d: MultiPoly):
-        self.variables = variables = n.variables
+        variables = n.variables
+        self.variables = variables
         self.den = n.den * d.den ** 2
         n = MultiPoly._build(variables, n.numerators)  # the same int table, over den 1
         d = MultiPoly._build(variables, d.numerators)

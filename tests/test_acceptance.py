@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from kcert import univar
 from kcert.certify import (
+    _second_derivative,
     fixture_comparison,
     verify_convexity,
     verify_inequality_chain,
@@ -29,13 +30,7 @@ from kcert.delpezzo import (
 )
 from kcert.exprparse import parse_expression
 from kcert.functional import evaluate_calA_on_areas, futaki_boundary
-from kcert.poly import (
-    MultiPoly,
-    PiValue,
-    RatFunc,
-    coefficients_all_nonneg,
-    directional_second_derivative,
-)
+from kcert.poly import MultiPoly, PiValue, RatFunc, coefficients_all_nonneg
 from kcert.polytope import build_polygon, integrate_monomial, lattice_perimeter
 from kcert.sampling import DEFAULT_SEED, SplitMix64
 from kcert.sturm import count_roots, sturm_chain, sturm_isolate
@@ -103,8 +98,11 @@ def test_criterion_3_functional_golden(bundle_k2, bundle_k3, diagonal):
 
 
 def test_criterion_4_convexity_certificates(bundle_k2, bundle_k3):
-    for direction, bundle in (((1, -1), bundle_k2), ((1, -1, 0), bundle_k3)):
-        d2 = directional_second_derivative(bundle.calA, direction)
+    for chart_id, direction, bundle in (
+        ("k2", (1, -1), bundle_k2),
+        ("k3", (1, -1, 0), bundle_k3),
+    ):
+        d2 = _second_derivative(chart_id, direction)
         nonneg, witness = coefficients_all_nonneg(d2.num)
         assert nonneg and not d2.num.is_zero, witness
         assert d2.den == bundle.calA.den ** 3

@@ -86,14 +86,13 @@ def test_positivity_certificate_requires_the_cube_denominator():
 def test_positivity_certificate_recheck_is_self_contained():
     from dataclasses import replace
 
+    from kcert.certify import _second_derivative
     from kcert.delpezzo import K2_CHART
     from kcert.functional import build_bundle
-    from kcert.poly import directional_second_derivative
 
-    cal_a = build_bundle(K2_CHART).calA
     cert = positivity_certificate(
-        directional_second_derivative(cal_a, (1, -1)),
-        cal_a.den,
+        _second_derivative("k2", (1, -1)),
+        build_bundle(K2_CHART).calA.den,
         (1, -1),
         "recheck probe",
     )

@@ -210,10 +210,10 @@ def test_second_derivative_forms_each_cube_once(monkeypatch, cold_objectives):
 
 
 def test_second_derivative_route_selection(monkeypatch, cold_objectives):
-    """The first direction takes the direct route, four products, and that
-    direction asked again returns its stored numerator; neither forms a
-    Hessian.  The second distinct direction forms it once; later directions
-    only combine its columns."""
+    """The first direction takes the direct route, four products, and so
+    does that direction asked again; neither forms a Hessian.  The second
+    distinct direction forms it once; later directions only combine its
+    columns."""
     f = build_bundle(K3_CHART).calA
     poly._cube(f.den)  # warm, so that every count below is of the numerator alone
     formed = []
@@ -238,14 +238,15 @@ def test_second_derivative_route_selection(monkeypatch, cold_objectives):
         products = 0
         directional_second_derivative(f, direction)
         counts.append((products, len(formed)))
-    assert counts[:2] == [(4, 0), (0, 0)]
+    assert counts[:2] == [(4, 0), (4, 0)]
     assert counts[2] == (2 * 3 + 2 * 6, 1)  # G_i: two products each; H_ij: two each
     assert counts[3:] == [(0, 1), (0, 1)]
 
 
-def test_repeated_first_direction_forms_no_product(monkeypatch, cold_objectives):
-    """The first direction is stored with its numerator: asked again, it
-    returns that numerator over the same cube and forms no product."""
+def test_repeated_first_direction_stays_direct(monkeypatch, cold_objectives):
+    """The record keeps the first direction, not its numerator: asked again,
+    that direction forms the same numerator with the direct route's four
+    products, over the same cube, and forms no Hessian."""
     beta, gamma = gens()
     f = RatFunc(beta ** 3 - gamma, 5 + 3 * beta * gamma ** 2 + 7 * gamma ** 3)
     first = directional_second_derivative(f, (1, -1))
@@ -258,9 +259,9 @@ def test_repeated_first_direction_forms_no_product(monkeypatch, cold_objectives)
 
     monkeypatch.setattr(MultiPoly, "__mul__", counting)
     again = directional_second_derivative(f, [1, -1])
-    assert products == []
-    assert again.num is first.num and again.den is first.den
-    assert poly._routes[f.num, f.den] == ((1, -1), first.num)
+    assert len(products) == 4
+    assert again.num == first.num and again.den is first.den
+    assert poly._routes[f.num, f.den] == (1, -1)
 
 
 def test_second_derivative_cube_per_denominator():
