@@ -16,20 +16,24 @@ Each lemma-level claim is reduced to exact, re-checkable evidence:
 Two certificates are rechecked from what they emit before their lemmas can
 PASS: each convexity certificate from its own payload
 (``PositivityCertificate.recheck``), and the laudate critical interval by one
-more Sturm count on it, with the chain that isolated it.  The charts come from ``CHARTS``, and each
-chart's convexity lemma, direction and display from the ``CONVEXITY`` table.
+more Sturm count on it, with the chain that isolated it.  The charts come
+from ``CHARTS``, and each chart's convexity lemma, direction and display from
+the ``CONVEXITY`` table.
 
-Reports carry PASS/FAIL/NOTE, witnesses, and timings; FAIL always carries a
-concrete witness.  NOTE marks recorded deductions whose geometric input
-(the cone decomposition) is assumed rather than machine-verified.  Each lemma
-runs once per process: the composites (laudate, gaudete) take their
-ingredients' reports from ``run_lemma``'s memo.
+Reports carry PASS/FAIL/NOTE and witnesses; FAIL always carries a concrete
+witness.  NOTE marks recorded deductions whose geometric input (the cone
+decomposition) is assumed rather than machine-verified.  ``_lemma_calls``
+lists the lemmas in report order, each with its verifier and arguments, and
+``run_lemma`` alone dispatches, times and memoizes them: each lemma runs once
+per process, its report timed there, and the composites (laudate, gaudete)
+take their ingredients' reports from that memo.  Verifiers return untimed
+reports.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -67,21 +71,6 @@ from .sturm import count_roots, sturm_chain, sturm_isolate
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 2 ** 30)
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
-
-LEMMA_IDS = (
-    "convex2",
-    "symmetry2",
-    "prime2",
-    "doubleprime2",
-    "laudate",
-    "convex3",
-    "symmetry3a",
-    "symmetry3b",
-    "veritas",
-    "claritas",
-    "gaudete",
-)
-
 
 @dataclass(frozen=True)
 class LemmaReport:
@@ -252,20 +241,18 @@ def fixture_comparison(chart_id: str, name: str, fixtures_dir: Path | None = Non
 def check_all_fixtures(fixtures_dir: Path | None = None) -> list[tuple[str, object]]:
     """(fixture name, verdict) for every shipped fixture, in a fixed order."""
     results = []
-    for chart_id in ("k2", "k3"):
-        for name in FIXTURE_NAMES[chart_id]:
+    for chart_id, names in FIXTURE_NAMES.items():
+        for name in names:
             meta, verdict = fixture_comparison(chart_id, name, fixtures_dir)
             results.append((meta.name, verdict))
     return results
 
 
 def verify_convexity(
-    chart_id: str,
-    direction: tuple[int, ...] | None = None,
-    fixtures_dir: Path | None = None,
-    seed: int = DEFAULT_SEED,
+    chart_id: str, fixtures_dir: Path | None = None, seed: int = DEFAULT_SEED
 ) -> LemmaReport:
-    """Positivity certificate for the antidiagonal second derivative.
+    """Positivity certificate for the second derivative along the chart's
+    antidiagonal, its ``CONVEXITY`` direction.
 
     Also compares the structural numerator against the transcribed display:
     the k=3 display is SCALED by its printed overall constant 12, while the
@@ -274,9 +261,7 @@ def verify_convexity(
     The certificate is rechecked from its own payload; a failed recheck is a
     FAIL, with a ``recheck_failure`` witness beside the payload.
     """
-    start = time.perf_counter()
-    lemma_id, antidiagonal, fixture_name = CONVEXITY[chart_id]
-    direction = antidiagonal if direction is None else tuple(direction)
+    lemma_id, direction, fixture_name = CONVEXITY[chart_id]
     d2 = _second_derivative(chart_id, direction)
     certificate = positivity_certificate(
         d2,
@@ -304,7 +289,7 @@ def verify_convexity(
             f"transcribed display {fixture_name} disagrees with the computed "
             f"second derivative ({comparison.kind}); kept as transcribed"
         )
-    return LemmaReport(lemma_id, status, witnesses, time.perf_counter() - start)
+    return LemmaReport(lemma_id, status, witnesses)
 
 
 def _symmetry_identity(chart_id: str, swap: dict[str, str]) -> bool:
@@ -321,7 +306,6 @@ def _symmetry_identity(chart_id: str, swap: dict[str, str]) -> bool:
 
 def verify_symmetry(lemma_id: str) -> LemmaReport:
     """Cross-multiplied invariance of the objective under a transposition."""
-    start = time.perf_counter()
     swaps = {
         "symmetry2": ("k2", {"beta": "gamma", "gamma": "beta"}),
         "symmetry3a": ("k3", {"alpha": "beta", "beta": "alpha"}),
@@ -331,9 +315,7 @@ def verify_symmetry(lemma_id: str) -> LemmaReport:
     ok = _symmetry_identity(chart_id, swap)
     witnesses = {"identity": f"objective invariant under {swap} on {chart_id}",
                  "symbolic": ok}
-    return LemmaReport(
-        lemma_id, "PASS" if ok else "FAIL", witnesses, time.perf_counter() - start
-    )
+    return LemmaReport(lemma_id, "PASS" if ok else "FAIL", witnesses)
 
 
 def _coefficient_split(
@@ -361,7 +343,6 @@ def verify_inequality_chain(kind: str) -> LemmaReport:
     doubleprime2_bound_high: Q(x) > 3002509 - 131832 x^15 for x > 1,
                              with (6/5)^15 < 16 < 3002509/131832
     """
-    start = time.perf_counter()
     diag = restrict_diagonal()
     if kind == "prime2_bound":
         ok, neg_total, pos_total = _coefficient_split(diag.p, 6, -1)
@@ -395,12 +376,7 @@ def verify_inequality_chain(kind: str) -> LemmaReport:
         }
     else:
         raise ValueError(f"unknown inequality chain {kind!r}")
-    return LemmaReport(
-        f"chain:{kind}",
-        "PASS" if ok else "FAIL",
-        checks,
-        time.perf_counter() - start,
-    )
+    return LemmaReport(f"chain:{kind}", "PASS" if ok else "FAIL", checks)
 
 
 def verify_prime2() -> LemmaReport:
@@ -410,7 +386,6 @@ def verify_prime2() -> LemmaReport:
     showing the derivative numerator has no roots beyond 6/5 (up to an
     explicit root bound) and is positive at 6/5.
     """
-    start = time.perf_counter()
     diag = restrict_diagonal()
     chain_report = verify_inequality_chain("prime2_bound")
     p_coeffs = univar.from_multipoly(diag.p)
@@ -432,9 +407,7 @@ def verify_prime2() -> LemmaReport:
         "P(1)": str(value_at_1),
         "P(6/5)": str(value_at_6_5),
     }
-    return LemmaReport(
-        "prime2", "PASS" if ok else "FAIL", witnesses, time.perf_counter() - start
-    )
+    return LemmaReport("prime2", "PASS" if ok else "FAIL", witnesses)
 
 
 def verify_doubleprime2() -> LemmaReport:
@@ -443,7 +416,6 @@ def verify_doubleprime2() -> LemmaReport:
     Dual certificate: both replayed coefficient chains, plus a Sturm count of
     zero roots of Q on (0, 6/5] together with Q(0) = 9 > 0.
     """
-    start = time.perf_counter()
     diag = restrict_diagonal()
     low = verify_inequality_chain("doubleprime2_bound_low")
     high = verify_inequality_chain("doubleprime2_bound_high")
@@ -463,9 +435,7 @@ def verify_doubleprime2() -> LemmaReport:
         "sturm_roots_in_(0,6/5]": roots,
         "Q(0)": str(q_at_0),
     }
-    return LemmaReport(
-        "doubleprime2", "PASS" if ok else "FAIL", witnesses, time.perf_counter() - start
-    )
+    return LemmaReport("doubleprime2", "PASS" if ok else "FAIL", witnesses)
 
 
 def verify_veritas(sample_count: int = 50, seed: int = DEFAULT_SEED) -> LemmaReport:
@@ -475,7 +445,6 @@ def verify_veritas(sample_count: int = 50, seed: int = DEFAULT_SEED) -> LemmaRep
     the hyperplane V (delta = 0) it is sampled exactly through the polygon
     pipeline (the polygons there are centrally symmetric).
     """
-    start = time.perf_counter()
     bundle = build_bundle(K3_CHART)
     t = MultiPoly.variable(("t",), "t")
     images = {"alpha": t, "beta": t, "gamma": t}
@@ -497,9 +466,7 @@ def verify_veritas(sample_count: int = 50, seed: int = DEFAULT_SEED) -> LemmaRep
         "V_samples": sample_count,
         "V_failures": v_failures,
     }
-    return LemmaReport(
-        "veritas", "PASS" if ok else "FAIL", witnesses, time.perf_counter() - start
-    )
+    return LemmaReport("veritas", "PASS" if ok else "FAIL", witnesses)
 
 
 def _proportional(x: CohClass, y: CohClass) -> bool:
@@ -558,7 +525,6 @@ def verify_claritas() -> LemmaReport:
     the delta = 0 interface, is assumed geometry, so the deduction is recorded
     as a NOTE rather than claimed as machine-verified.
     """
-    start = time.perf_counter()
     witnesses = {
         "statement": "critical classes lie in the delta=0 hyperplane or the "
         "equal-areas plane",
@@ -566,7 +532,7 @@ def verify_claritas() -> LemmaReport:
         "assumed": "cone decomposition into the chart, its Cremona image, and "
         "the delta=0 interface (not machine-verified)",
     }
-    return LemmaReport("claritas", "NOTE", witnesses, time.perf_counter() - start)
+    return LemmaReport("claritas", "NOTE", witnesses)
 
 
 def _value_enclosure(diag: DiagonalRestriction, a: Fraction, b: Fraction) -> tuple:
@@ -582,6 +548,20 @@ def _value_enclosure(diag: DiagonalRestriction, a: Fraction, b: Fraction) -> tup
     return (lower, upper), Fraction(7) < lower and upper < Fraction(2919, 409)
 
 
+def _composite(
+    lemma_id: str, ingredients: list[LemmaReport], failures: dict, witnesses: dict
+) -> LemmaReport:
+    """A composite lemma's report: PASS unless an ingredient or one of its own
+    checks failed.  The failed ingredients' witnesses lead ``failures``; the
+    ingredient statuses, then any failures, are the last two witnesses."""
+    failed = {r.lemma_id: r.witnesses for r in ingredients if r.status == "FAIL"}
+    failures = {**failed, **failures}
+    witnesses["ingredients"] = {r.lemma_id: r.status for r in ingredients}
+    if failures:
+        witnesses["failures"] = failures
+    return LemmaReport(lemma_id, "FAIL" if failures else "PASS", witnesses)
+
+
 def verify_uniqueness_k2(
     sample_count: int = 100,
     isolation_width: Fraction = DEFAULT_ISOLATION_WIDTH,
@@ -595,12 +575,11 @@ def verify_uniqueness_k2(
     endpoint data, and the sampled averaging/minimality inequalities; emits
     the isolating interval and an enclosure of the objective value there.
     """
-    start = time.perf_counter()
     ingredients = [
         run_lemma(lemma_id, sample_count, isolation_width, seed, fixtures_dir)
         for lemma_id in ("symmetry2", "convex2", "prime2", "doubleprime2")
     ]
-    failures = {r.lemma_id: r.witnesses for r in ingredients if r.status == "FAIL"}
+    failures = {}
 
     diag = restrict_diagonal()
     intervals, p_chain = sturm_isolate(
@@ -655,7 +634,6 @@ def verify_uniqueness_k2(
             "minimality_failures": minimality_failures,
         }
 
-    status = "PASS" if not failures else "FAIL"
     witnesses = {
         "critical_interval": [str(x) for x in intervals[0]] if one_root else None,
         "interval_width": str(intervals[0][1] - intervals[0][0]) if one_root else None,
@@ -664,11 +642,8 @@ def verify_uniqueness_k2(
         "slope_at_0": str(slope_at_0),
         "slope_at_6/5": str(slope_at_6_5),
         "sampled_points": sample_count,
-        "ingredients": {ingredient.lemma_id: ingredient.status for ingredient in ingredients},
     }
-    if failures:
-        witnesses["failures"] = failures
-    return LemmaReport("laudate", status, witnesses, time.perf_counter() - start)
+    return _composite("laudate", ingredients, failures, witnesses)
 
 
 def verify_uniqueness_k3(
@@ -684,12 +659,11 @@ def verify_uniqueness_k3(
     Cauchy-Schwarz inequality on timelike samples, and sampled global
     minimality (objective >= 6 with equality at the anticanonical class).
     """
-    start = time.perf_counter()
     ingredients = [
         run_lemma(lemma_id, sample_count, DEFAULT_ISOLATION_WIDTH, seed, fixtures_dir)
         for lemma_id in ("symmetry3a", "symmetry3b", "convex3", "veritas")
     ]
-    failures = {r.lemma_id: r.witnesses for r in ingredients if r.status == "FAIL"}
+    failures = {}
 
     facts = _cremona_facts(max(1, sample_count // 5), seed)
     if not all(
@@ -770,7 +744,6 @@ def verify_uniqueness_k3(
     if minimality_failures:
         failures["minimality_samples"] = minimality_failures
 
-    status = "PASS" if not failures else "FAIL"
     witnesses = {
         "value_at_c1": str(value_at_c1),
         "first_variation_spot_(2,1,1,0)": str(spot),
@@ -783,12 +756,32 @@ def verify_uniqueness_k3(
             "with the sign of the first variation",
         },
         "sampled_points": sample_count,
-        "ingredients": {ingredient.lemma_id: ingredient.status for ingredient in ingredients},
     }
-    if failures:
-        witnesses["failures"] = failures
-    return LemmaReport("gaudete", status, witnesses, time.perf_counter() - start)
+    return _composite("gaudete", ingredients, failures, witnesses)
 
+
+def _lemma_calls(
+    sample_count: int, isolation_width: Fraction, seed: int, fixtures_dir: Path | None
+) -> dict[str, tuple]:
+    """Each lemma id in report order, with its verifier and the arguments it
+    receives.  The verifiers are looked up when this is called, so that a
+    wrapped verifier is the one called."""
+    return {
+        "convex2": (verify_convexity, ("k2", fixtures_dir, seed)),
+        "symmetry2": (verify_symmetry, ("symmetry2",)),
+        "prime2": (verify_prime2, ()),
+        "doubleprime2": (verify_doubleprime2, ()),
+        "laudate": (verify_uniqueness_k2, (sample_count, isolation_width, seed, fixtures_dir)),
+        "convex3": (verify_convexity, ("k3", fixtures_dir, seed)),
+        "symmetry3a": (verify_symmetry, ("symmetry3a",)),
+        "symmetry3b": (verify_symmetry, ("symmetry3b",)),
+        "veritas": (verify_veritas, (max(1, sample_count // 2), seed)),
+        "claritas": (verify_claritas, ()),
+        "gaudete": (verify_uniqueness_k3, (sample_count, seed, fixtures_dir)),
+    }
+
+
+LEMMA_IDS = tuple(_lemma_calls(100, DEFAULT_ISOLATION_WIDTH, DEFAULT_SEED, None))
 
 # lemma reports of this process, keyed by (lemma id, *the verifier's arguments)
 _REPORTS: dict[tuple, LemmaReport] = {}
@@ -801,30 +794,20 @@ def run_lemma(
     seed: int = DEFAULT_SEED,
     fixtures_dir: Path | None = None,
 ) -> LemmaReport:
-    """Dispatch a lemma id to its verifier, once per process for each key.
+    """The lemma's report, from its verifier once per process for each key.
 
     The key is the arguments the verifier receives (the veritas sample count
     halved), not the call form, so the CLI and the composite lemmas share one
-    report.
+    report.  The report is stored with the verifier call's wall time as its
+    ``seconds``; a verifier called directly leaves it 0.0.
     """
-    # looked up at call time, so that a wrapped verifier is the one called
-    calls = {
-        "convex2": (verify_convexity, ("k2", None, fixtures_dir, seed)),
-        "convex3": (verify_convexity, ("k3", None, fixtures_dir, seed)),
-        "symmetry2": (verify_symmetry, ("symmetry2",)),
-        "symmetry3a": (verify_symmetry, ("symmetry3a",)),
-        "symmetry3b": (verify_symmetry, ("symmetry3b",)),
-        "prime2": (verify_prime2, ()),
-        "doubleprime2": (verify_doubleprime2, ()),
-        "veritas": (verify_veritas, (max(1, sample_count // 2), seed)),
-        "claritas": (verify_claritas, ()),
-        "laudate": (verify_uniqueness_k2, (sample_count, isolation_width, seed, fixtures_dir)),
-        "gaudete": (verify_uniqueness_k3, (sample_count, seed, fixtures_dir)),
-    }
+    calls = _lemma_calls(sample_count, isolation_width, seed, fixtures_dir)
     if lemma_id not in calls:
         raise ValueError(f"unknown lemma id {lemma_id!r}")
     verifier, args = calls[lemma_id]
     key = (lemma_id, *args)
     if key not in _REPORTS:
-        _REPORTS[key] = verifier(*args)
+        start = time.perf_counter()
+        report = verifier(*args)
+        _REPORTS[key] = replace(report, seconds=time.perf_counter() - start)
     return _REPORTS[key]

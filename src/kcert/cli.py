@@ -284,10 +284,20 @@ def _config_from_args(args: argparse.Namespace, tasks: list[str]) -> RunConfig:
     return RunConfig(tasks=tasks, include_timing=include_timing, **settings)
 
 
-def _run_lemmas(config: RunConfig, lemma_ids: list[str]) -> list[LemmaReport]:
-    """Reports in ``LEMMA_IDS`` order, run in this thread; ``config.jobs``
-    is accepted and echoed but has no effect (threads only slowed this down)."""
-    return [
+def _report(
+    config: RunConfig,
+    lemma_ids: list[str] | tuple[str, ...],
+    fixtures: bool = False,
+    summaries: bool = False,
+) -> int:
+    """Print the report of the lemmas, in ``LEMMA_IDS`` order, then of the
+    fixtures and the chart summaries if asked; return the exit code.
+
+    Lemmas run in this thread; ``config.jobs`` is accepted and echoed but has
+    no effect (threads only slowed this down).
+    """
+    start = time.perf_counter()
+    lemmas = [
         run_lemma(
             lemma_id,
             sample_count=config.sample_count,
@@ -298,6 +308,11 @@ def _run_lemmas(config: RunConfig, lemma_ids: list[str]) -> list[LemmaReport]:
         for lemma_id in LEMMA_IDS
         if lemma_id in lemma_ids
     ]
+    results = check_all_fixtures(config.fixtures_dir) if fixtures else []
+    bundles = [bundle_summary(chart) for chart in CHARTS.values()] if summaries else []
+    report = Report(__version__, config, lemmas, results, time.perf_counter() - start, bundles)
+    print(emit_report(report))
+    return 0 if report.aggregate == "PASS" else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -312,41 +327,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         print("verify requires --lemma ID or --all", file=sys.stderr)
         return 2
-    config = _config_from_args(args, lemma_ids)
-    start = time.perf_counter()
-    lemmas = _run_lemmas(config, lemma_ids)
-    report = Report(__version__, config, lemmas, [], time.perf_counter() - start)
-    print(emit_report(report))
-    return 0 if report.aggregate == "PASS" else 1
+    return _report(_config_from_args(args, lemma_ids), lemma_ids)
 
 
 def _cmd_fixtures(args: argparse.Namespace) -> int:
-    if args.action != "check":
-        print(f"unknown fixtures action {args.action!r}", file=sys.stderr)
-        return 2
-    config = _config_from_args(args, ["fixtures"])
-    start = time.perf_counter()
-    try:
-        results = check_all_fixtures(config.fixtures_dir)
-    except FileNotFoundError as exc:
-        print(f"missing fixture: {exc}", file=sys.stderr)
-        return 2
-    report = Report(__version__, config, [], results, time.perf_counter() - start)
-    print(emit_report(report))
-    return 0 if report.aggregate == "PASS" else 1
+    return _report(_config_from_args(args, ["fixtures"]), (), fixtures=True)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    config = _config_from_args(args, ["all"])
-    start = time.perf_counter()
-    lemmas = _run_lemmas(config, list(LEMMA_IDS))
-    results = check_all_fixtures(config.fixtures_dir)
-    summaries = [bundle_summary(CHARTS[c]) for c in ("k2", "k3")]
-    report = Report(
-        __version__, config, lemmas, results, time.perf_counter() - start, summaries
-    )
-    print(emit_report(report))
-    return 0 if report.aggregate == "PASS" else 1
+    return _report(_config_from_args(args, ["all"]), LEMMA_IDS, fixtures=True, summaries=True)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -422,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     evaluate = sub.add_parser("eval", help="print exact chart quantities")
-    evaluate.add_argument("--chart", choices=("k2", "k3"), required=True)
+    evaluate.add_argument("--chart", choices=tuple(CHARTS), required=True)
     evaluate.add_argument("--point", type=parse_point, required=True)
     evaluate.add_argument(
         "--what", choices=("V", "F1", "F2", "A", "B", "C", "calA"), required=True

@@ -12,10 +12,13 @@ Grammar (whitespace and line breaks insignificant, juxtaposition multiplies):
 Text is ASCII: a digit, letter or space of any other script is an unexpected
 character.  A unary minus is accepted only at the start of an expression or
 parenthesis group.  Exponents above 64 are rejected, and so is a '(' that
-would open a 65th group inside others (``MAX_NESTING``).  Syntax errors carry
-line/column (in a fixture, the line of the file), and so do the arithmetic's
-limits: a literal longer than the interpreter's int-string digit limit, or a
-product whose degree reaches the polynomial exponent guard.
+would open a 65th group inside others (``MAX_NESTING``).  Those bound degrees;
+work is bounded by refusing a product of groups or a group's power whose term
+pairs (#terms^exponent for a power) and exponent box both exceed
+``MAX_EXPANSION``.  Syntax errors carry line/column (in a fixture, the line of
+the file), and so do the arithmetic's limits: a literal longer than the
+interpreter's int-string digit limit, or a product whose degree reaches the
+polynomial exponent guard.
 
 Expansion is cheap for transcribed displays, which are mostly sums of
 ``coefficient * symbol powers * (group)`` terms: within a term, numbers and
@@ -47,7 +50,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from math import prod
+from operator import add, mul
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -56,6 +60,7 @@ from .sampling import DEFAULT_SEED, SplitMix64
 
 MAX_EXPONENT = 64
 MAX_NESTING = 64  # open groups at once; the shipped fixtures nest at most 4 deep
+MAX_EXPANSION = 2 ** 18  # min(term pairs, exponent box); the shipped fixtures reach 4096
 COMPARISON_SAMPLES = 100
 
 
@@ -102,6 +107,21 @@ def _tokenize(text: str, first_line: int = 1) -> list[_Token]:
             append(_Token(kind, match.group(), line, match.start() - line_start + 1))
     tokens.append(_Token("END", "", line, len(text) - line_start + 1))
     return tokens
+
+
+def _degrees(p: MultiPoly) -> list[int]:
+    return [max(e) for e in zip(*p.numerators)]  # per variable; [] for zero
+
+
+def _bound(token: _Token, pairs: int, degrees) -> None:
+    """Refuse, at ``token``, to form a product of these ``degrees`` whose term
+    pairs and exponent box both exceed ``MAX_EXPANSION``."""
+    size = min(pairs, prod(d + 1 for d in degrees))
+    if size > MAX_EXPANSION:
+        raise ParseError(
+            f"expansion to min(term pairs, exponent box) = {size} exceeds the "
+            f"{MAX_EXPANSION} limit", token.line, token.column
+        )
 
 
 class _Parser:
@@ -193,8 +213,11 @@ class _Parser:
                 if not group:
                     coefficient = 0
                 elif coefficient:
-                    reach = [r + max(e) for r, e in zip(reach, zip(*group.numerators))]
+                    reach = list(map(add, reach, _degrees(group)))
                     self.guard(token, coefficient, reach)
+                    if groups is not None:
+                        pairs = len(groups.numerators) * len(group.numerators)
+                        _bound(token, pairs, map(add, _degrees(groups), _degrees(group)))
                     groups = group if groups is None else groups * group
             token = self.peek()
             if token.kind == "OP" and token.text == "*":
@@ -235,7 +258,11 @@ class _Parser:
     def factor(self) -> MultiPoly:
         value = self.base()
         exponent, token = self.exponent()
-        return value if token is None else self.at(token, pow, value, exponent)
+        if token is None:
+            return value
+        degrees = [exponent * d for d in _degrees(value)]
+        _bound(token, len(value.numerators) ** exponent, degrees)
+        return self.at(token, pow, value, exponent)
 
     def base(self) -> MultiPoly:
         """A parenthesised expression; the term reads numbers and declared symbols."""

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import re
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +253,22 @@ def test_run_lemma_dispatch():
     assert run_lemma("claritas").status == "NOTE"
     with pytest.raises(ValueError):
         run_lemma("nonsense")
+
+
+def test_run_lemma_times_the_report_it_memoizes(monkeypatch):
+    monkeypatch.setattr(certify, "_REPORTS", {})
+    cold = run_lemma("convex2")
+    assert cold.seconds > 0
+    direct = verify_convexity("k2")
+    assert direct.seconds == 0.0
+    assert direct == replace(cold, seconds=0.0)
+    assert run_lemma("convex2") is cold
+
+
+def test_lemma_ids_are_the_published_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    published = re.search(r"Lemma ids: `([^`]*)`", readme).group(1).split()
+    assert certify.LEMMA_IDS == tuple(published)
 
 
 def test_composite_lemmas_reuse_ingredient_reports(monkeypatch):

@@ -14,6 +14,8 @@ import pytest
 import kcert
 from kcert import certify
 from kcert.cli import emit_report, parse_rational, run
+from kcert.exprparse import MAX_EXPANSION
+from kcert.poly import MultiPoly
 
 
 def test_parse_rational_accepts_exact_only():
@@ -107,6 +109,14 @@ def test_verify_single_lemma_json(capsys):
     assert payload["lemmas"][0]["id"] == "symmetry2"
     assert payload["lemmas"][0]["status"] == "PASS"
     assert "seconds" not in payload["lemmas"][0]
+
+
+def test_verify_all_times_every_lemma(capsys):
+    assert run(["verify", "--all", "--format", "json"]) == 0
+    lemmas = json.loads(capsys.readouterr().out)["lemmas"]
+    assert [item["id"] for item in lemmas] == list(certify.LEMMA_IDS)
+    for item in lemmas:
+        assert isinstance(item["seconds"], float) and item["seconds"] >= 0, item["id"]
 
 
 def test_verify_unknown_lemma(capsys):
@@ -255,6 +265,46 @@ def test_fixture_arithmetic_limits_are_positioned_errors(numerator, column, tmp_
     assert "Traceback" not in captured.err
 
 
+def test_fixture_expansion_is_a_positioned_error(tmp_path, monkeypatch, capsys):
+    """21 characters that would expand to 131,841 terms are refused at the
+    exponent 8, before any product past ``MAX_EXPANSION`` is formed."""
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(certify.FIXTURES_DIR, fixtures)
+    path = fixtures / "k2" / "calA.fix"
+    head, _, _ = path.read_text(encoding="utf-8").partition("[numerator]")
+    path.write_text(head + "[numerator]\n1 +\n((beta+gamma+1)^64)^8\n", encoding="utf-8")
+    multiply, sizes = MultiPoly.__mul__, []
+
+    def measuring(a, b):
+        pairs = len(a.numerators) * len(b.numerators)
+        box = 1
+        for x, y in zip(zip(*a.numerators), zip(*b.numerators)):
+            box *= max(x) + max(y) + 1
+        sizes.append(min(pairs, box))
+        return multiply(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", measuring)
+    assert run(["fixtures", "check", "--fixtures-dir", str(fixtures)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fixture error: calA_k2: [numerator] expansion to ")
+    assert f"(line {head.count(chr(10)) + 3}, column 21)" in captured.err
+    assert "Traceback" not in captured.err
+    assert sizes and max(sizes) <= MAX_EXPANSION
+
+
+@pytest.mark.parametrize(
+    "command", [["verify", "--all"], ["fixtures", "check"], ["report"]], ids=lambda c: c[0]
+)
+def test_missing_fixture_file_is_an_io_error(command, tmp_path, capsys):
+    assert run([*command, "--fixtures-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error: ")
+    assert f"{tmp_path}{os.sep}k2{os.sep}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 UNEXPECTED = "P_k2: [numerator] unexpected character "
 
 
@@ -310,17 +360,18 @@ def test_fixtures_dir_spellings_share_one_load_each(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize(
     "command, code, digest",
     [
-        (["report"], 1, "4636664ddd59ed8dd78be1fad15b35b2"),
-        (["verify", "--all"], 0, "2b20ae30882781dc0944422d5f8f8f80"),
-        (["fixtures", "check"], 1, "0ca8cce540a802f69bff166716179909"),
+        (["report", "--format", "json"], 1, "4636664ddd59ed8dd78be1fad15b35b2"),
+        (["verify", "--all", "--format", "json"], 0, "2b20ae30882781dc0944422d5f8f8f80"),
+        (["fixtures", "check", "--format", "json"], 1, "0ca8cce540a802f69bff166716179909"),
+        (["report", "--format", "markdown"], 1, "90a201291fe3636a01ee04a441abf7de"),
     ],
-    ids=["report", "verify-all", "fixtures-check"],
+    ids=["report", "verify-all", "fixtures-check", "report-markdown"],
 )
 def test_report_bytes_are_unchanged(monkeypatch, capsys, command, code, digest):
     # the --no-timing output changes only when the mathematics does; a fresh
     # lemma memo makes each run compute every report itself
     monkeypatch.setattr(certify, "_REPORTS", {})
-    assert run([*command, "--no-timing", "--format", "json"]) == code
+    assert run([*command, "--no-timing"]) == code
     stdout = capsys.readouterr().out
     assert hashlib.md5(stdout.encode("utf-8")).hexdigest() == digest
 

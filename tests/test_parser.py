@@ -8,6 +8,7 @@ import pytest
 
 from kcert import certify, exprparse
 from kcert.exprparse import (
+    MAX_EXPANSION,
     MAX_EXPONENT,
     MAX_NESTING,
     ComparisonVerdict,
@@ -75,6 +76,26 @@ def test_nesting_limit():
     with pytest.raises(ParseError, match="nest deeper") as info:
         parse_expression("2 (" + deepest + ")", BG)
     assert (info.value.line, info.value.column) == (1, 3 + MAX_NESTING)  # the 65th "("
+
+
+# six terms of degree 73 in beta and 64 + {} in gamma, to the 7th power:
+# 6^7 term pairs, over a 512 x (64 + {}) * 7 + 1 exponent box
+_SIXTH = "(beta^64 beta^9 + gamma^64 gamma^{} + beta + gamma + beta gamma + 1)^7"
+
+
+def test_expansion_bound_is_inclusive_and_positioned():
+    """min(term pairs, exponent box) may reach MAX_EXPANSION, not pass it."""
+    at_limit = _SIXTH.format(9)  # box 512 x 512
+    assert MAX_EXPANSION == 512 * 512
+    assert len(parse_expression(at_limit, BG).numerators) == 540
+    over = _SIXTH.format(10)  # box 512 x 519, refused at the exponent 7
+    with pytest.raises(ParseError, match=f"= 265728 exceeds the {MAX_EXPANSION} limit") as info:
+        parse_expression(over, BG)
+    assert (info.value.line, info.value.column) == (1, len(over))
+    # 540^2 term pairs over a 1023 x 1023 box, refused at the '*'
+    with pytest.raises(ParseError, match=f"= 291600 exceeds the {MAX_EXPANSION} limit") as info:
+        parse_expression(at_limit + " * " + at_limit, BG)
+    assert (info.value.line, info.value.column) == (1, len(at_limit) + 2)
 
 
 def test_syntax_error_has_position():
