@@ -17,7 +17,6 @@ from .exprparse import (
     parse_expression,
 )
 from .polytope import (
-    AffinePoint,
     ParamPolygon,
     boundary_integral,
     build_polygon,

@@ -33,9 +33,13 @@ from .poly import MultiPoly, Scalar
 Entry = Union[Fraction, MultiPoly]
 
 
-def _as_entry(value: Entry | int) -> Entry:
+def _as_entry(name: str, value: Entry | int) -> Entry:
+    """A MultiPoly as it is, an int or Fraction as a Fraction; nothing else,
+    so that no float passes as an exact number."""
     if isinstance(value, MultiPoly):
         return value
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"entry {name} is {value!r}, not an int, Fraction or MultiPoly")
     return Fraction(value)
 
 
@@ -52,10 +56,8 @@ class CohClass:
     def __post_init__(self) -> None:
         if self.k not in (1, 2, 3):
             raise ValueError(f"k must be 1, 2, or 3, not {self.k}")
-        object.__setattr__(self, "h", _as_entry(self.h))
-        object.__setattr__(self, "e1", _as_entry(self.e1))
-        object.__setattr__(self, "e2", _as_entry(self.e2))
-        object.__setattr__(self, "e3", _as_entry(self.e3))
+        for name in ("h", "e1", "e2", "e3"):
+            object.__setattr__(self, name, _as_entry(name, getattr(self, name)))
         exceptional = (self.e1, self.e2, self.e3)
         for i in range(self.k, 3):
             if exceptional[i]:
@@ -117,7 +119,9 @@ class AreaVector:
 
     @staticmethod
     def from_abcd(alpha: Entry, beta: Entry, gamma: Entry, delta: Entry) -> AreaVector:
-        alpha, beta, gamma, delta = map(_as_entry, (alpha, beta, gamma, delta))
+        alpha, beta, gamma, delta = map(
+            _as_entry, ("alpha", "beta", "gamma", "delta"), (alpha, beta, gamma, delta)
+        )
         return AreaVector(
             a_e3=alpha,
             a_l13=beta + delta,

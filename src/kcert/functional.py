@@ -30,7 +30,8 @@ cancellation is attempted anywhere.
 
 One assembly serves both routes: its formulas use operators only, so they
 build the chart rational functions on MultiPolys and the values at a numeric
-area vector on the numeric polygon's Fractions, with no polynomial at all.
+area vector on the Fractions the numeric polygon's integrals return, with no
+polynomial at all.
 """
 
 from __future__ import annotations
@@ -195,20 +196,17 @@ def build_bundle(chart: ConeChart) -> FunctionalBundle:
     """
     b1, b2, volume_closed = _closed_form_brackets(chart)
     polygon = _polygon_from_areas(chart.area_vector(), chart.variables)
-    moments = central_second_moments(polygon)
-    volume = moments.area
+    volume, puu, pvv, puv = central_second_moments(polygon)
     if volume != volume_closed:
         raise AssertionError(
             "polygon area disagrees with the closed-form volume polynomial"
         )
     perimeter = lattice_perimeter(polygon)
     quarter = Fraction(1, 4)
-    a = PiValue(RatFunc.make(moments.puu.scale(quarter), volume), -2)
-    b = PiValue(RatFunc.make(moments.pvv.scale(quarter), volume), -2)
-    c = PiValue(RatFunc.make(moments.puv.scale(quarter), volume), -2)
-    _, _, numerator, denominator = objective_parts(
-        perimeter, volume, moments.puu, moments.pvv, moments.puv, b1, b2
-    )
+    a = PiValue(RatFunc.make(puu.scale(quarter), volume), -2)
+    b = PiValue(RatFunc.make(pvv.scale(quarter), volume), -2)
+    c = PiValue(RatFunc.make(puv.scale(quarter), volume), -2)
+    _, _, numerator, denominator = objective_parts(perimeter, volume, puu, pvv, puv, b1, b2)
     return FunctionalBundle(
         chart=chart,
         volume=volume,

@@ -25,17 +25,17 @@ integer weights and no triangulation:
             C(k+l, l) C(a+b-k-l, b-l) u_i^k u_{i+1}^(a-k) v_i^l v_{i+1}^(b-l);
   * boundary integrals in the lattice measure (a primitive segment has
     length 1), edge by edge with p(t) = start + t*direction, t in [0, length].
-A numeric polygon (no variables) holds Fractions: its lattice lengths and
-vertex coordinates, and the integrals it returns.  It runs the same sums on
-Python ints: coordinates and lattice lengths are scaled by L, the lcm of their
-denominators, once when the polygon is made, and the sum is divided once, by
+A polygon is its vertices and lattice lengths over one integer scale: for a
+chart polygon, MultiPolys over scale 1; for a numeric polygon (no variables),
+Python ints over L, the lcm of the six areas' denominators, made once from
+the areas.  The sums run unchanged on either type and are divided once, by
 L^(a+b+2) (a+b+2)! / (a! b!) (interior) or by L^(a+b+1) times the weight
-denominator (boundary).
+denominator (boundary), so a numeric polygon returns Fractions and stores none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from typing import Sequence, Union
@@ -51,67 +51,48 @@ class PolygonError(ValueError):
     """Closure violation or invalid edge data."""
 
 
+Entry = Union[MultiPoly, int]
 Coordinate = Union[MultiPoly, Fraction]
-
-
-def _text(x: Coordinate) -> str:
-    return x.render() if isinstance(x, MultiPoly) else str(x)
-
-
-@dataclass(frozen=True)
-class AffinePoint:
-    """A vertex: Fractions, or degree <= 1 parameter polynomials."""
-
-    u: Coordinate
-    v: Coordinate
-
-    def __post_init__(self) -> None:
-        for coord in (self.u, self.v):
-            if isinstance(coord, MultiPoly) and coord.total_degree() > 1:
-                raise ValueError(f"vertex coordinate has degree > 1: {coord.render()}")
 
 
 @dataclass(frozen=True)
 class ParamPolygon:
-    """Cyclically ordered CCW vertex list with the fixed del Pezzo fan.
+    """The CCW vertices (us[i], vs[i]) from (a_E3, 0) and the lattice lengths
+    of the edges in EDGE_SLOTS order, all divided by ``scale``.
 
-    A numeric polygon (no variables) also holds ``scaled``: its u's, v's and
-    lattice lengths as ints scaled by L, the lcm of their denominators, and
-    L itself, made once here for every integral over it; None otherwise.
+    A chart polygon holds degree <= 1 MultiPolys over ``variables`` with
+    scale 1; a numeric polygon (no variables) holds ints over scale L, the lcm
+    of its areas' denominators.
     """
 
     variables: tuple[str, ...]
-    vertices: tuple[AffinePoint, ...]
-    edge_directions: tuple[tuple[int, int], ...]
-    edge_lattice_lengths: tuple[Coordinate, ...]
-    scaled: tuple | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        scaled = None
-        if not self.variables:
-            groups = (
-                [p.u for p in self.vertices],
-                [p.v for p in self.vertices],
-                self.edge_lattice_lengths,
-            )
-            scale = lcm(*(q.denominator for group in groups for q in group))
-            ints = (tuple(q.numerator * (scale // q.denominator) for q in g) for g in groups)
-            scaled = (*ints, scale)
-        object.__setattr__(self, "scaled", scaled)
+    us: tuple[Entry, ...]
+    vs: tuple[Entry, ...]
+    lengths: tuple[Entry, ...]
+    scale: int
 
 
-def _as_area(value: MultiPoly | Scalar, variables: tuple[str, ...]) -> Coordinate:
-    """A Fraction when there are no variables, else a MultiPoly over them."""
+def _as_area(slot: str, value: MultiPoly | Scalar, variables: tuple[str, ...]) -> Entry:
+    """The area as a degree <= 1 MultiPoly over the variables, or with no
+    variables as the int or Fraction it is; any other number is refused."""
     if isinstance(value, MultiPoly):
         if not variables or value.variables != variables:
             raise ValueError(
                 f"area is over {value.variables}, expected {variables or 'a number'}"
             )
+        if value.total_degree() > 1:
+            raise ValueError(f"area {slot} has degree > 1: {value.render()}")
         return value
-    return MultiPoly.const(variables, value) if variables else Fraction(value)
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"area {slot} is {value!r}, not an int, Fraction or MultiPoly")
+    return MultiPoly.const(variables, value) if variables else value
 
 
-def _at(x: Coordinate, point: Sequence[Scalar]) -> Fraction:
+def _text(x: Entry, scale: int) -> str:
+    return x.render() if isinstance(x, MultiPoly) else str(Fraction(x, scale))
+
+
+def _at(x: Coordinate, point: Sequence[Scalar]) -> Coordinate:
     return x.evaluate(point) if isinstance(x, MultiPoly) else x
 
 
@@ -122,57 +103,57 @@ def build_polygon(
 ) -> ParamPolygon:
     """Build the moment polygon from the six curve areas.
 
-    ``areas`` is ordered (a_E3, a_L13, a_E1, a_L12, a_E2, a_L23).  The two
-    closure relations a_L13 + a_E3 = a_L12 + a_E2 and a_L23 + a_E3 =
+    ``areas`` is ordered (a_E3, a_L13, a_E1, a_L12, a_E2, a_L23): degree <= 1
+    polynomials over ``variables`` (or constants), or with no variables ints
+    and Fractions, which are put over their common denominator L once, here.
+    The two closure relations a_L13 + a_E3 = a_L12 + a_E2 and a_L23 + a_E3 =
     a_L12 + a_E1 are checked as polynomial identities; lattice lengths must be
     nonnegative (and the area positive) at a strictly positive sample point,
-    by default all-ones.  With no variables the areas are numbers and the
-    polygon holds Fractions.
+    by default all-ones.
     """
     varlist = tuple(variables)
     if len(areas) != 6:
         raise PolygonError(f"expected 6 areas, got {len(areas)}")
-    by_slot = dict(zip(AREA_SLOTS, (_as_area(a, varlist) for a in areas)))
-    closure_a = by_slot["L13"] + by_slot["E3"] - by_slot["L12"] - by_slot["E2"]
-    closure_b = by_slot["L23"] + by_slot["E3"] - by_slot["L12"] - by_slot["E1"]
+    entries = [_as_area(slot, a, varlist) for slot, a in zip(AREA_SLOTS, areas)]
+    scale = 1
+    if not varlist:
+        scale = lcm(*(q.denominator for q in entries))
+        entries = [q.numerator * (scale // q.denominator) for q in entries]
+    e3, l13, e1, l12, e2, l23 = entries
+    closure_a = l13 + e3 - l12 - e2
+    closure_b = l23 + e3 - l12 - e1
     if closure_a or closure_b:
         raise PolygonError(
             "closure relations violated: "
-            f"L13+E3-L12-E2 = {_text(closure_a)}, "
-            f"L23+E3-L12-E1 = {_text(closure_b)}"
+            f"L13+E3-L12-E2 = {_text(closure_a, scale)}, "
+            f"L23+E3-L12-E1 = {_text(closure_b, scale)}"
         )
-    lengths = tuple(by_slot[slot] for slot in EDGE_SLOTS)
+    lengths = (l13, e1, l12, e2, l23, e3)
     if sample_point is None:
         sample_point = (Fraction(1),) * len(varlist)
     for slot, length in zip(EDGE_SLOTS, lengths):
         value = _at(length, sample_point)
         if value < 0:
             raise PolygonError(
-                f"edge {slot} has negative lattice length {value} at the sample point"
+                f"edge {slot} has negative lattice length {Fraction(value, scale)} "
+                "at the sample point"
             )
-    zero = by_slot["E3"] * 0  # of the areas' type
-    vertices = [AffinePoint(by_slot["E3"], zero)]
+    us, vs = [e3], [e3 * 0]  # of the areas' type
     for (dx, dy), length in zip(EDGE_DIRECTIONS[:-1], lengths[:-1]):
-        prev = vertices[-1]
-        vertices.append(AffinePoint(prev.u + length * dx, prev.v + length * dy))
-    polygon = ParamPolygon(varlist, tuple(vertices), EDGE_DIRECTIONS, lengths)
+        us.append(us[-1] + length * dx)
+        vs.append(vs[-1] + length * dy)
+    polygon = ParamPolygon(varlist, tuple(us), tuple(vs), lengths, scale)
     if _at(integrate_monomial(polygon, 0, 0), sample_point) <= 0:
         raise PolygonError("polygon has nonpositive area at the sample point")
     return polygon
 
 
-def _edge_data(polygon: ParamPolygon) -> tuple[Sequence, Sequence, Sequence, object, int]:
-    """(u's, v's, lattice lengths, zero, L) in the type the edge sums run on:
-    MultiPolys with L = 1, or for a numeric polygon its ints scaled by L."""
-    if polygon.scaled is not None:
-        us, vs, lengths, scale = polygon.scaled
-        return us, vs, lengths, 0, scale
-    us, vs = [p.u for p in polygon.vertices], [p.v for p in polygon.vertices]
-    return us, vs, polygon.edge_lattice_lengths, MultiPoly.zero(polygon.variables), 1
+def _zero(polygon: ParamPolygon) -> Entry:
+    return MultiPoly.zero(polygon.variables) if polygon.variables else 0
 
 
 def _powers(x, n: int) -> list:
-    """[1, x, ..., x^n]; the int 1 multiplies either coordinate type."""
+    """[1, x, ..., x^n]; the int 1 multiplies either entry type."""
     out = [1]
     for _ in range(n):
         out.append(out[-1] * x)
@@ -183,7 +164,7 @@ def integrate_monomial(polygon: ParamPolygon, a: int, b: int) -> Coordinate:
     """Exact interior integral of u^a v^b over the polygon (edge sum above)."""
     if a < 0 or b < 0:
         raise ValueError("monomial exponents must be nonnegative")
-    us, vs, _, zero, scale = _edge_data(polygon)
+    us, vs, zero = polygon.us, polygon.vs, _zero(polygon)
     # one power table per vertex, shared by the vertex's two edges
     u_powers = [_powers(u, a) for u in us]
     v_powers = [_powers(v, b) for v in vs]
@@ -201,7 +182,7 @@ def integrate_monomial(polygon: ParamPolygon, a: int, b: int) -> Coordinate:
                 weight = comb(k + l, l) * comb(a + b - k - l, b - l)
                 inner = inner + u_term * v_terms[l] * weight
         total = total + cross * inner
-    divisor = comb(a + b, a) * (a + b + 1) * (a + b + 2) * scale ** (a + b + 2)
+    divisor = comb(a + b, a) * (a + b + 1) * (a + b + 2) * polygon.scale ** (a + b + 2)
     return total * Fraction(1, divisor)
 
 
@@ -214,49 +195,38 @@ def boundary_integral(polygon: ParamPolygon, a: int, b: int) -> Coordinate:
     """
     if a < 0 or b < 0:
         raise ValueError("monomial exponents must be nonnegative")
-    us, vs, lengths, zero, scale = _edge_data(polygon)
+    zero = _zero(polygon)
     common = lcm(*range(1, a + b + 2))
     total = zero
-    for i, ((dx, dy), length) in enumerate(zip(polygon.edge_directions, lengths)):
+    edges = zip(polygon.us, polygon.vs, EDGE_DIRECTIONS, polygon.lengths)
+    for u, v, (dx, dy), length in edges:
         if length == zero:
             continue
-        u_powers, v_powers = _powers(us[i], a), _powers(vs[i], b)
+        u_powers, v_powers = _powers(u, a), _powers(v, b)
         l_powers = _powers(length, a + b + 1)
         for p in range(a + 1 if dx else 1):  # dx = 0 leaves p = 0 only, dy = 0 q = 0
             for q in range(b + 1 if dy else 1):
                 weight = comb(a, p) * comb(b, q) * dx ** p * dy ** q * (common // (p + q + 1))
                 total = total + u_powers[a - p] * v_powers[b - q] * l_powers[p + q + 1] * weight
-    return total * Fraction(1, common * scale ** (a + b + 1))
+    return total * Fraction(1, common * polygon.scale ** (a + b + 1))
 
 
 def lattice_perimeter(polygon: ParamPolygon) -> Coordinate:
-    return sum(polygon.edge_lattice_lengths)
-
-
-@dataclass(frozen=True)
-class CentralMoments:
-    """Area and central second moments of a polygon.
-
-    puu/pvv/puv are the central second moments times the area, e.g.
-    puu = area int u^2 - (int u)^2: numerators over the common denominator
-    ``area``, for assembling larger expressions without denominator growth.
-    """
-
-    area: Coordinate
-    puu: Coordinate
-    pvv: Coordinate
-    puv: Coordinate
+    total = sum(polygon.lengths)
+    return total if polygon.variables else Fraction(total, polygon.scale)
 
 
 def central_moment_numerators(area, m10, m01, m20, m11, m02) -> tuple:
-    """(puu, pvv, puv): the central second moments times the area.
-    Operators only: runs on MultiPolys and Fractions alike."""
+    """(puu, pvv, puv): the central second moments times the area, e.g.
+    puu = area int u^2 - (int u)^2, numerators over the common denominator
+    area.  Operators only: runs on MultiPolys and Fractions alike."""
     return m20 * area - m10 * m10, m02 * area - m01 * m01, m11 * area - m10 * m01
 
 
-def central_second_moments(polygon: ParamPolygon) -> CentralMoments:
+def central_second_moments(polygon: ParamPolygon) -> tuple:
+    """(area, puu, pvv, puv): the area and ``central_moment_numerators``."""
     area = integrate_monomial(polygon, 0, 0)
     if not area:
         raise PolygonError("polygon area is identically zero")
     moments = (integrate_monomial(polygon, a, b) for a, b in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
-    return CentralMoments(area, *central_moment_numerators(area, *moments))
+    return (area, *central_moment_numerators(area, *moments))

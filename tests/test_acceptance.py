@@ -31,7 +31,12 @@ from kcert.delpezzo import (
 from kcert.exprparse import parse_expression
 from kcert.functional import evaluate_calA_on_areas, futaki_boundary
 from kcert.poly import MultiPoly, PiValue, RatFunc, coefficients_all_nonneg
-from kcert.polytope import build_polygon, integrate_monomial, lattice_perimeter
+from kcert.polytope import (
+    EDGE_DIRECTIONS,
+    build_polygon,
+    integrate_monomial,
+    lattice_perimeter,
+)
 from kcert.sampling import DEFAULT_SEED, SplitMix64
 from kcert.sturm import count_roots, sturm_chain, sturm_isolate
 
@@ -266,7 +271,7 @@ def test_criterion_9_property_suites():
         for _ in range(10):
             point = rng.point(len(chart.variables))
             vertices = [
-                (v.u.evaluate(point), v.v.evaluate(point)) for v in polygon.vertices
+                (u.evaluate(point), v.evaluate(point)) for u, v in zip(polygon.us, polygon.vs)
             ]
             for (a, b) in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
                 assert integrate_monomial(polygon, a, b).evaluate(point) == (
@@ -296,9 +301,7 @@ def test_criterion_9_property_suites():
     for chart, polygon in ((K2_CHART, polygons["k2"]), (K3_CHART, polygons["k3"])):
         total_u = MultiPoly.zero(polygon.variables)
         total_v = MultiPoly.zero(polygon.variables)
-        for (dx, dy), length in zip(
-            polygon.edge_directions, polygon.edge_lattice_lengths
-        ):
+        for (dx, dy), length in zip(EDGE_DIRECTIONS, polygon.lengths):
             total_u = total_u + length.scale(dx)
             total_v = total_v + length.scale(dy)
         assert total_u.is_zero and total_v.is_zero

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,20 @@ def test_anticanonical_self_intersection():
     c1 = c1_class(3)
     assert pair(c1, c1) == 6
     assert pair(c1_class(2), c1_class(2)) == 7
+
+
+@pytest.mark.parametrize("inexact", [0.1, Decimal("0.1"), "0.1"])
+def test_inexact_entry_refused(inexact):
+    with pytest.raises(TypeError, match="entry e2"):
+        CohClass(3, 1, inexact, 1)
+    with pytest.raises(TypeError, match="entry alpha"):
+        AreaVector.from_abcd(inexact, 1, 1, 1)
+
+
+def test_int_and_fraction_entries_agree():
+    assert CohClass(3, 1, 1, 1) == c1_class(3)
+    assert AreaVector.from_abcd(1, 2, 3, 1) == AreaVector.from_abcd(*map(Fraction, (1, 2, 3, 1)))
+    assert all(type(x) is Fraction for x in AreaVector.from_abcd(1, 2, 3, 1).as_tuple())
 
 
 def test_k2_chart_pairings():

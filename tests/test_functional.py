@@ -228,6 +228,14 @@ def test_numeric_route_builds_no_polynomial(monkeypatch):
 
 def test_objective_at_anticanonical_class():
     assert evaluate_calA_on_areas([Fraction(1)] * 6) == 6
+    assert evaluate_calA_on_areas([1] * 6) == 6
+
+
+def test_objective_at_an_exact_tenth():
+    # the float 0.1 is refused (test_delpezzo); the Fraction 1/10 is exact
+    areas = AreaVector.from_abcd(Fraction(1, 10), 1, 1, 1)
+    assert evaluate_calA_on_areas(areas) == Fraction(885006, 128215)
+    assert evaluate_futaki_on_areas(areas) == (Fraction(-21, 38), Fraction(-21, 38))
 
 
 def test_diagonal_restriction(diagonal):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -8,6 +9,7 @@ import pytest
 from kcert.delpezzo import K2_CHART, K3_CHART, AreaVector, c1_class, cremona, pair
 from kcert.poly import MultiPoly
 from kcert.polytope import (
+    EDGE_DIRECTIONS,
     PolygonError,
     boundary_integral,
     build_polygon,
@@ -42,8 +44,8 @@ def test_k2_pentagon_vertices():
         (zero, gamma + 1),
         (zero, zero),
     ]
-    for vertex, (u, v) in zip(polygon.vertices, expected):
-        assert vertex.u == u and vertex.v == v
+    assert list(zip(polygon.us, polygon.vs)) == expected
+    assert polygon.scale == 1
 
 
 def test_k3_hexagon_vertices():
@@ -59,33 +61,70 @@ def test_k3_hexagon_vertices():
         (zero, one + alpha + gamma),
         (zero, alpha),
     ]
-    for vertex, (u, v) in zip(polygon.vertices, expected):
-        assert vertex.u == u and vertex.v == v
+    assert list(zip(polygon.us, polygon.vs)) == expected
+    assert polygon.scale == 1
 
 
 def test_anticanonical_hexagon():
     polygon = build_polygon([Fraction(1)] * 6)
-    coords = [(v.u, v.v) for v in polygon.vertices]
+    coords = list(zip(polygon.us, polygon.vs))
     assert coords == [(1, 0), (2, 0), (2, 1), (1, 2), (0, 2), (0, 1)]
-    assert all(type(x) is Fraction for coord in coords for x in coord)
+    assert polygon.scale == 1
+    assert all(type(x) is int for coord in coords for x in coord)
     perimeter = boundary_integral(polygon, 0, 0)
     assert type(perimeter) is Fraction and perimeter == 6
 
 
 def test_numeric_polygon_holds_its_scaled_ints():
+    # areas (E3, L13, E1, L12, E2, L23) = (1/2, 5/3, 1, 3/2, 2/3, 2): vertices
+    # (1/2, 0), (13/6, 0), (13/6, 1), (2/3, 5/2), (0, 5/2), (0, 1/2) over L = 6
     polygon = build_polygon(AreaVector.from_abcd(Fraction(1, 2), Fraction(2, 3), 1, 1).as_tuple())
-    us, vs, lengths, scale = polygon.scaled
-    assert scale == 6
-    assert [Fraction(u, scale) for u in us] == [p.u for p in polygon.vertices]
-    assert [Fraction(v, scale) for v in vs] == [p.v for p in polygon.vertices]
-    assert [Fraction(n, scale) for n in lengths] == list(polygon.edge_lattice_lengths)
-    assert all(type(n) is int for group in (us, vs, lengths) for n in group)
-    assert k2_polygon().scaled is None
+    assert polygon.scale == 6
+    assert polygon.us == (3, 13, 13, 4, 0, 0)
+    assert polygon.vs == (0, 0, 6, 15, 15, 3)
+    assert polygon.lengths == (10, 6, 9, 4, 12, 3)  # L13, E1, L12, E2, L23, E3
+    groups = (polygon.us, polygon.vs, polygon.lengths)
+    assert all(type(n) is int for group in groups for n in group)
+    assert lattice_perimeter(polygon) == Fraction(44, 6)
+    chart = k2_polygon()
+    assert chart.scale == 1
+    groups = (chart.us, chart.vs, chart.lengths)
+    assert all(type(x) is MultiPoly for group in groups for x in group)
 
 
 def test_closure_violation_rejected():
     with pytest.raises(PolygonError):
         build_polygon([1, 1, 1, 1, 1, 2])
+
+
+@pytest.mark.parametrize("inexact", [0.1, Decimal("0.1"), "1/10"])
+def test_inexact_area_refused(inexact):
+    areas = [inexact, 1, 1, 1, 1, 1]
+    for variables in ((), BG):
+        with pytest.raises(TypeError, match="area E3"):
+            build_polygon(areas, variables)
+
+
+def test_int_and_fraction_areas_build_one_polygon():
+    areas = (1, 2, 3, 2, 1, 4)  # AreaVector.from_abcd(1, 1, 3, 1)
+    polygon = build_polygon(areas)
+    assert polygon == build_polygon([Fraction(a) for a in areas])
+    # the area is Omega^2 / 2 for Omega = 6H - 3E1 - E2 - E3
+    assert polygon.scale == 1 and integrate_monomial(polygon, 0, 0) == Fraction(25, 2)
+
+
+def test_area_degree_and_variables_guarded():
+    beta, gamma = MultiPoly.gens(BG)
+    areas = list(K2_CHART.area_vector().as_tuple())
+    # beta*gamma added to L13, L12 and L23 keeps both closure relations
+    quadratic = [a + beta * gamma if i in (1, 3, 5) else a for i, a in enumerate(areas)]
+    with pytest.raises(ValueError, match="degree > 1"):
+        build_polygon(quadratic, BG)
+    (t,) = MultiPoly.gens(("t",))
+    with pytest.raises(ValueError, match="area is over"):
+        build_polygon(areas[:5] + [t], BG)
+    with pytest.raises(ValueError, match="area is over"):
+        build_polygon(areas, ("t",))
 
 
 def test_negative_length_rejected():
@@ -99,9 +138,7 @@ def test_closure_identity_symbolic():
     for polygon in (k2_polygon(), k3_polygon()):
         total_u = MultiPoly.zero(polygon.variables)
         total_v = MultiPoly.zero(polygon.variables)
-        for (dx, dy), length in zip(
-            polygon.edge_directions, polygon.edge_lattice_lengths
-        ):
+        for (dx, dy), length in zip(EDGE_DIRECTIONS, polygon.lengths):
             total_u = total_u + length.scale(dx)
             total_v = total_v + length.scale(dy)
         assert total_u.is_zero and total_v.is_zero
@@ -124,19 +161,19 @@ def test_k2_boundary_values():
 
 def test_k2_central_moments():
     polygon = k2_polygon()
-    moments = central_second_moments(polygon)
+    area, puu, _, _ = central_second_moments(polygon)
     point = (Fraction(1), Fraction(1))
-    area = moments.area.evaluate(point)
+    area = area.evaluate(point)
     assert integrate_monomial(polygon, 1, 0).evaluate(point) / area == Fraction(19, 21)
-    assert moments.puu.evaluate(point) / area == Fraction(265, 252)
+    assert puu.evaluate(point) / area == Fraction(265, 252)
 
 
 def test_unit_square_moments():
     # areas (E3, L13, E1, L12, E2, L23) = (0,1,1,0,1,1) build the unit square
     polygon = build_polygon([0, 1, 1, 0, 1, 1])
-    moments = central_second_moments(polygon)
-    assert moments.puu / moments.area == Fraction(1, 12)
-    assert moments.puv / moments.area == 0
+    area, puu, _, puv = central_second_moments(polygon)
+    assert puu / area == Fraction(1, 12)
+    assert puv / area == 0
 
 
 def test_area_equals_half_selfintersection():
@@ -184,7 +221,7 @@ def test_moments_match_greens_oracle():
         for _ in range(10):
             point = rng.point(dim)
             vertices = [
-                (v.u.evaluate(point), v.v.evaluate(point)) for v in polygon.vertices
+                (u.evaluate(point), v.evaluate(point)) for u, v in zip(polygon.us, polygon.vs)
             ]
             for (a, b) in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
                 expected = _greens_theorem_moment(vertices, a, b)
@@ -206,7 +243,7 @@ def test_k3_degenerates_to_k2():
 def test_degenerate_edges_allowed():
     # E3 = 0 across the k2 chart: pentagon, one degenerate edge contributes 0
     polygon = k2_polygon()
-    assert polygon.edge_lattice_lengths[-1].is_zero
+    assert polygon.lengths[-1].is_zero
 
 
 MOMENTS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -256,7 +293,10 @@ def test_numeric_route_matches_independent_references(monkeypatch):
     cases = []
     for label, areas, point in _numeric_classes():
         polygon = build_polygon(areas.as_tuple())
-        vertices = [(v.u, v.v) for v in polygon.vertices]
+        vertices = [
+            (Fraction(u, polygon.scale), Fraction(v, polygon.scale))
+            for u, v in zip(polygon.us, polygon.vs)
+        ]
         expected = [_greens_theorem_moment(vertices, a, b) for a, b in MOMENTS]
         expected += [_simpson_boundary(vertices, a, b) for a, b in MOMENTS]
         if point is not None:
@@ -277,3 +317,17 @@ def test_numeric_route_matches_independent_references(monkeypatch):
         for value in got:
             assert type(value) is Fraction
         assert got == expected, label
+
+
+def test_polygon_on_a_line_matches_the_numeric_polygon():
+    # areas over one variable t, as when a chart is restricted to a line
+    (t,) = MultiPoly.gens(("t",))
+    line = build_polygon(
+        AreaVector.from_abcd(1 + t, 2 - t, 3, 1).as_tuple(), ("t",), sample_point=(0,)
+    )
+    for t0 in (Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2)):
+        numeric = build_polygon(AreaVector.from_abcd(1 + t0, 2 - t0, 3, 1).as_tuple())
+        for a, b in MOMENTS:
+            assert integrate_monomial(line, a, b).evaluate((t0,)) == integrate_monomial(numeric, a, b)
+        for a, b in ((1, 0), (0, 1)):
+            assert boundary_integral(line, a, b).evaluate((t0,)) == boundary_integral(numeric, a, b)
