@@ -12,6 +12,11 @@ Exact rationals cross this boundary as ``p/q`` strings only; decimal input is
 rejected.  Exit code 0 means every non-NOTE item passed, 1 means some item
 failed or mismatched, 2 means a usage or I/O error.  With ``--no-timing`` the
 JSON report is byte-identical across runs of the same configuration.
+
+``_report`` builds a report's payload once and ``emit_report`` renders it.
+Each run setting is named once, in ``_ENV_CONFIG_TYPES``: a ``RunConfig``
+field, a ``KCERT_CONFIG`` key and its flag's argparse dest (``--samples``
+sets ``sample_count``, ``--width`` ``isolation_width``).
 """
 
 from __future__ import annotations
@@ -31,13 +36,12 @@ from . import __version__
 from .certify import (
     DEFAULT_ISOLATION_WIDTH,
     LEMMA_IDS,
-    LemmaReport,
     check_all_fixtures,
     run_lemma,
 )
 from .delpezzo import CHARTS
 from .exprparse import FixtureError
-from .functional import build_bundle, bundle_summary, restrict_diagonal
+from .functional import build_bundle, bundle_summary, quantity_text, restrict_diagonal
 from .sampling import DEFAULT_SEED, check_seed
 from .sturm import sturm_isolate
 
@@ -78,6 +82,19 @@ def parse_point(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(part) for part in text.split(","))
 
 
+# the run settings in the order the report echoes them, each with the JSON
+# types KCERT_CONFIG may give it; true and false are not integers
+_ENV_CONFIG_TYPES = {
+    "sample_count": (int,),
+    "isolation_width": (str, int),
+    "jobs": (int,),
+    "format": (str,),
+    "fixtures_dir": (str, type(None)),
+    "seed": (int,),
+}
+_JSON_TYPE_NAMES = {int: "an integer", str: "a string", type(None): "null"}
+
+
 @dataclass
 class RunConfig:
     tasks: list[str] = field(default_factory=lambda: ["all"])
@@ -105,35 +122,12 @@ class RunConfig:
             self.fixtures_dir = Path(self.fixtures_dir)
 
     def as_dict(self) -> dict:
-        return {
-            "tasks": list(self.tasks),
-            "sample_count": self.sample_count,
-            "isolation_width": str(self.isolation_width),
-            "jobs": self.jobs,
-            "format": self.format,
-            "fixtures_dir": None if self.fixtures_dir is None else str(self.fixtures_dir),
-            "seed": self.seed,
-        }
-
-
-@dataclass
-class Report:
-    version: str
-    config: RunConfig
-    lemmas: list[LemmaReport]
-    fixtures: list[tuple[str, object]]
-    total_seconds: float
-    bundles: list[dict] = field(default_factory=list)
-
-    @property
-    def aggregate(self) -> str:
-        for lemma in self.lemmas:
-            if lemma.status == "FAIL":
-                return "FAIL"
-        for _, verdict in self.fixtures:
-            if verdict.kind not in ("EXACT", "SCALED"):
-                return "FAIL"
-        return "PASS"
+        """``tasks``, then each setting; the width and the directory as text."""
+        out: dict = {"tasks": list(self.tasks)}
+        for key in _ENV_CONFIG_TYPES:
+            value = getattr(self, key)
+            out[key] = str(value) if isinstance(value, (Fraction, Path)) else value
+        return out
 
 
 def _truncate_terms(text: str, limit: int = 40) -> str:
@@ -143,92 +137,47 @@ def _truncate_terms(text: str, limit: int = 40) -> str:
     return "".join(parts[:limit]) + f" ...({len(parts) - limit} more terms)"
 
 
-def _json_report(report: Report) -> dict:
-    include_timing = report.config.include_timing
-    out: dict = {
-        "version": report.version,
-        "config": report.config.as_dict(),
-        "lemmas": [l.as_dict(include_timing) for l in report.lemmas],
-        "fixtures": [
-            {"name": name, **verdict.as_dict()} for name, verdict in report.fixtures
-        ],
-        "aggregate": report.aggregate,
-    }
-    if report.bundles:
-        out["bundles"] = report.bundles
-    if include_timing:
-        out["total_seconds"] = round(report.total_seconds, 3)
-    return out
+def _json_block(title: str, value: object) -> list[str]:
+    """A markdown section holding ``value`` as JSON, long polynomials cut short."""
+    text = json.dumps(value, indent=2)
+    return ["", f"### {title}", "", "```", *map(_truncate_terms, text.splitlines()), "```"]
 
 
-def emit_report(report: Report) -> str:
-    payload = _json_report(report)
-    if report.config.format == "json":
+def emit_report(payload: dict, format: str) -> str:
+    """The report ``payload`` of ``_report`` as indented JSON or as markdown.
+
+    Markdown shows the lemmas' seconds column and the total seconds exactly
+    when the payload carries ``total_seconds``, that is, when timing is on.
+    """
+    if format == "json":
         return json.dumps(payload, indent=2)
-    lines = ["# verification report", ""]
-    lines.append(f"- version: {payload['version']}")
+    timed = "total_seconds" in payload
+    lines = ["# verification report", "", f"- version: {payload['version']}"]
     lines.append(f"- aggregate: **{payload['aggregate']}**")
-    if "total_seconds" in payload:
+    if timed:
         lines.append(f"- total seconds: {payload['total_seconds']}")
-    lines.append("")
-    lines.append("## configuration")
-    lines.append("")
-    for key, value in payload["config"].items():
-        lines.append(f"- {key}: {value}")
+    lines += ["", "## configuration", ""]
+    lines += [f"- {key}: {value}" for key, value in payload["config"].items()]
     if payload["lemmas"]:
-        lines.append("")
-        lines.append("## lemmas")
-        lines.append("")
-        lines.append("| id | status |" + (" seconds |" if report.config.include_timing else ""))
-        lines.append("|----|--------|" + ("---------|" if report.config.include_timing else ""))
+        lines += ["", "## lemmas", ""]
+        lines.append("| id | status |" + (" seconds |" if timed else ""))
+        lines.append("|----|--------|" + ("---------|" if timed else ""))
         for item in payload["lemmas"]:
-            row = f"| {item['id']} | {item['status']} |"
-            if report.config.include_timing:
-                row += f" {item['seconds']} |"
-            lines.append(row)
+            seconds = f" {item['seconds']} |" if timed else ""
+            lines.append(f"| {item['id']} | {item['status']} |{seconds}")
         for item in payload["lemmas"]:
-            lines.append("")
-            lines.append(f"### {item['id']}")
-            lines.append("")
-            lines.append("```")
-            text = json.dumps(item["witnesses"], indent=2)
-            lines.extend(_truncate_terms(line) for line in text.splitlines())
-            lines.append("```")
+            lines += _json_block(item["id"], item["witnesses"])
     if payload["fixtures"]:
-        lines.append("")
-        lines.append("## fixtures")
-        lines.append("")
-        lines.append("| name | verdict | constant |")
+        lines += ["", "## fixtures", "", "| name | verdict | constant |"]
         lines.append("|------|---------|----------|")
         for item in payload["fixtures"]:
-            lines.append(
-                f"| {item['name']} | {item['verdict']} | {item.get('constant', '')} |"
-            )
-    if payload.get("bundles"):
-        lines.append("")
-        lines.append("## chart summaries")
+            lines.append(f"| {item['name']} | {item['verdict']} | {item.get('constant', '')} |")
+    if "bundles" in payload:
+        lines += ["", "## chart summaries"]
         for summary in payload["bundles"]:
-            lines.append("")
-            lines.append(f"### {summary['chart']}")
-            lines.append("")
-            lines.append("```")
-            text = json.dumps(summary, indent=2)
-            lines.extend(_truncate_terms(line) for line in text.splitlines())
-            lines.append("```")
+            lines += _json_block(summary["chart"], summary)
     lines.append("")
     return "\n".join(lines)
-
-
-# KCERT_CONFIG keys and the JSON types each accepts; true/false are not integers
-_ENV_CONFIG_TYPES = {
-    "sample_count": (int,),
-    "isolation_width": (str, int),
-    "jobs": (int,),
-    "format": (str,),
-    "fixtures_dir": (str, type(None)),
-    "seed": (int,),
-}
-_JSON_TYPE_NAMES = {int: "an integer", str: "a string", type(None): "null"}
 
 
 def _load_env_config() -> dict:
@@ -270,18 +219,9 @@ def _load_env_config() -> dict:
 def _config_from_args(args: argparse.Namespace, tasks: list[str]) -> RunConfig:
     """``KCERT_CONFIG`` settings overridden by flags; ``RunConfig`` checks the values."""
     settings = _load_env_config()
-    for key, flag in (
-        ("sample_count", "samples"),
-        ("isolation_width", "width"),
-        ("jobs", "jobs"),
-        ("format", "format"),
-        ("fixtures_dir", "fixtures_dir"),
-        ("seed", "seed"),
-    ):
-        if getattr(args, flag, None) is not None:
-            settings[key] = getattr(args, flag)
-    include_timing = not getattr(args, "no_timing", False)
-    return RunConfig(tasks=tasks, include_timing=include_timing, **settings)
+    flags = {key: getattr(args, key) for key in _ENV_CONFIG_TYPES}
+    settings.update((key, value) for key, value in flags.items() if value is not None)
+    return RunConfig(tasks=tasks, include_timing=not args.no_timing, **settings)
 
 
 def _report(
@@ -309,10 +249,22 @@ def _report(
         if lemma_id in lemma_ids
     ]
     results = check_all_fixtures(config.fixtures_dir) if fixtures else []
-    bundles = [bundle_summary(chart) for chart in CHARTS.values()] if summaries else []
-    report = Report(__version__, config, lemmas, results, time.perf_counter() - start, bundles)
-    print(emit_report(report))
-    return 0 if report.aggregate == "PASS" else 1
+    failed = any(lemma.status == "FAIL" for lemma in lemmas) or any(
+        verdict.kind not in ("EXACT", "SCALED") for _, verdict in results
+    )
+    payload = {
+        "version": __version__,
+        "config": config.as_dict(),
+        "lemmas": [lemma.as_dict(config.include_timing) for lemma in lemmas],
+        "fixtures": [{"name": name, **verdict.as_dict()} for name, verdict in results],
+        "aggregate": "FAIL" if failed else "PASS",
+    }
+    if summaries:
+        payload["bundles"] = [bundle_summary(chart) for chart in CHARTS.values()]
+    if config.include_timing:
+        payload["total_seconds"] = round(time.perf_counter() - start, 3)
+    print(emit_report(payload, config.format))
+    return 1 if failed else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -354,29 +306,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    bundle = build_bundle(chart)
-    what = args.what
-    if what == "V":
-        print(bundle.volume.evaluate(point))
-    elif what in ("F1", "F2"):
-        print((bundle.f1 if what == "F1" else bundle.f2).evaluate(point))
-    elif what in ("A", "B", "C"):
-        value = {"A": bundle.a, "B": bundle.b, "C": bundle.c}[what].evaluate(point)
-        print(value.render())
-    elif what == "calA":
-        print(bundle.calA.evaluate(point))
-    else:  # pragma: no cover - argparse restricts choices
-        return 2
+    print(quantity_text(build_bundle(chart), args.what, point))
     return 0
 
 
 def _cmd_isolate(args: argparse.Namespace) -> int:
-    if args.chart != "k2":
-        print("only the k2 diagonal critical point is isolated", file=sys.stderr)
-        return 2
-    width = args.width if args.width is not None else DEFAULT_ISOLATION_WIDTH
-    diag = restrict_diagonal()
-    intervals, _ = sturm_isolate(diag.p, (Fraction(0), Fraction(2)), width)
+    intervals, _ = sturm_isolate(restrict_diagonal().p, (0, 2), args.isolation_width)
     if len(intervals) != 1:
         print(f"expected one critical interval, found {len(intervals)}", file=sys.stderr)
         return 1
@@ -394,8 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--samples", type=parse_integer, help="sample count (default 100)")
-        p.add_argument("--width", type=parse_rational, help="isolation width (p/q)")
+        p.add_argument(
+            "--samples", dest="sample_count", type=parse_integer, metavar="SAMPLES",
+            help="sample count (default 100)",
+        )
+        p.add_argument(
+            "--width", dest="isolation_width", type=parse_rational, metavar="WIDTH",
+            help="isolation width (p/q)",
+        )
         p.add_argument(
             "--jobs", type=parse_integer, help="accepted for older configurations; no effect"
         )
@@ -420,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     isolate = sub.add_parser("isolate", help="certified critical interval (k2)")
     isolate.add_argument("--chart", choices=("k2",), default="k2")
-    isolate.add_argument("--width", type=parse_rational)
-    isolate.set_defaults(func=_cmd_isolate)
+    isolate.add_argument("--width", dest="isolation_width", type=parse_rational, metavar="WIDTH")
+    isolate.set_defaults(func=_cmd_isolate, isolation_width=DEFAULT_ISOLATION_WIDTH)
 
     fixtures = sub.add_parser("fixtures", help="fixture management")
     fixtures.add_argument("action", choices=("check",))

@@ -24,7 +24,7 @@ gamma), and the anticanonical class is ``c1_class(chart.k)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Union
 
@@ -92,6 +92,10 @@ class AreaVector:
     a_l12: Entry
     a_e2: Entry
     a_l23: Entry
+
+    def __post_init__(self) -> None:
+        for entry in fields(self):
+            object.__setattr__(self, entry.name, _as_entry(entry.name, getattr(self, entry.name)))
 
     def as_tuple(self) -> tuple[Entry, Entry, Entry, Entry, Entry, Entry]:
         return (self.a_e3, self.a_l13, self.a_e1, self.a_l12, self.a_e2, self.a_l23)

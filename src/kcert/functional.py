@@ -321,22 +321,36 @@ STANDARD_SAMPLE_POINTS = {
 }
 
 
+# the exported name of each bundle quantity -> its FunctionalBundle field,
+# in the order the chart summaries list them
+QUANTITIES = {
+    "V": "volume",
+    "c1_pairing": "c1_pairing",
+    "F1": "f1",
+    "F2": "f2",
+    "A": "a",
+    "B": "b",
+    "C": "c",
+    "calA": "calA",
+}
+
+
+def quantity_text(bundle: FunctionalBundle, name: str, point: Sequence[Scalar]) -> str:
+    """The exact text of the quantity ``name`` of ``QUANTITIES`` at ``point``;
+    A, B and C carry their power of pi."""
+    value = getattr(bundle, QUANTITIES[name]).evaluate(point)
+    return value.render() if isinstance(value, PiValue) else str(value)
+
+
 def bundle_summary(chart: ConeChart) -> dict:
     """Canonical text of the bundle plus evaluations at standard points."""
     bundle = build_bundle(chart)
-    evaluations = {}
-    for point in STANDARD_SAMPLE_POINTS[chart.chart_id]:
-        key = ",".join(str(x) for x in point)
-        evaluations[key] = {
-            "V": str(bundle.volume.evaluate(point)),
-            "c1_pairing": str(bundle.c1_pairing.evaluate(point)),
-            "F1": str(bundle.f1.evaluate(point)),
-            "F2": str(bundle.f2.evaluate(point)),
-            "A": bundle.a.evaluate(point).render(),
-            "B": bundle.b.evaluate(point).render(),
-            "C": bundle.c.evaluate(point).render(),
-            "calA": str(bundle.calA.evaluate(point)),
+    evaluations = {
+        ",".join(str(x) for x in point): {
+            name: quantity_text(bundle, name, point) for name in QUANTITIES
         }
+        for point in STANDARD_SAMPLE_POINTS[chart.chart_id]
+    }
     return {
         "chart": chart.chart_id,
         "volume": bundle.volume.render(),

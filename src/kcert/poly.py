@@ -76,6 +76,14 @@ Exponents = tuple[int, ...]
 Scalar = Union[Fraction, int]
 
 
+def exact_scalar(name: str, value: object) -> Fraction:
+    """An int or Fraction as a Fraction; anything else, a float above all, is
+    a TypeError naming ``name``, so that no rounded number passes as exact."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{name} is {value!r}, not an int or Fraction")
+    return Fraction(value)
+
+
 class VariableMismatchError(ValueError):
     """Raised when combining polynomials over different variable tuples."""
 
@@ -892,7 +900,7 @@ class PiValue:
 
     def __post_init__(self) -> None:
         if not isinstance(self.value, RatFunc):
-            object.__setattr__(self, "value", Fraction(self.value))
+            object.__setattr__(self, "value", exact_scalar("PiValue value", self.value))
         if not self.value:
             object.__setattr__(self, "pi_power", 0)
 

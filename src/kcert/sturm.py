@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import MultiPoly
+from .poly import MultiPoly, exact_scalar
 from .univar import IntCoeffs, derivative, exact_quotient, from_multipoly, negated_remainder, primitive
 
 
@@ -83,12 +83,13 @@ def sturm_isolate(
     reported, and one at lo is not.  Each point's sign variations are counted
     once: an interval carries the counts at both its ends.
     """
+    lo, hi = exact_scalar("interval", interval[0]), exact_scalar("interval", interval[1])
+    target_width = exact_scalar("target_width", target_width)
     if target_width <= 0:
         raise ValueError("target width must be positive")
     coeffs = from_multipoly(p)
     if not coeffs:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    lo, hi = Fraction(interval[0]), Fraction(interval[1])
     if lo >= hi:
         raise ValueError("empty interval")
     chain = sturm_chain(coeffs)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -159,12 +160,27 @@ def test_markdown_rendering(capsys):
     assert "| claritas | NOTE |" in out
 
 
-def test_empty_task_list_passes():
-    from kcert.cli import Report, RunConfig
+def test_markdown_timing_follows_the_payload(capsys):
+    args = ["verify", "--lemma", "claritas", "--format", "markdown"]
+    assert run(args) == 0
+    out = capsys.readouterr().out
+    assert "| id | status | seconds |" in out
+    assert re.search(r"^\| claritas \| NOTE \| \d+\.\d+ \|$", out, re.MULTILINE)
+    assert re.search(r"^- total seconds: \d+\.\d+$", out, re.MULTILINE)
+    assert run(args + ["--no-timing"]) == 0
+    out = capsys.readouterr().out
+    assert "| id | status |\n" in out and "| claritas | NOTE |\n" in out
+    assert "seconds" not in out
 
-    report = Report("0", RunConfig(tasks=[]), [], [], 0.0)
-    assert report.aggregate == "PASS"
-    assert json.loads(emit_report(report))["aggregate"] == "PASS"
+
+def test_empty_task_list_passes(capsys):
+    from kcert.cli import RunConfig, _report
+
+    assert _report(RunConfig(tasks=[]), ()) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["aggregate"] == "PASS"
+    assert payload["lemmas"] == payload["fixtures"] == []
+    assert json.loads(emit_report(payload, "json")) == payload
 
 
 def test_jobs_flag_merges_deterministically(capsys):
@@ -364,8 +380,15 @@ def test_fixtures_dir_spellings_share_one_load_each(tmp_path, monkeypatch, capsy
         (["verify", "--all", "--format", "json"], 0, "2b20ae30882781dc0944422d5f8f8f80"),
         (["fixtures", "check", "--format", "json"], 1, "0ca8cce540a802f69bff166716179909"),
         (["report", "--format", "markdown"], 1, "90a201291fe3636a01ee04a441abf7de"),
+        # every setting's flag, at its default
+        (
+            ["verify", "--all", "--samples", "100", "--width", "1/1073741824", "--jobs", "1",
+             "--seed", "12648430"],
+            0,
+            "2b20ae30882781dc0944422d5f8f8f80",
+        ),
     ],
-    ids=["report", "verify-all", "fixtures-check", "report-markdown"],
+    ids=["report", "verify-all", "fixtures-check", "report-markdown", "verify-all-flags"],
 )
 def test_report_bytes_are_unchanged(monkeypatch, capsys, command, code, digest):
     # the --no-timing output changes only when the mathematics does; a fresh

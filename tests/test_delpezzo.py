@@ -31,12 +31,15 @@ def test_inexact_entry_refused(inexact):
         CohClass(3, 1, inexact, 1)
     with pytest.raises(TypeError, match="entry alpha"):
         AreaVector.from_abcd(inexact, 1, 1, 1)
+    with pytest.raises(TypeError, match="entry a_e3"):
+        AreaVector(inexact, 1, 1, 1, 1, 1)
 
 
 def test_int_and_fraction_entries_agree():
     assert CohClass(3, 1, 1, 1) == c1_class(3)
     assert AreaVector.from_abcd(1, 2, 3, 1) == AreaVector.from_abcd(*map(Fraction, (1, 2, 3, 1)))
     assert all(type(x) is Fraction for x in AreaVector.from_abcd(1, 2, 3, 1).as_tuple())
+    assert AreaVector(1, 2, 3, 1, 2, 3) == AreaVector(*map(Fraction, (1, 2, 3, 1, 2, 3)))
 
 
 def test_k2_chart_pairings():

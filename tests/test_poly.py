@@ -900,6 +900,15 @@ def test_pi_scalar_bookkeeping():
     assert (a * PiValue(Fraction(2), 2)).pi_power == 0
 
 
+@pytest.mark.parametrize("inexact", [0.1, decimal.Decimal("0.1"), "0.1"])
+def test_pi_value_refuses_inexact_numbers(inexact):
+    # Fraction(0.1) would be 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="PiValue value is"):
+        PiValue(inexact, -2)
+    assert PiValue(3, -2) == PiValue(Fraction(3), -2)
+    assert type(PiValue(3).value) is Fraction
+
+
 def test_render_canonical_grevlex_order():
     beta, gamma = gens()
     p = gamma + beta + beta * gamma ** 2 + 3

@@ -75,6 +75,24 @@ def test_counts_at_a_multiple_root():
     assert intervals[0][0] < 1 <= intervals[0][1] and intervals[1][0] < 3 <= intervals[1][1]
 
 
+@pytest.mark.parametrize(
+    "interval, width, name",
+    [((0, 0.3), Fraction(1, 8), "interval"), ((0.0, 1), Fraction(1, 8), "interval"),
+     ((0, Fraction(3, 10)), 0.125, "target_width")],
+)
+def test_isolation_refuses_inexact_numbers(interval, width, name):
+    # the float 0.3 lies just below 3/10, so the root of 10x - 3 would be missed
+    with pytest.raises(TypeError, match=f"^{name} is "):
+        sturm_isolate(poly_from_coeffs([-3, 10]), interval, width)
+
+
+def test_isolation_takes_int_ends_and_width():
+    p = poly_from_coeffs([-2, 0, 1])
+    assert sturm_isolate(p, (0, 10), 1) == sturm_isolate(p, (Fraction(0), Fraction(10)), Fraction(1))
+    intervals, _ = sturm_isolate(poly_from_coeffs([-3, 10]), (0, Fraction(3, 10)), Fraction(1, 8))
+    assert intervals == [(Fraction(9, 40), Fraction(3, 10))]
+
+
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         sturm_isolate(MultiPoly.zero(("x",)), (Fraction(0), Fraction(1)), Fraction(1, 2))
