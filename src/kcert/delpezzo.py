@@ -15,11 +15,11 @@ On the four linear coordinates (alpha, beta, gamma, delta) =
 (a_E3, a_E2, a_E1, a_L12 - a_E3) the Cremona involution acts by
 (alpha, beta, gamma, delta) -> (alpha+delta, beta+delta, gamma+delta, -delta).
 
-The coordinate charts fix delta = 1.  The k = 3 chart has the variables
-(alpha, beta, gamma); the k = 2 chart is its alpha = 0 face, with the
-variables (beta, gamma).  ``ConeChart.coordinates`` returns all three on
-either chart, so each chart formula is written once, over (alpha, beta,
-gamma), and the anticanonical class is ``c1_class(chart.k)``.
+A coordinate chart is a face of the cone: a substitution of (alpha, beta,
+gamma, delta) that keeps the chart's variables, sends the rest of alpha, beta
+and gamma to 0 and delta to 1 (``ConeChart.abcd_images``).  The k = 3 chart
+has the variables (alpha, beta, gamma); the k = 2 chart is its alpha = 0 face,
+with (beta, gamma).  The anticanonical class is ``c1_class(chart.k)``.
 """
 
 from __future__ import annotations
@@ -28,19 +28,17 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Union
 
-from .poly import MultiPoly, Scalar
+from .poly import MultiPoly, Scalar, exact_scalar
 
 Entry = Union[Fraction, MultiPoly]
+
+ABCD = ("alpha", "beta", "gamma", "delta")
 
 
 def _as_entry(name: str, value: Entry | int) -> Entry:
     """A MultiPoly as it is, an int or Fraction as a Fraction; nothing else,
     so that no float passes as an exact number."""
-    if isinstance(value, MultiPoly):
-        return value
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"entry {name} is {value!r}, not an int, Fraction or MultiPoly")
-    return Fraction(value)
+    return value if isinstance(value, MultiPoly) else exact_scalar(f"entry {name}", value)
 
 
 @dataclass(frozen=True)
@@ -182,12 +180,9 @@ def subspace_membership(x: CohClass | AreaVector) -> tuple[bool, bool]:
     return in_v, in_w
 
 
-CHART_VARIABLES = ("alpha", "beta", "gamma")
-
-
 @dataclass(frozen=True)
 class ConeChart:
-    """A coordinate chart on the reduced Kahler cone.
+    """A coordinate chart on the reduced Kahler cone, a face of ABCD.
 
     The E-label-to-polygon-corner assignment (area of E1 on the right chop,
     E2 on top, E3 at the origin chop) is fixed once here and shared by every
@@ -198,28 +193,24 @@ class ConeChart:
     k: int
     variables: tuple[str, ...]
 
-    def coordinates(self) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-        """(alpha, beta, gamma) on this chart, the zero polynomial for each it lacks.
+    def __post_init__(self) -> None:
+        names = self.variables
+        try:
+            if len(set(names)) != len(names) or not set(names) <= set(ABCD[:3]):
+                raise ValueError(f"its variables {names} are not distinct names among {ABCD[:3]}")
+            self.area_vector().to_coh(self.k)  # e_i = 0 for i > k
+        except ValueError as error:
+            raise ValueError(f"unsupported chart {self.chart_id!r}: {error}") from None
 
-        A chart on k points is the face of the k = 3 chart where the first
-        3 - k coordinates vanish, so its variables must be the last k of
-        (alpha, beta, gamma).
-        """
-        names = CHART_VARIABLES[3 - self.k:] if self.k in (1, 2, 3) else None
-        if self.variables != names:
-            raise ValueError(
-                f"unsupported chart {self.chart_id!r}: its variables {self.variables} "
-                f"are not the last {self.k} of {CHART_VARIABLES}"
-            )
-        zero = MultiPoly.zero(self.variables)
-        return (zero,) * (3 - self.k) + MultiPoly.gens(self.variables)
-
-    def omega(self) -> CohClass:
-        alpha, beta, gamma = self.coordinates()
-        return CohClass(1 + alpha + beta + gamma, gamma, beta, alpha, self.k)
+    def abcd_images(self) -> dict[str, MultiPoly]:
+        """The chart as a substitution of ABCD: a listed variable maps to
+        itself, an unlisted one to 0, and delta to 1."""
+        images = dict.fromkeys(ABCD[:3], MultiPoly.zero(self.variables))
+        images.update(zip(self.variables, MultiPoly.gens(self.variables)))
+        return {**images, "delta": MultiPoly.const(self.variables, 1)}
 
     def area_vector(self) -> AreaVector:
-        return AreaVector.from_coh(self.omega())
+        return AreaVector.from_abcd(*map(self.abcd_images().get, ABCD))
 
 
 K2_CHART = ConeChart("k2", 2, ("beta", "gamma"))

@@ -16,7 +16,9 @@ moment polygon.  Everything here reduces to exact polygon data:
 Two independent computations of F_i are provided: the transcribed closed
 forms on the coordinate charts and the boundary-measure route above; their
 agreement is a pipeline identity.  The closed forms are written once, over
-(alpha, beta, gamma); the k = 2 chart takes them on its alpha = 0 face.
+(alpha, beta, gamma, delta) and homogeneous by delta; so are the polygon
+integrals, from one polygon per process (``_cone_ingredients``), and each
+chart takes both by substitution (``ConeChart.abcd_images``).
 ``futaki_norm_sq`` forms ||F||^2 generically on ``PiValue``s, a second route
 to the structured assembly below.  A quantity with a power of pi is a
 ``PiValue``, so that only genuinely pi-free quantities are ever exported as
@@ -43,6 +45,7 @@ from typing import Sequence
 
 from . import univar
 from .delpezzo import (
+    ABCD,
     AreaVector,
     CohClass,
     ConeChart,
@@ -73,28 +76,28 @@ class DegenerateMomentMatrix(ZeroDivisionError):
     """The central second-moment matrix is singular (det = 0)."""
 
 
-def _closed_form_brackets(chart: ConeChart) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """(bracket1, bracket2, volume) with F_i = bracket_i / volume on the chart.
-
-    Written once over (alpha, beta, gamma): on the k = 2 chart, alpha is the
-    zero polynomial, and a chart whose variables are not the last k of them
-    raises ValueError.
-    """
-    alpha, beta, gamma = chart.coordinates()
-    third = Fraction(1, 3)
-    b1 = (alpha + beta - 2 * gamma) * (gamma ** 2 + gamma + third) + (
+def _closed_form_brackets() -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """(bracket1, bracket2, volume) over ABCD with F_i = bracket_i / volume,
+    homogeneous by delta: the brackets of degree 3, the volume of degree 2."""
+    alpha, beta, gamma, delta = MultiPoly.gens(ABCD)
+    b1 = (alpha + beta - 2 * gamma) * (gamma ** 2 + gamma * delta + delta ** 2 / 3) + (
         gamma - alpha
-    ) * (gamma - beta) * (alpha + beta + 2 * gamma + 2)
-    b2 = (alpha + gamma - 2 * beta) * (beta ** 2 + beta + third) + (
+    ) * (gamma - beta) * (alpha + beta + 2 * gamma + 2 * delta)
+    b2 = (alpha + gamma - 2 * beta) * (beta ** 2 + beta * delta + delta ** 2 / 3) + (
         beta - alpha
-    ) * (beta - gamma) * (alpha + gamma + 2 * beta + 2)
-    volume = alpha * beta + alpha * gamma + beta * gamma + alpha + beta + gamma + Fraction(1, 2)
+    ) * (beta - gamma) * (alpha + gamma + 2 * beta + 2 * delta)
+    volume = alpha * beta + (alpha + beta) * gamma + (alpha + beta + gamma + delta / 2) * delta
     return b1, b2, volume
+
+
+def _on_chart(chart: ConeChart, polys: Sequence[MultiPoly]) -> list[MultiPoly]:
+    images = chart.abcd_images()
+    return [p.substitute(images, chart.variables) for p in polys]
 
 
 def futaki_closed_form(chart: ConeChart) -> tuple[RatFunc, RatFunc]:
     """The transcribed closed forms of the two obstruction components."""
-    b1, b2, volume = _closed_form_brackets(chart)
+    b1, b2, volume = _on_chart(chart, _closed_form_brackets())
     return RatFunc.make(b1, volume), RatFunc.make(b2, volume)
 
 
@@ -187,21 +190,26 @@ class FunctionalBundle:
 
 
 @lru_cache(maxsize=None)
+def _cone_ingredients() -> tuple[MultiPoly, ...]:
+    """(volume, puu, pvv, puv, perimeter, b1, b2) over ABCD, from one polygon:
+    every chart's bundle is these seven polynomials under its substitution."""
+    polygon = _polygon_from_areas(AreaVector.from_abcd(*MultiPoly.gens(ABCD)), ABCD)
+    volume, puu, pvv, puv = central_second_moments(polygon)
+    b1, b2, volume_closed = _closed_form_brackets()
+    if volume != volume_closed:
+        raise AssertionError("polygon area disagrees with the closed-form volume polynomial")
+    return volume, puu, pvv, puv, lattice_perimeter(polygon), b1, b2
+
+
+@lru_cache(maxsize=None)
 def build_bundle(chart: ConeChart) -> FunctionalBundle:
     """Assemble the objective and its ingredients on a chart, exactly.
 
-    The second term and the full objective share the structured denominator
-    8 * V * det of ``objective_parts``, with the closed-form brackets as the
-    obstruction numerators q_i.
+    Substitutes ``_cone_ingredients``; the second term and the full objective
+    share the structured denominator 8 * V * det of ``objective_parts``, with
+    the closed-form brackets as the obstruction numerators q_i.
     """
-    b1, b2, volume_closed = _closed_form_brackets(chart)
-    polygon = _polygon_from_areas(chart.area_vector(), chart.variables)
-    volume, puu, pvv, puv = central_second_moments(polygon)
-    if volume != volume_closed:
-        raise AssertionError(
-            "polygon area disagrees with the closed-form volume polynomial"
-        )
-    perimeter = lattice_perimeter(polygon)
+    volume, puu, pvv, puv, perimeter, b1, b2 = _on_chart(chart, _cone_ingredients())
     quarter = Fraction(1, 4)
     a = PiValue(RatFunc.make(puu.scale(quarter), volume), -2)
     b = PiValue(RatFunc.make(pvv.scale(quarter), volume), -2)

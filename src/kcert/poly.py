@@ -457,7 +457,7 @@ class MultiPoly:
     ) -> MultiPoly:
         """Map every variable to a polynomial over ``variables`` and expand.
 
-        When every image is a single nonzero term c_i*m_i, each term
+        When every image is a single term c_i*m_i (zero is 0*1), each term
         c*prod(x_i^e_i) maps straight to c*prod(c_i^e_i) * prod(m_i^e_i), so
         the expansion is a map on exponent tuples with no polynomial
         products.  Any other image is expanded by multiplying out powers.
@@ -475,7 +475,7 @@ class MultiPoly:
                     f"image of {name!r} is over {img.variables}, expected {target}"
                 )
             image_polys.append(img)
-        if all(len(img.numerators) == 1 for img in image_polys):
+        if all(len(img.numerators) <= 1 for img in image_polys):
             return self._substitute_monomials(image_polys, target)
         power_cache: list[dict[int, MultiPoly]] = [
             {0: MultiPoly.const(target, 1)} for _ in image_polys
@@ -502,7 +502,8 @@ class MultiPoly:
         """Image i is (c_i/d_i)*m_i; each term maps to one term over
         den * prod(d_i^D_i), with D_i the top exponent of variable i.
         """
-        monomials = [(m, c, img.den) for img in images for m, c in img.numerators.items()]
+        zero = ((0,) * len(target), 0)  # the zero image, 0*1 (0**0 == 1)
+        monomials = [next(iter(img.numerators.items()), zero) + (img.den,) for img in images]
         tops = list(map(max, zip(*self.numerators)))
         den = self.den * prod(d ** top for (_, _, d), top in zip(monomials, tops))
         table: dict[Exponents, int] = {}

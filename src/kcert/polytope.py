@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Sequence, Union
 
-from .poly import MultiPoly, Scalar
+from .poly import MultiPoly, Scalar, exact_scalar
 
 AREA_SLOTS = ("E3", "L13", "E1", "L12", "E2", "L23")
 EDGE_SLOTS = ("L13", "E1", "L12", "E2", "L23", "E3")
@@ -83,8 +83,7 @@ def _as_area(slot: str, value: MultiPoly | Scalar, variables: tuple[str, ...]) -
         if value.total_degree() > 1:
             raise ValueError(f"area {slot} has degree > 1: {value.render()}")
         return value
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"area {slot} is {value!r}, not an int, Fraction or MultiPoly")
+    value = exact_scalar(f"area {slot}", value)
     return MultiPoly.const(variables, value) if variables else value
 
 

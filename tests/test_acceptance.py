@@ -305,5 +305,5 @@ def test_criterion_9_property_suites():
             total_u = total_u + length.scale(dx)
             total_v = total_v + length.scale(dy)
         assert total_u.is_zero and total_v.is_zero
-        assert lattice_perimeter(polygon) == pair(c1_class(chart.k), chart.omega())
+        assert lattice_perimeter(polygon) == pair(c1_class(chart.k), chart.area_vector().to_coh(chart.k))
     _passline(9, "property suites")

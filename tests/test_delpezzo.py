@@ -8,6 +8,7 @@ import pytest
 from kcert.delpezzo import (
     AreaVector,
     CohClass,
+    ConeChart,
     K2_CHART,
     K3_CHART,
     c1_class,
@@ -44,7 +45,7 @@ def test_int_and_fraction_entries_agree():
 
 def test_k2_chart_pairings():
     beta, gamma = MultiPoly.gens(K2_CHART.variables)
-    omega = K2_CHART.omega()
+    omega = K2_CHART.area_vector().to_coh(2)
     assert pair(c1_class(2), omega) == 3 + 2 * beta + 2 * gamma
     half = MultiPoly.const(K2_CHART.variables, Fraction(1, 2))
     assert pair(omega, omega) == (beta * gamma + beta + gamma + half).scale(2)
@@ -52,7 +53,7 @@ def test_k2_chart_pairings():
 
 def test_k3_chart_self_intersection_is_twice_volume():
     alpha, beta, gamma = MultiPoly.gens(K3_CHART.variables)
-    omega = K3_CHART.omega()
+    omega = K3_CHART.area_vector().to_coh(3)
     expected = (
         1 + 2 * alpha + 2 * beta + 2 * gamma
         + 2 * alpha * beta + 2 * alpha * gamma + 2 * beta * gamma
@@ -86,6 +87,37 @@ def test_pairing_signature():
 def test_mismatched_k_rejected():
     with pytest.raises(ValueError):
         pair(c1_class(2), c1_class(3))
+
+
+def test_chart_maps_abcd_onto_its_face():
+    beta, gamma = MultiPoly.gens(K2_CHART.variables)
+    images = K2_CHART.abcd_images()
+    assert images == {
+        "alpha": MultiPoly.zero(K2_CHART.variables),
+        "beta": beta,
+        "gamma": gamma,
+        "delta": MultiPoly.const(K2_CHART.variables, 1),
+    }
+    assert K2_CHART.area_vector() == AreaVector.from_abcd(0 * beta, beta, gamma, 1 + 0 * beta)
+    # the k = 1 face alpha = beta = 0 is a chart too
+    (gamma,) = MultiPoly.gens(("gamma",))
+    assert ConeChart("k1", 1, ("gamma",)).area_vector().to_coh(1).e1 == gamma
+
+
+@pytest.mark.parametrize(
+    "chart_id, k, variables, match",
+    [
+        ("k1", 1, ("beta",), "e2 must vanish"),  # the class has e2 = beta
+        ("k2", 2, ("alpha", "beta"), "e3 must vanish"),
+        ("k4", 4, ("alpha", "beta", "gamma"), "k must be"),
+        ("x", 3, ("alpha", "beta", "delta"), "not distinct names"),
+        ("x", 3, ("alpha", "t"), "not distinct names"),
+        ("x", 3, ("beta", "beta"), "not distinct names"),
+    ],
+)
+def test_chart_refused_at_construction(chart_id, k, variables, match):
+    with pytest.raises(ValueError, match=match):
+        ConeChart(chart_id, k, variables)
 
 
 def test_cremona_fixes_c1_and_is_involution():

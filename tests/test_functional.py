@@ -1,20 +1,27 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from kcert.delpezzo import AreaVector, K2_CHART, K3_CHART, c1_class, cremona
+from kcert import functional
+from kcert.delpezzo import ABCD, AreaVector, K2_CHART, K3_CHART, c1_class, cremona
 from kcert.exprparse import parse_expression
 from kcert.functional import (
     _closed_form_brackets,
+    _obstruction_numerators,
+    _on_chart,
+    build_bundle,
     evaluate_calA_on_areas,
     evaluate_futaki_on_areas,
     first_variation_along_c1,
     futaki_boundary,
     futaki_closed_form,
     futaki_norm_sq,
+    objective_parts,
 )
+from kcert.polytope import build_polygon, central_second_moments
 from kcert.poly import (
     MultiPoly,
     PiPowerMismatchError,
@@ -50,7 +57,78 @@ def test_k2_closed_forms_are_the_alpha_zero_face_of_k3():
         gamma + 2 * beta + 2
     )
     volume = beta * gamma + beta + gamma + Fraction(1, 2)
-    assert _closed_form_brackets(K2_CHART) == (b1, b2, volume)
+    assert _on_chart(K2_CHART, _closed_form_brackets()) == [b1, b2, volume]
+
+
+def _abcd_polygon():
+    return build_polygon(AreaVector.from_abcd(*MultiPoly.gens(ABCD)).as_tuple(), ABCD)
+
+
+def test_obstruction_numerators_are_delta_times_the_brackets():
+    area, _, _, _, q1, q2 = _obstruction_numerators(_abcd_polygon())
+    b1, b2, volume = _closed_form_brackets()
+    delta = MultiPoly.variable(ABCD, "delta")
+    assert (q1, q2, area) == (delta * b1, delta * b2, volume)
+    assert (q1.total_degree(), b1.total_degree(), volume.total_degree()) == (4, 3, 2)
+    # on V (delta = 0) the obstruction vanishes identically
+    on_v = dict(zip(ABCD, MultiPoly.gens(ABCD)), delta=0)
+    assert q1.substitute(on_v, ABCD).is_zero and q2.substitute(on_v, ABCD).is_zero
+
+
+def _chart_polygon_bundle(chart):
+    """The bundle from the chart's own polygon over its variables, with the
+    boundary route's q_i (= b_i at delta = 1) as obstruction numerators."""
+    polygon = build_polygon(chart.area_vector().as_tuple(), chart.variables)
+    volume, puu, pvv, puv = central_second_moments(polygon)
+    _, perimeter, _, _, q1, q2 = _obstruction_numerators(polygon)
+    quarter = Fraction(1, 4)
+    _, _, numerator, denominator = objective_parts(perimeter, volume, puu, pvv, puv, q1, q2)
+    return {
+        "volume": volume,
+        "c1_pairing": perimeter,
+        "f1": RatFunc.make(q1, volume),
+        "f2": RatFunc.make(q2, volume),
+        "a": PiValue(RatFunc.make(puu.scale(quarter), volume), -2),
+        "b": PiValue(RatFunc.make(pvv.scale(quarter), volume), -2),
+        "c": PiValue(RatFunc.make(puv.scale(quarter), volume), -2),
+        "calA": RatFunc.make(numerator, denominator),
+    }
+
+
+def _terms(value):
+    """A field's exact representation: num and den (term by term under
+    MultiPoly ==, unlike RatFunc ==), and the pi power."""
+    if isinstance(value, PiValue):
+        return _terms(value.value), value.pi_power
+    if isinstance(value, RatFunc):
+        return value.num, value.den
+    return value
+
+
+@pytest.mark.parametrize("chart", [K2_CHART, K3_CHART], ids=["k2", "k3"])
+def test_bundle_is_term_identical_to_the_chart_polygon_route(chart):
+    bundle = build_bundle(chart)
+    for field, expected in _chart_polygon_bundle(chart).items():
+        got = getattr(bundle, field)
+        assert type(got) is type(expected), field
+        assert _terms(got) == _terms(expected), field
+
+
+def test_both_bundles_build_one_polygon(monkeypatch):
+    calls = []
+
+    def counting(areas, variables=(), *args):
+        if variables:
+            calls.append(tuple(variables))
+        return build_polygon(areas, variables, *args)
+
+    # a fresh ingredient cache stands for a fresh process
+    fresh = lru_cache(maxsize=None)(functional._cone_ingredients.__wrapped__)
+    monkeypatch.setattr(functional, "_cone_ingredients", fresh)
+    monkeypatch.setattr(functional, "build_polygon", counting)
+    for chart in (K2_CHART, K3_CHART):
+        build_bundle.__wrapped__(chart)
+    assert calls == [ABCD]
 
 
 def test_calA_k3_at_alpha_zero_is_calA_k2(bundle_k2, bundle_k3):

@@ -436,21 +436,26 @@ def test_substitute_monomial_images_match_expansion(monkeypatch):
     assert (beta - gamma).substitute({"beta": beta, "gamma": beta}, BG).is_zero
 
 
-def test_substitute_zero_image_takes_the_expansion(monkeypatch):
+def test_substitute_zero_image_takes_the_monomial_path(monkeypatch):
     rng = SplitMix64(32)
     target = ("t",)
     (t,) = MultiPoly.gens(target)
-    for images in (
-        {"beta": 0, "gamma": t},
-        {"beta": MultiPoly.zero(target), "gamma": 2 * t},
-        {"beta": 1 + t, "gamma": t},
+    for images, products in (
+        ({"beta": 0, "gamma": t}, False),
+        ({"beta": MultiPoly.zero(target), "gamma": 2 * t}, False),
+        ({"beta": 0, "gamma": MultiPoly.zero(target)}, False),
+        ({"beta": 1 + t, "gamma": t}, True),
     ):
         p = _random_poly(rng, BG) + 5
-        assert p.substitute(images, target) == _expanded_substitution(p, images, target)
+        expected = _expanded_substitution(p, images, target)
         with monkeypatch.context() as patch:
             _forbid_products(patch)
-            with pytest.raises(_NoProducts):
-                p.substitute(images, target)
+            if products:
+                with pytest.raises(_NoProducts):
+                    p.substitute(images, target)
+            else:
+                assert p.substitute(images, target) == expected
+        assert p.substitute(images, target) == expected
 
 
 def test_equals_identical_forms_without_products(monkeypatch):
