@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--samples", dest="sample_count", type=parse_integer, metavar="SAMPLES",
-            help="sample count (default 100)",
+            help="points drawn by gaudete's sampled criteria (default 100)",
         )
         p.add_argument(
             "--width", dest="isolation_width", type=parse_rational, metavar="WIDTH",

@@ -192,7 +192,7 @@ def test_criterion_6_symmetry_and_invariance(bundle_k2, bundle_k3):
 
 
 def test_criterion_7_k3_critical_point():
-    veritas = verify_veritas(50)
+    veritas = verify_veritas()
     assert veritas.status == "PASS"
     from kcert.functional import first_variation_along_c1
 
@@ -225,7 +225,7 @@ def test_criterion_7_k3_critical_point():
 
 
 def test_criterion_8_global_minimum_sampling(bundle_k2):
-    k2_report = verify_uniqueness_k2(sample_count=100)
+    k2_report = verify_uniqueness_k2()
     assert k2_report.status == "PASS", k2_report.witnesses.get("failures")
     value_lo = Fraction(k2_report.witnesses["value_interval"][0])
     rng = SplitMix64(DEFAULT_SEED)

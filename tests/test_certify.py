@@ -127,7 +127,7 @@ def test_laudate_interval_recounts_to_one_root(monkeypatch):
     from kcert.functional import restrict_diagonal
     from kcert.sturm import count_roots, sturm_chain
 
-    report = verify_uniqueness_k2(sample_count=4)
+    report = verify_uniqueness_k2()
     lo, hi = (Fraction(x) for x in report.witnesses["critical_interval"])
     chain = sturm_chain(univar.from_multipoly(restrict_diagonal().p))
     assert count_roots(chain, lo, hi) == 1
@@ -139,7 +139,7 @@ def test_laudate_interval_recounts_to_one_root(monkeypatch):
         return [(2 * a - b, a) for a, b in intervals], chain
 
     monkeypatch.setattr(certify, "sturm_isolate", shifted)
-    report = verify_uniqueness_k2(sample_count=4)
+    report = verify_uniqueness_k2()
     assert report.status == "FAIL"
     assert report.witnesses["failures"]["sturm"]["recount"] == 0
 
@@ -148,7 +148,7 @@ def test_laudate_interval_recounts_to_one_root(monkeypatch):
 def test_laudate_verdict_does_not_depend_on_the_width(width):
     """A coarse isolation is bisected on the same chain until the interval
     lies in [1, 6/5] and its value enclosure decides."""
-    report = verify_uniqueness_k2(sample_count=4, isolation_width=Fraction(width))
+    report = verify_uniqueness_k2(isolation_width=Fraction(width))
     assert report.status == "PASS", report.witnesses.get("failures")
     assert report.witnesses["critical_interval"] == ["1", "17/16"]
     assert report.witnesses["interval_width"] == "1/16"
@@ -159,7 +159,7 @@ def test_laudate_refinement_stops_at_the_default_width(monkeypatch):
     isolation width, and is a FAIL there."""
     real = certify._value_enclosure
     monkeypatch.setattr(certify, "_value_enclosure", lambda *args: (real(*args)[0], False))
-    report = verify_uniqueness_k2(sample_count=4, isolation_width=Fraction(1, 2))
+    report = verify_uniqueness_k2(isolation_width=Fraction(1, 2))
     assert report.status == "FAIL"
     assert set(report.witnesses["failures"]) == {"value_enclosure"}
     assert Fraction(report.witnesses["interval_width"]) == certify.DEFAULT_ISOLATION_WIDTH
@@ -211,14 +211,32 @@ def test_derivative_sign_lemmas():
 
 
 def test_veritas():
-    report = verify_veritas(50)
+    report = verify_veritas()
     assert report.status == "PASS"
-    assert report.witnesses["W_identity"] is True
-    assert report.witnesses["V_failures"] == []
+    assert report.witnesses == {"W_identity": True, "V_identity": True}
 
 
-def test_veritas_deterministic():
-    assert verify_veritas(10).witnesses == verify_veritas(10).witnesses
+def test_veritas_v_identity_is_not_vacuous():
+    """Off V the boundary route's numerators are nonzero: the k3 chart itself
+    is the delta = 1 face."""
+    from kcert.delpezzo import K3_CHART
+    from kcert.functional import futaki_boundary
+
+    f1, f2 = futaki_boundary(K3_CHART.area_vector(), K3_CHART.variables)
+    assert not f1.num.is_zero and not f2.num.is_zero
+
+
+def test_veritas_fails_on_a_nonzero_obstruction_on_v(monkeypatch):
+    real = certify.futaki_boundary
+
+    def shifted(*args):
+        f1, f2 = real(*args)
+        return f1, f2 + 1
+
+    monkeypatch.setattr(certify, "futaki_boundary", shifted)
+    report = verify_veritas()
+    assert report.status == "FAIL"
+    assert report.witnesses == {"W_identity": True, "V_identity": False}
 
 
 def test_claritas_is_a_note():
@@ -228,7 +246,7 @@ def test_claritas_is_a_note():
 
 
 def test_uniqueness_k2():
-    report = verify_uniqueness_k2(sample_count=60)
+    report = verify_uniqueness_k2()
     assert report.status == "PASS", report.witnesses.get("failures")
     lo, hi = (Fraction(x) for x in report.witnesses["critical_interval"])
     assert Fraction(1) < lo < hi < Fraction(6, 5)
@@ -237,6 +255,32 @@ def test_uniqueness_k2():
     assert Fraction(7) < value_lo <= value_hi < Fraction(2919, 409)
     assert report.witnesses["positive_roots_of_P"] == 1
     assert report.witnesses["slope_at_0"] == "-12"
+    # minimality is deduced from the ingredients, not sampled
+    assert "sampled_points" not in report.witnesses
+    deduction = report.witnesses["minimality_deduction"]
+    assert [step.split(":")[0] for step in deduction] == [
+        "convex2 and symmetry2",
+        "P has one positive root, in critical_interval",
+        "doubleprime2",
+    ]
+
+
+@pytest.mark.parametrize(
+    "lemma_id, verifier", [("convex2", "verify_convexity"), ("symmetry2", "verify_symmetry")]
+)
+def test_laudate_fails_with_a_failed_deduction_ingredient(monkeypatch, lemma_id, verifier):
+    """No samples stand behind the minimality deduction: a FAIL ingredient in
+    the memo is a FAIL laudate, named under its failures."""
+    monkeypatch.setattr(certify, "_REPORTS", {})
+    witnesses = {"probe": "failed"}
+    monkeypatch.setattr(
+        certify, verifier, lambda *args: certify.LemmaReport(lemma_id, "FAIL", witnesses)
+    )
+    assert run_lemma(lemma_id).status == "FAIL"
+    report = run_lemma("laudate")
+    assert report.status == "FAIL"
+    assert report.witnesses["ingredients"][lemma_id] == "FAIL"
+    assert report.witnesses["failures"] == {lemma_id: witnesses}
 
 
 def test_uniqueness_k3():
@@ -247,6 +291,9 @@ def test_uniqueness_k3():
     facts = report.witnesses["cremona"]
     assert facts["involution_identity"] and facts["pairing_preserved_identity"]
     assert facts["fixes_c1"] and facts["delta_negated_identity"]
+    # every Cremona fact is an identity; none is sampled
+    assert set(facts) == {"involution_identity", "pairing_preserved_identity",
+                          "fixes_c1", "delta_negated_identity"}
 
 
 def test_run_lemma_dispatch():
@@ -278,7 +325,7 @@ def test_composite_lemmas_reuse_ingredient_reports(monkeypatch):
     for lemma_id in ("symmetry2", "convex2", "prime2", "doubleprime2",
                      "symmetry3a", "symmetry3b", "convex3"):
         run_lemma(lemma_id, 12)
-    run_lemma("veritas", 13)  # halved to 6 samples, as for sample_count=12
+    run_lemma("veritas", 13)  # veritas takes no setting: one report for any count
     assert run_lemma("convex2", seed=certify.DEFAULT_SEED) is run_lemma("convex2", 5)
 
     def refuse(*args, **kwargs):

@@ -240,7 +240,7 @@ def test_seed_range_ends_run(seed, capsys):
     assert run(args + ["--no-timing", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["seed"] == seed
-    assert payload["lemmas"][0]["witnesses"]["V_samples"] == 1
+    assert payload["lemmas"][0]["witnesses"] == {"W_identity": True, "V_identity": True}
 
 
 def test_zero_fixture_denominator_is_usage_error(tmp_path, capsys):
@@ -376,16 +376,16 @@ def test_fixtures_dir_spellings_share_one_load_each(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize(
     "command, code, digest",
     [
-        (["report", "--format", "json"], 1, "4636664ddd59ed8dd78be1fad15b35b2"),
-        (["verify", "--all", "--format", "json"], 0, "2b20ae30882781dc0944422d5f8f8f80"),
+        (["report", "--format", "json"], 1, "57135c6492eada28a7f3e9bde5e98f67"),
+        (["verify", "--all", "--format", "json"], 0, "4510987961b08f7766f5e0c855743f68"),
         (["fixtures", "check", "--format", "json"], 1, "0ca8cce540a802f69bff166716179909"),
-        (["report", "--format", "markdown"], 1, "90a201291fe3636a01ee04a441abf7de"),
+        (["report", "--format", "markdown"], 1, "46922badae489ac14c06ccb3d4bde44f"),
         # every setting's flag, at its default
         (
             ["verify", "--all", "--samples", "100", "--width", "1/1073741824", "--jobs", "1",
              "--seed", "12648430"],
             0,
-            "2b20ae30882781dc0944422d5f8f8f80",
+            "4510987961b08f7766f5e0c855743f68",
         ),
     ],
     ids=["report", "verify-all", "fixtures-check", "report-markdown", "verify-all-flags"],
@@ -408,6 +408,21 @@ def test_laudate_alone_matches_its_verify_all_entry(monkeypatch, capsys):
         return next(item for item in lemmas if item["id"] == "laudate")
 
     assert laudate_entry(["--lemma", "laudate"]) == laudate_entry(["--all"])
+
+
+def test_samples_reach_only_gaudete(monkeypatch, capsys):
+    """veritas and laudate draw nothing, so --samples leaves their entries as
+    they are; gaudete's sampled criteria draw as many points as it asks."""
+    def lemma_entries(*args: str) -> dict:
+        monkeypatch.setattr(certify, "_REPORTS", {})
+        assert run(["verify", *args, "--no-timing", "--format", "json"]) == 0
+        return {item["id"]: item for item in json.loads(capsys.readouterr().out)["lemmas"]}
+
+    selection = ["--lemma", "veritas", "--lemma", "laudate"]
+    assert lemma_entries(*selection, "--samples", "1") == lemma_entries(*selection)
+    gaudete = lemma_entries("--lemma", "gaudete", "--samples", "3")["gaudete"]["witnesses"]
+    assert gaudete["sampled_points"] == 3
+    assert gaudete["reverse_cauchy_schwarz"]["timelike_pairs"] == 3
 
 
 def test_report_includes_truncated_chart_summaries(capsys):
