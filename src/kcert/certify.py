@@ -40,10 +40,10 @@ reports.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from . import univar
 from .delpezzo import (
@@ -78,8 +78,7 @@ DEFAULT_ISOLATION_WIDTH = Fraction(1, 2 ** 30)
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     lemma_id: str
     status: str  # PASS | FAIL | NOTE
     witnesses: dict
@@ -92,8 +91,7 @@ class LemmaReport:
         return out
 
 
-@dataclass(frozen=True)
-class PositivityCertificate:
+class PositivityCertificate(NamedTuple):
     """Positivity of a rational function on the positive orthant.
 
     PASS means: numerator nonzero with every coefficient >= 0, denominator of
@@ -786,5 +784,5 @@ def run_lemma(
     if key not in _REPORTS:
         start = time.perf_counter()
         report = verifier(*args)
-        _REPORTS[key] = replace(report, seconds=time.perf_counter() - start)
+        _REPORTS[key] = report._replace(seconds=time.perf_counter() - start)
     return _REPORTS[key]

@@ -28,7 +28,6 @@ import re
 import string
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,31 +94,43 @@ _ENV_CONFIG_TYPES = {
 _JSON_TYPE_NAMES = {int: "an integer", str: "a string", type(None): "null"}
 
 
-@dataclass
 class RunConfig:
-    tasks: list[str] = field(default_factory=lambda: ["all"])
-    sample_count: int = 100
-    isolation_width: Fraction = DEFAULT_ISOLATION_WIDTH
-    jobs: int = 1
-    format: str = "json"
-    fixtures_dir: Path | None = None
-    seed: int = DEFAULT_SEED
-    include_timing: bool = True
+    """The settings of one run, checked on construction."""
 
-    def __post_init__(self) -> None:
-        if self.sample_count < 1:
+    __slots__ = ("tasks", *_ENV_CONFIG_TYPES, "include_timing")
+
+    def __init__(
+        self,
+        tasks: list[str] | None = None,
+        sample_count: int = 100,
+        isolation_width: Fraction = DEFAULT_ISOLATION_WIDTH,
+        jobs: int = 1,
+        format: str = "json",
+        fixtures_dir: Path | str | None = None,
+        seed: int = DEFAULT_SEED,
+        include_timing: bool = True,
+    ) -> None:
+        if sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        if self.isolation_width <= 0:
+        if isolation_width <= 0:
             raise ValueError("isolation_width must be positive")
-        if self.jobs < 1:
+        if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        check_seed(self.seed)
-        if self.fixtures_dir is not None:
-            if self.fixtures_dir == "":
+        check_seed(seed)
+        if fixtures_dir is not None:
+            if fixtures_dir == "":
                 raise ValueError("fixtures_dir must name a directory")
             # one spelling per directory (DIR and DIR/ alike), so that every
             # fixture comparison of the run shares one cache entry
-            self.fixtures_dir = Path(self.fixtures_dir)
+            fixtures_dir = Path(fixtures_dir)
+        self.tasks = ["all"] if tasks is None else tasks
+        self.sample_count = sample_count
+        self.isolation_width = isolation_width
+        self.jobs = jobs
+        self.format = format
+        self.fixtures_dir = fixtures_dir
+        self.seed = seed
+        self.include_timing = include_timing
 
     def as_dict(self) -> dict:
         """``tasks``, then each setting; the width and the directory as text."""

@@ -24,7 +24,6 @@ with (beta, gamma).  The anticanonical class is ``c1_class(chart.k)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Union
 
@@ -41,25 +40,44 @@ def _as_entry(name: str, value: Entry | int) -> Entry:
     return value if isinstance(value, MultiPoly) else exact_scalar(f"entry {name}", value)
 
 
-@dataclass(frozen=True)
 class CohClass:
-    """A cohomology class h*H - e1*E1 - e2*E2 - e3*E3 on the k-fold blow-up."""
+    """A cohomology class h*H - e1*E1 - e2*E2 - e3*E3 on the k-fold blow-up.
 
-    h: Entry
-    e1: Entry
-    e2: Entry
-    e3: Entry
-    k: int = 3
+    Frozen; equal to a CohClass with equal fields and to nothing else.
+    """
 
-    def __post_init__(self) -> None:
-        if self.k not in (1, 2, 3):
-            raise ValueError(f"k must be 1, 2, or 3, not {self.k}")
-        for name in ("h", "e1", "e2", "e3"):
-            object.__setattr__(self, name, _as_entry(name, getattr(self, name)))
-        exceptional = (self.e1, self.e2, self.e3)
-        for i in range(self.k, 3):
+    __slots__ = ("h", "e1", "e2", "e3", "k")
+
+    def __init__(self, h: Entry, e1: Entry, e2: Entry, e3: Entry, k: int = 3) -> None:
+        if k not in (1, 2, 3):
+            raise ValueError(f"k must be 1, 2, or 3, not {k}")
+        h = _as_entry("h", h)
+        exceptional = (_as_entry("e1", e1), _as_entry("e2", e2), _as_entry("e3", e3))
+        for i in range(k, 3):
             if exceptional[i]:
-                raise ValueError(f"e{i + 1} must vanish for k = {self.k}")
+                raise ValueError(f"e{i + 1} must vanish for k = {k}")
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "e1", exceptional[0])
+        object.__setattr__(self, "e2", exceptional[1])
+        object.__setattr__(self, "e3", exceptional[2])
+        object.__setattr__(self, "k", k)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a CohClass")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a CohClass")
+
+    def _key(self) -> tuple:
+        return (self.h, self.e1, self.e2, self.e3, self.k)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CohClass:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def scale(self, factor: Scalar) -> CohClass:
         return CohClass(
@@ -80,20 +98,34 @@ def pair(x: CohClass, y: CohClass) -> Entry:
     return x.h * y.h - x.e1 * y.e1 - x.e2 * y.e2 - x.e3 * y.e3
 
 
-@dataclass(frozen=True)
 class AreaVector:
-    """The six (-1)-curve areas of a class, in polygon slot order."""
+    """The six (-1)-curve areas of a class, in polygon slot order.
 
-    a_e3: Entry
-    a_l13: Entry
-    a_e1: Entry
-    a_l12: Entry
-    a_e2: Entry
-    a_l23: Entry
+    Frozen; equal to an AreaVector with equal areas and to nothing else.
+    """
 
-    def __post_init__(self) -> None:
-        for entry in fields(self):
-            object.__setattr__(self, entry.name, _as_entry(entry.name, getattr(self, entry.name)))
+    __slots__ = ("a_e3", "a_l13", "a_e1", "a_l12", "a_e2", "a_l23")
+
+    def __init__(
+        self, a_e3: Entry, a_l13: Entry, a_e1: Entry, a_l12: Entry, a_e2: Entry, a_l23: Entry
+    ) -> None:
+        values = (a_e3, a_l13, a_e1, a_l12, a_e2, a_l23)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, _as_entry(name, value))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an AreaVector")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an AreaVector")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not AreaVector:
+            return NotImplemented
+        return self.as_tuple() == other.as_tuple()
+
+    def __hash__(self) -> int:
+        return hash(self.as_tuple())
 
     def as_tuple(self) -> tuple[Entry, Entry, Entry, Entry, Entry, Entry]:
         return (self.a_e3, self.a_l13, self.a_e1, self.a_l12, self.a_e2, self.a_l23)
@@ -180,27 +212,46 @@ def subspace_membership(x: CohClass | AreaVector) -> tuple[bool, bool]:
     return in_v, in_w
 
 
-@dataclass(frozen=True)
 class ConeChart:
     """A coordinate chart on the reduced Kahler cone, a face of ABCD.
 
     The E-label-to-polygon-corner assignment (area of E1 on the right chop,
     E2 on top, E3 at the origin chop) is fixed once here and shared by every
-    module; it is pinned by the golden-formula comparisons.
+    module; it is pinned by the golden-formula comparisons.  Frozen, and
+    hashed by value: it keys ``build_bundle``'s cache.
     """
 
-    chart_id: str
-    k: int
-    variables: tuple[str, ...]
+    __slots__ = ("chart_id", "k", "variables")
 
-    def __post_init__(self) -> None:
-        names = self.variables
+    def __init__(self, chart_id: str, k: int, variables: tuple[str, ...]) -> None:
+        object.__setattr__(self, "chart_id", chart_id)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "variables", variables)
         try:
-            if len(set(names)) != len(names) or not set(names) <= set(ABCD[:3]):
-                raise ValueError(f"its variables {names} are not distinct names among {ABCD[:3]}")
-            self.area_vector().to_coh(self.k)  # e_i = 0 for i > k
+            if len(set(variables)) != len(variables) or not set(variables) <= set(ABCD[:3]):
+                raise ValueError(
+                    f"its variables {variables} are not distinct names among {ABCD[:3]}"
+                )
+            self.area_vector().to_coh(k)  # e_i = 0 for i > k
         except ValueError as error:
-            raise ValueError(f"unsupported chart {self.chart_id!r}: {error}") from None
+            raise ValueError(f"unsupported chart {chart_id!r}: {error}") from None
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a ConeChart")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a ConeChart")
+
+    def _key(self) -> tuple:
+        return (self.chart_id, self.k, self.variables)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ConeChart:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def abcd_images(self) -> dict[str, MultiPoly]:
         """The chart as a substitution of ABCD: a listed variable maps to

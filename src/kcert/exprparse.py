@@ -48,7 +48,6 @@ MISMATCH with a witness point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from operator import add, mul
@@ -92,6 +91,9 @@ def _tokenize(text: str, first_line: int = 1) -> list[_Token]:
     """Tokens with 1-based positions; ``first_line`` is the line ``text`` starts on."""
     tokens: list[_Token] = []
     append = tokens.append
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, about a
+    # fifth of the loop on a long display
+    new = tuple.__new__
     line, line_start = first_line, 0
     for match in _TOKEN.finditer(text):
         kind = match.lastgroup
@@ -104,7 +106,7 @@ def _tokenize(text: str, first_line: int = 1) -> list[_Token]:
                 f"unexpected character {match.group()!r}", line, match.start() - line_start + 1
             )
         else:
-            append(_Token(kind, match.group(), line, match.start() - line_start + 1))
+            append(new(_Token, (kind, match.group(), line, match.start() - line_start + 1)))
     tokens.append(_Token("END", "", line, len(text) - line_start + 1))
     return tokens
 
@@ -297,8 +299,7 @@ def parse_expression(text: str, variables: Sequence[str], first_line: int = 1) -
     return _Parser(_tokenize(text, first_line), tuple(variables)).parse()
 
 
-@dataclass(frozen=True)
-class FixtureFile:
+class FixtureFile(NamedTuple):
     name: str
     variables: tuple[str, ...]
     numerator_text: str
@@ -389,8 +390,7 @@ def load_fixture(path: str | Path) -> tuple[FixtureFile, RatFunc]:
     return fixture, RatFunc.make(num, den)
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
+class ComparisonVerdict(NamedTuple):
     kind: str  # EXACT, SCALED, SAMPLED_ONLY, MISMATCH
     constant: Fraction | None = None
     witness_point: tuple[Fraction, ...] | None = None

@@ -38,10 +38,9 @@ polynomial at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import univar
 from .delpezzo import (
@@ -174,8 +173,7 @@ def objective_parts(perimeter, volume, puu, pvv, puv, q1, q2) -> tuple:
     return det, n_f, perimeter * perimeter * det * 4 + n_f, volume * det * 8
 
 
-@dataclass(frozen=True)
-class FunctionalBundle:
+class FunctionalBundle(NamedTuple):
     """Every exact ingredient of the objective on one coordinate chart."""
 
     chart: ConeChart
@@ -228,8 +226,7 @@ def build_bundle(chart: ConeChart) -> FunctionalBundle:
     )
 
 
-@dataclass(frozen=True)
-class DiagonalRestriction:
+class DiagonalRestriction(NamedTuple):
     """The one-variable restriction of the k=2 objective to beta = gamma.
 
     f is the restriction in lowest terms (univariate reduction only); its

@@ -51,7 +51,6 @@ Conventions:
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -885,25 +884,38 @@ class _Hessian:
         return MultiPoly._build(self.variables, table, self.den * q * q)
 
 
-@dataclass(frozen=True)
 class PiValue:
     """An exact value times an integer power of pi.
 
     ``value`` is a Fraction, or a RatFunc over the chart variables.  A zero
     value carries pi^0.  Addition is defined only between equal pi powers (a
     zero value is neutral); mixing powers raises instead of silently
-    coercing, which makes dimension bookkeeping errors loud.  Equality is that
-    of the fields, and ``RatFunc.__eq__`` is exact.
+    coercing, which makes dimension bookkeeping errors loud.  Frozen; equal
+    to a PiValue with equal fields and to nothing else, and
+    ``RatFunc.__eq__`` is exact.
     """
 
-    value: Fraction | RatFunc
-    pi_power: int = 0
+    __slots__ = ("value", "pi_power")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, RatFunc):
-            object.__setattr__(self, "value", exact_scalar("PiValue value", self.value))
-        if not self.value:
-            object.__setattr__(self, "pi_power", 0)
+    def __init__(self, value: Fraction | RatFunc, pi_power: int = 0) -> None:
+        if not isinstance(value, RatFunc):
+            value = exact_scalar("PiValue value", value)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "pi_power", pi_power if value else 0)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a PiValue")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a PiValue")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PiValue:
+            return NotImplemented
+        return (self.value, self.pi_power) == (other.value, other.pi_power)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.pi_power))
 
     def __add__(self, other: PiValue) -> PiValue:
         if not self.value:

@@ -35,10 +35,9 @@ denominator (boundary), so a numeric polygon returns Fractions and stores none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .poly import MultiPoly, Scalar, exact_scalar
 
@@ -55,8 +54,7 @@ Entry = Union[MultiPoly, int]
 Coordinate = Union[MultiPoly, Fraction]
 
 
-@dataclass(frozen=True)
-class ParamPolygon:
+class ParamPolygon(NamedTuple):
     """The CCW vertices (us[i], vs[i]) from (a_E3, 0) and the lattice lengths
     of the edges in EDGE_SLOTS order, all divided by ``scale``.
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -87,8 +86,6 @@ def test_positivity_certificate_requires_the_cube_denominator():
 
 
 def test_positivity_certificate_recheck_is_self_contained():
-    from dataclasses import replace
-
     from kcert.certify import _second_derivative
     from kcert.delpezzo import K2_CHART
     from kcert.functional import build_bundle
@@ -100,17 +97,15 @@ def test_positivity_certificate_recheck_is_self_contained():
         "recheck probe",
     )
     assert cert.verdict == "PASS" and cert.recheck()
-    broken = replace(cert, numerator_min_coeff=Fraction(-1))
+    broken = cert._replace(numerator_min_coeff=Fraction(-1))
     assert not broken.recheck()
 
 
 def test_tampered_certificate_fails_convexity(monkeypatch):
-    from dataclasses import replace
-
     real = certify.positivity_certificate
 
     def tampered(*args, **kwargs):
-        return replace(real(*args, **kwargs), numerator_min_coeff=Fraction(-1))
+        return real(*args, **kwargs)._replace(numerator_min_coeff=Fraction(-1))
 
     monkeypatch.setattr(certify, "positivity_certificate", tampered)
     report = verify_convexity("k2")
@@ -308,7 +303,7 @@ def test_run_lemma_times_the_report_it_memoizes(monkeypatch):
     assert cold.seconds > 0
     direct = verify_convexity("k2")
     assert direct.seconds == 0.0
-    assert direct == replace(cold, seconds=0.0)
+    assert direct == cold._replace(seconds=0.0)
     assert run_lemma("convex2") is cold
 
 

@@ -572,3 +572,17 @@ def test_cold_verify_convex2_refutes_the_display_without_products():
     assert done.stdout.split(maxsplit=2) == [
         "0", "d2e87cf74eeaffd21fcc63cd5b74a69d", "[(('beta', 'gamma'), 0)]\n"
     ]
+
+
+def test_cold_import_loads_no_dataclasses_machinery():
+    """A cold ``import kcert.cli`` loads neither ``dataclasses`` nor the
+    modules it pulls in; every CLI process would pay for them.  ``-S`` keeps
+    site ``.pth`` files out of the child."""
+    unwanted = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    program = f"import sys, kcert.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(kcert.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", program], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
