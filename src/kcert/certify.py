@@ -75,6 +75,7 @@ from .sampling import DEFAULT_SEED, SplitMix64
 from .sturm import count_roots, sturm_chain, sturm_isolate
 
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 2 ** 30)
+DEFAULT_SAMPLE_COUNT = 100  # points drawn by gaudete's sampled criteria
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
 
@@ -627,7 +628,7 @@ def verify_uniqueness_k2(
 
 
 def verify_uniqueness_k3(
-    sample_count: int = 100,
+    sample_count: int = DEFAULT_SAMPLE_COUNT,
     seed: int = DEFAULT_SEED,
     fixtures_dir: Path | None = None,
 ) -> LemmaReport:
@@ -755,7 +756,9 @@ def _lemma_calls(
     }
 
 
-LEMMA_IDS = tuple(_lemma_calls(100, DEFAULT_ISOLATION_WIDTH, DEFAULT_SEED, None))
+LEMMA_IDS = tuple(
+    _lemma_calls(DEFAULT_SAMPLE_COUNT, DEFAULT_ISOLATION_WIDTH, DEFAULT_SEED, None)
+)
 
 # lemma reports of this process, keyed by (lemma id, *the verifier's arguments)
 _REPORTS: dict[tuple, LemmaReport] = {}
@@ -763,7 +766,7 @@ _REPORTS: dict[tuple, LemmaReport] = {}
 
 def run_lemma(
     lemma_id: str,
-    sample_count: int = 100,
+    sample_count: int = DEFAULT_SAMPLE_COUNT,
     isolation_width: Fraction = DEFAULT_ISOLATION_WIDTH,
     seed: int = DEFAULT_SEED,
     fixtures_dir: Path | None = None,

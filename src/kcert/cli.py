@@ -34,6 +34,7 @@ from pathlib import Path
 from . import __version__
 from .certify import (
     DEFAULT_ISOLATION_WIDTH,
+    DEFAULT_SAMPLE_COUNT,
     LEMMA_IDS,
     check_all_fixtures,
     run_lemma,
@@ -102,7 +103,7 @@ class RunConfig:
     def __init__(
         self,
         tasks: list[str] | None = None,
-        sample_count: int = 100,
+        sample_count: int = DEFAULT_SAMPLE_COUNT,
         isolation_width: Fraction = DEFAULT_ISOLATION_WIDTH,
         jobs: int = 1,
         format: str = "json",
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--samples", dest="sample_count", type=parse_integer, metavar="SAMPLES",
-            help="points drawn by gaudete's sampled criteria (default 100)",
+            help=f"points drawn by gaudete's sampled criteria (default {DEFAULT_SAMPLE_COUNT})",
         )
         p.add_argument(
             "--width", dest="isolation_width", type=parse_rational, metavar="WIDTH",

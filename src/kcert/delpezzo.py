@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .poly import MultiPoly, Scalar, exact_scalar
+from .poly import MultiPoly, Scalar, _Frozen, exact_scalar
 
 Entry = Union[Fraction, MultiPoly]
 
@@ -40,7 +40,7 @@ def _as_entry(name: str, value: Entry | int) -> Entry:
     return value if isinstance(value, MultiPoly) else exact_scalar(f"entry {name}", value)
 
 
-class CohClass:
+class CohClass(_Frozen):
     """A cohomology class h*H - e1*E1 - e2*E2 - e3*E3 on the k-fold blow-up.
 
     Frozen; equal to a CohClass with equal fields and to nothing else.
@@ -62,23 +62,6 @@ class CohClass:
         object.__setattr__(self, "e3", exceptional[2])
         object.__setattr__(self, "k", k)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a CohClass")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a CohClass")
-
-    def _key(self) -> tuple:
-        return (self.h, self.e1, self.e2, self.e3, self.k)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not CohClass:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def scale(self, factor: Scalar) -> CohClass:
         return CohClass(
             self.h * factor, self.e1 * factor, self.e2 * factor, self.e3 * factor, self.k
@@ -98,7 +81,7 @@ def pair(x: CohClass, y: CohClass) -> Entry:
     return x.h * y.h - x.e1 * y.e1 - x.e2 * y.e2 - x.e3 * y.e3
 
 
-class AreaVector:
+class AreaVector(_Frozen):
     """The six (-1)-curve areas of a class, in polygon slot order.
 
     Frozen; equal to an AreaVector with equal areas and to nothing else.
@@ -113,22 +96,9 @@ class AreaVector:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, _as_entry(name, value))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an AreaVector")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an AreaVector")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not AreaVector:
-            return NotImplemented
-        return self.as_tuple() == other.as_tuple()
-
-    def __hash__(self) -> int:
-        return hash(self.as_tuple())
-
     def as_tuple(self) -> tuple[Entry, Entry, Entry, Entry, Entry, Entry]:
-        return (self.a_e3, self.a_l13, self.a_e1, self.a_l12, self.a_e2, self.a_l23)
+        """The six areas in slot order."""
+        return self._key()
 
     @staticmethod
     def from_coh(omega: CohClass) -> AreaVector:
@@ -212,7 +182,7 @@ def subspace_membership(x: CohClass | AreaVector) -> tuple[bool, bool]:
     return in_v, in_w
 
 
-class ConeChart:
+class ConeChart(_Frozen):
     """A coordinate chart on the reduced Kahler cone, a face of ABCD.
 
     The E-label-to-polygon-corner assignment (area of E1 on the right chop,
@@ -235,23 +205,6 @@ class ConeChart:
             self.area_vector().to_coh(k)  # e_i = 0 for i > k
         except ValueError as error:
             raise ValueError(f"unsupported chart {chart_id!r}: {error}") from None
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a ConeChart")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a ConeChart")
-
-    def _key(self) -> tuple:
-        return (self.chart_id, self.k, self.variables)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ConeChart:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def abcd_images(self) -> dict[str, MultiPoly]:
         """The chart as a substitution of ABCD: a listed variable maps to

@@ -237,10 +237,9 @@ class DiagonalRestriction(NamedTuple):
     f: RatFunc
     p: MultiPoly
     q: MultiPoly
-    df: RatFunc
 
     def df_at(self, x: Scalar) -> Fraction:
-        return self.df.evaluate((x,))
+        return 12 * self.p.evaluate((x,)) / self.f.den.evaluate((x,)) ** 2
 
     def f_at(self, x: Scalar) -> Fraction:
         return self.f.evaluate((x,))
@@ -268,7 +267,6 @@ def restrict_diagonal() -> DiagonalRestriction:
         f=f,
         p=d1_num.scale(twelfth),
         q=directional_second_derivative(f, (1,)).num.scale(twelfth),
-        df=RatFunc(d1_num, d * d),
     )
 
 
@@ -317,15 +315,6 @@ def evaluate_futaki_on_areas(
     return q1 / area, q2 / area
 
 
-STANDARD_SAMPLE_POINTS = {
-    "k2": ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(2))),
-    "k3": (
-        (Fraction(1), Fraction(1), Fraction(1)),
-        (Fraction(1), Fraction(2), Fraction(3)),
-    ),
-}
-
-
 # the exported name of each bundle quantity -> its FunctionalBundle field,
 # in the order the chart summaries list them
 QUANTITIES = {
@@ -348,13 +337,16 @@ def quantity_text(bundle: FunctionalBundle, name: str, point: Sequence[Scalar]) 
 
 
 def bundle_summary(chart: ConeChart) -> dict:
-    """Canonical text of the bundle plus evaluations at standard points."""
+    """Canonical text of the bundle plus evaluations at the all-ones point and
+    at (1, 2, ..., n) of the chart's n variables (one point when n is 1)."""
     bundle = build_bundle(chart)
+    n = len(chart.variables)
+    points = dict.fromkeys(((Fraction(1),) * n, tuple(map(Fraction, range(1, n + 1)))))
     evaluations = {
         ",".join(str(x) for x in point): {
             name: quantity_text(bundle, name, point) for name in QUANTITIES
         }
-        for point in STANDARD_SAMPLE_POINTS[chart.chart_id]
+        for point in points
     }
     return {
         "chart": chart.chart_id,

@@ -11,7 +11,11 @@ representation and the zero polynomial is ({}, 1).  Parts of canonical
 rational functions, and products of them, have den 1: their arithmetic is
 plain ``int`` arithmetic.  ``terms`` shows the coefficients as exact numbers.
 Values are immutable after construction and every operation is a pure
-function.
+function.  ``MultiPoly``, ``RatFunc``, ``PiValue`` and the records of
+``delpezzo`` share one base, ``_Frozen``, that refuses assignment and
+deletion and compares and hashes the fields.  ``MultiPoly`` and ``RatFunc``
+keep their own equality: ``MultiPoly`` compares its int tables directly,
+and ``RatFunc`` cross-multiplies and is unhashable.
 
 Conventions:
   * two polynomials combine only over identical variable tuples;
@@ -66,7 +70,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, product, repeat
 from math import gcd, lcm, prod
-from operator import add, mul, sub
+from operator import add, attrgetter, mul, sub
 from struct import iter_unpack, unpack
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence, Union
@@ -89,6 +93,35 @@ class VariableMismatchError(ValueError):
 
 class PiPowerMismatchError(ValueError):
     """Raised when adding pi-tagged values with different pi exponents."""
+
+
+class _Frozen:
+    """Base of the package's immutable values.
+
+    A subclass lists its fields in ``__slots__`` and sets them in ``__init__``
+    through ``object.__setattr__``; afterwards assignment and deletion raise.
+    An instance equals an instance of the same class whose fields, taken in
+    ``__slots__`` order, are equal, and nothing else; it hashes those fields.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def _key(self) -> tuple:
+        return attrgetter(*self.__slots__)(self)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _check_variables(left: tuple[str, ...], right: tuple[str, ...]) -> None:
@@ -156,7 +189,7 @@ def _unpack(packed: int, nvars: int) -> Exponents:
     return tuple(out)
 
 
-class MultiPoly:
+class MultiPoly(_Frozen):
     """Sparse multivariate polynomial: nonzero int numerators over one int ``den``.
 
     ``numerators`` maps exponent tuples to nonzero ints and ``den`` is a
@@ -179,9 +212,6 @@ class MultiPoly:
                 table[tuple(exps)] = coeff.numerator * (den // coeff.denominator)
         # den is the lcm of reduced denominators, so it is coprime to the table
         self._set(varlist, table, den)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MultiPoly is immutable")
 
     # -- constructors -------------------------------------------------------
 
@@ -573,7 +603,7 @@ def coefficients_all_nonneg(
     return False, (-magnitude, exps)
 
 
-class RatFunc:
+class RatFunc(_Frozen):
     """Quotient of two MultiPoly values; denominator nonzero.
 
     ``RatFunc.make`` produces the canonical representative: both parts scaled
@@ -593,9 +623,6 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RatFunc is immutable")
 
     @staticmethod
     def make(num: MultiPoly, den: MultiPoly) -> RatFunc:
@@ -884,7 +911,7 @@ class _Hessian:
         return MultiPoly._build(self.variables, table, self.den * q * q)
 
 
-class PiValue:
+class PiValue(_Frozen):
     """An exact value times an integer power of pi.
 
     ``value`` is a Fraction, or a RatFunc over the chart variables.  A zero
@@ -902,20 +929,6 @@ class PiValue:
             value = exact_scalar("PiValue value", value)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "pi_power", pi_power if value else 0)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a PiValue")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a PiValue")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not PiValue:
-            return NotImplemented
-        return (self.value, self.pi_power) == (other.value, other.pi_power)
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.pi_power))
 
     def __add__(self, other: PiValue) -> PiValue:
         if not self.value:

@@ -138,6 +138,8 @@ def test_cremona_generic_symbolic_identity():
     image = cremona(generic)
     assert cremona(image) == generic
     assert pair(image, image) == pair(generic, generic)
+    # the class formula and the area-slot swap are one involution
+    assert cremona(AreaVector.from_coh(generic)) == AreaVector.from_coh(image)
 
 
 def test_cremona_requires_k3():

@@ -6,13 +6,14 @@ from functools import lru_cache
 import pytest
 
 from kcert import functional
-from kcert.delpezzo import ABCD, AreaVector, K2_CHART, K3_CHART, c1_class, cremona
+from kcert.delpezzo import ABCD, AreaVector, ConeChart, K2_CHART, K3_CHART, c1_class, cremona
 from kcert.exprparse import parse_expression
 from kcert.functional import (
     _closed_form_brackets,
     _obstruction_numerators,
     _on_chart,
     build_bundle,
+    bundle_summary,
     evaluate_calA_on_areas,
     evaluate_futaki_on_areas,
     first_variation_along_c1,
@@ -325,7 +326,9 @@ def test_diagonal_restriction(diagonal):
     n, d = diagonal.f.num, diagonal.f.den
     raw = n.diff("beta") * d - n * d.diff("beta")
     assert raw == diagonal.p.scale(12)
-    assert diagonal.df.den == d * d
+    # d f = 12 P / den^2: the quotient rule over the square of f's denominator
+    for x in (Fraction(0), Fraction(6, 5), Fraction(1, 3)):
+        assert diagonal.df_at(x) == RatFunc(raw, d * d).evaluate((x,))
     d2f = directional_second_derivative(diagonal.f, (1,))
     assert d2f.num == diagonal.q.scale(12) and d2f.den == d ** 3
 
@@ -366,8 +369,14 @@ def test_exported_objective_is_pi_free(bundle_k2):
     assert exported.pi_power == 0 and isinstance(exported.value, RatFunc)
 
 
-def test_unsupported_chart_rejected():
-    from kcert.delpezzo import ConeChart
+def test_bundle_summary_points_come_from_the_chart_variables():
+    assert list(bundle_summary(K2_CHART)["evaluations"]) == ["1,1", "1,2"]
+    assert list(bundle_summary(K3_CHART)["evaluations"]) == ["1,1,1", "1,2,3"]
+    # a one-variable face: the all-ones point and (1,) coincide
+    summary = bundle_summary(ConeChart("k1", 1, ("gamma",)))
+    assert summary["chart"] == "k1" and list(summary["evaluations"]) == ["1"]
 
+
+def test_unsupported_chart_rejected():
     with pytest.raises(ValueError):
         futaki_closed_form(ConeChart("k1", 1, ("beta",)))

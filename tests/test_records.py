@@ -3,6 +3,7 @@ and a chart value that keys the bundle cache."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from kcert.certify import LemmaReport, PositivityCertificate
 from kcert.delpezzo import K2_CHART, AreaVector, CohClass, ConeChart, c1_class
 from kcert.exprparse import ComparisonVerdict, FixtureFile
 from kcert.functional import build_bundle, restrict_diagonal
-from kcert.poly import PiValue
+from kcert.poly import MultiPoly, PiValue, RatFunc, _Frozen
 from kcert.polytope import build_polygon
 
 # each frozen record type: how to make one, and one of its fields
@@ -20,6 +21,8 @@ FROZEN = {
     "AreaVector": (lambda: AreaVector.from_abcd(1, 1, 1, 1), "a_e3"),
     "ConeChart": (lambda: K2_CHART, "variables"),
     "PiValue": (lambda: PiValue(Fraction(1, 2), -2), "pi_power"),
+    "MultiPoly": (lambda: MultiPoly.variable(("beta",), "beta").scale(Fraction(1, 2)), "den"),
+    "RatFunc": (lambda: RatFunc.from_poly(MultiPoly.variable(("beta",), "beta")), "num"),
     "LemmaReport": (lambda: LemmaReport("convex2", "PASS", {}), "status"),
     "PositivityCertificate": (
         lambda: PositivityCertificate("probe", (1, -1), "PASS", 1, Fraction(1), 1, Fraction(1)),
@@ -39,13 +42,25 @@ def test_frozen_record_refuses_assignment(name):
     record = make()
     assert type(record).__name__ == name
     value = getattr(record, field)
-    with pytest.raises(AttributeError):
+    # the values' common base names the class and the field
+    message = re.escape(f"{field!r} of {name}") if isinstance(record, _Frozen) else None
+    with pytest.raises(AttributeError, match=message):
         setattr(record, field, value)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match=message):
         delattr(record, field)
     with pytest.raises(AttributeError):
         record.extra = value
     assert getattr(record, field) is value
+
+
+def test_checked_records_take_equality_and_hash_from_the_frozen_base():
+    for cls in (CohClass, AreaVector, ConeChart, PiValue):
+        assert (cls.__eq__, cls.__hash__) == (_Frozen.__eq__, _Frozen.__hash__)
+    # MultiPoly compares its int tables; RatFunc cross-multiplies and is unhashable
+    for cls in (MultiPoly, RatFunc):
+        assert issubclass(cls, _Frozen) and cls.__eq__ is not _Frozen.__eq__
+    with pytest.raises(TypeError):
+        hash(RatFunc.from_poly(MultiPoly.variable(("beta",), "beta")))
 
 
 def test_a_value_equal_chart_hits_the_bundle_cache():
