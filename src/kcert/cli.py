@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--samples", dest="sample_count", type=parse_integer, metavar="SAMPLES",
-            help=f"points drawn by gaudete's sampled criteria (default {DEFAULT_SAMPLE_COUNT})",
+            help=f"points drawn by gaudete's minimality samples (default {DEFAULT_SAMPLE_COUNT})",
         )
         p.add_argument(
             "--width", dest="isolation_width", type=parse_rational, metavar="WIDTH",

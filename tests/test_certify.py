@@ -291,6 +291,25 @@ def test_uniqueness_k3():
                           "fixes_c1", "delta_negated_identity"}
 
 
+def test_reverse_cauchy_schwarz_identity_needs_the_lorentzian_pairing(monkeypatch):
+    assert certify._reverse_cauchy_schwarz_identity()
+
+    def euclidean(x, y):
+        return x.h * y.h + x.e1 * y.e1 + x.e2 * y.e2 + x.e3 * y.e3
+
+    monkeypatch.setattr(certify, "pair", euclidean)
+    assert not certify._reverse_cauchy_schwarz_identity()
+
+
+def test_uniqueness_k3_fails_without_the_identity(monkeypatch):
+    monkeypatch.setattr(certify, "_REPORTS", {})
+    monkeypatch.setattr(certify, "_reverse_cauchy_schwarz_identity", lambda: False)
+    report = verify_uniqueness_k3(sample_count=1)
+    assert report.status == "FAIL"
+    assert report.witnesses["reverse_cauchy_schwarz_identity"] is False
+    assert set(report.witnesses["failures"]) == {"reverse_cauchy_schwarz"}
+
+
 def test_run_lemma_dispatch():
     assert run_lemma("claritas").status == "NOTE"
     with pytest.raises(ValueError):

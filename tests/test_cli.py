@@ -376,16 +376,16 @@ def test_fixtures_dir_spellings_share_one_load_each(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize(
     "command, code, digest",
     [
-        (["report", "--format", "json"], 1, "57135c6492eada28a7f3e9bde5e98f67"),
-        (["verify", "--all", "--format", "json"], 0, "4510987961b08f7766f5e0c855743f68"),
+        (["report", "--format", "json"], 1, "b646aff6bf5e6d14587011e89f323885"),
+        (["verify", "--all", "--format", "json"], 0, "a64ab8096072e36d5585e43c7534c4b4"),
         (["fixtures", "check", "--format", "json"], 1, "0ca8cce540a802f69bff166716179909"),
-        (["report", "--format", "markdown"], 1, "46922badae489ac14c06ccb3d4bde44f"),
+        (["report", "--format", "markdown"], 1, "6cbcb038cf7432a0d0cb4cc66529ef34"),
         # every setting's flag, at its default
         (
             ["verify", "--all", "--samples", "100", "--width", "1/1073741824", "--jobs", "1",
              "--seed", "12648430"],
             0,
-            "4510987961b08f7766f5e0c855743f68",
+            "a64ab8096072e36d5585e43c7534c4b4",
         ),
     ],
     ids=["report", "verify-all", "fixtures-check", "report-markdown", "verify-all-flags"],
@@ -412,7 +412,8 @@ def test_laudate_alone_matches_its_verify_all_entry(monkeypatch, capsys):
 
 def test_samples_reach_only_gaudete(monkeypatch, capsys):
     """veritas and laudate draw nothing, so --samples leaves their entries as
-    they are; gaudete's sampled criteria draw as many points as it asks."""
+    they are; gaudete's minimality samples draw as many points as it asks,
+    and its identity witness does not depend on the count."""
     def lemma_entries(*args: str) -> dict:
         monkeypatch.setattr(certify, "_REPORTS", {})
         assert run(["verify", *args, "--no-timing", "--format", "json"]) == 0
@@ -420,9 +421,15 @@ def test_samples_reach_only_gaudete(monkeypatch, capsys):
 
     selection = ["--lemma", "veritas", "--lemma", "laudate"]
     assert lemma_entries(*selection, "--samples", "1") == lemma_entries(*selection)
-    gaudete = lemma_entries("--lemma", "gaudete", "--samples", "3")["gaudete"]["witnesses"]
-    assert gaudete["sampled_points"] == 3
-    assert gaudete["reverse_cauchy_schwarz"]["timelike_pairs"] == 3
+
+    def gaudete(*args: str) -> dict:
+        return lemma_entries("--lemma", "gaudete", *args)["gaudete"]["witnesses"]
+
+    assert gaudete("--samples", "3")["sampled_points"] == 3
+    exact = ("reverse_cauchy_schwarz_identity", "first_variation_deduction")
+    one, default = gaudete("--samples", "1"), gaudete()
+    assert [one[key] for key in exact] == [default[key] for key in exact]
+    assert one["reverse_cauchy_schwarz_identity"] is True
 
 
 def test_report_includes_truncated_chart_summaries(capsys):

@@ -377,6 +377,12 @@ def test_bundle_summary_points_come_from_the_chart_variables():
     assert summary["chart"] == "k1" and list(summary["evaluations"]) == ["1"]
 
 
-def test_unsupported_chart_rejected():
-    with pytest.raises(ValueError):
-        futaki_closed_form(ConeChart("k1", 1, ("beta",)))
+def test_closed_form_on_k1_chart():
+    # the transcribed brackets restrict to the k = 1 face as well: on
+    # (gamma,) they agree with the boundary route and with the closed form
+    chart = ConeChart("k1", 1, ("gamma",))
+    (gamma,) = MultiPoly.gens(chart.variables)
+    closed = futaki_closed_form(chart)
+    assert closed == futaki_boundary(chart.area_vector(), chart.variables)
+    denominator = gamma * 6 + 3
+    assert closed == (RatFunc.make(gamma * -4, denominator), RatFunc.make(gamma * 2, denominator))
