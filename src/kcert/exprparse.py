@@ -13,12 +13,12 @@ Text is ASCII: a digit, letter or space of any other script is an unexpected
 character.  A unary minus is accepted only at the start of an expression or
 parenthesis group.  Exponents above 64 are rejected, and so is a '(' that
 would open a 65th group inside others (``MAX_NESTING``).  Those bound degrees;
-work is bounded by refusing a product of groups or a group's power whose term
-pairs (#terms^exponent for a power) and exponent box both exceed
-``MAX_EXPANSION``.  Syntax errors carry line/column (in a fixture, the line of
-the file), and so do the arithmetic's limits: a literal longer than the
-interpreter's int-string digit limit, or a product whose degree reaches the
-polynomial exponent guard.
+work is bounded by refusing a product whose term pairs and exponent box both
+exceed ``MAX_EXPANSION``: a product of groups, or one of the squarings and
+products that form a group's power.  Syntax errors carry line/column (in a
+fixture, the line of the file), and so do the arithmetic's limits: a literal
+longer than the interpreter's int-string digit limit, or a product whose
+degree reaches the polynomial exponent guard.
 
 Expansion is cheap for transcribed displays, which are mostly sums of
 ``coefficient * symbol powers * (group)`` terms: within a term, numbers and
@@ -115,17 +115,6 @@ def _degrees(p: MultiPoly) -> list[int]:
     return [max(e) for e in zip(*p.numerators)]  # per variable; [] for zero
 
 
-def _bound(token: _Token, pairs: int, degrees) -> None:
-    """Refuse, at ``token``, to form a product of these ``degrees`` whose term
-    pairs and exponent box both exceed ``MAX_EXPANSION``."""
-    size = min(pairs, prod(d + 1 for d in degrees))
-    if size > MAX_EXPANSION:
-        raise ParseError(
-            f"expansion to min(term pairs, exponent box) = {size} exceeds the "
-            f"{MAX_EXPANSION} limit", token.line, token.column
-        )
-
-
 class _Parser:
     def __init__(self, tokens: list[_Token], variables: tuple[str, ...]):
         self.tokens = tokens
@@ -217,10 +206,7 @@ class _Parser:
                 elif coefficient:
                     reach = list(map(add, reach, _degrees(group)))
                     self.guard(token, coefficient, reach)
-                    if groups is not None:
-                        pairs = len(groups.numerators) * len(group.numerators)
-                        _bound(token, pairs, map(add, _degrees(groups), _degrees(group)))
-                    groups = group if groups is None else groups * group
+                    groups = group if groups is None else self.product(token, groups, group)
             token = self.peek()
             if token.kind == "OP" and token.text == "*":
                 self.advance()
@@ -258,13 +244,32 @@ class _Parser:
         return exponent, token
 
     def factor(self) -> MultiPoly:
-        value = self.base()
+        """A base and its power, formed by repeated squaring in the order of
+        ``MultiPoly.__pow__``; each product is bounded by its own operands."""
+        base = self.base()
         exponent, token = self.exponent()
         if token is None:
-            return value
-        degrees = [exponent * d for d in _degrees(value)]
-        _bound(token, len(value.numerators) ** exponent, degrees)
-        return self.at(token, pow, value, exponent)
+            return base
+        result = None
+        while exponent:
+            if exponent & 1:
+                result = base if result is None else self.product(token, result, base)
+            exponent >>= 1
+            if exponent:
+                base = self.product(token, base, base)
+        return MultiPoly.const(self.variables, 1) if result is None else result
+
+    def product(self, token: _Token, a: MultiPoly, b: MultiPoly) -> MultiPoly:
+        """a * b, refused at ``token`` when its term pairs and its exponent
+        box both exceed ``MAX_EXPANSION``."""
+        box = prod(x + y + 1 for x, y in zip(_degrees(a), _degrees(b)))
+        size = min(len(a.numerators) * len(b.numerators), box)
+        if size > MAX_EXPANSION:
+            raise ParseError(
+                f"expansion to min(term pairs, exponent box) = {size} exceeds the "
+                f"{MAX_EXPANSION} limit", token.line, token.column
+            )
+        return self.at(token, mul, a, b)
 
     def base(self) -> MultiPoly:
         """A parenthesised expression; the term reads numbers and declared symbols."""

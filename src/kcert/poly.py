@@ -27,8 +27,11 @@ Conventions:
     denominators are identical polynomials, fails at once when the extreme
     terms of the two cross products differ, and is otherwise decided by
     cross-multiplication, never by multivariate gcd;
-  * evaluation at a rational point sums integers and divides once (see
-    ``MultiPoly.evaluate``);
+  * evaluation at a rational point sums integers and divides once, in nested
+    dot products over a layout that a polynomial forms on its first
+    evaluation and keeps in a private field (``MultiPoly.evaluate``).  The
+    layout lives and dies with its polynomial; equality, hashing, ``terms``
+    and rendering never read it;
   * a product of at least 16 term pairs whose exponent box
     prod_i(deg_a,i + deg_b,i + 1) has no more slots than pairs is dense and
     is formed by Kronecker substitution in decimal slots: one multiply of
@@ -68,7 +71,7 @@ from decimal import (
 )
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product, repeat
+from itertools import compress, groupby, product, repeat
 from math import gcd, lcm, prod
 from operator import add, attrgetter, mul, sub
 from struct import iter_unpack, unpack
@@ -197,7 +200,7 @@ class MultiPoly(_Frozen):
     monomial is its numerator divided by ``den``.
     """
 
-    __slots__ = ("variables", "numerators", "den")
+    __slots__ = ("variables", "numerators", "den", "_layout")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Scalar]):
         varlist = tuple(variables)
@@ -219,6 +222,7 @@ class MultiPoly(_Frozen):
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "numerators", table)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_layout", None)  # formed by the first ``evaluate``
 
     @staticmethod
     def _build(variables: tuple[str, ...], table: dict[Exponents, int], den: int = 1) -> MultiPoly:
@@ -456,28 +460,61 @@ class MultiPoly(_Frozen):
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point, accumulated as a single integer.
 
-        The sum is homogenised: with x_i = p_i/q_i and D_i the largest
-        exponent of variable i, each term n*prod(x_i^e_i) of the numerator
-        sum is multiplied by prod(q_i^D_i).  It becomes the integer
-        n * prod(p_i^e_i * q_i^(D_i-e_i)), read from one weight table per
-        variable, and the total is divided by den * prod(q_i^D_i) once.
+        The sum is homogenised: with x_i = p_i/q_i and D_i the top exponent
+        of variable i, term n*prod(x_i^e_i) times prod(q_i^D_i) is the integer
+        n * prod(w_i[e_i]), with w_i[e] = p_i^e * q_i^(D_i-e) formed only for
+        exponents that occur, and the total is divided by den * prod(q_i^D_i)
+        once.  It is summed in the nested (Horner) order of the layout that
+        the first call forms (``_grouped``): each group is one dot product,
+        and the group sums fold outward one variable at a time.  A coordinate
+        that is not an int or Fraction is a TypeError.
         """
         if len(point) != len(self.variables):
             raise ValueError(
                 f"point has {len(point)} coordinates, expected {len(self.variables)}"
             )
+        point = [exact_scalar(f"coordinate {v}", x) for v, x in zip(self.variables, point)]
+        if not self.variables or not self.numerators:
+            return Fraction(self.numerators.get((), 0), self.den)
+        if self._layout is None:
+            object.__setattr__(self, "_layout", self._grouped())
+        used, values, folds = self._layout
         scale = self.den
-        weights: list[dict[int, int]] = []
-        for x, used in zip(point, map(set, zip(*self.numerators))):
-            p, q, top = x.numerator, x.denominator, max(used)
-            weights.append({e: p ** e * q ** (top - e) for e in used})
+        weights = []
+        for x, (exponents, top) in zip(point, used):
+            p, q = x.numerator, x.denominator
+            weights.append({e: p ** e * q ** (top - e) for e in exponents})
             scale *= q ** top
-        total = 0
-        for exps, n in self.numerators.items():
-            for table, e in zip(weights, exps):
-                n *= table[e]
-            total += n
-        return Fraction(total, scale)
+        for fold in folds:
+            weight = weights.pop().__getitem__
+            values = [
+                sum(map(mul, values[start:stop], map(weight, exponents)))
+                for start, stop, exponents in fold
+            ]
+        return Fraction(values[0], scale)
+
+    def _grouped(self) -> tuple:
+        """``evaluate``'s layout of a nonzero polynomial in at least one
+        variable: per variable, the exponents that occur and their top; the
+        numerators in sorted exponent order; and per variable, last to first,
+        a fold with one (start, stop, exponents) per prefix one exponent
+        shorter, whose children are the values start:stop of the level
+        before.  The first fold groups the terms by every exponent but the last.
+        """
+        keys = sorted(self.numerators)
+        used = tuple((tuple(set(column)), max(column)) for column in zip(*keys))
+        numerators = tuple(map(self.numerators.__getitem__, keys))
+        folds = []
+        while keys[0]:
+            fold, parents, start = [], [], 0
+            for parent, run in groupby(keys, key=lambda e: e[:-1]):
+                exponents = tuple(e[-1] for e in run)
+                fold.append((start, start + len(exponents), exponents))
+                parents.append(parent)
+                start += len(exponents)
+            folds.append(tuple(fold))
+            keys = parents
+        return used, numerators, tuple(folds)
 
     def substitute(
         self,

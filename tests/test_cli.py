@@ -283,7 +283,8 @@ def test_fixture_arithmetic_limits_are_positioned_errors(numerator, column, tmp_
 
 def test_fixture_expansion_is_a_positioned_error(tmp_path, monkeypatch, capsys):
     """21 characters that would expand to 131,841 terms are refused at the
-    exponent 8, before any product past ``MAX_EXPANSION`` is formed."""
+    exponent 8, before any product past ``MAX_EXPANSION`` is formed: the
+    fourth power of the 2,145 terms would be squared in a 513 x 513 box."""
     fixtures = tmp_path / "fixtures"
     shutil.copytree(certify.FIXTURES_DIR, fixtures)
     path = fixtures / "k2" / "calA.fix"
@@ -303,7 +304,9 @@ def test_fixture_expansion_is_a_positioned_error(tmp_path, monkeypatch, capsys):
     assert run(["fixtures", "check", "--fixtures-dir", str(fixtures)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("fixture error: calA_k2: [numerator] expansion to ")
+    assert captured.err.startswith(
+        "fixture error: calA_k2: [numerator] expansion to min(term pairs, exponent box) = 263169 "
+    )
     assert f"(line {head.count(chr(10)) + 3}, column 21)" in captured.err
     assert "Traceback" not in captured.err
     assert sizes and max(sizes) <= MAX_EXPANSION
@@ -397,6 +400,30 @@ def test_report_bytes_are_unchanged(monkeypatch, capsys, command, code, digest):
     assert run([*command, "--no-timing"]) == code
     stdout = capsys.readouterr().out
     assert hashlib.md5(stdout.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "chart, point, digest",
+    [
+        (
+            "k3",
+            "281474976710597/140737488355213,187649984473771/281474976710129,"
+            "99999999999973/70368744177643",
+            "bdcdc509ed3138c47f60c3c04592628d",
+        ),
+        (
+            "k2",
+            "281474976710597/140737488355213,187649984473771/281474976710129",
+            "c57d2d31e8affa1b1c47e5ce5ae70c7d",
+        ),
+    ],
+    ids=["k3", "k2"],
+)
+def test_eval_bytes_at_48_bit_heights_are_unchanged(capsys, chart, point, digest):
+    # the objective's exact value at a point of 48-bit heights; CI runs the same
+    # commands in fresh processes under two hash seeds
+    assert run(["eval", "--chart", chart, "--point", point, "--what", "calA"]) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
 def test_laudate_alone_matches_its_verify_all_entry(monkeypatch, capsys):

@@ -78,24 +78,42 @@ def test_nesting_limit():
     assert (info.value.line, info.value.column) == (1, 3 + MAX_NESTING)  # the 65th "("
 
 
-# six terms of degree 73 in beta and 64 + {} in gamma, to the 7th power:
-# 6^7 term pairs, over a 512 x (64 + {}) * 7 + 1 exponent box
-_SIXTH = "(beta^64 beta^9 + gamma^64 gamma^{} + beta + gamma + beta gamma + 1)^7"
+# six terms of degree 73 in beta and 73 in gamma, to the 7th power: 540 terms
+_SIXTH = "(beta^64 beta^9 + gamma^64 gamma^9 + beta + gamma + beta gamma + 1)^7"
+# 32 * {} terms, squared: each squaring of the power is bounded by its own
+# operands, so the last one forms (32 * {})^2 term pairs in a box far larger
+_SQUARE = "((1 + beta^64)^31 (1 + gamma^64)^{})^2"
 
 
 def test_expansion_bound_is_inclusive_and_positioned():
     """min(term pairs, exponent box) may reach MAX_EXPANSION, not pass it."""
-    at_limit = _SIXTH.format(9)  # box 512 x 512
     assert MAX_EXPANSION == 512 * 512
-    assert len(parse_expression(at_limit, BG).numerators) == 540
-    over = _SIXTH.format(10)  # box 512 x 519, refused at the exponent 7
-    with pytest.raises(ParseError, match=f"= 265728 exceeds the {MAX_EXPANSION} limit") as info:
+    beta, gamma = MultiPoly.gens(BG)
+    at_limit = _SQUARE.format(15)  # 512^2 term pairs
+    expected = ((1 + beta ** 64) ** 31 * (1 + gamma ** 64) ** 15) ** 2
+    assert parse_expression(at_limit, BG) == expected
+    over = _SQUARE.format(16)  # 544^2 term pairs, refused at the exponent 2
+    with pytest.raises(ParseError, match=f"= 295936 exceeds the {MAX_EXPANSION} limit") as info:
         parse_expression(over, BG)
     assert (info.value.line, info.value.column) == (1, len(over))
     # 540^2 term pairs over a 1023 x 1023 box, refused at the '*'
+    sixth = parse_expression(_SIXTH, BG)
+    assert len(sixth.numerators) == 540
     with pytest.raises(ParseError, match=f"= 291600 exceeds the {MAX_EXPANSION} limit") as info:
-        parse_expression(at_limit + " * " + at_limit, BG)
-    assert (info.value.line, info.value.column) == (1, len(at_limit) + 2)
+        parse_expression(_SIXTH + " * " + _SIXTH, BG)
+    assert (info.value.line, info.value.column) == (1, len(_SIXTH) + 2)
+
+
+def test_power_bound_counts_the_pairs_each_squaring_forms():
+    """A sparse power is bounded by the products repeated squaring forms, not
+    by #terms^exponent: the 65-term power below squares at most 33 terms."""
+    beta, gamma = MultiPoly.gens(BG)
+    text = "(beta^64*gamma^64 + 1)^64"
+    assert parse_expression(text, BG) == (beta ** 64 * gamma ** 64 + 1) ** 64
+    # its last squaring forms 561^2 term pairs in a 4097 x 4097 box
+    with pytest.raises(ParseError, match="= 314721 exceeds") as info:
+        parse_expression("(beta^64*gamma^64 + beta + 1)^64", BG)
+    assert (info.value.line, info.value.column) == (1, 31)
 
 
 def test_syntax_error_has_position():

@@ -373,6 +373,37 @@ def test_evaluate_matches_termwise_reference():
             value = p.evaluate(point)
             assert type(value) is Fraction
             assert value == _termwise_evaluate(p, point)
+    # two terms whose top exponent is 10,007: weights for the exponents that
+    # occur, not for the whole range below the top
+    sparse = MultiPoly(BG, {(10007, 3): Fraction(-5, 7), (0, 1): 3})
+    point = (_signed_rational(rng, 48), _signed_rational(rng, 48))
+    assert sparse.evaluate(point) == _termwise_evaluate(sparse, point)
+
+
+def test_evaluation_layout_is_formed_once_and_read_by_nothing_else(monkeypatch):
+    grouped, calls = MultiPoly._grouped, []
+
+    def counting(p):
+        calls.append(p)
+        return grouped(p)
+
+    monkeypatch.setattr(MultiPoly, "_grouped", counting)
+    beta, gamma = gens()
+    terms = ((beta + 2 * gamma + 1) ** 3).numerators
+    evaluated, fresh = MultiPoly(BG, terms), MultiPoly(BG, terms)
+    point = (Fraction(2, 3), Fraction(-5, 7))
+    value = evaluated.evaluate(point)
+    assert evaluated.evaluate(point) == value == _termwise_evaluate(fresh, point)
+    assert len(calls) == 1 and calls[0] is evaluated
+    assert evaluated == fresh and hash(evaluated) == hash(fresh)
+    assert poly._cube(evaluated) is poly._cube(fresh)
+
+
+def test_evaluate_refuses_float_coordinates():
+    p = MultiPoly.variable(BG, "beta")
+    with pytest.raises(TypeError, match="coordinate beta is 0.5, not an int or Fraction"):
+        p.evaluate((0.5, 1))
+    assert p.evaluate((Fraction(1, 2), 1)) == Fraction(1, 2)
 
 
 def _expanded_substitution(p, images, target):
