@@ -4,7 +4,8 @@ Each lemma-level claim is reduced to exact, re-checkable evidence:
 
   * convexity on antidiagonal segments: the structural second derivative has
     an all-nonnegative, nonzero numerator over D^3 with D all-positive
-    (a positivity certificate on the positive orthant);
+    (a positivity certificate on the positive orthant, from coefficient
+    signs alone: no value is sampled);
   * one-variable derivative signs: Sturm chains count roots exactly, and the
     classical coefficient-splitting inequality chains are replayed digit by
     digit (dual certification: the chains are faithful, the Sturm counts are
@@ -20,7 +21,8 @@ Each lemma-level claim is reduced to exact, re-checkable evidence:
 
 Deterministic exact sampling stands in only where a full semialgebraic proof
 is still out of scope: gaudete's global minimality, labelled by its
-``sampled_points`` witness.  That is all that ``sample_count`` reaches.
+``sampled_points`` witness.  That is all that ``sample_count`` and ``seed``
+reach.
 
 Two certificates are rechecked from what they emit before their lemmas can
 PASS: each convexity certificate from its own payload
@@ -98,9 +100,10 @@ class PositivityCertificate(NamedTuple):
     """Positivity of a rational function on the positive orthant.
 
     PASS means: numerator nonzero with every coefficient >= 0, denominator of
-    the exact form D^3 with every coefficient of D > 0, plus exact positive
-    spot values at 20 strictly positive sample points.  The certificate
-    re-validates from its own payload without recomputing the symbolic data.
+    the exact form D^3 with every coefficient of D > 0.  Such a rational
+    function is positive at every point of the open orthant, so no value is
+    sampled.  The certificate re-validates from its own payload without
+    recomputing the symbolic data.
     """
 
     description: str
@@ -111,7 +114,6 @@ class PositivityCertificate(NamedTuple):
     denominator_base_terms: int
     denominator_base_min_coeff: Fraction
     witness_monomial: str | None = None
-    samples: tuple[tuple[tuple[Fraction, ...], Fraction], ...] = ()
 
     def recheck(self) -> bool:
         if self.verdict == "FAIL":
@@ -125,7 +127,6 @@ class PositivityCertificate(NamedTuple):
             and self.numerator_min_coeff >= 0
             and self.denominator_base_terms > 0
             and self.denominator_base_min_coeff > 0
-            and all(value > 0 for _, value in self.samples)
         )
 
     def as_dict(self) -> dict:
@@ -137,7 +138,6 @@ class PositivityCertificate(NamedTuple):
             "numerator_min_coeff": str(self.numerator_min_coeff),
             "denominator_base_terms": self.denominator_base_terms,
             "denominator_base_min_coeff": str(self.denominator_base_min_coeff),
-            "sample_values_positive": bool(self.samples) and all(v > 0 for _, v in self.samples),
         }
         if self.witness_monomial is not None:
             out["witness_monomial"] = self.witness_monomial
@@ -149,14 +149,13 @@ def positivity_certificate(
     denominator_base: MultiPoly,
     direction: tuple[int, ...],
     description: str,
-    seed: int = DEFAULT_SEED,
-    sample_count: int = 20,
 ) -> PositivityCertificate:
     """Certify f > 0 on the positive orthant from coefficient signs.
 
     ``f`` must be given over the structural denominator D^3, D =
-    ``denominator_base``; any other denominator is a ValueError.  So each spot
-    value is the exact f.num(p) / D(p)^3, with D evaluated rather than its cube.
+    ``denominator_base``; any other denominator is a ValueError.  That guard
+    is what makes the denominator positive on the orthant: D is, when its
+    coefficients are, and so is its cube.
     """
     cube = _cube(denominator_base)
     if f.den is not cube and f.den != cube:
@@ -164,13 +163,6 @@ def positivity_certificate(
     nonneg, witness = coefficients_all_nonneg(f.num)
     den_min = min(denominator_base.terms.values(), default=Fraction(0))
     ok = nonneg and not f.num.is_zero and den_min > 0
-    rng = SplitMix64(seed)
-    samples: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    if ok:
-        for _ in range(sample_count):
-            point = rng.point(len(f.variables))
-            samples.append((point, f.num.evaluate(point) / denominator_base.evaluate(point) ** 3))
-        ok = all(value > 0 for _, value in samples)
     num_min = min(f.num.terms.values(), default=Fraction(0))
     witness_text = None
     if witness is not None:
@@ -188,7 +180,6 @@ def positivity_certificate(
         denominator_base_terms=len(denominator_base.terms),
         denominator_base_min_coeff=den_min,
         witness_monomial=witness_text,
-        samples=tuple(samples),
     )
 
 
@@ -255,9 +246,7 @@ def check_all_fixtures(fixtures_dir: Path | None = None) -> list[tuple[str, obje
     return results
 
 
-def verify_convexity(
-    chart_id: str, fixtures_dir: Path | None = None, seed: int = DEFAULT_SEED
-) -> LemmaReport:
+def verify_convexity(chart_id: str, fixtures_dir: Path | None = None) -> LemmaReport:
     """Positivity certificate for the second derivative along the chart's
     antidiagonal, its ``CONVEXITY`` direction.
 
@@ -275,7 +264,6 @@ def verify_convexity(
         build_bundle(CHARTS[chart_id]).calA.den,
         direction,
         f"second derivative of the {chart_id} objective along {direction}",
-        seed=seed,
     )
     _, comparison = fixture_comparison(chart_id, fixture_name, fixtures_dir)
     # The convexity claim stands or falls with the positivity certificate; the
@@ -559,9 +547,7 @@ def _composite(
 
 
 def verify_uniqueness_k2(
-    isolation_width: Fraction = DEFAULT_ISOLATION_WIDTH,
-    seed: int = DEFAULT_SEED,
-    fixtures_dir: Path | None = None,
+    isolation_width: Fraction = DEFAULT_ISOLATION_WIDTH, fixtures_dir: Path | None = None
 ) -> LemmaReport:
     """Exactly one critical point for k = 2, an absolute minimum.
 
@@ -572,7 +558,7 @@ def verify_uniqueness_k2(
     end a bound on the whole chart.  Nothing is sampled.
     """
     ingredients = [
-        run_lemma(lemma_id, seed=seed, fixtures_dir=fixtures_dir)
+        run_lemma(lemma_id, fixtures_dir=fixtures_dir)
         for lemma_id in ("symmetry2", "convex2", "prime2", "doubleprime2")
     ]
     failures = {}
@@ -651,7 +637,7 @@ def verify_uniqueness_k3(
     drawn from ``seed``.
     """
     ingredients = [
-        run_lemma(lemma_id, seed=seed, fixtures_dir=fixtures_dir)
+        run_lemma(lemma_id, fixtures_dir=fixtures_dir)
         for lemma_id in ("symmetry3a", "symmetry3b", "convex3", "veritas")
     ]
     failures = {}
@@ -724,12 +710,12 @@ def _lemma_calls(
     receives.  The verifiers are looked up when this is called, so that a
     wrapped verifier is the one called."""
     return {
-        "convex2": (verify_convexity, ("k2", fixtures_dir, seed)),
+        "convex2": (verify_convexity, ("k2", fixtures_dir)),
         "symmetry2": (verify_symmetry, ("symmetry2",)),
         "prime2": (verify_prime2, ()),
         "doubleprime2": (verify_doubleprime2, ()),
-        "laudate": (verify_uniqueness_k2, (isolation_width, seed, fixtures_dir)),
-        "convex3": (verify_convexity, ("k3", fixtures_dir, seed)),
+        "laudate": (verify_uniqueness_k2, (isolation_width, fixtures_dir)),
+        "convex3": (verify_convexity, ("k3", fixtures_dir)),
         "symmetry3a": (verify_symmetry, ("symmetry3a",)),
         "symmetry3b": (verify_symmetry, ("symmetry3b",)),
         "veritas": (verify_veritas, ()),
@@ -757,7 +743,8 @@ def run_lemma(
 
     The key is the arguments the verifier receives, not the call form, so the
     CLI and the composite lemmas share one report, and a setting a lemma does
-    not use (``sample_count`` for every lemma but gaudete) does not split it.
+    not use (``sample_count`` and ``seed`` for every lemma but gaudete) does
+    not split it.
     The report is stored with the verifier call's wall time as its
     ``seconds``; a verifier called directly leaves it 0.0.
     """

@@ -16,7 +16,11 @@ JSON report is byte-identical across runs of the same configuration.
 ``_report`` builds a report's payload once and ``emit_report`` renders it.
 Each run setting is named once, in ``_ENV_CONFIG_TYPES``: a ``RunConfig``
 field, a ``KCERT_CONFIG`` key and its flag's argparse dest (``--samples``
-sets ``sample_count``, ``--width`` ``isolation_width``).
+sets ``sample_count``, ``--width`` ``isolation_width``).  Each setting
+reaches some computation: ``--samples`` and ``--seed`` reach gaudete's
+minimality samples and nothing else, ``--width`` laudate's isolation,
+``--fixtures-dir`` the fixture comparisons and ``--format`` the rendering.
+Any other flag or key is a usage error.
 """
 
 from __future__ import annotations
@@ -87,7 +91,6 @@ def parse_point(text: str) -> tuple[Fraction, ...]:
 _ENV_CONFIG_TYPES = {
     "sample_count": (int,),
     "isolation_width": (str, int),
-    "jobs": (int,),
     "format": (str,),
     "fixtures_dir": (str, type(None)),
     "seed": (int,),
@@ -105,7 +108,6 @@ class RunConfig:
         tasks: list[str] | None = None,
         sample_count: int = DEFAULT_SAMPLE_COUNT,
         isolation_width: Fraction = DEFAULT_ISOLATION_WIDTH,
-        jobs: int = 1,
         format: str = "json",
         fixtures_dir: Path | str | None = None,
         seed: int = DEFAULT_SEED,
@@ -115,8 +117,6 @@ class RunConfig:
             raise ValueError("sample_count must be >= 1")
         if isolation_width <= 0:
             raise ValueError("isolation_width must be positive")
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
         check_seed(seed)
         if fixtures_dir is not None:
             if fixtures_dir == "":
@@ -127,7 +127,6 @@ class RunConfig:
         self.tasks = ["all"] if tasks is None else tasks
         self.sample_count = sample_count
         self.isolation_width = isolation_width
-        self.jobs = jobs
         self.format = format
         self.fixtures_dir = fixtures_dir
         self.seed = seed
@@ -243,11 +242,7 @@ def _report(
     summaries: bool = False,
 ) -> int:
     """Print the report of the lemmas, in ``LEMMA_IDS`` order, then of the
-    fixtures and the chart summaries if asked; return the exit code.
-
-    Lemmas run in this thread; ``config.jobs`` is accepted and echoed but has
-    no effect (threads only slowed this down).
-    """
+    fixtures and the chart summaries if asked; return the exit code."""
     start = time.perf_counter()
     lemmas = [
         run_lemma(
@@ -348,9 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--width", dest="isolation_width", type=parse_rational, metavar="WIDTH",
             help="isolation width (p/q)",
-        )
-        p.add_argument(
-            "--jobs", type=parse_integer, help="accepted for older configurations; no effect"
         )
         p.add_argument("--format", choices=("json", "markdown"))
         p.add_argument("--fixtures-dir", dest="fixtures_dir")

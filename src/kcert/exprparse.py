@@ -13,9 +13,12 @@ Text is ASCII: a digit, letter or space of any other script is an unexpected
 character.  A unary minus is accepted only at the start of an expression or
 parenthesis group.  Exponents above 64 are rejected, and so is a '(' that
 would open a 65th group inside others (``MAX_NESTING``).  Those bound degrees;
-work is bounded by refusing a product whose term pairs and exponent box both
-exceed ``MAX_EXPANSION``: a product of groups, or one of the squarings and
-products that form a group's power.  Syntax errors carry line/column (in a
+work is bounded by refusing a product whose term pairs, and exponent box times
+coefficient words, both exceed ``MAX_EXPANSION``: a product of groups, or one
+of the squarings and products that form a group's power.  A dense product's
+work grows with its box and the width of each slot, and its slot holds the
+product of the operands' largest coefficients, so the box counts once per
+64-bit word of that product.  Syntax errors carry line/column (in a
 fixture, the line of the file), and so do the arithmetic's limits: a literal
 longer than the interpreter's int-string digit limit, or a product whose
 degree reaches the polynomial exponent guard.
@@ -59,7 +62,8 @@ from .sampling import DEFAULT_SEED, SplitMix64
 
 MAX_EXPONENT = 64
 MAX_NESTING = 64  # open groups at once; the shipped fixtures nest at most 4 deep
-MAX_EXPANSION = 2 ** 18  # min(term pairs, exponent box); the shipped fixtures reach 4096
+# min(term pairs, exponent box x coefficient words); the shipped fixtures reach 4096
+MAX_EXPANSION = 2 ** 18
 COMPARISON_SAMPLES = 100
 
 
@@ -113,6 +117,13 @@ def _tokenize(text: str, first_line: int = 1) -> list[_Token]:
 
 def _degrees(p: MultiPoly) -> list[int]:
     return [max(e) for e in zip(*p.numerators)]  # per variable; [] for zero
+
+
+def _coefficient_words(a: MultiPoly, b: MultiPoly) -> int:
+    """The 64-bit words that the product of a's and b's largest coefficients
+    fills, at least 1; a and b are nonzero."""
+    bits = sum(max(map(abs, p.numerators.values())).bit_length() for p in (a, b))
+    return max(1, -(-bits // 64))
 
 
 class _Parser:
@@ -260,15 +271,17 @@ class _Parser:
         return MultiPoly.const(self.variables, 1) if result is None else result
 
     def product(self, token: _Token, a: MultiPoly, b: MultiPoly) -> MultiPoly:
-        """a * b, refused at ``token`` when its term pairs and its exponent
-        box both exceed ``MAX_EXPANSION``."""
-        box = prod(x + y + 1 for x, y in zip(_degrees(a), _degrees(b)))
-        size = min(len(a.numerators) * len(b.numerators), box)
-        if size > MAX_EXPANSION:
-            raise ParseError(
-                f"expansion to min(term pairs, exponent box) = {size} exceeds the "
-                f"{MAX_EXPANSION} limit", token.line, token.column
-            )
+        """a * b, refused at ``token`` when its term pairs, and its exponent
+        box times its coefficient words, both exceed ``MAX_EXPANSION``."""
+        pairs = len(a.numerators) * len(b.numerators)
+        if pairs > MAX_EXPANSION:
+            box = prod(x + y + 1 for x, y in zip(_degrees(a), _degrees(b)))
+            size = min(pairs, box * _coefficient_words(a, b))
+            if size > MAX_EXPANSION:
+                raise ParseError(
+                    f"expansion to min(term pairs, exponent box x coefficient words) = "
+                    f"{size} exceeds the {MAX_EXPANSION} limit", token.line, token.column
+                )
         return self.at(token, mul, a, b)
 
     def base(self) -> MultiPoly:

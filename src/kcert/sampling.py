@@ -1,4 +1,5 @@
-"""Deterministic rational sampling used by certificates and fixture checks.
+"""Deterministic rational sampling for gaudete's minimality samples and the
+fixture comparisons.
 
 A splitmix64 stream keeps the sample sequences identical across platforms and
 Python versions; the default seed is 0xC0FFEE.  Samples are strictly positive

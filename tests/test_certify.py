@@ -23,17 +23,20 @@ from kcert.certify import (
 )
 from kcert.exprparse import compare_against_fixture
 from kcert.poly import MultiPoly, RatFunc
+from kcert.sampling import DEFAULT_SEED, SplitMix64
 
 
 def test_convexity_certificates_pass():
     report2 = verify_convexity("k2")
-    assert report2.status == "PASS"
-    cert = report2.witnesses["certificate"]
-    assert cert["numerator_terms"] > 0
-    assert Fraction(cert["numerator_min_coeff"]) >= 0
-    assert Fraction(cert["denominator_base_min_coeff"]) > 0
     report3 = verify_convexity("k3")
-    assert report3.status == "PASS"
+    for report in (report2, report3):
+        assert report.status == "PASS"
+        cert = report.witnesses["certificate"]
+        assert cert["numerator_terms"] > 0
+        assert Fraction(cert["numerator_min_coeff"]) >= 0
+        assert Fraction(cert["denominator_base_min_coeff"]) > 0
+        # coefficient signs prove positivity on the orthant; nothing is sampled
+        assert "sample_values_positive" not in cert
     assert report3.witnesses["fixture"]["d2_alphabeta"]["verdict"] == "SCALED"
     assert report3.witnesses["fixture"]["d2_alphabeta"]["constant"] == "12"
 
@@ -58,8 +61,7 @@ def test_negative_control_positivity():
     assert cert.numerator_min_coeff == -1
     assert cert.witness_monomial == "-1*beta^2"
     assert cert.recheck()
-    # no samples are drawn for a FAIL certificate, so none can be positive
-    assert cert.as_dict()["sample_values_positive"] is False
+    assert "sample_values_positive" not in cert.as_dict()
 
 
 def test_zero_numerator_fail_certificate_rechecks():
@@ -72,7 +74,8 @@ def test_zero_numerator_fail_certificate_rechecks():
 
 
 def test_positivity_certificate_requires_the_cube_denominator():
-    """Spot values are taken over D, so f must be over D^3 exactly."""
+    """D > 0 on the orthant makes the denominator positive only when it is
+    D^3 exactly."""
     beta, gamma = MultiPoly.gens(("beta", "gamma"))
     base = 1 + beta + gamma
     numerator = 1 + beta * gamma
@@ -81,8 +84,6 @@ def test_positivity_certificate_requires_the_cube_denominator():
             positivity_certificate(RatFunc(numerator, den), base, (1, 0), "wrong denominator")
     cert = positivity_certificate(RatFunc(numerator, base ** 3), base, (1, 0), "cube")
     assert cert.verdict == "PASS"
-    for point, value in cert.samples:
-        assert value == RatFunc(numerator, base ** 3).evaluate(point)
 
 
 def test_positivity_certificate_recheck_is_self_contained():
@@ -161,8 +162,16 @@ def test_laudate_refinement_stops_at_the_default_width(monkeypatch):
 
 
 def test_convexity_samples_positive():
+    """The certificate samples nothing, so spot values taken here confirm
+    its claim from outside: the k=3 second derivative is positive at seeded
+    points of the open orthant."""
     report = verify_convexity("k3")
-    assert report.witnesses["certificate"]["sample_values_positive"]
+    assert report.status == "PASS"
+    _, direction, _ = certify.CONVEXITY["k3"]
+    d2 = certify._second_derivative("k3", direction)
+    rng = SplitMix64(DEFAULT_SEED)
+    for _ in range(20):
+        assert d2.evaluate(rng.point(len(d2.variables))) > 0
 
 
 def test_symmetries():
@@ -340,7 +349,7 @@ def test_composite_lemmas_reuse_ingredient_reports(monkeypatch):
                      "symmetry3a", "symmetry3b", "convex3"):
         run_lemma(lemma_id, 12)
     run_lemma("veritas", 13)  # veritas takes no setting: one report for any count
-    assert run_lemma("convex2", seed=certify.DEFAULT_SEED) is run_lemma("convex2", 5)
+    assert run_lemma("convex2", seed=5) is run_lemma("convex2", 5)
 
     def refuse(*args, **kwargs):
         raise AssertionError("an ingredient verifier ran again")
@@ -353,6 +362,15 @@ def test_composite_lemmas_reuse_ingredient_reports(monkeypatch):
     assert laudate.status == "PASS" and gaudete.status == "PASS"
     assert set(laudate.witnesses["ingredients"].values()) == {"PASS"}
     assert set(gaudete.witnesses["ingredients"].values()) == {"PASS"}
+
+
+@pytest.mark.parametrize("lemma_id", ["convex2", "laudate"])
+def test_seed_splits_no_report_but_gaudete(monkeypatch, lemma_id):
+    """The seed reaches gaudete's minimality samples alone, so every other
+    lemma has one report for any seed."""
+    monkeypatch.setattr(certify, "_REPORTS", {})
+    assert run_lemma(lemma_id, seed=5) is run_lemma(lemma_id, seed=6)
+    assert run_lemma("gaudete", 3, seed=5) is not run_lemma("gaudete", 3, seed=6)
 
 
 def test_fixture_battery():

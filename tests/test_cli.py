@@ -183,29 +183,52 @@ def test_empty_task_list_passes(capsys):
     assert json.loads(emit_report(payload, "json")) == payload
 
 
-def test_jobs_flag_merges_deterministically(capsys):
-    args = [
-        "verify", "--lemma", "symmetry2", "--lemma", "claritas",
-        "--lemma", "prime2", "--format", "json", "--no-timing",
-    ]
-    assert run(args) == 0
-    sequential = capsys.readouterr().out
-    assert run(args + ["--jobs", "3"]) == 0
-    parallel = json.loads(capsys.readouterr().out)
-    sequential = json.loads(sequential)
-    assert [l["id"] for l in parallel["lemmas"]] == [l["id"] for l in sequential["lemmas"]]
-    assert parallel["lemmas"] == sequential["lemmas"]
-
-
 def test_invalid_sample_count_is_usage_error(capsys):
     assert run(["verify", "--lemma", "claritas", "--samples", "0"]) == 2
 
 
-def test_invalid_jobs_flag_is_usage_error(capsys):
-    assert run(["verify", "--lemma", "claritas", "--jobs", "0"]) == 2
+def test_jobs_setting_is_retired(tmp_path, monkeypatch, capsys):
+    """``jobs`` reached no computation, so neither its flag nor its
+    KCERT_CONFIG key is read: each is a usage error."""
+    args = ["verify", "--lemma", "claritas", "--no-timing"]
+    assert run(args + ["--jobs", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "jobs must be >= 1" in captured.err
+    assert "unrecognized arguments: --jobs 1" in captured.err
+    assert "Traceback" not in captured.err
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"jobs": 1}))
+    monkeypatch.setenv("KCERT_CONFIG", str(config_path))
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown KCERT_CONFIG key 'jobs'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_seed_changes_no_lemma_but_gaudete(monkeypatch, capsys):
+    monkeypatch.setattr(certify, "_REPORTS", {})
+    args = ["verify", "--lemma", "convex2", "--lemma", "laudate", "--no-timing"]
+    lemmas = []
+    for seed in ("5", "6"):
+        assert run(args + ["--seed", seed]) == 0
+        lemmas.append(json.loads(capsys.readouterr().out)["lemmas"])
+    assert lemmas[0] == lemmas[1]
+    assert [item["id"] for item in lemmas[0]] == ["convex2", "laudate"]
+
+
+def test_ci_config_step_gives_every_setting_its_default():
+    """CI's "KCERT_CONFIG with every default" step writes one JSON object;
+    it names each setting, in order, at its ``RunConfig`` default."""
+    from kcert.cli import _ENV_CONFIG_TYPES, RunConfig
+
+    ci = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
+    step = ci.read_text(encoding="utf-8").split("KCERT_CONFIG with every default", 1)[1]
+    settings = json.loads(re.search(r"echo '(\{.*?\})'", step).group(1))
+    assert list(settings) == list(_ENV_CONFIG_TYPES)
+    defaults = RunConfig().as_dict()
+    del defaults["tasks"]
+    assert settings == defaults
 
 
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
@@ -220,7 +243,7 @@ def test_out_of_range_seed_flag_is_usage_error(seed, capsys):
 
 @pytest.mark.parametrize(
     "flag, text",
-    [("--samples", "\u0663"), ("--seed", "1_0"), ("--jobs", "\uff12"), ("--samples", "+2"),
+    [("--samples", "\u0663"), ("--seed", "1_0"), ("--seed", "\uff12"), ("--samples", "+2"),
      ("--seed", "0x10"), ("--samples", "")],
 )
 def test_integer_flags_take_ascii_digits_only(flag, text, capsys):
@@ -284,7 +307,8 @@ def test_fixture_arithmetic_limits_are_positioned_errors(numerator, column, tmp_
 def test_fixture_expansion_is_a_positioned_error(tmp_path, monkeypatch, capsys):
     """21 characters that would expand to 131,841 terms are refused at the
     exponent 8, before any product past ``MAX_EXPANSION`` is formed: the
-    fourth power of the 2,145 terms would be squared in a 513 x 513 box."""
+    square of the 8,385 terms of (beta+gamma+1)^128 would fill a 257 x 257
+    box in slots of 7 words, so the fourth power is never formed."""
     fixtures = tmp_path / "fixtures"
     shutil.copytree(certify.FIXTURES_DIR, fixtures)
     path = fixtures / "k2" / "calA.fix"
@@ -297,7 +321,8 @@ def test_fixture_expansion_is_a_positioned_error(tmp_path, monkeypatch, capsys):
         box = 1
         for x, y in zip(zip(*a.numerators), zip(*b.numerators)):
             box *= max(x) + max(y) + 1
-        sizes.append(min(pairs, box))
+        bits = sum(max(map(abs, p.numerators.values()), default=0).bit_length() for p in (a, b))
+        sizes.append(min(pairs, box * max(1, -(-bits // 64))))
         return multiply(a, b)
 
     monkeypatch.setattr(MultiPoly, "__mul__", measuring)
@@ -305,11 +330,50 @@ def test_fixture_expansion_is_a_positioned_error(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(
-        "fixture error: calA_k2: [numerator] expansion to min(term pairs, exponent box) = 263169 "
+        "fixture error: calA_k2: [numerator] expansion to "
+        "min(term pairs, exponent box x coefficient words) = 462343 "
     )
     assert f"(line {head.count(chr(10)) + 3}, column 21)" in captured.err
     assert "Traceback" not in captured.err
     assert sizes and max(sizes) <= MAX_EXPANSION
+
+
+@pytest.mark.parametrize("power", [4, 8])
+def test_fixture_power_is_refused_before_its_fourth_power_is_formed(power, tmp_path):
+    """In a fresh process, each 21-character input is refused in a fraction
+    of a second: neither forms the fourth power of (beta+gamma+1)^64 (33,153
+    terms of up to 398 bits)."""
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(certify.FIXTURES_DIR, fixtures)
+    path = fixtures / "k2" / "calA.fix"
+    head, _, _ = path.read_text(encoding="utf-8").partition("[numerator]")
+    path.write_text(head + f"[numerator]\n((beta+gamma+1)^64)^{power}\n", encoding="utf-8")
+    program = (
+        "import sys, time\n"
+        "from kcert import cli\n"
+        "from kcert.poly import MultiPoly\n"
+        "multiply, formed = MultiPoly.__mul__, [0]\n"
+        "def counting(a, b):\n"
+        "    product = multiply(a, b)\n"
+        "    formed[0] = max(formed[0], len(product.numerators))\n"
+        "    return product\n"
+        "MultiPoly.__mul__ = counting\n"
+        "start = time.perf_counter()\n"
+        f"code = cli.run(['fixtures', 'check', '--fixtures-dir', {str(fixtures)!r}])\n"
+        "print(code, formed[0], time.perf_counter() - start, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(kcert.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.stdout == ""
+    assert "fixture error: calA_k2: [numerator] " in done.stderr
+    assert f"(line {head.count(chr(10)) + 2}, column 21)" in done.stderr
+    assert "Traceback" not in done.stderr
+    code, formed, seconds = done.stderr.splitlines()[-1].split()
+    assert code == "2"
+    assert int(formed) == 8385  # (beta+gamma+1)^128, the largest product formed
+    assert float(seconds) < 0.5
 
 
 @pytest.mark.parametrize(
@@ -379,16 +443,16 @@ def test_fixtures_dir_spellings_share_one_load_each(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize(
     "command, code, digest",
     [
-        (["report", "--format", "json"], 1, "b646aff6bf5e6d14587011e89f323885"),
-        (["verify", "--all", "--format", "json"], 0, "a64ab8096072e36d5585e43c7534c4b4"),
-        (["fixtures", "check", "--format", "json"], 1, "0ca8cce540a802f69bff166716179909"),
-        (["report", "--format", "markdown"], 1, "6cbcb038cf7432a0d0cb4cc66529ef34"),
+        (["report", "--format", "json"], 1, "e8a040b6639d07ac296a3e9f3a4141f3"),
+        (["verify", "--all", "--format", "json"], 0, "a1d3122a24d593c45f6864b3bc11d778"),
+        (["fixtures", "check", "--format", "json"], 1, "39c84bacf1c84829d5d327db4685ca2e"),
+        (["report", "--format", "markdown"], 1, "80f05442239d7268f302179fbfec5398"),
         # every setting's flag, at its default
         (
-            ["verify", "--all", "--samples", "100", "--width", "1/1073741824", "--jobs", "1",
+            ["verify", "--all", "--samples", "100", "--width", "1/1073741824",
              "--seed", "12648430"],
             0,
-            "a64ab8096072e36d5585e43c7534c4b4",
+            "a1d3122a24d593c45f6864b3bc11d778",
         ),
     ],
     ids=["report", "verify-all", "fixtures-check", "report-markdown", "verify-all-flags"],
@@ -487,7 +551,7 @@ def test_env_config_override(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ('{"jobs": "4"}', "'jobs' must be an integer, got '4'"),
+        ('{"jobs": 1}', "unknown KCERT_CONFIG key 'jobs'"),
         ("[1, 2]", "must hold a JSON object, got [1, 2]"),
         ('"seed"', "must hold a JSON object"),
         ('{"seed": true}', "'seed' must be an integer"),
@@ -497,7 +561,6 @@ def test_env_config_override(tmp_path, monkeypatch, capsys):
         ('{"format": "xml"}', "'format' must be json or markdown"),
         ('{"samples": 7}', "unknown KCERT_CONFIG key 'samples'"),
         ('{"sample_count": 0}', "sample_count must be >= 1"),
-        ('{"jobs": 0}', "jobs must be >= 1"),
         ('{"seed": -1}', "seed must be in 0..2^64-1, got -1"),
         ('{"seed": 18446744073709551616}', "seed must be in 0..2^64-1"),
         ("[" * 200_000, "KCERT_CONFIG nests too deeply to decode"),
@@ -519,7 +582,7 @@ def test_bad_env_config_is_usage_error(text, message, tmp_path, monkeypatch, cap
 def test_env_config_flags_override_and_width(tmp_path, monkeypatch, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(
-        json.dumps({"sample_count": 7, "isolation_width": "1/1024", "jobs": 1, "fixtures_dir": None})
+        json.dumps({"sample_count": 7, "isolation_width": "1/1024", "fixtures_dir": None})
     )
     monkeypatch.setenv("KCERT_CONFIG", str(config_path))
     args = ["verify", "--lemma", "claritas", "--format", "json", "--no-timing"]
@@ -604,7 +667,7 @@ def test_cold_verify_convex2_refutes_the_display_without_products():
     assert done.returncode == 0, done.stderr
     # one comparison, of the k2 display over (beta, gamma), with no product
     assert done.stdout.split(maxsplit=2) == [
-        "0", "d2e87cf74eeaffd21fcc63cd5b74a69d", "[(('beta', 'gamma'), 0)]\n"
+        "0", "9a480a359b42d492e95d07d47470893a", "[(('beta', 'gamma'), 0)]\n"
     ]
 
 
