@@ -18,10 +18,12 @@ coefficient words, both exceed ``MAX_EXPANSION``: a product of groups, or one
 of the squarings and products that form a group's power.  A dense product's
 work grows with its box and the width of each slot, and its slot holds the
 product of the operands' largest coefficients, so the box counts once per
-64-bit word of that product.  Syntax errors carry line/column (in a
-fixture, the line of the file), and so do the arithmetic's limits: a literal
-longer than the interpreter's int-string digit limit, or a product whose
-degree reaches the polynomial exponent guard.
+64-bit word of that product.  Every product is also refused when its term
+pairs times the words of each operand's largest coefficient, which bound the
+word products of a pair-by-pair product, exceed ``MAX_WORD_PAIRS``.
+Syntax errors carry line/column (in a fixture, the line of the file), and so
+do the arithmetic's limits: a literal longer than the interpreter's int-string
+digit limit, or a product whose degree reaches the polynomial exponent guard.
 
 Expansion is cheap for transcribed displays, which are mostly sums of
 ``coefficient * symbol powers * (group)`` terms: within a term, numbers and
@@ -64,6 +66,8 @@ MAX_EXPONENT = 64
 MAX_NESTING = 64  # open groups at once; the shipped fixtures nest at most 4 deep
 # min(term pairs, exponent box x coefficient words); the shipped fixtures reach 4096
 MAX_EXPANSION = 2 ** 18
+# term pairs x words(a) x words(b); the shipped fixtures reach 201,091
+MAX_WORD_PAIRS = 2 ** 28
 COMPARISON_SAMPLES = 100
 
 
@@ -119,10 +123,10 @@ def _degrees(p: MultiPoly) -> list[int]:
     return [max(e) for e in zip(*p.numerators)]  # per variable; [] for zero
 
 
-def _coefficient_words(a: MultiPoly, b: MultiPoly) -> int:
-    """The 64-bit words that the product of a's and b's largest coefficients
-    fills, at least 1; a and b are nonzero."""
-    bits = sum(max(map(abs, p.numerators.values())).bit_length() for p in (a, b))
+def _coefficient_words(*polys: MultiPoly) -> int:
+    """The 64-bit words that the product of the polynomials' largest
+    coefficients fills, at least 1."""
+    bits = sum(max(map(abs, p.numerators.values()), default=0).bit_length() for p in polys)
     return max(1, -(-bits // 64))
 
 
@@ -272,7 +276,9 @@ class _Parser:
 
     def product(self, token: _Token, a: MultiPoly, b: MultiPoly) -> MultiPoly:
         """a * b, refused at ``token`` when its term pairs, and its exponent
-        box times its coefficient words, both exceed ``MAX_EXPANSION``."""
+        box times its coefficient words, both exceed ``MAX_EXPANSION``, or when
+        its term pairs times the coefficient words of a and of b exceed
+        ``MAX_WORD_PAIRS``."""
         pairs = len(a.numerators) * len(b.numerators)
         if pairs > MAX_EXPANSION:
             box = prod(x + y + 1 for x, y in zip(_degrees(a), _degrees(b)))
@@ -282,6 +288,10 @@ class _Parser:
                     f"expansion to min(term pairs, exponent box x coefficient words) = "
                     f"{size} exceeds the {MAX_EXPANSION} limit", token.line, token.column
                 )
+        words = pairs * _coefficient_words(a) * _coefficient_words(b)
+        if words > MAX_WORD_PAIRS:
+            raise ParseError(f"term pairs x coefficient words = {words} exceeds the "
+                             f"{MAX_WORD_PAIRS} limit", token.line, token.column)
         return self.at(token, mul, a, b)
 
     def base(self) -> MultiPoly:

@@ -32,14 +32,14 @@ cancellation is attempted anywhere.
 
 One assembly serves both routes: its formulas use operators only, so they
 build the chart rational functions on MultiPolys and the values at a numeric
-area vector on the Fractions the numeric polygon's integrals return, with no
-polynomial at all.
+area vector on the ints of the polygon dilated by 6L (``dilated_integral``),
+with no polynomial and no Fraction before one division at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Sequence
 
 from . import univar
@@ -66,6 +66,7 @@ from .polytope import (
     boundary_integral,
     central_moment_numerators,
     central_second_moments,
+    dilated_integral,
     integrate_monomial,
     lattice_perimeter,
 )
@@ -110,17 +111,19 @@ def _polygon_from_areas(
 
 def _obstruction_numerators(polygon: ParamPolygon) -> tuple:
     """(area, perimeter, m10, m01, q1, q2) with F_i = q_i / area and
-    q_i = 2 [ boundary(w_i) * area - perimeter * interior(w_i) ], w = (u, v),
-    in the polygon's type: MultiPolys, or Fractions for a numeric polygon.
+    q_i = 2 [ boundary(w_i) * area - perimeter * interior(w_i) ], w = (u, v):
+    exact MultiPolys on a chart polygon, ints over the polygon dilated by 6L
+    (``dilated_integral``) on a numeric one.
     """
-    area = integrate_monomial(polygon, 0, 0)
-    perimeter = lattice_perimeter(polygon)
-    m10 = integrate_monomial(polygon, 1, 0)
-    m01 = integrate_monomial(polygon, 0, 1)
-    bu = boundary_integral(polygon, 1, 0)
-    bv = boundary_integral(polygon, 0, 1)
-    q1 = (bu * area - perimeter * m10) * 2
-    q2 = (bv * area - perimeter * m01) * 2
+    if polygon.variables:
+        interior, boundary = integrate_monomial, boundary_integral
+        perimeter = lattice_perimeter(polygon)
+    else:
+        interior, boundary = dilated_integral, partial(dilated_integral, boundary=True)
+        perimeter = boundary(polygon, 0, 0)
+    area, m10, m01 = (interior(polygon, a, b) for a, b in ((0, 0), (1, 0), (0, 1)))
+    q1 = (boundary(polygon, 1, 0) * area - perimeter * m10) * 2
+    q2 = (boundary(polygon, 0, 1) * area - perimeter * m01) * 2
     return area, perimeter, m10, m01, q1, q2
 
 
@@ -164,7 +167,7 @@ def objective_parts(perimeter, volume, puu, pvv, puv, q1, q2) -> tuple:
         N_F  = q1^2*pvv - 2*q1*q2*puv + q2^2*puu,
         calA = [ 4 * perimeter^2 * det + N_F ] / [ 8 * V * det ],
 
-    F_i = q_i / V.  Operators only: runs on MultiPolys and Fractions alike.
+    F_i = q_i / V.  Operators only: runs on MultiPolys, Fractions and ints alike.
     """
     det = puu * pvv - puv * puv
     if not det:
@@ -294,25 +297,27 @@ def first_variation_along_c1(omega: CohClass) -> Fraction:
 def evaluate_calA_on_areas(areas: Sequence[Scalar] | AreaVector) -> Fraction:
     """Exact objective value from a numeric six-area vector.
 
-    Runs the full polygon pipeline (moments, boundary obstructions) at one
-    rational point, in Fractions; used for classes outside the coordinate
-    charts and for invariance sampling.
+    Runs the full polygon pipeline (moments, boundary obstructions) on the
+    polygon dilated by 6L, which the objective, of degree 0, does not see;
+    used for classes outside the coordinate charts and invariance sampling.
     """
     polygon = _polygon_from_areas(areas)
     area, perimeter, m10, m01, q1, q2 = _obstruction_numerators(polygon)
-    m20, m11, m02 = (integrate_monomial(polygon, a, b) for a, b in ((2, 0), (1, 1), (0, 2)))
+    m20, m11, m02 = (dilated_integral(polygon, a, b) for a, b in ((2, 0), (1, 1), (0, 2)))
     puu, pvv, puv = central_moment_numerators(area, m10, m01, m20, m11, m02)
     _, _, numerator, denominator = objective_parts(perimeter, area, puu, pvv, puv, q1, q2)
-    return numerator / denominator
+    return Fraction(numerator, denominator)
 
 
 def evaluate_futaki_on_areas(
     areas: Sequence[Scalar] | AreaVector,
 ) -> tuple[Fraction, Fraction]:
-    """Exact obstruction components at a numeric six-area vector, in Fractions."""
+    """Exact obstruction components at a numeric six-area vector: F is of
+    degree 2, so F_i = q_i / (area (6L)^2) on the polygon dilated by 6L."""
     polygon = _polygon_from_areas(areas)
     area, _, _, _, q1, q2 = _obstruction_numerators(polygon)
-    return q1 / area, q2 / area
+    denominator = area * (6 * polygon.scale) ** 2
+    return Fraction(q1, denominator), Fraction(q2, denominator)
 
 
 # the exported name of each bundle quantity -> its FunctionalBundle field,

@@ -31,6 +31,8 @@ Python ints over L, the lcm of the six areas' denominators, made once from
 the areas.  The sums run unchanged on either type and are divided once, by
 L^(a+b+2) (a+b+2)! / (a! b!) (interior) or by L^(a+b+1) times the weight
 denominator (boundary), so a numeric polygon returns Fractions and stores none.
+``dilated_integral`` integrates over a numeric polygon dilated by 6L instead:
+L clears the scale and 6 the divisor, so every integral of degree <= 2 is an int.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def build_polygon(
         us.append(us[-1] + length * dx)
         vs.append(vs[-1] + length * dy)
     polygon = ParamPolygon(varlist, tuple(us), tuple(vs), lengths, scale)
-    if _at(integrate_monomial(polygon, 0, 0), sample_point) <= 0:
+    if _at(_interior_sum(polygon, 0, 0)[0], sample_point) <= 0:
         raise PolygonError("polygon has nonpositive area at the sample point")
     return polygon
 
@@ -157,11 +159,14 @@ def _powers(x, n: int) -> list:
     return out
 
 
-def integrate_monomial(polygon: ParamPolygon, a: int, b: int) -> Coordinate:
-    """Exact interior integral of u^a v^b over the polygon (edge sum above)."""
+def _interior_sum(polygon: ParamPolygon, a: int, b: int) -> tuple[Entry, int, int]:
+    """(sum, divisor, n): the interior integral of u^a v^b is the edge sum
+    above, in the entries' type, over divisor * scale^n."""
     if a < 0 or b < 0:
         raise ValueError("monomial exponents must be nonnegative")
-    us, vs, zero = polygon.us, polygon.vs, _zero(polygon)
+    us, vs, zero, d = polygon.us, polygon.vs, _zero(polygon), a + b
+    weights = [[comb(k + l, l) * comb(d - k - l, b - l) for l in range(b + 1)]
+               for k in range(a + 1)]
     # one power table per vertex, shared by the vertex's two edges
     u_powers = [_powers(u, a) for u in us]
     v_powers = [_powers(v, b) for v in vs]
@@ -176,24 +181,24 @@ def integrate_monomial(polygon: ParamPolygon, a: int, b: int) -> Coordinate:
         for k in range(a + 1):
             u_term = u_powers[i][k] * u_powers[j][a - k]
             for l in range(b + 1):
-                weight = comb(k + l, l) * comb(a + b - k - l, b - l)
-                inner = inner + u_term * v_terms[l] * weight
+                inner = inner + u_term * v_terms[l] * weights[k][l]
         total = total + cross * inner
-    divisor = comb(a + b, a) * (a + b + 1) * (a + b + 2) * polygon.scale ** (a + b + 2)
-    return total * Fraction(1, divisor)
+    return total, comb(d, a) * (d + 1) * (d + 2), d + 2
 
 
-def boundary_integral(polygon: ParamPolygon, a: int, b: int) -> Coordinate:
-    """Exact boundary integral of u^a v^b in the lattice measure.
+def _boundary_sum(polygon: ParamPolygon, a: int, b: int) -> tuple[Entry, int, int]:
+    """(sum, K, n) for the boundary integral of u^a v^b, as ``_interior_sum``.
 
     An edge from (u, v) along (dx, dy) adds sum_{p<=a, q<=b} C(a,p) C(b,q)
     dx^p dy^q / (p+q+1) u^(a-p) v^(b-q) length^(p+q+1), in integer weights
-    over K = lcm(1..a+b+1); the divisor is K L^(a+b+1).
+    over K = lcm(1..a+b+1); n = a+b+1.
     """
     if a < 0 or b < 0:
         raise ValueError("monomial exponents must be nonnegative")
     zero = _zero(polygon)
     common = lcm(*range(1, a + b + 2))
+    weights = [[comb(a, p) * comb(b, q) * (common // (p + q + 1)) for q in range(b + 1)]
+               for p in range(a + 1)]
     total = zero
     edges = zip(polygon.us, polygon.vs, EDGE_DIRECTIONS, polygon.lengths)
     for u, v, (dx, dy), length in edges:
@@ -203,9 +208,30 @@ def boundary_integral(polygon: ParamPolygon, a: int, b: int) -> Coordinate:
         l_powers = _powers(length, a + b + 1)
         for p in range(a + 1 if dx else 1):  # dx = 0 leaves p = 0 only, dy = 0 q = 0
             for q in range(b + 1 if dy else 1):
-                weight = comb(a, p) * comb(b, q) * dx ** p * dy ** q * (common // (p + q + 1))
+                weight = weights[p][q] * dx ** p * dy ** q
                 total = total + u_powers[a - p] * v_powers[b - q] * l_powers[p + q + 1] * weight
-    return total * Fraction(1, common * polygon.scale ** (a + b + 1))
+    return total, common, a + b + 1
+
+
+def integrate_monomial(polygon: ParamPolygon, a: int, b: int) -> Coordinate:
+    """Exact interior integral of u^a v^b over the polygon (edge sum above)."""
+    total, divisor, n = _interior_sum(polygon, a, b)
+    return total * Fraction(1, divisor * polygon.scale ** n)
+
+
+def boundary_integral(polygon: ParamPolygon, a: int, b: int) -> Coordinate:
+    """Exact boundary integral of u^a v^b in the lattice measure."""
+    total, divisor, n = _boundary_sum(polygon, a, b)
+    return total * Fraction(1, divisor * polygon.scale ** n)
+
+
+def dilated_integral(polygon: ParamPolygon, a: int, b: int, boundary: bool = False) -> int:
+    """The integral of u^a v^b over the numeric polygon dilated by 6L, or over
+    its boundary in the lattice measure, as an int; a + b <= 2."""
+    if a + b > 2:  # the interior divisor at degree 3, 20 or 60, does not divide 6^5
+        raise ValueError(f"the dilation by 6L gives ints up to degree 2, not degree {a + b}")
+    total, divisor, n = (_boundary_sum if boundary else _interior_sum)(polygon, a, b)
+    return total * (6 ** n // divisor)
 
 
 def lattice_perimeter(polygon: ParamPolygon) -> Coordinate:
@@ -216,14 +242,12 @@ def lattice_perimeter(polygon: ParamPolygon) -> Coordinate:
 def central_moment_numerators(area, m10, m01, m20, m11, m02) -> tuple:
     """(puu, pvv, puv): the central second moments times the area, e.g.
     puu = area int u^2 - (int u)^2, numerators over the common denominator
-    area.  Operators only: runs on MultiPolys and Fractions alike."""
+    area.  Operators only: runs on MultiPolys, Fractions and ints alike."""
     return m20 * area - m10 * m10, m02 * area - m01 * m01, m11 * area - m10 * m01
 
 
 def central_second_moments(polygon: ParamPolygon) -> tuple:
     """(area, puu, pvv, puv): the area and ``central_moment_numerators``."""
-    area = integrate_monomial(polygon, 0, 0)
-    if not area:
-        raise PolygonError("polygon area is identically zero")
+    area = integrate_monomial(polygon, 0, 0)  # nonzero: build_polygon checks its sign
     moments = (integrate_monomial(polygon, a, b) for a, b in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
     return (area, *central_moment_numerators(area, *moments))

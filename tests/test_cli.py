@@ -15,7 +15,7 @@ import pytest
 import kcert
 from kcert import certify
 from kcert.cli import emit_report, parse_rational, run
-from kcert.exprparse import MAX_EXPANSION
+from kcert.exprparse import MAX_EXPANSION, MAX_WORD_PAIRS
 from kcert.poly import MultiPoly
 
 
@@ -373,6 +373,42 @@ def test_fixture_power_is_refused_before_its_fourth_power_is_formed(power, tmp_p
     code, formed, seconds = done.stderr.splitlines()[-1].split()
     assert code == "2"
     assert int(formed) == 8385  # (beta+gamma+1)^128, the largest product formed
+    assert float(seconds) < 0.5
+
+
+@pytest.mark.parametrize("nines", [40, 80])
+def test_fixture_with_wide_coefficients_is_refused(nines, tmp_path):
+    """In a fresh process, ((N beta^64 + 1)^64)^4 with N a literal of 40 or
+    80 nines is refused at the exponent 4 in a fraction of a second: its
+    squarings would multiply 65 or 129 terms of coefficients up to tens of
+    thousands of bits, pair by pair (1.0 s and 3.1 s to parse without the
+    bound), past ``MAX_WORD_PAIRS`` though under ``MAX_EXPANSION``."""
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(certify.FIXTURES_DIR, fixtures)
+    path = fixtures / "k2" / "calA.fix"
+    head, _, _ = path.read_text(encoding="utf-8").partition("[numerator]")
+    text = f"(({'9' * nines} beta^64 + 1)^64)^4"
+    path.write_text(head + f"[numerator]\n{text}\n", encoding="utf-8")
+    program = (
+        "import sys, time\n"
+        "from kcert import cli\n"
+        "start = time.perf_counter()\n"
+        f"code = cli.run(['fixtures', 'check', '--fixtures-dir', {str(fixtures)!r}])\n"
+        "print(code, time.perf_counter() - start, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(kcert.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.stdout == ""
+    assert done.stderr.startswith(
+        "fixture error: calA_k2: [numerator] term pairs x coefficient words = "
+    )
+    assert f"exceeds the {MAX_WORD_PAIRS} limit" in done.stderr
+    assert f"(line {head.count(chr(10)) + 2}, column {len(text)})" in done.stderr
+    assert "Traceback" not in done.stderr
+    code, seconds = done.stderr.splitlines()[-1].split()
+    assert code == "2"
     assert float(seconds) < 0.5
 
 

@@ -22,7 +22,13 @@ from kcert.functional import (
     futaki_norm_sq,
     objective_parts,
 )
-from kcert.polytope import build_polygon, central_second_moments
+from kcert.polytope import (
+    boundary_integral,
+    build_polygon,
+    central_second_moments,
+    integrate_monomial,
+    lattice_perimeter,
+)
 from kcert.poly import (
     MultiPoly,
     PiPowerMismatchError,
@@ -303,6 +309,89 @@ def test_numeric_route_builds_no_polynomial(monkeypatch):
     for areas, (value, futaki) in zip(classes, expected):
         assert evaluate_calA_on_areas(areas) == value
         assert evaluate_futaki_on_areas(areas) == futaki
+
+
+def _integer_route_classes() -> list:
+    """SplitMix64 classes at 4-, 16- and 48-bit heights with delta > 0 and
+    delta = 0, their Cremona images (delta < 0) and multiples, the E3 = 0
+    pentagon and the alpha = beta = 0 face, plus the unit square, the
+    anticanonical hexagon and the int input [1] * 6."""
+    rng = SplitMix64(0x1D7E6E4)
+
+    def draw(bits):
+        return Fraction(1 + rng.below(1 << bits), 1 + rng.below(1 << bits))
+
+    classes = []
+    for bits in (4, 16, 48):
+        for _ in range(3):
+            alpha, beta, gamma, delta = (draw(bits) for _ in range(4))
+            for d in (delta, 0):
+                areas = AreaVector.from_abcd(alpha, beta, gamma, d)
+                classes += [areas, cremona(areas), areas.scale(draw(bits))]
+            classes += [
+                AreaVector.from_abcd(0, beta, gamma, delta),
+                AreaVector.from_abcd(0, 0, gamma, delta),
+            ]
+    return classes + [
+        AreaVector(*map(Fraction, (0, 1, 1, 0, 1, 1))),
+        AreaVector.from_abcd(1, 1, 1, 0),
+        [1] * 6,
+    ]
+
+
+def _fraction_assembly(areas) -> tuple:
+    """(calA, (F1, F2)) from the public integrals, which return Fractions on a
+    numeric polygon, through ``objective_parts`` with F_i = q_i / area."""
+    polygon = build_polygon(areas.as_tuple() if isinstance(areas, AreaVector) else areas)
+    moments = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    area, m10, m01, m20, m11, m02 = (integrate_monomial(polygon, a, b) for a, b in moments)
+    perimeter = lattice_perimeter(polygon)
+    q1 = 2 * (boundary_integral(polygon, 1, 0) * area - perimeter * m10)
+    q2 = 2 * (boundary_integral(polygon, 0, 1) * area - perimeter * m01)
+    puu, pvv, puv = m20 * area - m10 * m10, m02 * area - m01 * m01, m11 * area - m10 * m01
+    _, _, numerator, denominator = objective_parts(perimeter, area, puu, pvv, puv, q1, q2)
+    for value in (area, perimeter, numerator, denominator):
+        assert type(value) is Fraction
+    return numerator / denominator, (q1 / area, q2 / area)
+
+
+def test_integer_route_matches_the_fraction_assembly():
+    for areas in _integer_route_classes():
+        value, futaki = _fraction_assembly(areas)
+        assert evaluate_calA_on_areas(areas) == value, areas
+        assert evaluate_futaki_on_areas(areas) == futaki, areas
+
+
+def test_integer_route_does_no_fraction_arithmetic(monkeypatch):
+    """On a numeric polygon only the last division forms a Fraction: with
+    Fraction's arithmetic refused, both evaluations still return their values."""
+    classes = _integer_route_classes()
+    expected = [(evaluate_calA_on_areas(a), evaluate_futaki_on_areas(a)) for a in classes]
+
+    def no_arithmetic(*args):
+        raise AssertionError("the numeric route did Fraction arithmetic")
+
+    for name in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv"):
+        monkeypatch.setattr(Fraction, f"__{name}__", no_arithmetic)
+    for areas, (value, futaki) in zip(classes, expected):
+        assert evaluate_calA_on_areas(areas) == value
+        assert evaluate_futaki_on_areas(areas) == futaki
+
+
+def test_cone_ingredients_product_count(monkeypatch):
+    """The chart integrals keep one u_term per k and one v_terms list per edge:
+    a fresh ``_cone_ingredients`` forms 372 polynomial products, __rmul__
+    included; an edge sum that multiplied per (k, l) would form more."""
+    multiply, count = MultiPoly.__mul__, [0]
+
+    def counting(self, other):
+        count[0] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counting)
+    functional._cone_ingredients.__wrapped__()
+    assert count[0] == 372
 
 
 def test_objective_at_anticanonical_class():

@@ -14,6 +14,7 @@ from kcert.polytope import (
     boundary_integral,
     build_polygon,
     central_second_moments,
+    dilated_integral,
     integrate_monomial,
     lattice_perimeter,
 )
@@ -317,6 +318,26 @@ def test_numeric_route_matches_independent_references(monkeypatch):
         for value in got:
             assert type(value) is Fraction
         assert got == expected, label
+
+
+def test_dilated_integral_is_the_integral_over_the_polygon_dilated_by_6L():
+    for label, areas, _ in _numeric_classes():
+        polygon = build_polygon(areas.as_tuple())
+        dilation = 6 * polygon.scale
+        for a, b in MOMENTS:
+            interior = dilated_integral(polygon, a, b)
+            boundary = dilated_integral(polygon, a, b, boundary=True)
+            assert type(interior) is int and type(boundary) is int, label
+            assert interior == dilation ** (a + b + 2) * integrate_monomial(polygon, a, b), label
+            assert boundary == dilation ** (a + b + 1) * boundary_integral(polygon, a, b), label
+
+
+@pytest.mark.parametrize("boundary", [False, True], ids=["interior", "boundary"])
+@pytest.mark.parametrize("a, b", [(3, 0), (2, 1)])
+def test_dilated_integral_refuses_degree_above_2(a, b, boundary):
+    polygon = build_polygon([1] * 6)
+    with pytest.raises(ValueError, match=f"up to degree 2, not degree {a + b}"):
+        dilated_integral(polygon, a, b, boundary=boundary)
 
 
 def test_polygon_on_a_line_matches_the_numeric_polygon():
