@@ -15,14 +15,14 @@ Each lemma-level claim is reduced to exact, re-checkable evidence:
     polygon on delta = 0);
   * k = 2 minimality: a deduction from the certified ingredients, recorded
     as laudate's ``minimality_deduction`` witness;
-  * the sign of gaudete's first variation along c1: a deduction from veritas
-    and the reverse Cauchy-Schwarz identity, recorded as its
-    ``first_variation_deduction`` witness.
+  * the sign of gaudete's first variation along c1 and its global
+    minimality: deductions from veritas, the reverse Cauchy-Schwarz identity
+    and the objective's parts, recorded as its ``first_variation_deduction``
+    and ``minimality_deduction`` witnesses.
 
-Deterministic exact sampling stands in only where a full semialgebraic proof
-is still out of scope: gaudete's global minimality, labelled by its
-``sampled_points`` witness.  That is all that ``sample_count`` and ``seed``
-reach.
+No lemma's claim rests on a sample, so no lemma takes a sample count or a
+seed; the display comparisons alone evaluate at points, ``exprparse``'s
+fixed ``DEFAULT_SEED`` ones.
 
 Two certificates are rechecked from what they emit before their lemmas can
 PASS: each convexity certificate from its own payload
@@ -59,7 +59,7 @@ from .delpezzo import (
     cremona,
     pair,
 )
-from .exprparse import compare_against_fixture, load_fixture
+from .exprparse import FixtureError, compare_against_fixture, load_fixture
 from .functional import (
     DiagonalRestriction,
     build_bundle,
@@ -75,11 +75,9 @@ from .poly import (
     coefficients_all_nonneg,
     directional_second_derivative,
 )
-from .sampling import DEFAULT_SEED, SplitMix64
 from .sturm import count_roots, sturm_chain, sturm_isolate
 
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 2 ** 30)
-DEFAULT_SAMPLE_COUNT = 100  # points drawn by gaudete's minimality samples
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
 
@@ -184,8 +182,16 @@ def positivity_certificate(
 
 
 def _named_fixture(chart_id: str, name: str, fixtures_dir: Path | None):
+    """The fixture ``<chart_id>/<name>.fix``, whose ``[meta] name`` must be
+    ``<name>_<chart_id>``: reports list fixtures by that name."""
     base = FIXTURES_DIR if fixtures_dir is None else fixtures_dir
-    return load_fixture(base / chart_id / f"{name}.fix")
+    meta, fixture = load_fixture(base / chart_id / f"{name}.fix")
+    expected = f"{name}_{chart_id}"
+    if meta.name != expected:
+        raise FixtureError(
+            f"{chart_id}/{name}.fix: [meta] name is {meta.name!r}, expected {expected!r}"
+        )
+    return meta, fixture
 
 
 @lru_cache(maxsize=None)
@@ -620,21 +626,17 @@ def verify_uniqueness_k2(
     return _composite("laudate", ingredients, failures, witnesses)
 
 
-def verify_uniqueness_k3(
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
-    seed: int = DEFAULT_SEED,
-    fixtures_dir: Path | None = None,
-) -> LemmaReport:
+def verify_uniqueness_k3(fixtures_dir: Path | None = None) -> LemmaReport:
     """The anticanonical class is the unique critical point for k = 3.
 
     Assembles the transposition symmetries, the segment convexity certificate,
     obstruction vanishing on both invariant subspaces, the Cremona facts and
-    the reverse Cauchy-Schwarz identity, all exact; from veritas and that
+    the reverse Cauchy-Schwarz identity, all exact.  From veritas and that
     identity, the sign of the first variation along the anticanonical
     direction is a deduction, recorded as the ``first_variation_deduction``
-    witness.  One criterion stays sampled: global minimality (objective >= 6
-    with equality at the anticanonical class), at ``sample_count`` points
-    drawn from ``seed``.
+    witness; with the objective's parts, so is global minimality (objective
+    >= 6, with equality only on the anticanonical ray), recorded as the
+    ``minimality_deduction`` witness.  Nothing is sampled.
     """
     ingredients = [
         run_lemma(lemma_id, fixtures_dir=fixtures_dir)
@@ -662,23 +664,6 @@ def verify_uniqueness_k3(
     value_at_c1 = evaluate_calA_on_areas([Fraction(1)] * 6)
     if value_at_c1 != 6:
         failures["value_at_c1"] = str(value_at_c1)
-    rng = SplitMix64(seed)
-    minimality_failures: list[str] = []
-    for i in range(sample_count):
-        alpha, beta, gamma = rng.point(3)
-        region = i % 3
-        if region == 0:
-            areas = AreaVector.from_abcd(alpha, beta, gamma, rng.rational())
-        elif region == 1:
-            areas = cremona(AreaVector.from_abcd(alpha, beta, gamma, rng.rational()))
-        else:
-            areas = AreaVector.from_abcd(alpha, beta, gamma, Fraction(0))
-        value = evaluate_calA_on_areas(areas)
-        proportional = len(set(areas.as_tuple())) == 1
-        if value < 6 or (value == 6 and not proportional):
-            minimality_failures.append(str(value))
-    if minimality_failures:
-        failures["minimality_samples"] = minimality_failures
 
     witnesses = {
         "value_at_c1": str(value_at_c1),
@@ -698,14 +683,27 @@ def verify_uniqueness_k3(
             "the area, both > 0, so the first variation is < 0 unless Omega is "
             "proportional to c1, where it is 0 (first_variation_at_c1)",
         ],
-        "sampled_points": sample_count,
+        # why the objective is >= 6 on the whole Kahler cone, with equality only
+        # on the c1 ray: the same identity, and the objective's two parts
+        "minimality_deduction": [
+            "objective_parts: the objective is perimeter^2 / (2V) + N_F / (8 V det), "
+            "and perimeter^2 / (2V) = (c1.Omega)^2 / Omega^2; (puu, puv; puv, pvv) is "
+            "area^2 times the moment polygon's covariance matrix, positive definite for "
+            "area > 0, so det > 0 and N_F, the obstruction's quadratic form under its "
+            "adjugate, is >= 0",
+            "reverse_cauchy_schwarz_identity at x = c1 (h = 3, c1^2 = 6 > 0): "
+            "(c1.Omega)^2 >= 6 Omega^2, with equality only for Omega proportional to c1, "
+            "and Omega^2, twice the area, is > 0 on the Kahler cone, so the first term "
+            "is >= 6",
+            "veritas and value_at_c1: the objective is >= 6 on the whole Kahler cone, "
+            "delta > 0, delta = 0 and delta < 0 alike, and equals 6 only on the c1 ray, "
+            "where F vanishes and the value is 6",
+        ],
     }
     return _composite("gaudete", ingredients, failures, witnesses)
 
 
-def _lemma_calls(
-    sample_count: int, isolation_width: Fraction, seed: int, fixtures_dir: Path | None
-) -> dict[str, tuple]:
+def _lemma_calls(isolation_width: Fraction, fixtures_dir: Path | None) -> dict[str, tuple]:
     """Each lemma id in report order, with its verifier and the arguments it
     receives.  The verifiers are looked up when this is called, so that a
     wrapped verifier is the one called."""
@@ -720,13 +718,11 @@ def _lemma_calls(
         "symmetry3b": (verify_symmetry, ("symmetry3b",)),
         "veritas": (verify_veritas, ()),
         "claritas": (verify_claritas, ()),
-        "gaudete": (verify_uniqueness_k3, (sample_count, seed, fixtures_dir)),
+        "gaudete": (verify_uniqueness_k3, (fixtures_dir,)),
     }
 
 
-LEMMA_IDS = tuple(
-    _lemma_calls(DEFAULT_SAMPLE_COUNT, DEFAULT_ISOLATION_WIDTH, DEFAULT_SEED, None)
-)
+LEMMA_IDS = tuple(_lemma_calls(DEFAULT_ISOLATION_WIDTH, None))
 
 # lemma reports of this process, keyed by (lemma id, *the verifier's arguments)
 _REPORTS: dict[tuple, LemmaReport] = {}
@@ -734,21 +730,19 @@ _REPORTS: dict[tuple, LemmaReport] = {}
 
 def run_lemma(
     lemma_id: str,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
     isolation_width: Fraction = DEFAULT_ISOLATION_WIDTH,
-    seed: int = DEFAULT_SEED,
     fixtures_dir: Path | None = None,
 ) -> LemmaReport:
     """The lemma's report, from its verifier once per process for each key.
 
     The key is the arguments the verifier receives, not the call form, so the
     CLI and the composite lemmas share one report, and a setting a lemma does
-    not use (``sample_count`` and ``seed`` for every lemma but gaudete) does
-    not split it.
+    not use (``isolation_width`` for every lemma but laudate) does not split
+    it.
     The report is stored with the verifier call's wall time as its
     ``seconds``; a verifier called directly leaves it 0.0.
     """
-    calls = _lemma_calls(sample_count, isolation_width, seed, fixtures_dir)
+    calls = _lemma_calls(isolation_width, fixtures_dir)
     if lemma_id not in calls:
         raise ValueError(f"unknown lemma id {lemma_id!r}")
     verifier, args = calls[lemma_id]

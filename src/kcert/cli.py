@@ -15,12 +15,12 @@ JSON report is byte-identical across runs of the same configuration.
 
 ``_report`` builds a report's payload once and ``emit_report`` renders it.
 Each run setting is named once, in ``_ENV_CONFIG_TYPES``: a ``RunConfig``
-field, a ``KCERT_CONFIG`` key and its flag's argparse dest (``--samples``
-sets ``sample_count``, ``--width`` ``isolation_width``).  Each setting
-reaches some computation: ``--samples`` and ``--seed`` reach gaudete's
-minimality samples and nothing else, ``--width`` laudate's isolation,
+field, a ``KCERT_CONFIG`` key and its flag's argparse dest (``--width``
+sets ``isolation_width``).  ``--width`` reaches laudate's isolation,
 ``--fixtures-dir`` the fixture comparisons and ``--format`` the rendering.
-Any other flag or key is a usage error.
+``--seed`` reaches no computation (no lemma's claim rests on a sample): it
+is range-checked and echoed only, kept because the benchmark's cold-report
+command passes it.  Any other flag or key is a usage error.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from pathlib import Path
 from . import __version__
 from .certify import (
     DEFAULT_ISOLATION_WIDTH,
-    DEFAULT_SAMPLE_COUNT,
     LEMMA_IDS,
     check_all_fixtures,
     run_lemma,
@@ -89,7 +88,6 @@ def parse_point(text: str) -> tuple[Fraction, ...]:
 # the run settings in the order the report echoes them, each with the JSON
 # types KCERT_CONFIG may give it; true and false are not integers
 _ENV_CONFIG_TYPES = {
-    "sample_count": (int,),
     "isolation_width": (str, int),
     "format": (str,),
     "fixtures_dir": (str, type(None)),
@@ -106,15 +104,12 @@ class RunConfig:
     def __init__(
         self,
         tasks: list[str] | None = None,
-        sample_count: int = DEFAULT_SAMPLE_COUNT,
         isolation_width: Fraction = DEFAULT_ISOLATION_WIDTH,
         format: str = "json",
         fixtures_dir: Path | str | None = None,
         seed: int = DEFAULT_SEED,
         include_timing: bool = True,
     ) -> None:
-        if sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
         if isolation_width <= 0:
             raise ValueError("isolation_width must be positive")
         check_seed(seed)
@@ -125,7 +120,6 @@ class RunConfig:
             # fixture comparison of the run shares one cache entry
             fixtures_dir = Path(fixtures_dir)
         self.tasks = ["all"] if tasks is None else tasks
-        self.sample_count = sample_count
         self.isolation_width = isolation_width
         self.format = format
         self.fixtures_dir = fixtures_dir
@@ -247,9 +241,7 @@ def _report(
     lemmas = [
         run_lemma(
             lemma_id,
-            sample_count=config.sample_count,
             isolation_width=config.isolation_width,
-            seed=config.seed,
             fixtures_dir=config.fixtures_dir,
         )
         for lemma_id in LEMMA_IDS
@@ -337,21 +329,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--samples", dest="sample_count", type=parse_integer, metavar="SAMPLES",
-            help=f"points drawn by gaudete's minimality samples (default {DEFAULT_SAMPLE_COUNT})",
-        )
-        p.add_argument(
             "--width", dest="isolation_width", type=parse_rational, metavar="WIDTH",
             help="isolation width (p/q)",
         )
         p.add_argument("--format", choices=("json", "markdown"))
         p.add_argument("--fixtures-dir", dest="fixtures_dir")
-        p.add_argument("--seed", type=parse_integer)
+        p.add_argument(
+            "--seed", type=parse_integer,
+            help="range-checked and echoed in the report; no computation reads it",
+        )
         p.add_argument("--no-timing", action="store_true", dest="no_timing")
 
     verify = sub.add_parser("verify", help="run lemma certifications")
-    verify.add_argument("--lemma", action="append", metavar="ID")
-    verify.add_argument("--all", action="store_true")
+    selection = verify.add_mutually_exclusive_group()
+    selection.add_argument("--lemma", action="append", metavar="ID")
+    selection.add_argument("--all", action="store_true")
     add_common(verify)
     verify.set_defaults(func=_cmd_verify)
 
@@ -364,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.set_defaults(func=_cmd_eval)
 
     isolate = sub.add_parser("isolate", help="certified critical interval (k2)")
-    isolate.add_argument("--chart", choices=("k2",), default="k2")
     isolate.add_argument("--width", dest="isolation_width", type=parse_rational, metavar="WIDTH")
     isolate.set_defaults(func=_cmd_isolate, isolation_width=DEFAULT_ISOLATION_WIDTH)
 

@@ -1,5 +1,6 @@
-"""Deterministic rational sampling for gaudete's minimality samples and the
-fixture comparisons.
+"""Deterministic rational sampling for the fixture comparisons, at the fixed
+``DEFAULT_SEED``; no lemma's claim rests on a sample.  ``check_seed`` also
+range-checks the seed that the CLI echoes.
 
 A splitmix64 stream keeps the sample sequences identical across platforms and
 Python versions; the default seed is 0xC0FFEE.  Samples are strictly positive

@@ -288,7 +288,7 @@ def test_laudate_fails_with_a_failed_deduction_ingredient(monkeypatch, lemma_id,
 
 
 def test_uniqueness_k3():
-    report = verify_uniqueness_k3(sample_count=60)
+    report = verify_uniqueness_k3()
     assert report.status == "PASS", report.witnesses.get("failures")
     assert report.witnesses["value_at_c1"] == "6"
     assert report.witnesses["first_variation_spot_(2,1,1,0)"] == "-16/25"
@@ -298,6 +298,26 @@ def test_uniqueness_k3():
     # every Cremona fact is an identity; none is sampled
     assert set(facts) == {"involution_identity", "pairing_preserved_identity",
                           "fixes_c1", "delta_negated_identity"}
+    # minimality is deduced from the identity and the objective's parts, not sampled
+    assert "sampled_points" not in report.witnesses
+    deduction = report.witnesses["minimality_deduction"]
+    assert [step.split(":")[0] for step in deduction] == [
+        "objective_parts",
+        "reverse_cauchy_schwarz_identity at x = c1 (h = 3, c1^2 = 6 > 0)",
+        "veritas and value_at_c1",
+    ]
+
+
+def test_uniqueness_k3_evaluates_the_objective_once(monkeypatch):
+    """gaudete draws no class: its one objective value is value_at_c1."""
+    monkeypatch.setattr(certify, "_REPORTS", {})
+    calls = []
+    evaluate = certify.evaluate_calA_on_areas
+    monkeypatch.setattr(
+        certify, "evaluate_calA_on_areas", lambda areas: calls.append(areas) or evaluate(areas)
+    )
+    assert verify_uniqueness_k3().status == "PASS"
+    assert calls == [[Fraction(1)] * 6]
 
 
 def test_reverse_cauchy_schwarz_identity_needs_the_lorentzian_pairing(monkeypatch):
@@ -313,7 +333,7 @@ def test_reverse_cauchy_schwarz_identity_needs_the_lorentzian_pairing(monkeypatc
 def test_uniqueness_k3_fails_without_the_identity(monkeypatch):
     monkeypatch.setattr(certify, "_REPORTS", {})
     monkeypatch.setattr(certify, "_reverse_cauchy_schwarz_identity", lambda: False)
-    report = verify_uniqueness_k3(sample_count=1)
+    report = verify_uniqueness_k3()
     assert report.status == "FAIL"
     assert report.witnesses["reverse_cauchy_schwarz_identity"] is False
     assert set(report.witnesses["failures"]) == {"reverse_cauchy_schwarz"}
@@ -347,9 +367,9 @@ def test_composite_lemmas_reuse_ingredient_reports(monkeypatch):
     # normalised arguments, not on the call form
     for lemma_id in ("symmetry2", "convex2", "prime2", "doubleprime2",
                      "symmetry3a", "symmetry3b", "convex3"):
-        run_lemma(lemma_id, 12)
-    run_lemma("veritas", 13)  # veritas takes no setting: one report for any count
-    assert run_lemma("convex2", seed=5) is run_lemma("convex2", 5)
+        run_lemma(lemma_id, Fraction(1, 12))
+    run_lemma("veritas", Fraction(1, 13))  # veritas takes no setting: one report for any width
+    assert run_lemma("convex2", fixtures_dir=None) is run_lemma("convex2", Fraction(1, 5))
 
     def refuse(*args, **kwargs):
         raise AssertionError("an ingredient verifier ran again")
@@ -357,8 +377,8 @@ def test_composite_lemmas_reuse_ingredient_reports(monkeypatch):
     for name in ("verify_convexity", "verify_symmetry", "verify_prime2",
                  "verify_doubleprime2", "verify_veritas"):
         monkeypatch.setattr(certify, name, refuse)
-    laudate = run_lemma("laudate", sample_count=12)
-    gaudete = run_lemma("gaudete", sample_count=12, fixtures_dir=None)
+    laudate = run_lemma("laudate", isolation_width=Fraction(1, 12))
+    gaudete = run_lemma("gaudete", Fraction(1, 12), fixtures_dir=None)
     assert laudate.status == "PASS" and gaudete.status == "PASS"
     assert set(laudate.witnesses["ingredients"].values()) == {"PASS"}
     assert set(gaudete.witnesses["ingredients"].values()) == {"PASS"}
@@ -366,11 +386,15 @@ def test_composite_lemmas_reuse_ingredient_reports(monkeypatch):
 
 @pytest.mark.parametrize("lemma_id", ["convex2", "laudate"])
 def test_seed_splits_no_report_but_gaudete(monkeypatch, lemma_id):
-    """The seed reaches gaudete's minimality samples alone, so every other
-    lemma has one report for any seed."""
+    """The seed once reached gaudete's minimality samples alone.  gaudete now
+    deduces its minimality, so no verifier takes a seed and each lemma,
+    gaudete included, has one report for any seed."""
     monkeypatch.setattr(certify, "_REPORTS", {})
-    assert run_lemma(lemma_id, seed=5) is run_lemma(lemma_id, seed=6)
-    assert run_lemma("gaudete", 3, seed=5) is not run_lemma("gaudete", 3, seed=6)
+    for name in (lemma_id, "gaudete"):
+        with pytest.raises(TypeError, match="seed"):
+            run_lemma(name, seed=5)
+    assert run_lemma(lemma_id) is run_lemma(lemma_id, fixtures_dir=None)
+    assert run_lemma("gaudete") is run_lemma("gaudete", Fraction(1, 3))
 
 
 def test_fixture_battery():

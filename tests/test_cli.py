@@ -52,7 +52,7 @@ def test_non_ascii_point_is_usage_error(capsys):
 def test_zero_denominator_is_usage_error(tmp_path, monkeypatch, capsys):
     assert run(["eval", "--chart", "k2", "--point", "1/0,1", "--what", "V"]) == 2
     assert "zero denominator" in capsys.readouterr().err
-    assert run(["isolate", "--chart", "k2", "--width", "1/0"]) == 2
+    assert run(["isolate", "--width", "1/0"]) == 2
     assert "zero denominator" in capsys.readouterr().err
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"isolation_width": "1/0"}))
@@ -93,12 +93,18 @@ def test_eval_rejects_decimals():
 
 
 def test_isolate(capsys):
-    assert run(["isolate", "--chart", "k2", "--width", "1/4096"]) == 0
+    assert run(["isolate", "--width", "1/4096"]) == 0
     out = capsys.readouterr().out.strip()
     assert out.startswith("[") and out.endswith("]")
     lo, hi = (Fraction(part.strip()) for part in out[1:-1].split(","))
     assert hi - lo <= Fraction(1, 4096)
     assert 1 < lo < hi < Fraction(6, 5)
+    # isolate has one chart, so it takes no --chart
+    assert run(["isolate", "--chart", "k2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --chart k2" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_verify_single_lemma_json(capsys):
@@ -126,6 +132,7 @@ def test_verify_unknown_lemma(capsys):
 
 def test_verify_requires_selection(capsys):
     assert run(["verify"]) == 2
+    assert "verify requires --lemma ID or --all" in capsys.readouterr().err
 
 
 def test_verify_report_is_deterministic_without_timing(capsys):
@@ -183,30 +190,63 @@ def test_empty_task_list_passes(capsys):
     assert json.loads(emit_report(payload, "json")) == payload
 
 
-def test_invalid_sample_count_is_usage_error(capsys):
-    assert run(["verify", "--lemma", "claritas", "--samples", "0"]) == 2
+def _assert_retired(flag: str, key: str, tmp_path, monkeypatch, capsys) -> None:
+    """``flag 1`` and a KCERT_CONFIG naming ``key`` are each a usage error."""
+    args = ["verify", "--lemma", "claritas", "--no-timing"]
+    assert run(args + [flag, "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} 1" in captured.err
+    assert "Traceback" not in captured.err
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({key: 1}))
+    monkeypatch.setenv("KCERT_CONFIG", str(config_path))
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown KCERT_CONFIG key {key!r}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_invalid_sample_count_is_usage_error(tmp_path, monkeypatch, capsys):
+    """No lemma's claim rests on a sample, so any sample count is a usage
+    error: the ``--samples`` flag and the ``sample_count`` key alike."""
+    _assert_retired("--samples", "sample_count", tmp_path, monkeypatch, capsys)
 
 
 def test_jobs_setting_is_retired(tmp_path, monkeypatch, capsys):
     """``jobs`` reached no computation, so neither its flag nor its
     KCERT_CONFIG key is read: each is a usage error."""
-    args = ["verify", "--lemma", "claritas", "--no-timing"]
-    assert run(args + ["--jobs", "1"]) == 2
+    _assert_retired("--jobs", "jobs", tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("lemma", ["bogus", "convex2"])
+def test_verify_all_with_lemma_is_usage_error(lemma, capsys):
+    """--all and --lemma exclude each other: neither silently wins."""
+    assert run(["verify", "--all", "--lemma", lemma, "--no-timing"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unrecognized arguments: --jobs 1" in captured.err
+    assert "argument --lemma: not allowed with argument --all" in captured.err
     assert "Traceback" not in captured.err
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"jobs": 1}))
-    monkeypatch.setenv("KCERT_CONFIG", str(config_path))
-    assert run(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unknown KCERT_CONFIG key 'jobs'" in captured.err
-    assert "Traceback" not in captured.err
+
+
+def test_seed_changes_no_lemma(monkeypatch, capsys):
+    """No lemma's claim rests on a sample, so the seed is echoed and reaches
+    no report, gaudete's included."""
+    args = ["verify", "--lemma", "gaudete", "--lemma", "laudate", "--no-timing"]
+    payloads = []
+    for seed in ("5", "6"):
+        monkeypatch.setattr(certify, "_REPORTS", {})
+        assert run(args + ["--seed", seed]) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    assert payloads[0]["lemmas"] == payloads[1]["lemmas"]
+    assert [item["id"] for item in payloads[0]["lemmas"]] == ["laudate", "gaudete"]
+    assert [payload["config"]["seed"] for payload in payloads] == [5, 6]
 
 
 def test_seed_changes_no_lemma_but_gaudete(monkeypatch, capsys):
+    """The lemmas that never sampled keep their entries under any seed;
+    gaudete, which once did, is held to the same in test_seed_changes_no_lemma."""
     monkeypatch.setattr(certify, "_REPORTS", {})
     args = ["verify", "--lemma", "convex2", "--lemma", "laudate", "--no-timing"]
     lemmas = []
@@ -243,8 +283,8 @@ def test_out_of_range_seed_flag_is_usage_error(seed, capsys):
 
 @pytest.mark.parametrize(
     "flag, text",
-    [("--samples", "\u0663"), ("--seed", "1_0"), ("--seed", "\uff12"), ("--samples", "+2"),
-     ("--seed", "0x10"), ("--samples", "")],
+    [("--seed", "\u0663"), ("--seed", "1_0"), ("--seed", "\uff12"), ("--seed", "+2"),
+     ("--seed", "0x10"), ("--seed", "")],
 )
 def test_integer_flags_take_ascii_digits_only(flag, text, capsys):
     # int() reads an Arabic-Indic three as 3 and 1_0 as 10; neither may run
@@ -259,7 +299,7 @@ def test_integer_flags_take_ascii_digits_only(flag, text, capsys):
 
 @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
 def test_seed_range_ends_run(seed, capsys):
-    args = ["verify", "--lemma", "veritas", "--samples", "2", "--seed", str(seed)]
+    args = ["verify", "--lemma", "veritas", "--seed", str(seed)]
     assert run(args + ["--no-timing", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["seed"] == seed
@@ -277,6 +317,22 @@ def test_zero_fixture_denominator_is_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert "P_k2: [denominator] is the zero polynomial" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_mislabelled_fixture_is_usage_error(tmp_path, capsys):
+    """Reports list a fixture by its [meta] name, so k2/calA.fix relabelled as
+    the k3 display must not stand in for calA_k2 under another name."""
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(certify.FIXTURES_DIR, fixtures)
+    path = fixtures / "k2" / "calA.fix"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("name = calA_k2", "name = d2_alphabeta_k3", 1), encoding="utf-8")
+    assert run(["fixtures", "check", "--fixtures-dir", str(fixtures), "--no-timing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "fixture error: k2/calA.fix: [meta] name is 'd2_alphabeta_k3', expected 'calA_k2'\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -479,16 +535,15 @@ def test_fixtures_dir_spellings_share_one_load_each(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize(
     "command, code, digest",
     [
-        (["report", "--format", "json"], 1, "e8a040b6639d07ac296a3e9f3a4141f3"),
-        (["verify", "--all", "--format", "json"], 0, "a1d3122a24d593c45f6864b3bc11d778"),
-        (["fixtures", "check", "--format", "json"], 1, "39c84bacf1c84829d5d327db4685ca2e"),
-        (["report", "--format", "markdown"], 1, "80f05442239d7268f302179fbfec5398"),
+        (["report", "--format", "json"], 1, "f96e1fbb59e4a385bf5a3e33b7376b49"),
+        (["verify", "--all", "--format", "json"], 0, "dd726c8665f91dcab092ca55d27410a1"),
+        (["fixtures", "check", "--format", "json"], 1, "81d5452ada4ddc76f1c3bcefbf93d038"),
+        (["report", "--format", "markdown"], 1, "5619621ffb9a5e54f50186cdec939696"),
         # every setting's flag, at its default
         (
-            ["verify", "--all", "--samples", "100", "--width", "1/1073741824",
-             "--seed", "12648430"],
+            ["verify", "--all", "--width", "1/1073741824", "--seed", "12648430"],
             0,
-            "a1d3122a24d593c45f6864b3bc11d778",
+            "dd726c8665f91dcab092ca55d27410a1",
         ),
     ],
     ids=["report", "verify-all", "fixtures-check", "report-markdown", "verify-all-flags"],
@@ -529,7 +584,7 @@ def test_eval_bytes_at_48_bit_heights_are_unchanged(capsys, chart, point, digest
 def test_laudate_alone_matches_its_verify_all_entry(monkeypatch, capsys):
     def laudate_entry(selection: list[str]) -> dict:
         monkeypatch.setattr(certify, "_REPORTS", {})
-        args = ["verify", *selection, "--samples", "10", "--no-timing", "--format", "json"]
+        args = ["verify", *selection, "--no-timing", "--format", "json"]
         assert run(args) == 0
         lemmas = json.loads(capsys.readouterr().out)["lemmas"]
         return next(item for item in lemmas if item["id"] == "laudate")
@@ -537,36 +592,14 @@ def test_laudate_alone_matches_its_verify_all_entry(monkeypatch, capsys):
     assert laudate_entry(["--lemma", "laudate"]) == laudate_entry(["--all"])
 
 
-def test_samples_reach_only_gaudete(monkeypatch, capsys):
-    """veritas and laudate draw nothing, so --samples leaves their entries as
-    they are; gaudete's minimality samples draw as many points as it asks,
-    and its identity witness does not depend on the count."""
-    def lemma_entries(*args: str) -> dict:
-        monkeypatch.setattr(certify, "_REPORTS", {})
-        assert run(["verify", *args, "--no-timing", "--format", "json"]) == 0
-        return {item["id"]: item for item in json.loads(capsys.readouterr().out)["lemmas"]}
-
-    selection = ["--lemma", "veritas", "--lemma", "laudate"]
-    assert lemma_entries(*selection, "--samples", "1") == lemma_entries(*selection)
-
-    def gaudete(*args: str) -> dict:
-        return lemma_entries("--lemma", "gaudete", *args)["gaudete"]["witnesses"]
-
-    assert gaudete("--samples", "3")["sampled_points"] == 3
-    exact = ("reverse_cauchy_schwarz_identity", "first_variation_deduction")
-    one, default = gaudete("--samples", "1"), gaudete()
-    assert [one[key] for key in exact] == [default[key] for key in exact]
-    assert one["reverse_cauchy_schwarz_identity"] is True
-
-
 def test_report_includes_truncated_chart_summaries(capsys):
-    code = run(["report", "--format", "markdown", "--no-timing", "--samples", "4"])
+    code = run(["report", "--format", "markdown", "--no-timing"])
     out = capsys.readouterr().out
     assert "## chart summaries" in out
     assert "more terms)" in out  # long canonical polynomials are truncated
     assert code in (0, 1)
     # JSON carries the full canonical text
-    assert run(["report", "--format", "json", "--no-timing", "--samples", "4"]) in (0, 1)
+    assert run(["report", "--format", "json", "--no-timing"]) in (0, 1)
     payload = json.loads(capsys.readouterr().out)
     k2 = next(b for b in payload["bundles"] if b["chart"] == "k2")
     assert k2["evaluations"]["1,1"]["calA"] == "2919/409"
@@ -576,11 +609,11 @@ def test_report_includes_truncated_chart_summaries(capsys):
 
 def test_env_config_override(tmp_path, monkeypatch, capsys):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"sample_count": 7, "seed": 99}))
+    config_path.write_text(json.dumps({"isolation_width": 7, "seed": 99}))
     monkeypatch.setenv("KCERT_CONFIG", str(config_path))
     assert run(["verify", "--lemma", "claritas", "--format", "json", "--no-timing"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["config"]["sample_count"] == 7
+    assert payload["config"]["isolation_width"] == "7"
     assert payload["config"]["seed"] == 99
 
 
@@ -591,12 +624,11 @@ def test_env_config_override(tmp_path, monkeypatch, capsys):
         ("[1, 2]", "must hold a JSON object, got [1, 2]"),
         ('"seed"', "must hold a JSON object"),
         ('{"seed": true}', "'seed' must be an integer"),
-        ('{"sample_count": 1.5}', "'sample_count' must be an integer"),
         ('{"isolation_width": 0.5}', "'isolation_width' must be a string or an integer"),
         ('{"fixtures_dir": 3}', "'fixtures_dir' must be a string or null"),
         ('{"format": "xml"}', "'format' must be json or markdown"),
         ('{"samples": 7}', "unknown KCERT_CONFIG key 'samples'"),
-        ('{"sample_count": 0}', "sample_count must be >= 1"),
+        ('{"sample_count": 7}', "unknown KCERT_CONFIG key 'sample_count'"),
         ('{"seed": -1}', "seed must be in 0..2^64-1, got -1"),
         ('{"seed": 18446744073709551616}', "seed must be in 0..2^64-1"),
         ("[" * 200_000, "KCERT_CONFIG nests too deeply to decode"),
@@ -618,13 +650,13 @@ def test_bad_env_config_is_usage_error(text, message, tmp_path, monkeypatch, cap
 def test_env_config_flags_override_and_width(tmp_path, monkeypatch, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(
-        json.dumps({"sample_count": 7, "isolation_width": "1/1024", "fixtures_dir": None})
+        json.dumps({"seed": 7, "isolation_width": "1/1024", "fixtures_dir": None})
     )
     monkeypatch.setenv("KCERT_CONFIG", str(config_path))
     args = ["verify", "--lemma", "claritas", "--format", "json", "--no-timing"]
-    assert run(args + ["--samples", "5"]) == 0
+    assert run(args + ["--seed", "5"]) == 0
     config = json.loads(capsys.readouterr().out)["config"]
-    assert config["sample_count"] == 5
+    assert config["seed"] == 5
     assert config["isolation_width"] == "1/1024"
     assert config["fixtures_dir"] is None
 
@@ -703,7 +735,7 @@ def test_cold_verify_convex2_refutes_the_display_without_products():
     assert done.returncode == 0, done.stderr
     # one comparison, of the k2 display over (beta, gamma), with no product
     assert done.stdout.split(maxsplit=2) == [
-        "0", "9a480a359b42d492e95d07d47470893a", "[(('beta', 'gamma'), 0)]\n"
+        "0", "94027e8521a5e9403722910ca532fb4b", "[(('beta', 'gamma'), 0)]\n"
     ]
 
 

@@ -25,7 +25,9 @@ from kcert.functional import (
 from kcert.polytope import (
     boundary_integral,
     build_polygon,
+    central_moment_numerators,
     central_second_moments,
+    dilated_integral,
     integrate_monomial,
     lattice_perimeter,
 )
@@ -376,6 +378,38 @@ def test_integer_route_does_no_fraction_arithmetic(monkeypatch):
     for areas, (value, futaki) in zip(classes, expected):
         assert evaluate_calA_on_areas(areas) == value
         assert evaluate_futaki_on_areas(areas) == futaki
+
+
+def test_minimality_deduction_holds_on_the_integer_route():
+    """gaudete's minimality deduction, step by step, on 1,000 SplitMix64
+    classes over delta > 0, their Cremona images (delta < 0) and delta = 0,
+    and on multiples of c1: on the numeric route's integers det > 0,
+    N_F >= 0 and perimeter^2 >= 12 area, so the objective is >= 6, and it
+    is 6 exactly when all six areas are equal."""
+    rng = SplitMix64(7)
+    classes = [AreaVector(*[t] * 6) for t in map(Fraction, (1, 2, "1/3", "7/5"))]
+    for i in range(1000):
+        alpha, beta, gamma = rng.point(3)
+        if i % 3 == 2:
+            classes.append(AreaVector.from_abcd(alpha, beta, gamma, 0))
+            continue
+        areas = AreaVector.from_abcd(alpha, beta, gamma, rng.rational())
+        classes.append(cremona(areas) if i % 3 else areas)
+    for areas in classes:
+        polygon = build_polygon(areas.as_tuple())
+        area, perimeter, m10, m01, q1, q2 = _obstruction_numerators(polygon)
+        m20, m11, m02 = (dilated_integral(polygon, a, b) for a, b in ((2, 0), (1, 1), (0, 2)))
+        puu, pvv, puv = central_moment_numerators(area, m10, m01, m20, m11, m02)
+        det, n_f, numerator, denominator = objective_parts(
+            perimeter, area, puu, pvv, puv, q1, q2
+        )
+        proportional = len(set(areas.as_tuple())) == 1
+        assert area > 0 and det > 0 and n_f >= 0, areas
+        assert perimeter * perimeter >= 12 * area, areas
+        assert (perimeter * perimeter == 12 * area) == proportional, areas
+        value = evaluate_calA_on_areas(areas)
+        assert value == Fraction(numerator, denominator) >= 6, areas
+        assert (value == 6) == proportional, areas
 
 
 def test_cone_ingredients_product_count(monkeypatch):
