@@ -32,14 +32,16 @@ cancellation is attempted anywhere.
 
 One assembly serves both routes: its formulas use operators only, so they
 build the chart rational functions on MultiPolys and the values at a numeric
-area vector on the ints of the polygon dilated by 6L (``dilated_integral``),
-with no polynomial and no Fraction before one division at the end.
+area vector on the ints of the polygon dilated by 6L (``dilated_moments``),
+with no polynomial and no Fraction before one division at the end.  Either
+route reads every integral it needs from one pass over the polygon's edges
+(``polytope.moments`` or ``polytope.dilated_moments``), once per polygon.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from . import univar
@@ -63,12 +65,9 @@ from .poly import (
 from .polytope import (
     ParamPolygon,
     build_polygon,
-    boundary_integral,
     central_moment_numerators,
-    central_second_moments,
-    dilated_integral,
-    integrate_monomial,
-    lattice_perimeter,
+    dilated_moments,
+    moments,
 )
 
 
@@ -109,22 +108,15 @@ def _polygon_from_areas(
     return build_polygon(entries, variables)
 
 
-def _obstruction_numerators(polygon: ParamPolygon) -> tuple:
-    """(area, perimeter, m10, m01, q1, q2) with F_i = q_i / area and
-    q_i = 2 [ boundary(w_i) * area - perimeter * interior(w_i) ], w = (u, v):
-    exact MultiPolys on a chart polygon, ints over the polygon dilated by 6L
-    (``dilated_integral``) on a numeric one.
+def _obstruction_numerators(interior: Sequence, boundary: Sequence) -> tuple:
+    """(q1, q2) with F_i = q_i / area and
+    q_i = 2 [ boundary(w_i) * area - perimeter * interior(w_i) ], w = (u, v),
+    from one pass's integrals (``polytope.MONOMIALS`` order): exact MultiPolys
+    on a chart polygon, ints over the polygon dilated by 6L on a numeric one.
     """
-    if polygon.variables:
-        interior, boundary = integrate_monomial, boundary_integral
-        perimeter = lattice_perimeter(polygon)
-    else:
-        interior, boundary = dilated_integral, partial(dilated_integral, boundary=True)
-        perimeter = boundary(polygon, 0, 0)
-    area, m10, m01 = (interior(polygon, a, b) for a, b in ((0, 0), (1, 0), (0, 1)))
-    q1 = (boundary(polygon, 1, 0) * area - perimeter * m10) * 2
-    q2 = (boundary(polygon, 0, 1) * area - perimeter * m01) * 2
-    return area, perimeter, m10, m01, q1, q2
+    area, m10, m01 = interior[:3]
+    perimeter, b10, b01 = boundary[:3]
+    return (b10 * area - perimeter * m10) * 2, (b01 * area - perimeter * m01) * 2
 
 
 def futaki_boundary(
@@ -141,8 +133,9 @@ def futaki_boundary(
             "futaki_boundary needs the cone variables; "
             "use evaluate_futaki_on_areas for numeric areas"
         )
-    area, _, _, _, q1, q2 = _obstruction_numerators(_polygon_from_areas(areas, variables))
-    return RatFunc.make(q1, area), RatFunc.make(q2, area)
+    interior, boundary = moments(_polygon_from_areas(areas, variables))
+    q1, q2 = _obstruction_numerators(interior, boundary)
+    return RatFunc.make(q1, interior[0]), RatFunc.make(q2, interior[0])
 
 
 def futaki_norm_sq(
@@ -195,11 +188,11 @@ def _cone_ingredients() -> tuple[MultiPoly, ...]:
     """(volume, puu, pvv, puv, perimeter, b1, b2) over ABCD, from one polygon:
     every chart's bundle is these seven polynomials under its substitution."""
     polygon = _polygon_from_areas(AreaVector.from_abcd(*MultiPoly.gens(ABCD)), ABCD)
-    volume, puu, pvv, puv = central_second_moments(polygon)
-    b1, b2, volume_closed = _closed_form_brackets()
-    if volume != volume_closed:
+    interior, boundary = moments(polygon)
+    b1, b2, volume = _closed_form_brackets()
+    if interior[0] != volume:
         raise AssertionError("polygon area disagrees with the closed-form volume polynomial")
-    return volume, puu, pvv, puv, lattice_perimeter(polygon), b1, b2
+    return (volume, *central_moment_numerators(*interior), boundary[0], b1, b2)
 
 
 @lru_cache(maxsize=None)
@@ -301,11 +294,10 @@ def evaluate_calA_on_areas(areas: Sequence[Scalar] | AreaVector) -> Fraction:
     polygon dilated by 6L, which the objective, of degree 0, does not see;
     used for classes outside the coordinate charts and invariance sampling.
     """
-    polygon = _polygon_from_areas(areas)
-    area, perimeter, m10, m01, q1, q2 = _obstruction_numerators(polygon)
-    m20, m11, m02 = (dilated_integral(polygon, a, b) for a, b in ((2, 0), (1, 1), (0, 2)))
-    puu, pvv, puv = central_moment_numerators(area, m10, m01, m20, m11, m02)
-    _, _, numerator, denominator = objective_parts(perimeter, area, puu, pvv, puv, q1, q2)
+    interior, boundary = dilated_moments(_polygon_from_areas(areas))
+    puu, pvv, puv = central_moment_numerators(*interior)
+    q1, q2 = _obstruction_numerators(interior, boundary)
+    _, _, numerator, denominator = objective_parts(boundary[0], interior[0], puu, pvv, puv, q1, q2)
     return Fraction(numerator, denominator)
 
 
@@ -315,8 +307,9 @@ def evaluate_futaki_on_areas(
     """Exact obstruction components at a numeric six-area vector: F is of
     degree 2, so F_i = q_i / (area (6L)^2) on the polygon dilated by 6L."""
     polygon = _polygon_from_areas(areas)
-    area, _, _, _, q1, q2 = _obstruction_numerators(polygon)
-    denominator = area * (6 * polygon.scale) ** 2
+    interior, boundary = dilated_moments(polygon)
+    q1, q2 = _obstruction_numerators(interior, boundary)
+    denominator = interior[0] * (6 * polygon.scale) ** 2
     return Fraction(q1, denominator), Fraction(q2, denominator)
 
 

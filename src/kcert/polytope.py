@@ -18,27 +18,36 @@ Coordinates are u = 2*pi*x, v = 2*pi*y, chosen so that every vertex datum and
 every integral below is a parameter polynomial with rational coefficients; pi
 factors are restored downstream, in one place.
 
-Integrals are edge sums over the counter-clockwise vertices (u_i, v_i), with
-integer weights and no triangulation:
-  * interior moments: with c_i = u_i v_{i+1} - u_{i+1} v_i,
-        int u^a v^b = a! b! / (a+b+2)! sum_i c_i sum_{k<=a, l<=b}
-            C(k+l, l) C(a+b-k-l, b-l) u_i^k u_{i+1}^(a-k) v_i^l v_{i+1}^(b-l);
-  * boundary integrals in the lattice measure (a primitive segment has
-    length 1), edge by edge with p(t) = start + t*direction, t in [0, length].
+Integrals are edge sums over the counter-clockwise edges (u_i, v_i) ->
+(u_j, v_j), written out for every monomial of degree <= 2 and formed in one
+walk over the edges (``_moment_sums``).  Each edge has one kernel k(u^a v^b):
+
+    k(1) = 1,    k(u) = u_i + u_j,    k(v) = v_i + v_j,
+    k(u^2) = u_i (u_i + u_j) + u_j^2,    k(v^2) = v_i (v_i + v_j) + v_j^2,
+    k(uv)  = u_i (2 v_i + v_j) + u_j (v_i + 2 v_j).
+
+  * interior: with the shoelace term c_i = u_i v_j - u_j v_i,
+        int u^a v^b = sum_i c_i k / D,    D = 2, 6, 6, 12, 24, 12;
+  * boundary, in the lattice measure (a primitive segment has length 1),
+    with l_i the lattice length of the edge,
+        int u^a v^b = sum_i l_i k / K,    K = 1, 2, 2, 3, 6, 3,
+for 1, u, v, u^2, uv, v^2 (``MONOMIALS``): D = (a+b+2)!/(a! b!) and
+K = (a+b+1)!/(a! b!).  Degree > 2 is refused.
 A polygon is its vertices and lattice lengths over one integer scale: for a
 chart polygon, MultiPolys over scale 1; for a numeric polygon (no variables),
 Python ints over L, the lcm of the six areas' denominators, made once from
-the areas.  The sums run unchanged on either type and are divided once, by
-L^(a+b+2) (a+b+2)! / (a! b!) (interior) or by L^(a+b+1) times the weight
-denominator (boundary), so a numeric polygon returns Fractions and stores none.
-``dilated_integral`` integrates over a numeric polygon dilated by 6L instead:
-L clears the scale and 6 the divisor, so every integral of degree <= 2 is an int.
+the areas.  The sums use operators only, so they run unchanged on either
+type, and an integral divides its sum once, by D L^(a+b+2) or K L^(a+b+1),
+so a numeric polygon returns Fractions and stores none.  ``dilated_moments``
+integrates a numeric polygon dilated by 6L instead: L clears the scale and 6
+the divisor, so every integral is an int, 18, 36, 36, 108, 54, 108 times its
+interior sum and 6, 18, 18, 72, 36, 72 times its boundary sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from typing import NamedTuple, Sequence, Union
 
 from .poly import MultiPoly, Scalar, exact_scalar
@@ -141,102 +150,87 @@ def build_polygon(
     for (dx, dy), length in zip(EDGE_DIRECTIONS[:-1], lengths[:-1]):
         us.append(us[-1] + length * dx)
         vs.append(vs[-1] + length * dy)
-    polygon = ParamPolygon(varlist, tuple(us), tuple(vs), lengths, scale)
-    if _at(_interior_sum(polygon, 0, 0)[0], sample_point) <= 0:
+    sampled = [[_at(x, sample_point) for x in xs] for xs in (us, vs)]
+    if sum(cross for *_, cross in _edges(*sampled)) <= 0:  # twice the area
         raise PolygonError("polygon has nonpositive area at the sample point")
-    return polygon
+    return ParamPolygon(varlist, tuple(us), tuple(vs), lengths, scale)
 
 
-def _zero(polygon: ParamPolygon) -> Entry:
-    return MultiPoly.zero(polygon.variables) if polygon.variables else 0
+MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+_DIVISORS = ((2, 6, 6, 12, 24, 12), (1, 2, 2, 3, 6, 3))  # D (interior), K (boundary)
+# 6^(a+b+2) / D and 6^(a+b+1) / K: the sums' multipliers over the polygon dilated by 6L
+_DILATIONS = ((18, 36, 36, 108, 54, 108), (6, 18, 18, 72, 36, 72))
 
 
-def _powers(x, n: int) -> list:
-    """[1, x, ..., x^n]; the int 1 multiplies either entry type."""
-    out = [1]
-    for _ in range(n):
-        out.append(out[-1] * x)
-    return out
+def _edges(us: Sequence, vs: Sequence):
+    """(u_i, v_i, u_j, v_j, c_i) for each CCW edge, with the shoelace term
+    c_i = u_i v_j - u_j v_i: twice the area is the sum of the c_i."""
+    for ui, vi, uj, vj in zip(us, vs, us[1:] + us[:1], vs[1:] + vs[:1]):
+        yield ui, vi, uj, vj, ui * vj - uj * vi
 
 
-def _interior_sum(polygon: ParamPolygon, a: int, b: int) -> tuple[Entry, int, int]:
-    """(sum, divisor, n): the interior integral of u^a v^b is the edge sum
-    above, in the entries' type, over divisor * scale^n."""
-    if a < 0 or b < 0:
-        raise ValueError("monomial exponents must be nonnegative")
-    us, vs, zero, d = polygon.us, polygon.vs, _zero(polygon), a + b
-    weights = [[comb(k + l, l) * comb(d - k - l, b - l) for l in range(b + 1)]
-               for k in range(a + 1)]
-    # one power table per vertex, shared by the vertex's two edges
-    u_powers = [_powers(u, a) for u in us]
-    v_powers = [_powers(v, b) for v in vs]
-    total = zero
-    for i in range(len(us)):
-        j = (i + 1) % len(us)
-        cross = us[i] * vs[j] - us[j] * vs[i]
-        if cross == zero:
-            continue
-        v_terms = [v_powers[i][l] * v_powers[j][b - l] for l in range(b + 1)]
-        inner = zero
-        for k in range(a + 1):
-            u_term = u_powers[i][k] * u_powers[j][a - k]
-            for l in range(b + 1):
-                inner = inner + u_term * v_terms[l] * weights[k][l]
-        total = total + cross * inner
-    return total, comb(d, a) * (d + 1) * (d + 2), d + 2
+def _moment_sums(polygon: ParamPolygon) -> tuple[list[Entry], list[Entry]]:
+    """(interior, boundary): the edge sums of ``MONOMIALS``, in the entries'
+    type, from one walk over the edges (module docstring)."""
+    zero = MultiPoly.zero(polygon.variables) if polygon.variables else 0
+    i00 = i10 = i01 = i20 = i11 = i02 = b00 = b10 = b01 = b20 = b11 = b02 = zero
+    for (ui, vi, uj, vj, c), ell in zip(_edges(polygon.us, polygon.vs), polygon.lengths):
+        su, sv = ui + uj, vi + vj
+        kuu, kuv, kvv = ui * su + uj * uj, ui * (vi + sv) + uj * (vj + sv), vi * sv + vj * vj
+        i00, i10, i01 = i00 + c, i10 + c * su, i01 + c * sv
+        i20, i11, i02 = i20 + c * kuu, i11 + c * kuv, i02 + c * kvv
+        b00, b10, b01 = b00 + ell, b10 + ell * su, b01 + ell * sv
+        b20, b11, b02 = b20 + ell * kuu, b11 + ell * kuv, b02 + ell * kvv
+    return [i00, i10, i01, i20, i11, i02], [b00, b10, b01, b20, b11, b02]
 
 
-def _boundary_sum(polygon: ParamPolygon, a: int, b: int) -> tuple[Entry, int, int]:
-    """(sum, K, n) for the boundary integral of u^a v^b, as ``_interior_sum``.
+def _slot(a: int, b: int) -> int:
+    """The index of u^a v^b in ``MONOMIALS``; any other exponents are refused."""
+    if a < 0 or b < 0 or a + b > 2:
+        raise ValueError(f"polygon integrals run up to degree 2 in exponents >= 0, not u^{a} v^{b}")
+    return MONOMIALS.index((a, b))
 
-    An edge from (u, v) along (dx, dy) adds sum_{p<=a, q<=b} C(a,p) C(b,q)
-    dx^p dy^q / (p+q+1) u^(a-p) v^(b-q) length^(p+q+1), in integer weights
-    over K = lcm(1..a+b+1); n = a+b+1.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("monomial exponents must be nonnegative")
-    zero = _zero(polygon)
-    common = lcm(*range(1, a + b + 2))
-    weights = [[comb(a, p) * comb(b, q) * (common // (p + q + 1)) for q in range(b + 1)]
-               for p in range(a + 1)]
-    total = zero
-    edges = zip(polygon.us, polygon.vs, EDGE_DIRECTIONS, polygon.lengths)
-    for u, v, (dx, dy), length in edges:
-        if length == zero:
-            continue
-        u_powers, v_powers = _powers(u, a), _powers(v, b)
-        l_powers = _powers(length, a + b + 1)
-        for p in range(a + 1 if dx else 1):  # dx = 0 leaves p = 0 only, dy = 0 q = 0
-            for q in range(b + 1 if dy else 1):
-                weight = weights[p][q] * dx ** p * dy ** q
-                total = total + u_powers[a - p] * v_powers[b - q] * l_powers[p + q + 1] * weight
-    return total, common, a + b + 1
+
+def moments(polygon: ParamPolygon) -> tuple[tuple[Coordinate, ...], tuple[Coordinate, ...]]:
+    """(interior, boundary): every integral of ``MONOMIALS`` over the polygon
+    and over its boundary, exactly, from one pass."""
+    return tuple(
+        tuple(s * Fraction(1, d * polygon.scale ** (a + b + n))
+              for s, d, (a, b) in zip(sums, divisors, MONOMIALS))
+        for sums, divisors, n in zip(_moment_sums(polygon), _DIVISORS, (2, 1))
+    )
+
+
+def dilated_moments(polygon: ParamPolygon) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``moments`` over the numeric polygon dilated by 6L, as ints, from one pass."""
+    return tuple(
+        tuple(s * m for s, m in zip(sums, dilation))
+        for sums, dilation in zip(_moment_sums(polygon), _DILATIONS)
+    )
 
 
 def integrate_monomial(polygon: ParamPolygon, a: int, b: int) -> Coordinate:
-    """Exact interior integral of u^a v^b over the polygon (edge sum above)."""
-    total, divisor, n = _interior_sum(polygon, a, b)
-    return total * Fraction(1, divisor * polygon.scale ** n)
+    """Exact interior integral of u^a v^b over the polygon, a + b <= 2."""
+    i = _slot(a, b)
+    return moments(polygon)[0][i]
 
 
 def boundary_integral(polygon: ParamPolygon, a: int, b: int) -> Coordinate:
-    """Exact boundary integral of u^a v^b in the lattice measure."""
-    total, divisor, n = _boundary_sum(polygon, a, b)
-    return total * Fraction(1, divisor * polygon.scale ** n)
+    """Exact boundary integral of u^a v^b in the lattice measure, a + b <= 2."""
+    i = _slot(a, b)
+    return moments(polygon)[1][i]
 
 
 def dilated_integral(polygon: ParamPolygon, a: int, b: int, boundary: bool = False) -> int:
     """The integral of u^a v^b over the numeric polygon dilated by 6L, or over
     its boundary in the lattice measure, as an int; a + b <= 2."""
-    if a + b > 2:  # the interior divisor at degree 3, 20 or 60, does not divide 6^5
-        raise ValueError(f"the dilation by 6L gives ints up to degree 2, not degree {a + b}")
-    total, divisor, n = (_boundary_sum if boundary else _interior_sum)(polygon, a, b)
-    return total * (6 ** n // divisor)
+    i = _slot(a, b)
+    return dilated_moments(polygon)[boundary][i]
 
 
 def lattice_perimeter(polygon: ParamPolygon) -> Coordinate:
-    total = sum(polygon.lengths)
-    return total if polygon.variables else Fraction(total, polygon.scale)
+    """The boundary integral of 1: the sum of the lattice lengths."""
+    return boundary_integral(polygon, 0, 0)
 
 
 def central_moment_numerators(area, m10, m01, m20, m11, m02) -> tuple:
@@ -248,6 +242,5 @@ def central_moment_numerators(area, m10, m01, m20, m11, m02) -> tuple:
 
 def central_second_moments(polygon: ParamPolygon) -> tuple:
     """(area, puu, pvv, puv): the area and ``central_moment_numerators``."""
-    area = integrate_monomial(polygon, 0, 0)  # nonzero: build_polygon checks its sign
-    moments = (integrate_monomial(polygon, a, b) for a, b in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
-    return (area, *central_moment_numerators(area, *moments))
+    interior = moments(polygon)[0]  # the area is nonzero: build_polygon checks its sign
+    return (interior[0], *central_moment_numerators(*interior))

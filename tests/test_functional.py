@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 
-from kcert import functional
+from kcert import functional, polytope
 from kcert.delpezzo import ABCD, AreaVector, ConeChart, K2_CHART, K3_CHART, c1_class, cremona
 from kcert.exprparse import parse_expression
 from kcert.functional import (
@@ -27,9 +27,10 @@ from kcert.polytope import (
     build_polygon,
     central_moment_numerators,
     central_second_moments,
-    dilated_integral,
+    dilated_moments,
     integrate_monomial,
     lattice_perimeter,
+    moments,
 )
 from kcert.poly import (
     MultiPoly,
@@ -74,7 +75,8 @@ def _abcd_polygon():
 
 
 def test_obstruction_numerators_are_delta_times_the_brackets():
-    area, _, _, _, q1, q2 = _obstruction_numerators(_abcd_polygon())
+    interior, boundary = moments(_abcd_polygon())
+    area, (q1, q2) = interior[0], _obstruction_numerators(interior, boundary)
     b1, b2, volume = _closed_form_brackets()
     delta = MultiPoly.variable(ABCD, "delta")
     assert (q1, q2, area) == (delta * b1, delta * b2, volume)
@@ -89,7 +91,8 @@ def _chart_polygon_bundle(chart):
     boundary route's q_i (= b_i at delta = 1) as obstruction numerators."""
     polygon = build_polygon(chart.area_vector().as_tuple(), chart.variables)
     volume, puu, pvv, puv = central_second_moments(polygon)
-    _, perimeter, _, _, q1, q2 = _obstruction_numerators(polygon)
+    perimeter = lattice_perimeter(polygon)
+    q1, q2 = _obstruction_numerators(*moments(polygon))
     quarter = Fraction(1, 4)
     _, _, numerator, denominator = objective_parts(perimeter, volume, puu, pvv, puv, q1, q2)
     return {
@@ -396,10 +399,10 @@ def test_minimality_deduction_holds_on_the_integer_route():
         areas = AreaVector.from_abcd(alpha, beta, gamma, rng.rational())
         classes.append(cremona(areas) if i % 3 else areas)
     for areas in classes:
-        polygon = build_polygon(areas.as_tuple())
-        area, perimeter, m10, m01, q1, q2 = _obstruction_numerators(polygon)
-        m20, m11, m02 = (dilated_integral(polygon, a, b) for a, b in ((2, 0), (1, 1), (0, 2)))
-        puu, pvv, puv = central_moment_numerators(area, m10, m01, m20, m11, m02)
+        interior, boundary = dilated_moments(build_polygon(areas.as_tuple()))
+        area, perimeter = interior[0], boundary[0]
+        q1, q2 = _obstruction_numerators(interior, boundary)
+        puu, pvv, puv = central_moment_numerators(*interior)
         det, n_f, numerator, denominator = objective_parts(
             perimeter, area, puu, pvv, puv, q1, q2
         )
@@ -413,9 +416,9 @@ def test_minimality_deduction_holds_on_the_integer_route():
 
 
 def test_cone_ingredients_product_count(monkeypatch):
-    """The chart integrals keep one u_term per k and one v_terms list per edge:
-    a fresh ``_cone_ingredients`` forms 372 polynomial products, __rmul__
-    included; an edge sum that multiplied per (k, l) would form more."""
+    """The chart integrals come from one pass over the edges, 18 products per
+    edge: a fresh ``_cone_ingredients`` forms 158 polynomial products,
+    __rmul__ and scalings included; a pass per monomial formed 372."""
     multiply, count = MultiPoly.__mul__, [0]
 
     def counting(self, other):
@@ -425,7 +428,30 @@ def test_cone_ingredients_product_count(monkeypatch):
     monkeypatch.setattr(MultiPoly, "__mul__", counting)
     monkeypatch.setattr(MultiPoly, "__rmul__", counting)
     functional._cone_ingredients.__wrapped__()
-    assert count[0] == 372
+    assert count[0] == 158
+
+
+def test_each_route_makes_one_pass_over_the_edges(monkeypatch):
+    """Each numeric evaluation and a fresh ``_cone_ingredients`` read every
+    integral from one ``polytope._moment_sums``; ``build_polygon`` runs none."""
+    passes, count = polytope._moment_sums, [0]
+
+    def counting(polygon):
+        count[0] += 1
+        return passes(polygon)
+
+    monkeypatch.setattr(polytope, "_moment_sums", counting)
+    areas = AreaVector.from_abcd(Fraction(1, 2), Fraction(2, 3), 1, Fraction(-1, 5))
+    build_polygon(areas.as_tuple())
+    assert count[0] == 0
+    for run in (
+        partial(evaluate_calA_on_areas, areas),
+        partial(evaluate_futaki_on_areas, areas),
+        functional._cone_ingredients.__wrapped__,
+    ):
+        count[0] = 0
+        run()
+        assert count[0] == 1, run
 
 
 def test_objective_at_anticanonical_class():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
@@ -17,6 +19,7 @@ from kcert.polytope import (
     dilated_integral,
     integrate_monomial,
     lattice_perimeter,
+    moments,
 )
 from kcert.sampling import SplitMix64
 
@@ -229,6 +232,48 @@ def test_moments_match_greens_oracle():
                 assert integrate_monomial(polygon, a, b).evaluate(point) == expected
 
 
+def _direct_boundary_moment(starts, lengths, a, b):
+    """Lattice-measure boundary integral of u^a v^b: the edge from (u, v) along
+    (dx, dy) adds int_0^length (u + t dx)^a (v + t dy)^b dt, expanded by the
+    binomial theorem in Fractions; independent of the edge kernels under test."""
+    total = Fraction(0)
+    for (u, v), (dx, dy), length in zip(starts, EDGE_DIRECTIONS, lengths):
+        for p in range(a + 1):
+            for q in range(b + 1):
+                power = p + q + 1
+                coeff = comb(a, p) * comb(b, q) * u ** (a - p) * v ** (b - q) * dx ** p * dy ** q
+                total += coeff * Fraction(length) ** power / power
+    return total
+
+
+def test_boundary_moments_match_direct_oracle():
+    """Every boundary moment of degree <= 2 against ``_direct_boundary_moment``:
+    at SplitMix64 points of the k2 and k3 chart polygons, and on numeric
+    polygons, the E3 = 0 pentagons among them."""
+    rng = SplitMix64(0xB0DE)
+    cases = []
+    for polygon in (k2_polygon(), k3_polygon()):
+        boundary = moments(polygon)[1]
+        for _ in range(10):
+            point = rng.point(len(polygon.variables))
+            starts = [(u.evaluate(point), v.evaluate(point)) for u, v in zip(polygon.us, polygon.vs)]
+            lengths = [length.evaluate(point) for length in polygon.lengths]
+            cases.append((f"{polygon.variables} at {point}", starts, lengths,
+                          [m.evaluate(point) for m in boundary]))
+    pentagons = 0
+    for label, areas, _ in _numeric_classes():
+        polygon = build_polygon(areas.as_tuple())
+        starts = [(Fraction(u, polygon.scale), Fraction(v, polygon.scale))
+                  for u, v in zip(polygon.us, polygon.vs)]
+        lengths = [Fraction(length, polygon.scale) for length in polygon.lengths]
+        pentagons += lengths[-1] == 0
+        cases.append((label, starts, lengths, list(moments(polygon)[1])))
+    assert pentagons >= 3
+    for label, starts, lengths, got in cases:
+        expected = [_direct_boundary_moment(starts, lengths, a, b) for a, b in MOMENTS]
+        assert got == expected, label
+
+
 def test_k3_degenerates_to_k2():
     polygon3 = k3_polygon()
     polygon2 = k2_polygon()
@@ -333,11 +378,15 @@ def test_dilated_integral_is_the_integral_over_the_polygon_dilated_by_6L():
 
 
 @pytest.mark.parametrize("boundary", [False, True], ids=["interior", "boundary"])
-@pytest.mark.parametrize("a, b", [(3, 0), (2, 1)])
+@pytest.mark.parametrize("a, b", [(3, 0), (2, 1), (-1, 1), (0, -1)])
 def test_dilated_integral_refuses_degree_above_2(a, b, boundary):
-    polygon = build_polygon([1] * 6)
-    with pytest.raises(ValueError, match=f"up to degree 2, not degree {a + b}"):
-        dilated_integral(polygon, a, b, boundary=boundary)
+    """All three integrals refuse degree > 2 and negative exponents alike."""
+    exact = boundary_integral if boundary else integrate_monomial
+    message = re.escape(f"up to degree 2 in exponents >= 0, not u^{a} v^{b}")
+    for polygon in (build_polygon([1] * 6), k2_polygon()):
+        for integral in (exact, partial(dilated_integral, boundary=boundary)):
+            with pytest.raises(ValueError, match=message):
+                integral(polygon, a, b)
 
 
 def test_polygon_on_a_line_matches_the_numeric_polygon():
