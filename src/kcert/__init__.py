@@ -39,8 +39,6 @@ from .functional import (
     build_bundle,
     evaluate_calA_on_areas,
     first_variation_along_c1,
-    futaki_boundary,
-    futaki_closed_form,
     restrict_diagonal,
 )
 from .sturm import sturm_isolate

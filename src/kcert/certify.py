@@ -11,8 +11,8 @@ Each lemma-level claim is reduced to exact, re-checkable evidence:
     digit (dual certification: the chains are faithful, the Sturm counts are
     independent);
   * symmetry and invariance statements: cross-multiplied polynomial
-    identities, the obstruction's vanishing on V among them (one symbolic
-    polygon on delta = 0);
+    identities, among them the agreement of the obstruction's two routes and
+    its vanishing on V and W, on the one ABCD polygon's pass;
   * k = 2 minimality: a deduction from the certified ingredients, recorded
     as laudate's ``minimality_deduction`` witness;
   * the sign of gaudete's first variation along c1 and its global
@@ -51,10 +51,10 @@ from typing import NamedTuple
 
 from . import univar
 from .delpezzo import (
+    ABCD,
     CHARTS,
     AreaVector,
     CohClass,
-    K3_CHART,
     c1_class,
     cremona,
     pair,
@@ -62,10 +62,10 @@ from .delpezzo import (
 from .exprparse import FixtureError, compare_against_fixture, load_fixture
 from .functional import (
     DiagonalRestriction,
+    _cone_ingredients,
     build_bundle,
     evaluate_calA_on_areas,
     first_variation_along_c1,
-    futaki_boundary,
     restrict_diagonal,
 )
 from .poly import (
@@ -440,26 +440,32 @@ def verify_doubleprime2() -> LemmaReport:
 
 
 def verify_veritas() -> LemmaReport:
-    """Vanishing of the obstruction on both invariant subspaces.
+    """The obstruction's two routes agree, and it vanishes on both invariant
+    subspaces.
 
-    Both are polynomial identities: on W (equal exceptional areas) the k3
-    chart's obstruction numerators vanish at alpha = beta = gamma; on the
-    hyperplane V (delta = 0) the boundary route over one symbolic polygon
-    with delta = 0 has zero numerators (the polygons there are centrally
-    symmetric).
+    Three polynomial identities over ABCD, on ``_cone_ingredients`` alone: the
+    boundary route's numerators are q_i = delta * b_i, with b_i the transcribed
+    closed-form brackets; on W (equal exceptional areas) the q_i vanish at
+    alpha = beta = gamma, for every delta; on the hyperplane V they vanish at
+    delta = 0 (the polygons there are centrally symmetric).  The edge sums are
+    polynomials in the vertices and lengths, so the q_i at delta = 0 are those
+    of the delta = 0 polygon.
     """
-    bundle = build_bundle(K3_CHART)
-    t = MultiPoly.variable(("t",), "t")
-    images = {"alpha": t, "beta": t, "gamma": t}
-    w_zero = (
-        bundle.f1.num.substitute(images, ("t",)).is_zero
-        and bundle.f2.num.substitute(images, ("t",)).is_zero
-    )
-    alpha, beta, gamma = MultiPoly.gens(K3_CHART.variables)
-    f1, f2 = futaki_boundary(AreaVector.from_abcd(alpha, beta, gamma, 0), K3_CHART.variables)
-    v_zero = f1.num.is_zero and f2.num.is_zero
-    witnesses = {"W_identity": w_zero, "V_identity": v_zero}
-    return LemmaReport("veritas", "PASS" if w_zero and v_zero else "FAIL", witnesses)
+    *_, b1, b2, q1, q2 = _cone_ingredients()
+    alpha, beta, gamma, delta = MultiPoly.gens(ABCD)
+    routes = q1 == delta * b1 and q2 == delta * b2
+
+    def vanishes(*images) -> bool:
+        return not any(q.substitute(dict(zip(ABCD, images)), ABCD) for q in (q1, q2))
+
+    w_zero = vanishes(alpha, alpha, alpha, delta)
+    v_zero = vanishes(alpha, beta, gamma, 0)
+    witnesses = {
+        "obstruction_routes_identity": routes,
+        "W_identity": w_zero,
+        "V_identity": v_zero,
+    }
+    return LemmaReport("veritas", "PASS" if all(witnesses.values()) else "FAIL", witnesses)
 
 
 def _cremona_facts() -> dict:
@@ -472,8 +478,7 @@ def _cremona_facts() -> dict:
     involution = cremona(transformed) == generic
     isometry = pair(transformed, transformed) == pair(generic, generic)
     fixes_c1 = cremona(c1_class(3)) == c1_class(3)
-    abcd = ("alpha", "beta", "gamma", "delta")
-    alpha, beta, gamma, delta = MultiPoly.gens(abcd)
+    alpha, beta, gamma, delta = MultiPoly.gens(ABCD)
     areas = AreaVector.from_abcd(alpha, beta, gamma, delta)
     image = cremona(areas)
     a2, b2, g2, d2 = image.to_abcd()

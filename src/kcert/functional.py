@@ -13,12 +13,12 @@ moment polygon.  Everything here reduces to exact polygon data:
     F_i         =  2 [ boundary(w_i) - perimeter/area * interior(w_i) ],
     A, B, C     =  central second moments / (4 pi^2).
 
-Two independent computations of F_i are provided: the transcribed closed
-forms on the coordinate charts and the boundary-measure route above; their
-agreement is a pipeline identity.  The closed forms are written once, over
-(alpha, beta, gamma, delta) and homogeneous by delta; so are the polygon
-integrals, from one polygon per process (``_cone_ingredients``), and each
-chart takes both by substitution (``ConeChart.abcd_images``).
+F_i is computed two independent ways, both once per process over
+(alpha, beta, gamma, delta) by ``_cone_ingredients``: the transcribed closed
+forms, brackets b_i homogeneous by delta, and the boundary-measure route
+above, numerators q_i from the one polygon's edge pass.  ``veritas`` certifies
+q_i = delta * b_i in every run.  Each chart takes the closed forms and the
+polygon integrals by substitution (``ConeChart.abcd_images``).
 ``futaki_norm_sq`` forms ||F||^2 generically on ``PiValue``s, a second route
 to the structured assembly below.  A quantity with a power of pi is a
 ``PiValue``, so that only genuinely pi-free quantities are ever exported as
@@ -94,12 +94,6 @@ def _on_chart(chart: ConeChart, polys: Sequence[MultiPoly]) -> list[MultiPoly]:
     return [p.substitute(images, chart.variables) for p in polys]
 
 
-def futaki_closed_form(chart: ConeChart) -> tuple[RatFunc, RatFunc]:
-    """The transcribed closed forms of the two obstruction components."""
-    b1, b2, volume = _on_chart(chart, _closed_form_brackets())
-    return RatFunc.make(b1, volume), RatFunc.make(b2, volume)
-
-
 def _polygon_from_areas(
     areas: AreaVector | Sequence[MultiPoly | Scalar],
     variables: Sequence[str] = (),
@@ -112,30 +106,11 @@ def _obstruction_numerators(interior: Sequence, boundary: Sequence) -> tuple:
     """(q1, q2) with F_i = q_i / area and
     q_i = 2 [ boundary(w_i) * area - perimeter * interior(w_i) ], w = (u, v),
     from one pass's integrals (``polytope.MONOMIALS`` order): exact MultiPolys
-    on a chart polygon, ints over the polygon dilated by 6L on a numeric one.
+    on a symbolic polygon, ints over the polygon dilated by 6L on a numeric one.
     """
     area, m10, m01 = interior[:3]
     perimeter, b10, b01 = boundary[:3]
     return (b10 * area - perimeter * m10) * 2, (b01 * area - perimeter * m01) * 2
-
-
-def futaki_boundary(
-    areas: AreaVector | Sequence[MultiPoly | Scalar],
-    variables: Sequence[str] = (),
-) -> tuple[RatFunc, RatFunc]:
-    """Obstruction components from boundary and interior polygon integrals.
-
-    Exact in the cone parameters; see ``_obstruction_numerators``.  Numeric
-    areas go to ``evaluate_futaki_on_areas``.
-    """
-    if not variables:
-        raise ValueError(
-            "futaki_boundary needs the cone variables; "
-            "use evaluate_futaki_on_areas for numeric areas"
-        )
-    interior, boundary = moments(_polygon_from_areas(areas, variables))
-    q1, q2 = _obstruction_numerators(interior, boundary)
-    return RatFunc.make(q1, interior[0]), RatFunc.make(q2, interior[0])
 
 
 def futaki_norm_sq(
@@ -185,14 +160,16 @@ class FunctionalBundle(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _cone_ingredients() -> tuple[MultiPoly, ...]:
-    """(volume, puu, pvv, puv, perimeter, b1, b2) over ABCD, from one polygon:
-    every chart's bundle is these seven polynomials under its substitution."""
+    """(volume, puu, pvv, puv, perimeter, b1, b2, q1, q2) over ABCD, from one
+    polygon: every chart's bundle is the first seven under its substitution,
+    and q1, q2 are the boundary route's obstruction numerators (``veritas``)."""
     polygon = _polygon_from_areas(AreaVector.from_abcd(*MultiPoly.gens(ABCD)), ABCD)
     interior, boundary = moments(polygon)
     b1, b2, volume = _closed_form_brackets()
     if interior[0] != volume:
         raise AssertionError("polygon area disagrees with the closed-form volume polynomial")
-    return (volume, *central_moment_numerators(*interior), boundary[0], b1, b2)
+    q1, q2 = _obstruction_numerators(interior, boundary)
+    return (volume, *central_moment_numerators(*interior), boundary[0], b1, b2, q1, q2)
 
 
 @lru_cache(maxsize=None)
@@ -201,9 +178,9 @@ def build_bundle(chart: ConeChart) -> FunctionalBundle:
 
     Substitutes ``_cone_ingredients``; the second term and the full objective
     share the structured denominator 8 * V * det of ``objective_parts``, with
-    the closed-form brackets as the obstruction numerators q_i.
+    the closed-form brackets b_i as the obstruction numerators.
     """
-    volume, puu, pvv, puv, perimeter, b1, b2 = _on_chart(chart, _cone_ingredients())
+    volume, puu, pvv, puv, perimeter, b1, b2 = _on_chart(chart, _cone_ingredients()[:7])
     quarter = Fraction(1, 4)
     a = PiValue(RatFunc.make(puu.scale(quarter), volume), -2)
     b = PiValue(RatFunc.make(pvv.scale(quarter), volume), -2)

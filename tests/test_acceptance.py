@@ -29,13 +29,14 @@ from kcert.delpezzo import (
     pair,
 )
 from kcert.exprparse import parse_expression
-from kcert.functional import evaluate_calA_on_areas, futaki_boundary
+from kcert.functional import _obstruction_numerators, evaluate_calA_on_areas
 from kcert.poly import MultiPoly, PiValue, RatFunc, coefficients_all_nonneg
 from kcert.polytope import (
     EDGE_DIRECTIONS,
     build_polygon,
     integrate_monomial,
     lattice_perimeter,
+    moments,
 )
 from kcert.sampling import DEFAULT_SEED, SplitMix64
 from kcert.sturm import count_roots, sturm_chain, sturm_isolate
@@ -80,10 +81,15 @@ def test_criterion_1_moment_pipeline(bundle_k2, bundle_k3):
 
 
 def test_criterion_2_futaki_cross_validation(bundle_k2, bundle_k3):
-    f1, f2 = futaki_boundary(K2_CHART.area_vector(), BG)
-    assert f1.equals(bundle_k2.f1) and f2.equals(bundle_k2.f2)
-    g1, g2 = futaki_boundary(K3_CHART.area_vector(), ABG)
-    assert g1.equals(bundle_k3.f1) and g2.equals(bundle_k3.f2)
+    # in every run: q_i = delta * b_i over ABCD
+    assert verify_veritas().witnesses["obstruction_routes_identity"] is True
+    # and here on each chart's own polygon, against the bundle's closed forms
+    # (k2 last: the spot values below are its)
+    for chart, bundle in ((K3_CHART, bundle_k3), (K2_CHART, bundle_k2)):
+        interior, boundary = moments(build_polygon(chart.area_vector().as_tuple(), chart.variables))
+        q1, q2 = _obstruction_numerators(interior, boundary)
+        f1, f2 = RatFunc.make(q1, interior[0]), RatFunc.make(q2, interior[0])
+        assert f1.equals(bundle.f1) and f2.equals(bundle.f2)
     assert (f1.evaluate((1, 1)), f2.evaluate((1, 1))) == (Fraction(-2, 3), Fraction(-2, 3))
     assert (f1.evaluate((1, 2)), f2.evaluate((1, 2))) == (
         Fraction(-10, 11),

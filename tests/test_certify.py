@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from kcert import certify
+from kcert import certify, functional
 from kcert.certify import (
     check_all_fixtures,
     positivity_certificate,
@@ -21,7 +22,9 @@ from kcert.certify import (
     verify_uniqueness_k3,
     verify_veritas,
 )
+from kcert.delpezzo import ABCD
 from kcert.exprparse import compare_against_fixture
+from kcert.functional import build_bundle
 from kcert.poly import MultiPoly, RatFunc
 from kcert.sampling import DEFAULT_SEED, SplitMix64
 
@@ -217,30 +220,54 @@ def test_derivative_sign_lemmas():
 def test_veritas():
     report = verify_veritas()
     assert report.status == "PASS"
-    assert report.witnesses == {"W_identity": True, "V_identity": True}
+    assert report.witnesses == {
+        "obstruction_routes_identity": True,
+        "W_identity": True,
+        "V_identity": True,
+    }
 
 
 def test_veritas_v_identity_is_not_vacuous():
-    """Off V the boundary route's numerators are nonzero: the k3 chart itself
-    is the delta = 1 face."""
-    from kcert.delpezzo import K3_CHART
-    from kcert.functional import futaki_boundary
+    """Off V the boundary route's numerators from the ABCD pass are nonzero."""
+    *_, q1, q2 = functional._cone_ingredients()
+    assert not q1.is_zero and not q2.is_zero
 
-    f1, f2 = futaki_boundary(K3_CHART.area_vector(), K3_CHART.variables)
-    assert not f1.num.is_zero and not f2.num.is_zero
+
+def test_veritas_fails_on_a_changed_bracket(monkeypatch):
+    real = functional._closed_form_brackets
+
+    def changed():
+        # b1 has no alpha^3 term: one coefficient goes from 0 to 1
+        b1, b2, volume = real()
+        return b1 + MultiPoly.variable(ABCD, "alpha") ** 3, b2, volume
+
+    monkeypatch.setattr(functional, "_closed_form_brackets", changed)
+    # fresh ingredient and bundle caches stand for a fresh process, and keep
+    # the changed brackets out of this one's
+    fresh = lru_cache(maxsize=None)(functional._cone_ingredients.__wrapped__)
+    bundles = lru_cache(maxsize=None)(build_bundle.__wrapped__)
+    for module in (functional, certify):
+        monkeypatch.setattr(module, "_cone_ingredients", fresh)
+        monkeypatch.setattr(module, "build_bundle", bundles)
+    report = verify_veritas()
+    assert report.status == "FAIL"
+    assert report.witnesses == {
+        "obstruction_routes_identity": False,
+        "W_identity": True,
+        "V_identity": True,
+    }
 
 
 def test_veritas_fails_on_a_nonzero_obstruction_on_v(monkeypatch):
-    real = certify.futaki_boundary
-
-    def shifted(*args):
-        f1, f2 = real(*args)
-        return f1, f2 + 1
-
-    monkeypatch.setattr(certify, "futaki_boundary", shifted)
+    *head, q1, q2 = functional._cone_ingredients()
+    monkeypatch.setattr(certify, "_cone_ingredients", lambda: (*head, q1, q2 + 1))
     report = verify_veritas()
     assert report.status == "FAIL"
-    assert report.witnesses == {"W_identity": True, "V_identity": False}
+    assert report.witnesses == {
+        "obstruction_routes_identity": False,
+        "W_identity": False,
+        "V_identity": False,
+    }
 
 
 def test_claritas_is_a_note():

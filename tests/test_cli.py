@@ -303,7 +303,11 @@ def test_seed_range_ends_run(seed, capsys):
     assert run(args + ["--no-timing", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["seed"] == seed
-    assert payload["lemmas"][0]["witnesses"] == {"W_identity": True, "V_identity": True}
+    assert payload["lemmas"][0]["witnesses"] == {
+        "obstruction_routes_identity": True,
+        "W_identity": True,
+        "V_identity": True,
+    }
 
 
 def test_zero_fixture_denominator_is_usage_error(tmp_path, capsys):
@@ -535,15 +539,15 @@ def test_fixtures_dir_spellings_share_one_load_each(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize(
     "command, code, digest",
     [
-        (["report", "--format", "json"], 1, "f96e1fbb59e4a385bf5a3e33b7376b49"),
-        (["verify", "--all", "--format", "json"], 0, "dd726c8665f91dcab092ca55d27410a1"),
+        (["report", "--format", "json"], 1, "81799df66e971883c4415c19ef2e1171"),
+        (["verify", "--all", "--format", "json"], 0, "ad656708fccb7625339c6ddd7c296334"),
         (["fixtures", "check", "--format", "json"], 1, "81d5452ada4ddc76f1c3bcefbf93d038"),
-        (["report", "--format", "markdown"], 1, "5619621ffb9a5e54f50186cdec939696"),
+        (["report", "--format", "markdown"], 1, "3283aef3cb6fbc371d5c9a318d8e595c"),
         # every setting's flag, at its default
         (
             ["verify", "--all", "--width", "1/1073741824", "--seed", "12648430"],
             0,
-            "dd726c8665f91dcab092ca55d27410a1",
+            "ad656708fccb7625339c6ddd7c296334",
         ),
     ],
     ids=["report", "verify-all", "fixtures-check", "report-markdown", "verify-all-flags"],

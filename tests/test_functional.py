@@ -5,7 +5,7 @@ from functools import lru_cache, partial
 
 import pytest
 
-from kcert import functional, polytope
+from kcert import certify, functional, polytope
 from kcert.delpezzo import ABCD, AreaVector, ConeChart, K2_CHART, K3_CHART, c1_class, cremona
 from kcert.exprparse import parse_expression
 from kcert.functional import (
@@ -17,8 +17,6 @@ from kcert.functional import (
     evaluate_calA_on_areas,
     evaluate_futaki_on_areas,
     first_variation_along_c1,
-    futaki_boundary,
-    futaki_closed_form,
     futaki_norm_sq,
     objective_parts,
 )
@@ -84,6 +82,33 @@ def test_obstruction_numerators_are_delta_times_the_brackets():
     # on V (delta = 0) the obstruction vanishes identically
     on_v = dict(zip(ABCD, MultiPoly.gens(ABCD)), delta=0)
     assert q1.substitute(on_v, ABCD).is_zero and q2.substitute(on_v, ABCD).is_zero
+    # the cone ingredients keep this pass's numerators
+    assert functional._cone_ingredients()[-2:] == (q1, q2)
+
+
+def test_delta_zero_polygon_agrees_with_the_abcd_pass():
+    # the one direct polygon on V: its numerators are the ABCD pass's at
+    # delta = 0, and both vanish
+    alpha, beta, gamma = MultiPoly.gens(ABG)
+    polygon = build_polygon(AreaVector.from_abcd(alpha, beta, gamma, 0).as_tuple(), ABG)
+    direct = _obstruction_numerators(*moments(polygon))
+    on_v = dict(zip(ABCD, (alpha, beta, gamma, 0)))
+    from_pass = tuple(q.substitute(on_v, ABG) for q in functional._cone_ingredients()[-2:])
+    assert direct == from_pass
+    assert all(q.is_zero for q in direct)
+
+
+def _closed_form(chart):
+    """(F1, F2) on a chart from the transcribed closed-form brackets."""
+    b1, b2, volume = _on_chart(chart, _closed_form_brackets())
+    return RatFunc.make(b1, volume), RatFunc.make(b2, volume)
+
+
+def _boundary_route(chart):
+    """(F1, F2) on a chart from its own polygon's boundary integrals."""
+    interior, boundary = moments(build_polygon(chart.area_vector().as_tuple(), chart.variables))
+    q1, q2 = _obstruction_numerators(interior, boundary)
+    return RatFunc.make(q1, interior[0]), RatFunc.make(q2, interior[0])
 
 
 def _chart_polygon_bundle(chart):
@@ -137,9 +162,12 @@ def test_both_bundles_build_one_polygon(monkeypatch):
     # a fresh ingredient cache stands for a fresh process
     fresh = lru_cache(maxsize=None)(functional._cone_ingredients.__wrapped__)
     monkeypatch.setattr(functional, "_cone_ingredients", fresh)
+    monkeypatch.setattr(certify, "_cone_ingredients", fresh)
     monkeypatch.setattr(functional, "build_polygon", counting)
     for chart in (K2_CHART, K3_CHART):
         build_bundle.__wrapped__(chart)
+    # veritas reads the same pass
+    assert certify.verify_veritas().status == "PASS"
     assert calls == [ABCD]
 
 
@@ -153,31 +181,26 @@ def test_calA_k3_at_alpha_zero_is_calA_k2(bundle_k2, bundle_k3):
 
 
 def test_closed_form_spot_values():
-    f1, f2 = futaki_closed_form(K2_CHART)
+    f1, f2 = _closed_form(K2_CHART)
     assert f1.evaluate((1, 1)) == Fraction(-2, 3)
     assert f2.evaluate((1, 1)) == Fraction(-2, 3)
     assert f1.evaluate((1, 2)) == Fraction(-10, 11)
     assert f2.evaluate((1, 2)) == Fraction(-12, 11)
-    g1, g2 = futaki_closed_form(K3_CHART)
+    g1, g2 = _closed_form(K3_CHART)
     assert g1.evaluate((1, 1, 1)) == 0
     assert g2.evaluate((1, 1, 1)) == 0
 
 
 def test_boundary_route_matches_closed_form_symbolically(bundle_k2, bundle_k3):
-    f1, f2 = futaki_boundary(K2_CHART.area_vector(), BG)
+    f1, f2 = _boundary_route(K2_CHART)
     assert f1.equals(bundle_k2.f1) and f2.equals(bundle_k2.f2)
-    g1, g2 = futaki_boundary(K3_CHART.area_vector(), ABG)
+    g1, g2 = _boundary_route(K3_CHART)
     assert g1.equals(bundle_k3.f1) and g2.equals(bundle_k3.f2)
 
 
 def test_boundary_spot_value():
     f1, _ = evaluate_futaki_on_areas([Fraction(0), 2, 1, 1, 1, 2])
     assert f1 == Fraction(-2, 3)
-
-
-def test_futaki_boundary_rejects_numeric_areas():
-    with pytest.raises(ValueError, match="evaluate_futaki_on_areas"):
-        futaki_boundary([Fraction(0), 2, 1, 1, 1, 2])
 
 
 def test_anticanonical_hexagon_obstruction_vanishes():
@@ -417,8 +440,10 @@ def test_minimality_deduction_holds_on_the_integer_route():
 
 def test_cone_ingredients_product_count(monkeypatch):
     """The chart integrals come from one pass over the edges, 18 products per
-    edge: a fresh ``_cone_ingredients`` forms 158 polynomial products,
-    __rmul__ and scalings included; a pass per monomial formed 372."""
+    edge: a fresh ``_cone_ingredients`` forms 164 polynomial products,
+    __rmul__ and scalings included, of which the obstruction numerators q1, q2
+    take 6 (boundary * area, perimeter * interior and the doubling, each);
+    a pass per monomial formed 372 without them."""
     multiply, count = MultiPoly.__mul__, [0]
 
     def counting(self, other):
@@ -428,7 +453,7 @@ def test_cone_ingredients_product_count(monkeypatch):
     monkeypatch.setattr(MultiPoly, "__mul__", counting)
     monkeypatch.setattr(MultiPoly, "__rmul__", counting)
     functional._cone_ingredients.__wrapped__()
-    assert count[0] == 158
+    assert count[0] == 164
 
 
 def test_each_route_makes_one_pass_over_the_edges(monkeypatch):
@@ -531,7 +556,7 @@ def test_closed_form_on_k1_chart():
     # (gamma,) they agree with the boundary route and with the closed form
     chart = ConeChart("k1", 1, ("gamma",))
     (gamma,) = MultiPoly.gens(chart.variables)
-    closed = futaki_closed_form(chart)
-    assert closed == futaki_boundary(chart.area_vector(), chart.variables)
+    closed = _closed_form(chart)
+    assert closed == _boundary_route(chart)
     denominator = gamma * 6 + 3
     assert closed == (RatFunc.make(gamma * -4, denominator), RatFunc.make(gamma * 2, denominator))
