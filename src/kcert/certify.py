@@ -10,9 +10,12 @@ Each lemma-level claim is reduced to exact, re-checkable evidence:
     classical coefficient-splitting inequality chains are replayed digit by
     digit (dual certification: the chains are faithful, the Sturm counts are
     independent);
-  * symmetry and invariance statements: cross-multiplied polynomial
-    identities, among them the agreement of the obstruction's two routes and
-    its vanishing on V and W, on the one ABCD polygon's pass;
+  * symmetry statements: the transposition is an exponent permutation of the
+    objective's canonical tables, decided by ``RatFunc.equals`` (identical
+    tables at once, anything else cross-multiplied);
+  * invariance statements: polynomial identities, among them the agreement
+    of the obstruction's two routes and its vanishing on V and W, on the one
+    ABCD polygon's pass;
   * k = 2 minimality: a deduction from the certified ingredients, recorded
     as laudate's ``minimality_deduction`` witness;
   * the sign of gaudete's first variation along c1 and its global
@@ -294,25 +297,37 @@ def verify_convexity(chart_id: str, fixtures_dir: Path | None = None) -> LemmaRe
 
 
 def _symmetry_identity(chart_id: str, swap: dict[str, str]) -> bool:
-    chart = CHARTS[chart_id]
-    cal_a = build_bundle(chart).calA
-    gens = {name: MultiPoly.variable(chart.variables, name) for name in chart.variables}
-    images = {name: gens[swap.get(name, name)] for name in chart.variables}
-    swapped = RatFunc.make(
-        cal_a.num.substitute(images, chart.variables),
-        cal_a.den.substitute(images, chart.variables),
-    )
-    return cal_a.equals(swapped)
+    """Whether the chart objective is invariant under ``swap``, a permutation
+    of the chart's variables.  Renaming permutes the exponent tuples of the
+    canonical tables and keeps every coefficient, so no ``make`` is needed;
+    ``RatFunc.equals`` decides, at once when the tables are identical."""
+    variables = CHARTS[chart_id].variables
+    images = [swap.get(name, name) for name in variables]
+    if not set(swap) <= set(variables) or sorted(images) != sorted(variables):
+        raise ValueError(f"{swap} is not a permutation of {variables}")
+    # exponent i of a renamed term is that of the variable renamed to variables[i]
+    source = [images.index(name) for name in variables]
+    cal_a = build_bundle(CHARTS[chart_id]).calA
+    swapped = [
+        MultiPoly._build(variables, {tuple(map(e.__getitem__, source)): n
+                                     for e, n in part.numerators.items()})
+        for part in (cal_a.num, cal_a.den)
+    ]
+    return cal_a.equals(RatFunc(*swapped))
+
+
+# per symmetry lemma: the chart and the transposition of its variables
+SYMMETRIES = {
+    "symmetry2": ("k2", {"beta": "gamma", "gamma": "beta"}),
+    "symmetry3a": ("k3", {"alpha": "beta", "beta": "alpha"}),
+    "symmetry3b": ("k3", {"beta": "gamma", "gamma": "beta"}),
+}
 
 
 def verify_symmetry(lemma_id: str) -> LemmaReport:
-    """Cross-multiplied invariance of the objective under a transposition."""
-    swaps = {
-        "symmetry2": ("k2", {"beta": "gamma", "gamma": "beta"}),
-        "symmetry3a": ("k3", {"alpha": "beta", "beta": "alpha"}),
-        "symmetry3b": ("k3", {"beta": "gamma", "gamma": "beta"}),
-    }
-    chart_id, swap = swaps[lemma_id]
+    """Invariance of the objective under a transposition: the swap is an
+    exponent permutation of its tables, decided by ``RatFunc.equals``."""
+    chart_id, swap = SYMMETRIES[lemma_id]
     ok = _symmetry_identity(chart_id, swap)
     witnesses = {"identity": f"objective invariant under {swap} on {chart_id}",
                  "symbolic": ok}

@@ -24,6 +24,10 @@ word products of a pair-by-pair product, exceed ``MAX_WORD_PAIRS``.
 Syntax errors carry line/column (in a fixture, the line of the file), and so
 do the arithmetic's limits: a literal longer than the interpreter's int-string
 digit limit, or a product whose degree reaches the polynomial exponent guard.
+The text is searched once for an unexpected character, then tokenized in one
+regex pass into plain strings with start offsets; a position's line and column
+are computed from its offset, counting '\\n' alone as a line break, only when
+an error is raised there.
 
 Expansion is cheap for transcribed displays, which are mostly sums of
 ``coefficient * symbol powers * (group)`` terms: within a term, numbers and
@@ -80,43 +84,27 @@ class ParseError(ValueError):
         self.column = column
 
 
-class _Token(NamedTuple):
-    kind: str  # NAT, SYMBOL, OP, END
-    text: str
-    line: int
-    column: int
-
-
 # ASCII only: a digit or letter of another script is an unexpected character
-_TOKEN = re.compile(
-    r"(?P<NAT>[0-9]+)|(?P<SYMBOL>[A-Za-z_][A-Za-z0-9_]*)|(?P<OP>[-+*^()])"
-    r"|(?P<NEWLINE>\n)|[ \t\r\f\v]+|(?P<BAD>.)",
-    re.DOTALL,
-)
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*^()]")
+_UNEXPECTED = re.compile(r"[^0-9A-Za-z_+*^() \t\n\r\f\v-]")
 
 
-def _tokenize(text: str, first_line: int = 1) -> list[_Token]:
-    """Tokens with 1-based positions; ``first_line`` is the line ``text`` starts on."""
-    tokens: list[_Token] = []
-    append = tokens.append
-    # tuple.__new__ skips the NamedTuple's Python-level __new__, about a
-    # fifth of the loop on a long display
-    new = tuple.__new__
-    line, line_start = first_line, 0
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        if kind is None:
-            continue
-        if kind == "NEWLINE":
-            line, line_start = line + 1, match.end()
-        elif kind == "BAD":
-            raise ParseError(
-                f"unexpected character {match.group()!r}", line, match.start() - line_start + 1
-            )
-        else:
-            append(new(_Token, (kind, match.group(), line, match.start() - line_start + 1)))
-    tokens.append(_Token("END", "", line, len(text) - line_start + 1))
-    return tokens
+def _position(text: str, offset: int, first_line: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset`` in ``text``, which starts on ``first_line``."""
+    return first_line + text.count("\n", 0, offset), offset - text.rfind("\n", 0, offset)
+
+
+def _tokenize(text: str, first_line: int) -> tuple[list[str], list[int]]:
+    """The tokens as plain strings, ending in "" (the end of input), and their
+    start offsets; ``first_line`` is the line ``text`` starts on."""
+    bad = _UNEXPECTED.search(text)
+    if bad:
+        raise ParseError(
+            f"unexpected character {bad.group()!r}", *_position(text, bad.start(), first_line)
+        )
+    matches = list(_TOKEN.finditer(text))
+    tokens = [*map(re.Match.group, matches), ""]
+    return tokens, [*map(re.Match.start, matches), len(text)]
 
 
 def _degrees(p: MultiPoly) -> list[int]:
@@ -131,27 +119,27 @@ def _coefficient_words(*polys: MultiPoly) -> int:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], variables: tuple[str, ...]):
-        self.tokens = tokens
+    """Recursive descent over ``_tokenize``'s strings and offsets: a token's
+    line and column are computed only when an error is raised at it."""
+
+    def __init__(self, text: str, variables: tuple[str, ...], first_line: int):
+        self.text, self.first_line = text, first_line
+        self.tokens, self.starts = _tokenize(text, first_line)
         self.pos = 0
         self.variables = variables
+        self.symbols = frozenset(filter(str.isidentifier, variables))  # those a token can name
         self.depth = 0  # groups open at the current token
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
+    def fail(self, message: str, index: int | None = None) -> ParseError:
+        """A ParseError at token ``index``, by default the current one."""
+        offset = self.starts[self.pos if index is None else index]
+        return ParseError(message, *_position(self.text, offset, self.first_line))
 
-    def fail(self, message: str) -> ParseError:
-        token = self.peek()
-        return ParseError(message, token.line, token.column)
-
-    @staticmethod
-    def at(token: _Token, operation, *operands):
-        """``operation(*operands)``, with a ValueError raised as a ParseError at ``token``.
+    def at(self, index: int, operation, *operands):
+        """``operation(*operands)``, with a ValueError raised as a ParseError at token ``index``.
 
         Such errors are limits of the arithmetic rather than syntax: a literal
         longer than the interpreter's int-string digit limit, or a product
@@ -160,21 +148,20 @@ class _Parser:
         try:
             return operation(*operands)
         except ValueError as exc:
-            raise ParseError(str(exc), token.line, token.column) from exc
+            raise self.fail(str(exc), index) from exc
 
     def parse(self) -> MultiPoly:
         value = self.expr()
-        if self.peek().kind != "END":
-            raise self.fail(f"trailing input {self.peek().text!r}")
+        if self.peek():
+            raise self.fail(f"trailing input {self.peek()!r}")
         return value
 
     def expr(self) -> MultiPoly:
         """The sum of the terms, accumulated in one table (every parsed
         polynomial has integer coefficients)."""
         sign = 1
-        token = self.peek()
-        if token.kind == "OP" and token.text == "-":
-            self.advance()
+        if self.peek() == "-":
+            self.pos += 1
             sign = -1
         table: dict = {}
         get = table.get
@@ -182,10 +169,10 @@ class _Parser:
             for e, n in self.term().numerators.items():
                 table[e] = get(e, 0) + sign * n
             token = self.peek()
-            if not (token.kind == "OP" and token.text in "+-"):
+            if token != "+" and token != "-":
                 return MultiPoly._build(self.variables, {e: n for e, n in table.items() if n})
-            self.advance()
-            sign = 1 if token.text == "+" else -1
+            self.pos += 1
+            sign = 1 if token == "+" else -1
 
     def term(self) -> MultiPoly:
         """The product of the term's factors, with each number and symbol power
@@ -197,125 +184,118 @@ class _Parser:
         the exponent guard fires at the factor (or its '*') where the running
         degree in some variable reaches it, unless a factor so far was zero.
         """
-        variables = self.variables
+        variables, tokens = self.variables, self.tokens
         coefficient, exponents = 1, [0] * len(variables)
         groups = None  # the parenthesised factors' product
         reach = [0] * len(variables)  # the running product's degree in each variable
-        token = None  # the '*' or first token of each factor after the first
+        index = None  # the '*' or first token of each factor after the first
         while True:
-            first = self.peek()
-            if first.kind == "NAT":
-                self.advance()
-                coefficient *= self.at(first, int, first.text) ** self.exponent()[0]
-            elif first.kind == "SYMBOL" and first.text in variables:
-                self.advance()
-                i = variables.index(first.text)
+            first = self.pos
+            token = tokens[first]
+            if token.isdigit():
+                self.pos += 1
+                coefficient *= self.at(first, int, token) ** self.exponent()[0]
+            elif token in self.symbols:
+                self.pos += 1
+                i = variables.index(token)
                 power = self.exponent()[0]
                 exponents[i] += power
                 reach[i] += power
-                self.guard(token, coefficient, reach)
+                self.guard(index, coefficient, reach)
             else:
                 group = self.factor()
                 if not group:
                     coefficient = 0
                 elif coefficient:
                     reach = list(map(add, reach, _degrees(group)))
-                    self.guard(token, coefficient, reach)
-                    groups = group if groups is None else self.product(token, groups, group)
-            token = self.peek()
-            if token.kind == "OP" and token.text == "*":
-                self.advance()
-            elif not (token.kind in ("NAT", "SYMBOL") or (
-                token.kind == "OP" and token.text == "("
-            )):
+                    self.guard(index, coefficient, reach)
+                    groups = group if groups is None else self.product(index, groups, group)
+            index = self.pos
+            token = tokens[index]
+            if token == "*":
+                self.pos += 1
+            elif not (token == "(" or token.isdigit() or token.isidentifier()):
                 break
         if not coefficient:
             return MultiPoly.zero(variables)
         monomial = MultiPoly._build(variables, {tuple(exponents): coefficient})
         return monomial if groups is None else monomial * groups
 
-    def guard(self, token: _Token | None, coefficient: int, reach: list[int]) -> None:
+    def guard(self, index: int | None, coefficient: int, reach: list[int]) -> None:
         """At a factor after the first, raise the exponent guard's own error if
         the running product is nonzero and its degrees ``reach`` reach it."""
-        if token is not None and coefficient and max(reach) >> _PACK_BITS:
+        if index is not None and coefficient and max(reach) >> _PACK_BITS:
             monomial = MultiPoly._build(self.variables, {tuple(reach): 1})
-            self.at(token, mul, monomial, MultiPoly.const(self.variables, 1))
+            self.at(index, mul, monomial, MultiPoly.const(self.variables, 1))
 
-    def exponent(self) -> tuple[int, _Token | None]:
-        """The natural number after an optional '^', with its token: (1, None) without one."""
-        token = self.peek()
-        if not (token.kind == "OP" and token.text == "^"):
+    def exponent(self) -> tuple[int, int | None]:
+        """The natural number after an optional '^', with its token's index:
+        (1, None) without one."""
+        if self.peek() != "^":
             return 1, None
-        self.advance()
-        token = self.peek()
-        if token.kind != "NAT":
+        self.pos += 1
+        index = self.pos
+        if not self.peek().isdigit():
             raise self.fail("expected a natural-number exponent after '^'")
-        self.advance()
-        exponent = self.at(token, int, token.text)
+        self.pos += 1
+        exponent = self.at(index, int, self.tokens[index])
         if exponent > MAX_EXPONENT:
-            raise ParseError(
-                f"exponent {exponent} exceeds the {MAX_EXPONENT} limit", token.line, token.column
-            )
-        return exponent, token
+            raise self.fail(f"exponent {exponent} exceeds the {MAX_EXPONENT} limit", index)
+        return exponent, index
 
     def factor(self) -> MultiPoly:
         """A base and its power, formed by repeated squaring in the order of
         ``MultiPoly.__pow__``; each product is bounded by its own operands."""
         base = self.base()
-        exponent, token = self.exponent()
-        if token is None:
+        exponent, index = self.exponent()
+        if index is None:
             return base
         result = None
         while exponent:
             if exponent & 1:
-                result = base if result is None else self.product(token, result, base)
+                result = base if result is None else self.product(index, result, base)
             exponent >>= 1
             if exponent:
-                base = self.product(token, base, base)
+                base = self.product(index, base, base)
         return MultiPoly.const(self.variables, 1) if result is None else result
 
-    def product(self, token: _Token, a: MultiPoly, b: MultiPoly) -> MultiPoly:
-        """a * b, refused at ``token`` when its term pairs, and its exponent
-        box times its coefficient words, both exceed ``MAX_EXPANSION``, or when
-        its term pairs times the coefficient words of a and of b exceed
-        ``MAX_WORD_PAIRS``."""
+    def product(self, index: int, a: MultiPoly, b: MultiPoly) -> MultiPoly:
+        """a * b, refused at token ``index`` when its term pairs, and its
+        exponent box times its coefficient words, both exceed
+        ``MAX_EXPANSION``, or when its term pairs times the coefficient words
+        of a and of b exceed ``MAX_WORD_PAIRS``."""
         pairs = len(a.numerators) * len(b.numerators)
         if pairs > MAX_EXPANSION:
             box = prod(x + y + 1 for x, y in zip(_degrees(a), _degrees(b)))
             size = min(pairs, box * _coefficient_words(a, b))
             if size > MAX_EXPANSION:
-                raise ParseError(
+                raise self.fail(
                     f"expansion to min(term pairs, exponent box x coefficient words) = "
-                    f"{size} exceeds the {MAX_EXPANSION} limit", token.line, token.column
+                    f"{size} exceeds the {MAX_EXPANSION} limit", index
                 )
         words = pairs * _coefficient_words(a) * _coefficient_words(b)
         if words > MAX_WORD_PAIRS:
-            raise ParseError(f"term pairs x coefficient words = {words} exceeds the "
-                             f"{MAX_WORD_PAIRS} limit", token.line, token.column)
-        return self.at(token, mul, a, b)
+            raise self.fail(f"term pairs x coefficient words = {words} exceeds the "
+                            f"{MAX_WORD_PAIRS} limit", index)
+        return self.at(index, mul, a, b)
 
     def base(self) -> MultiPoly:
         """A parenthesised expression; the term reads numbers and declared symbols."""
         token = self.peek()
-        if token.kind == "SYMBOL":
-            raise ParseError(f"undeclared symbol {token.text!r}", token.line, token.column)
-        if token.kind == "OP" and token.text == "(":
+        if token.isidentifier():
+            raise self.fail(f"undeclared symbol {token!r}")
+        if token == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(
-                    f"groups nest deeper than the {MAX_NESTING} limit", token.line, token.column
-                )
-            self.advance()
+                raise self.fail(f"groups nest deeper than the {MAX_NESTING} limit")
+            self.pos += 1
             self.depth += 1
             value = self.expr()
             self.depth -= 1
-            closing = self.peek()
-            if not (closing.kind == "OP" and closing.text == ")"):
+            if self.peek() != ")":
                 raise self.fail("expected ')'")
-            self.advance()
+            self.pos += 1
             return value
-        raise self.fail(
-            f"expected a number, symbol, or '(' but found {token.text or 'end of input'!r}"
-        )
+        raise self.fail(f"expected a number, symbol, or '(' but found {token or 'end of input'!r}")
 
 
 def parse_expression(text: str, variables: Sequence[str], first_line: int = 1) -> MultiPoly:
@@ -324,7 +304,7 @@ def parse_expression(text: str, variables: Sequence[str], first_line: int = 1) -
     Error positions count lines from ``first_line``, the line of the
     enclosing file that ``text`` starts on.
     """
-    return _Parser(_tokenize(text, first_line), tuple(variables)).parse()
+    return _Parser(text, tuple(variables), first_line).parse()
 
 
 class FixtureFile(NamedTuple):

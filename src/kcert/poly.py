@@ -76,7 +76,7 @@ from math import gcd, lcm, prod
 from operator import add, attrgetter, mul, sub
 from struct import iter_unpack, unpack
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Collection, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
 Scalar = Union[Fraction, int]
@@ -183,13 +183,24 @@ def _pack(exponents: Exponents) -> int:
     return packed
 
 
-def _unpack(packed: int, nvars: int) -> Exponents:
+def _unpack(keys: Collection[int], nvars: int) -> Iterator[Exponents]:
+    """The exponent tuples of packed keys, in order: one comprehension per
+    variable, at its precomputed shift, over all the keys."""
+    if not nvars:
+        return repeat((), len(keys))
     mask = (1 << _PACK_BITS) - 1
-    out = []
-    for _ in range(nvars):
-        out.append(packed & mask)
-        packed >>= _PACK_BITS
-    return tuple(out)
+    shifts = range(0, nvars * _PACK_BITS, _PACK_BITS)
+    return zip(*[[k >> shift & mask for k in keys] for shift in shifts])
+
+
+def _grevlex_leading(p: MultiPoly) -> Exponents:
+    """The grevlex-leading exponents of a nonzero polynomial, without a
+    per-term key function: of the terms of top total degree, the one whose
+    reversed exponent tuple is smallest."""
+    keys = p.numerators.keys()
+    degrees = list(map(sum, keys))
+    top = max(degrees)
+    return min(map(tuple, map(reversed, compress(keys, map(top.__eq__, degrees)))))[::-1]
 
 
 class MultiPoly(_Frozen):
@@ -288,8 +299,7 @@ class MultiPoly(_Frozen):
     def leading_coefficient(self) -> Fraction:
         if not self.numerators:
             return Fraction(0)
-        lead = max(self.numerators, key=grevlex_key)
-        return Fraction(self.numerators[lead], self.den)
+        return Fraction(self.numerators[_grevlex_leading(self)], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -366,7 +376,7 @@ class MultiPoly(_Frozen):
                 key = ka + kb
                 prev = get(key)
                 acc[key] = ca * cb if prev is None else prev + ca * cb
-        table = {_unpack(k, nvars): v for k, v in acc.items() if v}
+        table = {e: v for e, v in zip(_unpack(acc, nvars), acc.values()) if v}
         return MultiPoly._build(self.variables, table, self.den * other.den)
 
     def _mul_dense(self, other: MultiPoly, box: int, width: int) -> MultiPoly:
@@ -677,7 +687,7 @@ class RatFunc(_Frozen):
         top = {e: n * den.den for e, n in num.numerators.items()}
         bottom = {e: n * num.den for e, n in den.numerators.items()}
         content = gcd(*top.values(), *bottom.values())
-        if den.leading_coefficient() < 0:
+        if den.numerators[_grevlex_leading(den)] < 0:
             content = -content
         num = MultiPoly._build(num.variables, {e: n // content for e, n in top.items()})
         den = MultiPoly._build(den.variables, {e: n // content for e, n in bottom.items()})

@@ -182,6 +182,47 @@ def test_symmetries():
         assert verify_symmetry(lemma_id).status == "PASS"
 
 
+@pytest.mark.parametrize("lemma_id", sorted(certify.SYMMETRIES))
+def test_symmetry_permutes_the_tables_as_substitution_does(monkeypatch, lemma_id):
+    # the renamed objective that verify_symmetry hands to equals
+    renamed = []
+    real = RatFunc.equals
+    monkeypatch.setattr(RatFunc, "equals", lambda a, b: renamed.append(b) or real(a, b))
+    assert verify_symmetry(lemma_id).witnesses["symbolic"] is True
+    chart_id, swap = certify.SYMMETRIES[lemma_id]
+    variables = certify.CHARTS[chart_id].variables
+    gens = dict(zip(variables, MultiPoly.gens(variables)))
+    images = {name: gens[swap.get(name, name)] for name in variables}
+    objective = build_bundle(certify.CHARTS[chart_id]).calA
+    (swapped,) = renamed
+    for part, reference in ((swapped.num, objective.num), (swapped.den, objective.den)):
+        assert part.numerators == reference.substitute(images, variables).numerators
+        assert part.den == 1
+
+
+def test_symmetry_fails_on_a_changed_coefficient(monkeypatch):
+    bundle = build_bundle(certify.CHARTS["k3"])
+    num = dict(bundle.calA.num.numerators)
+    # a term whose alpha <-> beta partner is another term
+    exponents = next(e for e in sorted(num) if e[0] != e[1])
+    num[exponents] += 1
+    changed = RatFunc(MultiPoly._build(bundle.calA.variables, num), bundle.calA.den)
+    monkeypatch.setattr(certify, "build_bundle", lambda chart: bundle._replace(calA=changed))
+    report = verify_symmetry("symmetry3a")
+    assert report.status == "FAIL"
+    assert report.witnesses["symbolic"] is False
+
+
+@pytest.mark.parametrize("swap", [
+    {"alpha": "delta", "delta": "alpha"},  # a variable outside the chart
+    {"delta": "delta"},
+    {"alpha": "beta"},  # not a permutation: beta would appear twice
+])
+def test_symmetry_refuses_a_swap_outside_the_chart(swap):
+    with pytest.raises(ValueError, match="is not a permutation of"):
+        certify._symmetry_identity("k3", swap)
+
+
 def test_inequality_chains_exact_constants():
     prime = verify_inequality_chain("prime2_bound")
     assert prime.status == "PASS"

@@ -122,6 +122,38 @@ def test_syntax_error_has_position():
     assert info.value.line == 1 and info.value.column >= 1
 
 
+@pytest.mark.parametrize(
+    "text, first_line, message, line, column",
+    [
+        # a tab or carriage return is one column, and only '\n' starts a line
+        ("beta +\n\t\t2 *\r beta\r\t+ 3 $ 4", 1, "unexpected character '$'", 2, 18),
+        ("2 beta^", 1, "expected a natural-number exponent after '^'", 1, 8),
+        ("beta + 1)\n", 1, "trailing input ')'", 1, 9),
+        # at the end of input, past the trailing blanks
+        ("(beta + 1\n  + beta^2 \t", 4, "expected ')'", 5, 13),
+    ],
+    ids=["bad-after-tab-and-cr", "caret-at-end-of-input", "trailing-input", "unclosed-group"],
+)
+def test_error_positions_are_pinned(text, first_line, message, line, column):
+    with pytest.raises(ParseError) as info:
+        parse_expression(text, ("beta",), first_line)
+    assert str(info.value) == f"{message} (line {line}, column {column})"
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_fixture_error_position_counts_file_lines(tmp_path: Path):
+    path = tmp_path / "x.fix"
+    path.write_text(
+        "[meta]\nname = x\nvars = beta gamma\n\n[numerator]\n1 + beta\n"
+        "  + gamma^2\n + 3 beta delta\n[denominator]\n1\n"
+    )
+    with pytest.raises(FixtureError) as info:
+        load_fixture(path)
+    # line 3 of a [numerator] section whose first line is line 6 of the file
+    assert str(info.value) == "x: [numerator] undeclared symbol 'delta' (line 8, column 11)"
+    assert (info.value.__cause__.line, info.value.__cause__.column) == (8, 11)
+
+
 def _random_poly(rng: SplitMix64, max_terms: int = 30) -> MultiPoly:
     terms = {}
     for _ in range(1 + rng.below(max_terms)):

@@ -594,6 +594,37 @@ def test_exponent_packing_overflow_is_rejected():
         MultiPoly(BG, {(0, 1 << 23): 1}) * MultiPoly(BG, {(1, 1 << 23): 1})
 
 
+@pytest.mark.parametrize("nvars", range(7))
+def test_unpack_inverts_pack(nvars):
+    top = (1 << poly._PACK_BITS) - 1
+    rng = SplitMix64(nvars)
+    tuples = [(0,) * nvars, (top,) * nvars, tuple((0, top)[i % 2] for i in range(nvars))]
+    tuples += [tuple(rng.below(top + 1) for _ in range(nvars)) for _ in range(20)]
+    for e in tuples:
+        assert list(poly._unpack([poly._pack(e)], nvars)) == [e]
+    # every key at once, in order
+    assert list(poly._unpack([poly._pack(e) for e in tuples], nvars)) == tuples
+
+
+def test_leading_coefficient_matches_the_grevlex_key():
+    def reference(p):
+        return Fraction(p.numerators[max(p.numerators, key=poly.grevlex_key)], p.den)
+
+    rng = SplitMix64(17)
+    cases = [MultiPoly.const((), 5), MultiPoly.const(BG, -3), MultiPoly(BG, {(2, 1): -7})]
+    # ties in total degree, decided by the reversed exponents
+    cases.append(MultiPoly(("x", "y", "z"), {(2, 0, 1): 1, (1, 2, 0): -2, (0, 3, 0): 3,
+                                             (3, 0, 0): 4, (0, 0, 3): 5}))
+    for nvars in (1, 2, 3, 4):
+        variables = tuple(f"x{i}" for i in range(nvars))
+        cases += [_random_poly(rng, variables, degree) for degree in (1, 2, 4) for _ in range(30)]
+    cases += [build_bundle(K3_CHART).calA.den, build_bundle(K2_CHART).calA.num]
+    for p in cases:
+        if p:
+            assert p.leading_coefficient() == reference(p)
+    assert MultiPoly.zero(BG).leading_coefficient() == 0
+
+
 def _termwise_product(a, b):
     """Reference: every term pair multiplied as Fractions, summed per monomial."""
     table = {}
