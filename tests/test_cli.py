@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -755,3 +756,89 @@ def test_cold_import_loads_no_dataclasses_machinery():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# the console script's entry point, as CI's hash-seed step and the benchmark run it
+CLI_MAIN = "import sys; from kcert.cli import main; sys.argv[0] = 'kcert'; main()"
+
+
+def _buffered_env() -> dict[str, str]:
+    """A child environment with kcert importable and stdout block-buffered."""
+    env = dict(os.environ, PYTHONPATH=str(Path(kcert.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+def test_failed_stdout_write_exits_2(sink):
+    """A short report stays in stdout's buffer until ``main()`` flushes it, so
+    a failed write is an i/o error there (exit 2), not an exception ignored
+    at interpreter shutdown (exit 120)."""
+    if sink == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        stdout = open("/dev/full", "wb")
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout = os.fdopen(write_end, "wb")
+    with stdout:
+        done = subprocess.run(
+            [sys.executable, "-c", CLI_MAIN, "verify", "--lemma", "symmetry2", "--no-timing"],
+            stdout=stdout, stderr=subprocess.PIPE, env=_buffered_env(), text=True, timeout=120,
+        )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("i/o error: ")
+    assert "Exception ignored" not in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_no_stdout_keeps_the_exit_code():
+    """A process started with its stdout closed has ``sys.stdout`` None; the
+    report goes nowhere and the exit code is ``run()``'s, as before the flush."""
+    done = subprocess.run(
+        ["/bin/sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-c", CLI_MAIN,
+         "verify", "--lemma", "symmetry2", "--no-timing"],
+        stderr=subprocess.PIPE, env=_buffered_env(), text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+
+
+def test_run_never_freezes_the_heap(capsys):
+    """Tests and library callers call ``run()`` in process; their heap stays
+    collectable."""
+    before = gc.get_freeze_count()
+    assert run(["verify", "--lemma", "symmetry2", "--no-timing", "--format", "json"]) == 0
+    assert gc.get_freeze_count() == before
+    assert json.loads(capsys.readouterr().out)["aggregate"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--lemma", "symmetry2", "--no-timing", "--format", "json"], 0),
+        (["eval", "--chart", "k2"], 2),
+    ],
+    ids=["pass", "usage"],
+)
+def test_main_freezes_the_heap_and_keeps_run_s_bytes(argv, code, capsys):
+    """``main()`` freezes the heap before it exits, and its stdout and exit
+    code are ``run()``'s."""
+    program = (
+        "import gc, sys\n"
+        "from kcert import cli\n"
+        "sys.argv[0] = 'kcert'\n"
+        "try:\n"
+        "    cli.main()\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", program, *argv],
+        env=_buffered_env(), capture_output=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.decode().splitlines()[-1] == f"{code} True"
+    assert run(argv) == code
+    assert done.stdout == capsys.readouterr().out.encode()
