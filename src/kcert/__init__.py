@@ -3,7 +3,6 @@ for a curvature objective on del Pezzo Kahler cones."""
 
 from .poly import (
     MultiPoly,
-    PiValue,
     RatFunc,
     coefficients_all_nonneg,
     directional_second_derivative,
@@ -20,7 +19,6 @@ from .polytope import (
     ParamPolygon,
     boundary_integral,
     build_polygon,
-    central_second_moments,
     integrate_monomial,
 )
 from .delpezzo import (

@@ -64,6 +64,7 @@ from .delpezzo import (
 )
 from .exprparse import FixtureError, compare_against_fixture, load_fixture
 from .functional import (
+    QUANTITIES,
     DiagonalRestriction,
     _cone_ingredients,
     build_bundle,
@@ -226,11 +227,8 @@ def _fixture_target(chart_id: str, name: str) -> RatFunc:
         return {
             "F_beta": diag.f, "P": RatFunc.from_poly(diag.p), "Q": RatFunc.from_poly(diag.q)
         }[name]
-    bundle = build_bundle(CHARTS[chart_id])
-    if name in ("A", "B", "C"):
-        # fixtures store the pi-free parts (display bracket over 288V or 576V)
-        return {"A": bundle.a, "B": bundle.b, "C": bundle.c}[name].value
-    return {"F1": bundle.f1, "F2": bundle.f2, "calA": bundle.calA}[name]
+    # A, B and C, like their fixtures, are pi-free (display bracket over 288V or 576V)
+    return getattr(build_bundle(CHARTS[chart_id]), QUANTITIES[name])
 
 
 @lru_cache(maxsize=None)

@@ -310,10 +310,6 @@ def parse_expression(text: str, variables: Sequence[str], first_line: int = 1) -
 class FixtureFile(NamedTuple):
     name: str
     variables: tuple[str, ...]
-    numerator_text: str
-    denominator_text: str
-    provenance: str
-    path: str = ""
 
 
 class FixtureError(ValueError):
@@ -370,24 +366,14 @@ def load_fixture(path: str | Path) -> tuple[FixtureFile, RatFunc]:
         if required not in meta:
             raise FixtureError(f"{path.name}: [meta] is missing {required!r}")
     variables = tuple(meta["vars"].split())
+    fixture = FixtureFile(name=meta["name"], variables=variables)
     # each section is parsed as it stands in the file, so errors carry file lines
-    bodies = {}
-    for section in ("numerator", "denominator"):
-        first_line, lines = sections.get(section, (1, []))
-        bodies[section] = (first_line, "\n".join(lines))
-    if not bodies["denominator"][1].strip():
-        bodies["denominator"] = (1, "1")
-    fixture = FixtureFile(
-        name=meta["name"],
-        variables=variables,
-        numerator_text=bodies["numerator"][1].strip(),
-        denominator_text=bodies["denominator"][1].strip(),
-        provenance=meta.get("provenance", ""),
-        path=str(path),
-    )
     parts = []
     for section in ("numerator", "denominator"):
-        first_line, text = bodies[section]
+        first_line, lines = sections.get(section, (1, []))
+        text = "\n".join(lines)
+        if section == "denominator" and not text.strip():
+            first_line, text = 1, "1"
         try:
             parts.append(parse_expression(text, variables, first_line))
         except ParseError as exc:

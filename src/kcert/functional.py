@@ -19,10 +19,11 @@ forms, brackets b_i homogeneous by delta, and the boundary-measure route
 above, numerators q_i from the one polygon's edge pass.  ``veritas`` certifies
 q_i = delta * b_i in every run.  Each chart takes the closed forms and the
 polygon integrals by substitution (``ConeChart.abcd_images``).
-``futaki_norm_sq`` forms ||F||^2 generically on ``PiValue``s, a second route
-to the structured assembly below.  A quantity with a power of pi is a
-``PiValue``, so that only genuinely pi-free quantities are ever exported as
-plain rational functions.
+A, B and C are held pi-free, as the central second moments over 4: their
+factor pi^-2 cancels out of the objective and is attached only when
+``quantity_text`` prints them.  ``futaki_norm_sq`` forms ||F||^2 / pi^2 from
+the pi-free parts generically, a reference route to the structured assembly
+below.
 
 Denominator discipline: the objective is assembled over the structured
 denominator 8 * area * det, where det is the numerator of the moment
@@ -57,7 +58,6 @@ from .delpezzo import (
 )
 from .poly import (
     MultiPoly,
-    PiValue,
     RatFunc,
     Scalar,
     directional_second_derivative,
@@ -114,16 +114,18 @@ def _obstruction_numerators(interior: Sequence, boundary: Sequence) -> tuple:
 
 
 def futaki_norm_sq(
-    f1: RatFunc | PiValue,
-    f2: RatFunc | PiValue,
-    a: PiValue,
-    b: PiValue,
-    c: PiValue,
-) -> PiValue:
-    """||F||^2 = (B F1^2 - 2 C F1 F2 + A F2^2) / (AB - C^2); carries pi^2."""
+    f1: RatFunc,
+    f2: RatFunc,
+    a: RatFunc,
+    b: RatFunc,
+    c: RatFunc,
+) -> RatFunc:
+    """||F||^2 / pi^2 = (b F1^2 - 2 c F1 F2 + a F2^2) / (ab - c^2) for the
+    pi-free parts a, b, c of A = a pi^-2, B and C: the objective's second
+    term is this over 32."""
     numerator = b * f1 * f1 - (c * f1 * f2) * 2 + a * f2 * f2
     determinant = a * b - c * c
-    if not determinant.value:
+    if not determinant:
         raise DegenerateMomentMatrix("moment matrix determinant vanishes")
     return numerator / determinant
 
@@ -152,9 +154,9 @@ class FunctionalBundle(NamedTuple):
     c1_pairing: MultiPoly          # c1 . Omega = lattice perimeter
     f1: RatFunc
     f2: RatFunc
-    a: PiValue                     # carries pi^-2
-    b: PiValue
-    c: PiValue
+    a: RatFunc                     # A, B, C without their factor pi^-2
+    b: RatFunc
+    c: RatFunc
     calA: RatFunc
 
 
@@ -182,9 +184,6 @@ def build_bundle(chart: ConeChart) -> FunctionalBundle:
     """
     volume, puu, pvv, puv, perimeter, b1, b2 = _on_chart(chart, _cone_ingredients()[:7])
     quarter = Fraction(1, 4)
-    a = PiValue(RatFunc.make(puu.scale(quarter), volume), -2)
-    b = PiValue(RatFunc.make(pvv.scale(quarter), volume), -2)
-    c = PiValue(RatFunc.make(puv.scale(quarter), volume), -2)
     _, _, numerator, denominator = objective_parts(perimeter, volume, puu, pvv, puv, b1, b2)
     return FunctionalBundle(
         chart=chart,
@@ -192,9 +191,9 @@ def build_bundle(chart: ConeChart) -> FunctionalBundle:
         c1_pairing=perimeter,
         f1=RatFunc.make(b1, volume),
         f2=RatFunc.make(b2, volume),
-        a=a,
-        b=b,
-        c=c,
+        a=RatFunc.make(puu.scale(quarter), volume),
+        b=RatFunc.make(pvv.scale(quarter), volume),
+        c=RatFunc.make(puv.scale(quarter), volume),
         calA=RatFunc.make(numerator, denominator),
     )
 
@@ -308,7 +307,7 @@ def quantity_text(bundle: FunctionalBundle, name: str, point: Sequence[Scalar]) 
     """The exact text of the quantity ``name`` of ``QUANTITIES`` at ``point``;
     A, B and C carry their power of pi."""
     value = getattr(bundle, QUANTITIES[name]).evaluate(point)
-    return value.render() if isinstance(value, PiValue) else str(value)
+    return f"({value})*pi^-2" if name in ("A", "B", "C") else str(value)
 
 
 def bundle_summary(chart: ConeChart) -> dict:

@@ -1,4 +1,4 @@
-"""Exact sparse multivariate polynomials, rational functions, and pi-tagged values.
+"""Exact sparse multivariate polynomials and rational functions.
 
 A polynomial is a map from exponent tuples to nonzero integer numerators over
 one positive integer denominator:
@@ -11,7 +11,7 @@ representation and the zero polynomial is ({}, 1).  Parts of canonical
 rational functions, and products of them, have den 1: their arithmetic is
 plain ``int`` arithmetic.  ``terms`` shows the coefficients as exact numbers.
 Values are immutable after construction and every operation is a pure
-function.  ``MultiPoly``, ``RatFunc``, ``PiValue`` and the records of
+function.  ``MultiPoly``, ``RatFunc`` and the records of
 ``delpezzo`` share one base, ``_Frozen``, that refuses assignment and
 deletion and compares and hashes the fields.  ``MultiPoly`` and ``RatFunc``
 keep their own equality: ``MultiPoly`` compares its int tables directly,
@@ -19,7 +19,7 @@ and ``RatFunc`` cross-multiplies and is unhashable.
 
 Conventions:
   * two polynomials combine only over identical variable tuples;
-  * term order for printing and leading-coefficient queries is graded
+  * term order for printing and for the sign of a denominator is graded
     reverse lexicographic (grevlex) in the declared variable order;
   * rational functions are held as numerator/denominator pairs, canonicalised
     to coprime integer parts with the denominator's grevlex-leading
@@ -50,9 +50,7 @@ Conventions:
     until a second distinct one is asked (``_routes``, keyed on (N, D) by
     value); that forms the packed Hessian columns once (``_Hessian``), and
     every later direction is their linear combination, with no polynomial
-    product;
-  * a quantity that carries a power of pi is one ``PiValue``: a Fraction or
-    a RatFunc times pi^n, whichever the computation produced.
+    product.
 """
 
 from __future__ import annotations
@@ -92,10 +90,6 @@ def exact_scalar(name: str, value: object) -> Fraction:
 
 class VariableMismatchError(ValueError):
     """Raised when combining polynomials over different variable tuples."""
-
-
-class PiPowerMismatchError(ValueError):
-    """Raised when adding pi-tagged values with different pi exponents."""
 
 
 class _Frozen:
@@ -295,11 +289,6 @@ class MultiPoly(_Frozen):
     def sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
         """Terms in decreasing grevlex order (leading term first)."""
         return sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]), reverse=True)
-
-    def leading_coefficient(self) -> Fraction:
-        if not self.numerators:
-            return Fraction(0)
-        return Fraction(self.numerators[_grevlex_leading(self)], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -957,57 +946,3 @@ class _Hessian:
         table = dict(zip(exponents, map(sub, values, repeat(half))))
         return MultiPoly._build(self.variables, table, self.den * q * q)
 
-
-class PiValue(_Frozen):
-    """An exact value times an integer power of pi.
-
-    ``value`` is a Fraction, or a RatFunc over the chart variables.  A zero
-    value carries pi^0.  Addition is defined only between equal pi powers (a
-    zero value is neutral); mixing powers raises instead of silently
-    coercing, which makes dimension bookkeeping errors loud.  Frozen; equal
-    to a PiValue with equal fields and to nothing else, and
-    ``RatFunc.__eq__`` is exact.
-    """
-
-    __slots__ = ("value", "pi_power")
-
-    def __init__(self, value: Fraction | RatFunc, pi_power: int = 0) -> None:
-        if not isinstance(value, RatFunc):
-            value = exact_scalar("PiValue value", value)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "pi_power", pi_power if value else 0)
-
-    def __add__(self, other: PiValue) -> PiValue:
-        if not self.value:
-            return other
-        if not other.value:
-            return self
-        if self.pi_power != other.pi_power:
-            raise PiPowerMismatchError(
-                f"cannot add pi^{self.pi_power} and pi^{other.pi_power} terms"
-            )
-        return PiValue(self.value + other.value, self.pi_power)
-
-    def __neg__(self) -> PiValue:
-        return PiValue(-self.value, self.pi_power)
-
-    def __sub__(self, other: PiValue) -> PiValue:
-        return self + (-other)
-
-    def __mul__(self, other: PiValue | RatFunc | Scalar) -> PiValue:
-        if isinstance(other, PiValue):
-            return PiValue(self.value * other.value, self.pi_power + other.pi_power)
-        return PiValue(self.value * other, self.pi_power)
-
-    def __truediv__(self, other: PiValue | RatFunc | Scalar) -> PiValue:
-        if isinstance(other, PiValue):
-            return PiValue(self.value / other.value, self.pi_power - other.pi_power)
-        return PiValue(self.value / other, self.pi_power)
-
-    def evaluate(self, point: Sequence[Scalar]) -> PiValue:
-        """The value at a point of the chart: a RatFunc value becomes a Fraction."""
-        return PiValue(self.value.evaluate(point), self.pi_power)
-
-    def render(self) -> str:
-        text = self.value.render() if isinstance(self.value, RatFunc) else str(self.value)
-        return text if self.pi_power == 0 else f"({text})*pi^{self.pi_power}"

@@ -221,26 +221,8 @@ def boundary_integral(polygon: ParamPolygon, a: int, b: int) -> Coordinate:
     return moments(polygon)[1][i]
 
 
-def dilated_integral(polygon: ParamPolygon, a: int, b: int, boundary: bool = False) -> int:
-    """The integral of u^a v^b over the numeric polygon dilated by 6L, or over
-    its boundary in the lattice measure, as an int; a + b <= 2."""
-    i = _slot(a, b)
-    return dilated_moments(polygon)[boundary][i]
-
-
-def lattice_perimeter(polygon: ParamPolygon) -> Coordinate:
-    """The boundary integral of 1: the sum of the lattice lengths."""
-    return boundary_integral(polygon, 0, 0)
-
-
 def central_moment_numerators(area, m10, m01, m20, m11, m02) -> tuple:
     """(puu, pvv, puv): the central second moments times the area, e.g.
     puu = area int u^2 - (int u)^2, numerators over the common denominator
     area.  Operators only: runs on MultiPolys, Fractions and ints alike."""
     return m20 * area - m10 * m10, m02 * area - m01 * m01, m11 * area - m10 * m01
-
-
-def central_second_moments(polygon: ParamPolygon) -> tuple:
-    """(area, puu, pvv, puv): the area and ``central_moment_numerators``."""
-    interior = moments(polygon)[0]  # the area is nonzero: build_polygon checks its sign
-    return (interior[0], *central_moment_numerators(*interior))

@@ -85,6 +85,23 @@ def test_eval_moment_entry_carries_pi(capsys):
     assert capsys.readouterr().out.strip() == "(265/1008)*pi^-2"
 
 
+@pytest.mark.parametrize(
+    "chart, point, what, text",
+    [
+        ("k2", "1,2", "A", "(685/1584)*pi^-2"),
+        ("k2", "1,2", "B", "(1477/1584)*pi^-2"),
+        ("k2", "1,2", "C", "(-325/3168)*pi^-2"),
+        ("k3", "1/2,2,3", "A", "(991/288)*pi^-2"),
+        ("k3", "1/2,2,3", "B", "(46451/8352)*pi^-2"),
+        ("k3", "1/2,2,3", "C", "(-53/72)*pi^-2"),
+    ],
+)
+def test_eval_moment_entry_bytes_at_the_ci_points(capsys, chart, point, what, text):
+    # the exact bytes of the points that CI evaluates in fresh processes
+    assert run(["eval", "--chart", chart, "--point", point, "--what", what]) == 0
+    assert capsys.readouterr().out == text + "\n"
+
+
 def test_eval_wrong_arity(capsys):
     assert run(["eval", "--chart", "k3", "--point", "1,1", "--what", "V"]) == 2
 

@@ -19,24 +19,17 @@ from kcert.functional import (
     first_variation_along_c1,
     futaki_norm_sq,
     objective_parts,
+    quantity_text,
 )
 from kcert.polytope import (
     boundary_integral,
     build_polygon,
     central_moment_numerators,
-    central_second_moments,
     dilated_moments,
     integrate_monomial,
-    lattice_perimeter,
     moments,
 )
-from kcert.poly import (
-    MultiPoly,
-    PiPowerMismatchError,
-    PiValue,
-    RatFunc,
-    directional_second_derivative,
-)
+from kcert.poly import MultiPoly, RatFunc, directional_second_derivative
 from kcert.sampling import SplitMix64
 
 BG = K2_CHART.variables
@@ -48,10 +41,9 @@ def _first_term(bundle) -> RatFunc:
     return RatFunc.make(bundle.c1_pairing * bundle.c1_pairing, bundle.volume.scale(2))
 
 
-def _second_term(bundle) -> PiValue:
-    """||F||^2 / (32 pi^2), by the generic PiValue operation."""
-    norm = futaki_norm_sq(bundle.f1, bundle.f2, bundle.a, bundle.b, bundle.c)
-    return norm / PiValue(Fraction(32), 2)
+def _second_term(bundle) -> RatFunc:
+    """||F||^2 / (32 pi^2), by the generic operation on the pi-free parts."""
+    return futaki_norm_sq(bundle.f1, bundle.f2, bundle.a, bundle.b, bundle.c) / 32
 
 
 def test_k2_closed_forms_are_the_alpha_zero_face_of_k3():
@@ -114,10 +106,10 @@ def _boundary_route(chart):
 def _chart_polygon_bundle(chart):
     """The bundle from the chart's own polygon over its variables, with the
     boundary route's q_i (= b_i at delta = 1) as obstruction numerators."""
-    polygon = build_polygon(chart.area_vector().as_tuple(), chart.variables)
-    volume, puu, pvv, puv = central_second_moments(polygon)
-    perimeter = lattice_perimeter(polygon)
-    q1, q2 = _obstruction_numerators(*moments(polygon))
+    interior, boundary = moments(build_polygon(chart.area_vector().as_tuple(), chart.variables))
+    volume, perimeter = interior[0], boundary[0]
+    puu, pvv, puv = central_moment_numerators(*interior)
+    q1, q2 = _obstruction_numerators(interior, boundary)
     quarter = Fraction(1, 4)
     _, _, numerator, denominator = objective_parts(perimeter, volume, puu, pvv, puv, q1, q2)
     return {
@@ -125,18 +117,16 @@ def _chart_polygon_bundle(chart):
         "c1_pairing": perimeter,
         "f1": RatFunc.make(q1, volume),
         "f2": RatFunc.make(q2, volume),
-        "a": PiValue(RatFunc.make(puu.scale(quarter), volume), -2),
-        "b": PiValue(RatFunc.make(pvv.scale(quarter), volume), -2),
-        "c": PiValue(RatFunc.make(puv.scale(quarter), volume), -2),
+        "a": RatFunc.make(puu.scale(quarter), volume),
+        "b": RatFunc.make(pvv.scale(quarter), volume),
+        "c": RatFunc.make(puv.scale(quarter), volume),
         "calA": RatFunc.make(numerator, denominator),
     }
 
 
 def _terms(value):
     """A field's exact representation: num and den (term by term under
-    MultiPoly ==, unlike RatFunc ==), and the pi power."""
-    if isinstance(value, PiValue):
-        return _terms(value.value), value.pi_power
+    MultiPoly ==, unlike RatFunc ==)."""
     if isinstance(value, RatFunc):
         return value.num, value.den
     return value
@@ -208,12 +198,12 @@ def test_anticanonical_hexagon_obstruction_vanishes():
 
 
 def test_moment_matrix_entries_carry_pi(bundle_k2):
-    value = bundle_k2.a.evaluate((1, 1))
-    assert value == PiValue(Fraction(265, 1008), -2)
-    assert bundle_k2.b.evaluate((1, 1)) == PiValue(Fraction(265, 1008), -2)
-    assert bundle_k2.c.evaluate((1, 1)) == PiValue(Fraction(-121, 2016), -2)
-    with pytest.raises(PiPowerMismatchError):
-        bundle_k2.a + PiValue(bundle_k2.f1)
+    # the bundle holds the pi-free parts; the printed text attaches pi^-2
+    point = (1, 1)
+    expected = {"A": Fraction(265, 1008), "B": Fraction(265, 1008), "C": Fraction(-121, 2016)}
+    for name, value in expected.items():
+        assert getattr(bundle_k2, name.lower()).evaluate(point) == value
+        assert quantity_text(bundle_k2, name, point) == f"({value})*pi^-2"
 
 
 def test_k2_moment_brackets_match_transcribed_displays(bundle_k2):
@@ -231,21 +221,16 @@ def test_k2_moment_brackets_match_transcribed_displays(bundle_k2):
     )
     c_text = "-(1 + 6 (1 + beta) (1 + gamma) (beta + gamma + 3 beta gamma))"
     den = parse_expression(f"144 {v2}", BG)
-    assert bundle_k2.a.value.equals(RatFunc.make(parse_expression(a_text, BG), den))
-    assert bundle_k2.b.value.equals(RatFunc.make(parse_expression(b_text, BG), den))
+    assert bundle_k2.a.equals(RatFunc.make(parse_expression(a_text, BG), den))
+    assert bundle_k2.b.equals(RatFunc.make(parse_expression(b_text, BG), den))
     c_den = parse_expression(f"288 {v2}", BG)
-    assert bundle_k2.c.value.equals(RatFunc.make(parse_expression(c_text, BG), c_den))
+    assert bundle_k2.c.equals(RatFunc.make(parse_expression(c_text, BG), c_den))
 
 
 def test_norm_sq_generic_op_k2_spot(bundle_k2):
-    norm = futaki_norm_sq(
-        bundle_k2.f1, bundle_k2.f2, bundle_k2.a, bundle_k2.b, bundle_k2.c
-    )
-    assert norm.pi_power == 2
-    second = norm / PiValue(Fraction(32), 2)
-    assert second.pi_power == 0
-    assert second.value.evaluate((1, 1)) == Fraction(56, 409)
-    assert second.value.equals(bundle_k2.calA - _first_term(bundle_k2))
+    second = _second_term(bundle_k2)
+    assert second.evaluate((1, 1)) == Fraction(56, 409)
+    assert second.equals(bundle_k2.calA - _first_term(bundle_k2))
 
 
 def test_norm_sq_generic_op_matches_structured_k3(bundle_k3):
@@ -254,7 +239,7 @@ def test_norm_sq_generic_op_matches_structured_k3(bundle_k3):
     rng = SplitMix64(3)
     for _ in range(10):
         point = rng.point(3)
-        assert second.value.evaluate(point) == (
+        assert second.evaluate(point) == (
             bundle_k3.calA.evaluate(point) - first.evaluate(point)
         )
 
@@ -262,13 +247,13 @@ def test_norm_sq_generic_op_matches_structured_k3(bundle_k3):
 def test_norm_sq_zero_obstruction(bundle_k2):
     zero = RatFunc.const(BG, 0)
     norm = futaki_norm_sq(zero, zero, bundle_k2.a, bundle_k2.b, bundle_k2.c)
-    assert norm.value.is_zero
+    assert norm.num.is_zero
 
 
 def test_norm_vanishes_identically_on_equal_areas_plane(bundle_k3):
     t = MultiPoly.variable(("t",), "t")
     images = {"alpha": t, "beta": t, "gamma": t}
-    restricted = _second_term(bundle_k3).value.num.substitute(images, ("t",))
+    restricted = _second_term(bundle_k3).num.substitute(images, ("t",))
     assert restricted.is_zero
 
 
@@ -276,7 +261,7 @@ def test_assembled_objective_values(bundle_k2, bundle_k3):
     assert bundle_k2.calA.evaluate((1, 1)) == Fraction(2919, 409)
     assert bundle_k3.calA.evaluate((1, 1, 1)) == Fraction(81, 13)
     for bundle in (bundle_k2, bundle_k3):
-        assert bundle.calA.equals(_first_term(bundle) + _second_term(bundle).value)
+        assert bundle.calA.equals(_first_term(bundle) + _second_term(bundle))
 
 
 def test_scale_invariance_sampled():
@@ -373,7 +358,7 @@ def _fraction_assembly(areas) -> tuple:
     polygon = build_polygon(areas.as_tuple() if isinstance(areas, AreaVector) else areas)
     moments = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
     area, m10, m01, m20, m11, m02 = (integrate_monomial(polygon, a, b) for a, b in moments)
-    perimeter = lattice_perimeter(polygon)
+    perimeter = boundary_integral(polygon, 0, 0)
     q1 = 2 * (boundary_integral(polygon, 1, 0) * area - perimeter * m10)
     q2 = 2 * (boundary_integral(polygon, 0, 1) * area - perimeter * m01)
     puu, pvv, puv = m20 * area - m10 * m10, m02 * area - m01 * m01, m11 * area - m10 * m01
@@ -519,28 +504,18 @@ def test_first_variation_values():
 
 
 def test_average_scalar_curvature_identity(bundle_k2, bundle_k3):
-    # s0^2 * V = 32 pi^2 (c1.Omega)^2 / Omega^2 with s0 = 4 pi (c1.Omega)/V
+    # s0^2 * V = 32 pi^2 (c1.Omega)^2 / Omega^2 with s0 = 4 pi (c1.Omega)/V,
+    # over pi^2 on both sides: 32 times the objective's first term
     for bundle in (bundle_k2, bundle_k3):
-        s0 = PiValue(RatFunc.make(bundle.c1_pairing.scale(4), bundle.volume), 1)
-        assert s0.pi_power == 1
-        lhs = s0 * s0 * bundle.volume
-        rhs = PiValue(
-            RatFunc.make(
-                (bundle.c1_pairing * bundle.c1_pairing).scale(32),
-                bundle.volume.scale(2),
-            ),
-            2,
-        )
-        assert lhs == rhs
+        s0_over_pi = RatFunc.make(bundle.c1_pairing.scale(4), bundle.volume)
+        assert s0_over_pi * s0_over_pi * bundle.volume == _first_term(bundle) * 32
 
 
-def test_exported_objective_is_pi_free(bundle_k2):
-    norm = futaki_norm_sq(
-        bundle_k2.f1, bundle_k2.f2, bundle_k2.a, bundle_k2.b, bundle_k2.c
-    )
-    assert norm.pi_power == 2
-    exported = norm / PiValue(Fraction(32), 2)
-    assert exported.pi_power == 0 and isinstance(exported.value, RatFunc)
+def test_exported_objective_is_pi_free():
+    # pi enters only through A, B and C, and only their text carries it
+    for chart in (K2_CHART, K3_CHART):
+        for values in bundle_summary(chart)["evaluations"].values():
+            assert {name for name, text in values.items() if "pi" in text} == {"A", "B", "C"}
 
 
 def test_bundle_summary_points_come_from_the_chart_variables():

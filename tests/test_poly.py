@@ -15,8 +15,6 @@ from kcert.exprparse import parse_expression
 from kcert.functional import build_bundle, restrict_diagonal
 from kcert.poly import (
     MultiPoly,
-    PiPowerMismatchError,
-    PiValue,
     RatFunc,
     VariableMismatchError,
     coefficients_all_nonneg,
@@ -607,9 +605,7 @@ def test_unpack_inverts_pack(nvars):
 
 
 def test_leading_coefficient_matches_the_grevlex_key():
-    def reference(p):
-        return Fraction(p.numerators[max(p.numerators, key=poly.grevlex_key)], p.den)
-
+    # RatFunc.make takes the denominator's sign from its leading coefficient
     rng = SplitMix64(17)
     cases = [MultiPoly.const((), 5), MultiPoly.const(BG, -3), MultiPoly(BG, {(2, 1): -7})]
     # ties in total degree, decided by the reversed exponents
@@ -619,10 +615,11 @@ def test_leading_coefficient_matches_the_grevlex_key():
         variables = tuple(f"x{i}" for i in range(nvars))
         cases += [_random_poly(rng, variables, degree) for degree in (1, 2, 4) for _ in range(30)]
     cases += [build_bundle(K3_CHART).calA.den, build_bundle(K2_CHART).calA.num]
-    for p in cases:
-        if p:
-            assert p.leading_coefficient() == reference(p)
-    assert MultiPoly.zero(BG).leading_coefficient() == 0
+    for p in filter(None, cases):
+        leading = max(p.numerators, key=poly.grevlex_key)
+        assert poly._grevlex_leading(p) == leading
+        one = MultiPoly.const(p.variables, 1)
+        assert RatFunc.make(one, -p).den.numerators[leading] > 0
 
 
 def _termwise_product(a, b):
@@ -700,8 +697,6 @@ def test_rational_accessors_return_fractions_for_integer_polynomials():
     # callers divide these with "/", which on two ints would give a float
     p = MultiPoly(BG, {(1, 0): 3, (0, 0): 2})
     assert p.den == 1 and all(type(c) is int for c in p.terms.values())
-    assert type(p.leading_coefficient()) is Fraction
-    assert p.leading_coefficient() / 2 == Fraction(3, 2)
     # univar holds int numerators and divides them only into a Fraction
     coeffs = univar.from_multipoly(MultiPoly(("x",), {(0,): 3, (2,): -2}))
     assert coeffs == (3, 0, -2) and all(type(c) is int for c in coeffs)
@@ -953,27 +948,6 @@ def test_denominator_vanishing_evaluation():
     with pytest.raises(ZeroDivisionError):
         f.evaluate((1, 1))
     assert f.evaluate((2, 1)) == 1
-
-
-def test_pi_scalar_bookkeeping():
-    a = PiValue(Fraction(265, 1008), -2)
-    b = PiValue(Fraction(1, 2), -2)
-    assert (a + b).pi_power == -2
-    with pytest.raises(PiPowerMismatchError):
-        a + PiValue(Fraction(1), 0)
-    # canonical zero
-    assert PiValue(Fraction(0), 5).pi_power == 0
-    assert (a + PiValue(Fraction(0), 3)).value == a.value
-    assert (a * PiValue(Fraction(2), 2)).pi_power == 0
-
-
-@pytest.mark.parametrize("inexact", [0.1, decimal.Decimal("0.1"), "0.1"])
-def test_pi_value_refuses_inexact_numbers(inexact):
-    # Fraction(0.1) would be 3602879701896397/36028797018963968
-    with pytest.raises(TypeError, match="PiValue value is"):
-        PiValue(inexact, -2)
-    assert PiValue(3, -2) == PiValue(Fraction(3), -2)
-    assert type(PiValue(3).value) is Fraction
 
 
 def test_render_canonical_grevlex_order():

@@ -3,7 +3,6 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
 from math import comb
 
 import pytest
@@ -15,10 +14,9 @@ from kcert.polytope import (
     PolygonError,
     boundary_integral,
     build_polygon,
-    central_second_moments,
-    dilated_integral,
+    central_moment_numerators,
+    dilated_moments,
     integrate_monomial,
-    lattice_perimeter,
     moments,
 )
 from kcert.sampling import SplitMix64
@@ -89,7 +87,7 @@ def test_numeric_polygon_holds_its_scaled_ints():
     assert polygon.lengths == (10, 6, 9, 4, 12, 3)  # L13, E1, L12, E2, L23, E3
     groups = (polygon.us, polygon.vs, polygon.lengths)
     assert all(type(n) is int for group in groups for n in group)
-    assert lattice_perimeter(polygon) == Fraction(44, 6)
+    assert boundary_integral(polygon, 0, 0) == Fraction(44, 6)
     chart = k2_polygon()
     assert chart.scale == 1
     groups = (chart.us, chart.vs, chart.lengths)
@@ -165,7 +163,8 @@ def test_k2_boundary_values():
 
 def test_k2_central_moments():
     polygon = k2_polygon()
-    area, puu, _, _ = central_second_moments(polygon)
+    interior = moments(polygon)[0]
+    area, (puu, _, _) = interior[0], central_moment_numerators(*interior)
     point = (Fraction(1), Fraction(1))
     area = area.evaluate(point)
     assert integrate_monomial(polygon, 1, 0).evaluate(point) / area == Fraction(19, 21)
@@ -174,8 +173,8 @@ def test_k2_central_moments():
 
 def test_unit_square_moments():
     # areas (E3, L13, E1, L12, E2, L23) = (0,1,1,0,1,1) build the unit square
-    polygon = build_polygon([0, 1, 1, 0, 1, 1])
-    area, puu, _, puv = central_second_moments(polygon)
+    interior = moments(build_polygon([0, 1, 1, 0, 1, 1]))[0]
+    area, (puu, _, puv) = interior[0], central_moment_numerators(*interior)
     assert puu / area == Fraction(1, 12)
     assert puv / area == 0
 
@@ -190,7 +189,7 @@ def test_area_equals_half_selfintersection():
 def test_perimeter_equals_anticanonical_pairing():
     for chart, polygon in ((K2_CHART, k2_polygon()), (K3_CHART, k3_polygon())):
         omega = chart.area_vector().to_coh(chart.k)
-        assert lattice_perimeter(polygon) == pair(c1_class(chart.k), omega)
+        assert boundary_integral(polygon, 0, 0) == pair(c1_class(chart.k), omega)
 
 
 def _greens_theorem_moment(vertices, a, b):
@@ -369,9 +368,7 @@ def test_dilated_integral_is_the_integral_over_the_polygon_dilated_by_6L():
     for label, areas, _ in _numeric_classes():
         polygon = build_polygon(areas.as_tuple())
         dilation = 6 * polygon.scale
-        for a, b in MOMENTS:
-            interior = dilated_integral(polygon, a, b)
-            boundary = dilated_integral(polygon, a, b, boundary=True)
+        for (a, b), interior, boundary in zip(MOMENTS, *dilated_moments(polygon)):
             assert type(interior) is int and type(boundary) is int, label
             assert interior == dilation ** (a + b + 2) * integrate_monomial(polygon, a, b), label
             assert boundary == dilation ** (a + b + 1) * boundary_integral(polygon, a, b), label
@@ -380,13 +377,12 @@ def test_dilated_integral_is_the_integral_over_the_polygon_dilated_by_6L():
 @pytest.mark.parametrize("boundary", [False, True], ids=["interior", "boundary"])
 @pytest.mark.parametrize("a, b", [(3, 0), (2, 1), (-1, 1), (0, -1)])
 def test_dilated_integral_refuses_degree_above_2(a, b, boundary):
-    """All three integrals refuse degree > 2 and negative exponents alike."""
-    exact = boundary_integral if boundary else integrate_monomial
+    """Both integrals refuse degree > 2 and negative exponents alike."""
+    integral = boundary_integral if boundary else integrate_monomial
     message = re.escape(f"up to degree 2 in exponents >= 0, not u^{a} v^{b}")
     for polygon in (build_polygon([1] * 6), k2_polygon()):
-        for integral in (exact, partial(dilated_integral, boundary=boundary)):
-            with pytest.raises(ValueError, match=message):
-                integral(polygon, a, b)
+        with pytest.raises(ValueError, match=message):
+            integral(polygon, a, b)
 
 
 def test_polygon_on_a_line_matches_the_numeric_polygon():

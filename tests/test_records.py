@@ -12,7 +12,7 @@ from kcert.certify import LemmaReport, PositivityCertificate
 from kcert.delpezzo import K2_CHART, AreaVector, CohClass, ConeChart, c1_class
 from kcert.exprparse import ComparisonVerdict, FixtureFile
 from kcert.functional import build_bundle, restrict_diagonal
-from kcert.poly import MultiPoly, PiValue, RatFunc, _Frozen
+from kcert.poly import MultiPoly, RatFunc, _Frozen
 from kcert.polytope import build_polygon
 
 # each frozen record type: how to make one, and one of its fields
@@ -20,7 +20,6 @@ FROZEN = {
     "CohClass": (lambda: c1_class(3), "h"),
     "AreaVector": (lambda: AreaVector.from_abcd(1, 1, 1, 1), "a_e3"),
     "ConeChart": (lambda: K2_CHART, "variables"),
-    "PiValue": (lambda: PiValue(Fraction(1, 2), -2), "pi_power"),
     "MultiPoly": (lambda: MultiPoly.variable(("beta",), "beta").scale(Fraction(1, 2)), "den"),
     "RatFunc": (lambda: RatFunc.from_poly(MultiPoly.variable(("beta",), "beta")), "num"),
     "LemmaReport": (lambda: LemmaReport("convex2", "PASS", {}), "status"),
@@ -28,7 +27,7 @@ FROZEN = {
         lambda: PositivityCertificate("probe", (1, -1), "PASS", 1, Fraction(1), 1, Fraction(1)),
         "verdict",
     ),
-    "FixtureFile": (lambda: FixtureFile("probe", ("beta",), "beta", "1", "none"), "name"),
+    "FixtureFile": (lambda: FixtureFile("probe", ("beta",)), "name"),
     "ComparisonVerdict": (lambda: ComparisonVerdict("SCALED", Fraction(12)), "constant"),
     "FunctionalBundle": (lambda: build_bundle(K2_CHART), "calA"),
     "DiagonalRestriction": (restrict_diagonal, "f"),
@@ -54,7 +53,7 @@ def test_frozen_record_refuses_assignment(name):
 
 
 def test_checked_records_take_equality_and_hash_from_the_frozen_base():
-    for cls in (CohClass, AreaVector, ConeChart, PiValue):
+    for cls in (CohClass, AreaVector, ConeChart):
         assert (cls.__eq__, cls.__hash__) == (_Frozen.__eq__, _Frozen.__hash__)
     # MultiPoly compares its int tables; RatFunc cross-multiplies and is unhashable
     for cls in (MultiPoly, RatFunc):
@@ -77,7 +76,6 @@ def test_a_value_equal_chart_hits_the_bundle_cache():
         (CohClass(3, 1, 1, 1), (Fraction(3), Fraction(1), Fraction(1), Fraction(1), 3)),
         (AreaVector(1, 2, 3, 1, 2, 3), tuple(map(Fraction, (1, 2, 3, 1, 2, 3)))),
         (K2_CHART, ("k2", 2, ("beta", "gamma"))),
-        (PiValue(Fraction(1, 2), -2), (Fraction(1, 2), -2)),
     ],
     ids=lambda value: type(value).__name__,
 )

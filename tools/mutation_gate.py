@@ -72,6 +72,13 @@ MUTANTS = (
         ("tests/test_poly.py::test_evaluate_matches_termwise_reference",),
     ),
     Mutant(
+        "_grevlex_leading: the largest reversed exponents among the top degree",
+        "src/kcert/poly.py",
+        "    return min(map(tuple, map(reversed, compress(",
+        "    return max(map(tuple, map(reversed, compress(",
+        ("tests/test_poly.py::test_leading_coefficient_matches_the_grevlex_key",),
+    ),
+    Mutant(
         "_moment_sums: the uv boundary sum given the u^2 kernel",
         "src/kcert/polytope.py",
         "b11 + ell * kuv,",
