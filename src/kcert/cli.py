@@ -45,7 +45,6 @@ import gc
 import json
 import os
 import re
-import string
 import sys
 import time
 from fractions import Fraction
@@ -65,6 +64,10 @@ from .sampling import DEFAULT_SEED, check_seed
 from .sturm import sturm_isolate
 
 
+# string.whitespace, without importing ``string`` in every CLI process
+_ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
+
+
 def _non_ascii(text: str) -> str:
     """Where the first non-ASCII character of ``text`` stands, or ""."""
     foreign = next((i for i, ch in enumerate(text) if not ch.isascii()), None)
@@ -73,7 +76,7 @@ def _non_ascii(text: str) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Exact ``p/q`` or integer in ASCII digits; decimals are rejected, never rounded."""
-    stripped = text.strip(string.whitespace)
+    stripped = text.strip(_ASCII_WHITESPACE)
     if re.fullmatch(r"-?[0-9]+", stripped):
         return Fraction(int(stripped))
     match = re.fullmatch(r"(-?[0-9]+)\s*/\s*([0-9]+)", stripped, re.ASCII)
@@ -89,7 +92,7 @@ def parse_rational(text: str) -> Fraction:
 def parse_integer(text: str) -> int:
     """An integer in ASCII digits, as ``parse_rational`` reads them; ranges are
     checked by ``RunConfig``."""
-    stripped = text.strip(string.whitespace)
+    stripped = text.strip(_ASCII_WHITESPACE)
     if re.fullmatch(r"-?[0-9]+", stripped) is None:
         raise argparse.ArgumentTypeError(
             f"expected an integer like 42, got {stripped!r}{_non_ascii(text)}"

@@ -34,11 +34,14 @@ Conventions:
     and rendering never read it;
   * a product of at least 16 term pairs whose exponent box
     prod_i(deg_a,i + deg_b,i + 1) has no more slots than pairs is dense and
-    is formed by Kronecker substitution in decimal slots: one multiply of
-    the standard library's ``decimal`` (libmpdec, which multiplies large
-    operands by a number-theoretic transform), in slots of k digits with
-    10^(k-1) > max|a|*max|b|*min(#a, #b), a bound on every output
-    numerator.  The multiply runs in a private context, always passed
+    is formed by Kronecker substitution: one multiply of two integers that
+    hold the operands' numerators in slots, with B = max|a|*max|b|*min(#a, #b)
+    bounding every output numerator.  When B < 2^63 and the box has at most
+    ``_WORD_MAX_BOX`` slots the slots are 64-bit words, packed and read back
+    by ``struct``, and CPython's int multiplies them.  Otherwise the slots
+    are k decimal digits with 10^(k-1) > B, and the multiply is the standard
+    library's ``decimal`` (libmpdec, whose number-theoretic transform wins on
+    large operands).  It runs in a private context, always passed
     explicitly, that holds every integer exactly and traps any rounding;
     the thread's decimal context is never read or set.  A dense product
     whose k exceeds ``sys.get_int_max_str_digits()`` (its slots could not
@@ -72,7 +75,7 @@ from functools import lru_cache
 from itertools import compress, groupby, product, repeat
 from math import gcd, lcm, prod
 from operator import add, attrgetter, mul, sub
-from struct import iter_unpack, unpack
+from struct import iter_unpack, pack, unpack
 from types import MappingProxyType
 from typing import Collection, Iterator, Mapping, Sequence, Union
 
@@ -139,6 +142,13 @@ def grevlex_key(exponents: Exponents) -> tuple:
 _PACK_BITS = 24
 
 _DENSE_MIN_PAIRS = 16  # fewest term pairs for which a product may be dense
+# Largest exponent box of a dense product in 64-bit word slots.  Up to it
+# CPython's int multiply on words beats libmpdec's at bounds of 2^50 and more;
+# beyond it libmpdec's number-theoretic transform, on decimal slots of fewer
+# bits, overtakes it (timings over boxes 256 to 16,384 in CHANGES.md).
+_WORD_MAX_BOX = 4096
+_WORD_HALF = 1 << 63  # a word slot holds 2^63 + n for |n| < 2^63
+_WORD_ZERO = _WORD_HALF.to_bytes(8, "little")
 
 # Every dense product runs in this context, always passed explicitly: it holds
 # any integer exactly, and a digit that would be lost raises instead of rounding.
@@ -158,12 +168,14 @@ def _max_abs(p: MultiPoly) -> int:
     return max(map(abs, p.numerators.values()), default=0)
 
 
-def _slot_width(a: MultiPoly, b: MultiPoly) -> int:
-    """Digits k of a decimal slot with 10^(k-1) > min(#a, #b) * max|a| * max|b|.
+def _coefficient_bound(a: MultiPoly, b: MultiPoly) -> int:
+    """min(#a, #b) * max|a| * max|b|, a bound on every numerator of a*b: each
+    is a sum of at most min(#a, #b) products."""
+    return min(len(a.numerators), len(b.numerators)) * _max_abs(a) * _max_abs(b)
 
-    That bounds every numerator of a*b, a sum of at most min(#a, #b) products.
-    """
-    bound = min(len(a.numerators), len(b.numerators)) * _max_abs(a) * _max_abs(b)
+
+def _slot_width(bound: int) -> int:
+    """Digits k of a decimal slot with 10^(k-1) > ``bound``."""
     digits = bound.bit_length() * 1233 >> 12  # digits of bound, or fewer
     while 10 ** digits <= bound:
         digits += 1
@@ -326,13 +338,15 @@ class MultiPoly(_Frozen):
 
         A product of at least 16 term pairs whose exponent box
         prod_i(deg_a,i + deg_b,i + 1) holds no more slots than pairs goes
-        through Kronecker substitution (``_mul_dense``), in decimal slots of
-        k digits with 10^(k-1) > max|a|*max|b|*min(#a, #b): an output
-        numerator is a sum of at most min(#a, #b) products.  When k exceeds
-        ``sys.get_int_max_str_digits()`` (0 means no limit) the slots could
-        not be converted to and from ints, and the product loops over term
-        pairs like every other.  Either way the numerators multiply exactly
-        over the product of dens.
+        through Kronecker substitution (``_mul_dense``).  Its slots must hold
+        every output numerator, a sum of at most min(#a, #b) products, so
+        each is bounded by B = max|a|*max|b|*min(#a, #b) in absolute value.
+        When B < 2^63 and the box has at most ``_WORD_MAX_BOX`` slots, the
+        slots are 64-bit words; otherwise they are k decimal digits with
+        10^(k-1) > B.  When k exceeds ``sys.get_int_max_str_digits()`` (0
+        means no limit) the decimal slots could not be converted to and from
+        ints, and the product loops over term pairs like every other.  Either
+        way the numerators multiply exactly over the product of dens.
         """
         if not isinstance(other, MultiPoly):
             return self.scale(other)
@@ -351,7 +365,10 @@ class MultiPoly(_Frozen):
                 )
             box *= a + b + 1
         if pairs >= _DENSE_MIN_PAIRS and box <= pairs:
-            width = _slot_width(self, other)
+            bound = _coefficient_bound(self, other)
+            if bound < 1 << 63 and box <= _WORD_MAX_BOX:
+                return self._mul_dense(other, box, None)
+            width = _slot_width(bound)
             if width <= (sys.get_int_max_str_digits() or width):
                 return self._mul_dense(other, box, width)
         left = [(_pack(e), n) for e, n in self.numerators.items()]
@@ -368,23 +385,48 @@ class MultiPoly(_Frozen):
         table = {e: v for e, v in zip(_unpack(acc, nvars), acc.values()) if v}
         return MultiPoly._build(self.variables, table, self.den * other.den)
 
-    def _mul_dense(self, other: MultiPoly, box: int, width: int) -> MultiPoly:
-        """Kronecker substitution in decimal slots of ``width`` digits, one multiply.
+    def _mul_dense(self, other: MultiPoly, box: int, width: int | None) -> MultiPoly:
+        """Kronecker substitution, one multiply: in 64-bit word slots when
+        ``width`` is None, else in decimal slots of ``width`` digits.
 
-        Exponent e maps to slot sum_i(e_i * stride_i) of the exponent box,
-        and numerator n goes into its slot as the ``width`` digits of
-        half + n, with half = 5*10^(width-1).  An operand is that digit string
-        as one Decimal less the all-half offset.  Every output numerator c
-        has |c| < 10^(width-1), so each slot of product + offset holds half + c
-        in exactly ``width`` digits with no carry between slots; the slots are
-        read back from the string one at a time.  Every operation runs in
-        ``_EXACT``, which raises rather than lose a digit.
+        Exponent e maps to slot sum_i(e_i * stride_i) of the exponent box.
+        In word slots, numerator n goes into its slot as the unsigned
+        little-endian word 2^63 + n, packed by ``struct``; an operand is those
+        words as one int less the all-2^63 offset, and the two multiply as
+        ints.  Every output numerator c has |c| < 2^63 (the caller's bound),
+        so each word of product + offset holds 2^63 + c with no carry between
+        slots, and the box is read back with one ``struct.unpack``.
+        In decimal slots, numerator n goes into its slot as the ``width``
+        digits of half + n, with half = 5*10^(width-1).  An operand is that
+        digit string as one Decimal less the all-half offset.  Every output
+        numerator c has |c| < 10^(width-1), so each slot of product + offset
+        holds half + c in exactly ``width`` digits with no carry between
+        slots; the slots are read back from the string one at a time.  Every
+        decimal operation runs in ``_EXACT``, which raises rather than lose a
+        digit.
         """
         tops = [
             a + b for a, b in zip(map(max, zip(*self.numerators)), map(max, zip(*other.numerators)))
         ]
         # the last variable varies fastest, as in product()
         strides = [prod(t + 1 for t in tops[i + 1:]) for i in range(len(tops))]
+        if width is None:
+            factors = []
+            for poly in (self, other):
+                slots = [sum(map(mul, e, strides)) for e in poly.numerators]
+                count = max(slots) + 1
+                words = [_WORD_HALF] * count
+                for slot, n in zip(slots, poly.numerators.values()):
+                    words[slot] = _WORD_HALF + n
+                offset = int.from_bytes(_WORD_ZERO * count, "little")
+                factors.append(int.from_bytes(pack(f"<{count}Q", *words), "little") - offset)
+            total = factors[0] * factors[1] + int.from_bytes(_WORD_ZERO * box, "little")
+            # one word per box exponent, bottom slot first; the filters run in C
+            words = unpack(f"<{box}Q", total.to_bytes(8 * box, "little"))
+            used = list(map(_WORD_HALF.__ne__, words))
+            exponents = compress(product(*[range(top + 1) for top in tops]), used)
+            table = dict(zip(exponents, map(sub, compress(words, used), repeat(_WORD_HALF))))
+            return MultiPoly._build(self.variables, table, self.den * other.den)
         half = 5 * 10 ** (width - 1)
         zero = b"%d" % half
         factors = []

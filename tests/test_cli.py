@@ -763,9 +763,9 @@ def test_cold_verify_convex2_refutes_the_display_without_products():
 
 def test_cold_import_loads_no_dataclasses_machinery():
     """A cold ``import kcert.cli`` loads neither ``dataclasses`` nor the
-    modules it pulls in; every CLI process would pay for them.  ``-S`` keeps
-    site ``.pth`` files out of the child."""
-    unwanted = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    modules it pulls in, nor ``string``; every CLI process would pay for
+    them.  ``-S`` keeps site ``.pth`` files out of the child."""
+    unwanted = ("dataclasses", "inspect", "ast", "dis", "tokenize", "string")
     program = f"import sys, kcert.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(Path(kcert.__file__).resolve().parents[1]))
     done = subprocess.run(

@@ -3,7 +3,7 @@ from __future__ import annotations
 import decimal
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import tracemalloc
 
@@ -716,6 +716,23 @@ def _spy_dense(monkeypatch):
     return calls
 
 
+def _spy_widths(monkeypatch):
+    """(box, width) of each dense product; width None is the word path."""
+    calls = []
+    dense = MultiPoly._mul_dense
+
+    def spy(self, other, box, width):
+        calls.append((box, width))
+        return dense(self, other, box, width)
+
+    monkeypatch.setattr(MultiPoly, "_mul_dense", spy)
+    return calls
+
+
+def _box(a, b):
+    return prod(x + y + 1 for x, y in zip(map(max, zip(*a.numerators)), map(max, zip(*b.numerators))))
+
+
 def test_mul_matches_termwise_reference(monkeypatch):
     rng = SplitMix64(0xD15E)
     calls = _spy_dense(monkeypatch)
@@ -755,12 +772,15 @@ def test_mul_matches_termwise_reference(monkeypatch):
     assert len(calls) > 0 and products - len(calls) > 0  # both kernels ran
 
 
-def test_mul_slot_width_edge():
+def test_mul_slot_width_edge(monkeypatch):
     # every coefficient at +-max with one sign: the middle output coefficient
     # of an n-term by n-term univariate product is exactly n*max|a|*max|b|.
     # In the first two byte edges it is 2^(8*nb-1) - 1 for a slot of nb
     # bytes; in the decimal edges it is 10^(k-1) - 1 for the slot width k
-    # the kernel chooses, the largest value a k-digit slot must hold.
+    # the kernel chooses, the largest value a k-digit slot must hold.  Most
+    # edges would fit word slots, so the word path is turned off here.
+    monkeypatch.setattr(poly, "_WORD_MAX_BOX", 0)
+    widths = _spy_widths(monkeypatch)
     (x,) = MultiPoly.gens(("x",))
     byte_edges = ((7, 31, 151), (127, 1, 1), (128, 1, 1), (16, 1 << 40, 3))
     decimal_edges = ((9, 3, 37), (9, 11, 101), (21, 143, 333), (9, (10 ** 30 - 1) // 9, 1))
@@ -774,7 +794,83 @@ def test_mul_slot_width_edge():
     for n, ma, mb in decimal_edges:
         a = MultiPoly(("x",), {(k,): ma for k in range(n)})
         b = MultiPoly(("x",), {(k,): mb for k in range(n)})
-        assert 10 ** (poly._slot_width(a, b) - 1) == n * ma * mb + 1
+        assert 10 ** (poly._slot_width(poly._coefficient_bound(a, b)) - 1) == n * ma * mb + 1
+    assert widths and None not in widths
+
+
+def test_word_slots_match_decimal_slots_and_the_pair_loop(monkeypatch):
+    rng = SplitMix64(0x3047)
+    products = []
+    for case in range(150):
+        variables = tuple(f"x{i}" for i in range(1 + case % 3))
+        bits = 1 + rng.below(28)
+        operands = []
+        for _ in range(2):
+            top = 1 + rng.below(5)
+            den = 1 + rng.below(4) if rng.below(3) else 1
+            terms = {
+                tuple(rng.below(top + 1) for _ in variables):
+                    Fraction((1 - 2 * rng.below(2)) * (1 + rng.below(1 << bits)), den)
+                for _ in range(1 + rng.below(30))
+            }
+            operands.append(MultiPoly(variables, terms))
+        for a, b in (operands, operands[::-1]):
+            bound = poly._coefficient_bound(a, b)
+            assert bound < 1 << 63
+            words = a._mul_dense(b, _box(a, b), None)
+            assert words.terms == _termwise_product(a, b)
+            _assert_stored_form(words)
+            assert a._mul_dense(b, _box(a, b), poly._slot_width(bound)) == words
+            products.append((a, b, words))
+    monkeypatch.setattr(poly, "_DENSE_MIN_PAIRS", float("inf"))  # every product loops
+    assert all(a * b == words for a, b, words in products)
+
+
+def test_word_slot_edges(monkeypatch):
+    # 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657: the middle coefficient
+    # of 7 terms of 7*73*127*337 by 7 of 92737*649657 is the bound, the widest
+    # value a word slot holds (2^64 - 1 or 1 with the offset).  The bound
+    # 8 * 2^30 * 2^30 = 2^63 no longer fits and takes decimal slots.
+    assert 7 * (7 * 73 * 127 * 337) * (92737 * 649657) == (1 << 63) - 1
+    calls = _spy_widths(monkeypatch)
+    for n, ma, mb in ((7, 7 * 73 * 127 * 337, 92737 * 649657), (8, 1 << 30, 1 << 30)):
+        for sa, sb in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+            a = MultiPoly(("x",), {(k,): sa * ma for k in range(n)})
+            b = MultiPoly(("x",), {(k,): sb * mb for k in range(n)})
+            got = _assert_product(a, b)
+            assert got.terms[(n - 1,)] == sa * sb * n * ma * mb
+    assert calls == [(13, None)] * 4 + [(15, poly._slot_width(1 << 63))] * 4
+
+
+def test_word_slots_up_to_the_box_crossover(monkeypatch):
+    calls = _spy_widths(monkeypatch)
+    widths = []
+    for box in (poly._WORD_MAX_BOX, poly._WORD_MAX_BOX + 1):
+        n = box // 2  # n + m - 1 = box
+        a = MultiPoly(("x",), {(k,): 1 - 3 * (k % 2) for k in range(n)})
+        b = MultiPoly(("x",), {(k,): 2 - k % 3 for k in range(box + 1 - n) if k % 3 != 2})
+        b += MultiPoly(("x",), {(box - n,): 1})  # the top exponent, whatever box is
+        widths.append(poly._slot_width(poly._coefficient_bound(a, b)))
+        assert a * b == a._mul_dense(b, box, None) == a._mul_dense(b, box, widths[-1])
+    assert calls[::3] == [(poly._WORD_MAX_BOX, None), (poly._WORD_MAX_BOX + 1, widths[1])]
+
+
+def test_structural_products_take_the_slots_their_size_calls_for(monkeypatch):
+    """The k2 direct route forms every product in words; the k3 one takes
+    words for its boxes of a few thousand slots and decimal for those past
+    10^4, whose bounds pass 2^63 as well."""
+    calls = _spy_widths(monkeypatch)
+    for chart, direction in ((K2_CHART, (1, -1)), (K3_CHART, (1, -1, 0))):
+        f = build_bundle(chart).calA
+        calls.clear()
+        list(poly._structural_terms(f.num, f.den, (direction,)))
+        words = sorted(box for box, width in calls if width is None)
+        decimal_boxes = sorted(box for box, width in calls if width is not None)
+        if chart is K2_CHART:
+            assert len(words) == 4 and decimal_boxes == []
+        else:
+            assert words and 3000 < min(words) <= max(words) <= poly._WORD_MAX_BOX
+            assert decimal_boxes and min(decimal_boxes) > 10_000
 
 
 def test_mul_past_the_int_digit_limit_takes_the_loop(monkeypatch):
@@ -785,7 +881,7 @@ def test_mul_past_the_int_digit_limit_takes_the_loop(monkeypatch):
     a = MultiPoly(BG, {(k % 2, k // 2): (-1) ** k * c for k, c in enumerate(big)})
     b = MultiPoly(BG, {(k // 2, k % 2): c for k, c in enumerate(reversed(big))})
     assert len(a.terms) * len(b.terms) >= poly._DENSE_MIN_PAIRS
-    assert poly._slot_width(a, b) > sys.get_int_max_str_digits() > 0
+    assert poly._slot_width(poly._coefficient_bound(a, b)) > sys.get_int_max_str_digits() > 0
     calls = _spy_dense(monkeypatch)
     got = _assert_product(a, b)
     assert calls == []

@@ -51,18 +51,39 @@ MUTANTS = (
         ("tests/test_poly.py::test_mul_slot_width_edge",),
     ),
     Mutant(
-        "_mul_dense: operand offset added instead of subtracted",
+        "_mul_dense: decimal operand offset added instead of subtracted",
         "src/kcert/poly.py",
         "factors.append(_EXACT.subtract(_decimal(digits), _decimal(zero * count)))",
         "factors.append(_EXACT.add(_decimal(digits), _decimal(zero * count)))",
         ("tests/test_poly.py::test_mul_slot_width_edge",),
     ),
     Mutant(
-        "_mul_dense: exponent tuples read bottom slot first",
+        "_mul_dense: decimal slots read bottom slot first",
         "src/kcert/poly.py",
         "exponents = product(*[range(top, -1, -1) for top in tops])",
         "exponents = product(*[range(top + 1) for top in tops])",
         ("tests/test_poly.py::test_mul_matches_termwise_reference",),
+    ),
+    Mutant(
+        "_mul_dense: word operand offset added instead of subtracted",
+        "src/kcert/poly.py",
+        'pack(f"<{count}Q", *words), "little") - offset)',
+        'pack(f"<{count}Q", *words), "little") + offset)',
+        ("tests/test_poly.py::test_word_slots_match_decimal_slots_and_the_pair_loop",),
+    ),
+    Mutant(
+        "__mul__: a coefficient bound of 2^63 fits a word slot",
+        "src/kcert/poly.py",
+        "if bound < 1 << 63 and box <= _WORD_MAX_BOX:",
+        "if bound <= 1 << 63 and box <= _WORD_MAX_BOX:",
+        ("tests/test_poly.py::test_word_slot_edges",),
+    ),
+    Mutant(
+        "_mul_dense: word slots read top slot first",
+        "src/kcert/poly.py",
+        "exponents = compress(product(*[range(top + 1) for top in tops]), used)",
+        "exponents = compress(product(*[range(top, -1, -1) for top in tops]), used)",
+        ("tests/test_poly.py::test_word_slots_match_decimal_slots_and_the_pair_loop",),
     ),
     Mutant(
         "evaluate: the q-power of each weight dropped",
