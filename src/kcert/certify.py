@@ -15,7 +15,8 @@ Each lemma-level claim is reduced to exact, re-checkable evidence:
     tables at once, anything else cross-multiplied);
   * invariance statements: polynomial identities, among them the agreement
     of the obstruction's two routes and its vanishing on V and W, on the one
-    ABCD polygon's pass;
+    ABCD polygon's pass, and the agreement of the objective's Gram and
+    structured forms, over the polygon's integrals;
   * k = 2 minimality: a deduction from the certified ingredients, recorded
     as laudate's ``minimality_deduction`` witness;
   * the sign of gaudete's first variation along c1 and its global
@@ -67,9 +68,12 @@ from .functional import (
     QUANTITIES,
     DiagonalRestriction,
     _cone_ingredients,
+    _obstruction_numerators,
     build_bundle,
     evaluate_calA_on_areas,
     first_variation_along_c1,
+    gram_parts,
+    objective_parts,
     restrict_diagonal,
 )
 from .poly import (
@@ -79,6 +83,7 @@ from .poly import (
     coefficients_all_nonneg,
     directional_second_derivative,
 )
+from .polytope import central_moment_numerators
 from .sturm import count_roots, sturm_chain, sturm_isolate
 
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 2 ** 30)
@@ -452,9 +457,31 @@ def verify_doubleprime2() -> LemmaReport:
     return LemmaReport("doubleprime2", "PASS" if ok else "FAIL", witnesses)
 
 
+def _objective_forms_identity() -> bool:
+    """The objective's two forms agree on every polygon: in the polynomial
+    ring of the nine integrals that both read (area, the first and second
+    moments, the perimeter and the boundary's first moments), the structured
+    form of ``objective_parts``, built from the obstruction numerators q_i and
+    the central numerators, is 4*V^2 times the Gram form of ``gram_parts``,
+    numerator and denominator.  Both are operators on those integrals, so the
+    identity carries over to the ABCD polygon, every chart and every numeric
+    polygon by substitution."""
+    integrals = MultiPoly.gens(
+        ("area", "m10", "m01", "m20", "m11", "m02", "perimeter", "b10", "b01")
+    )
+    interior, boundary = integrals[:6], integrals[6:]
+    central = central_moment_numerators(*interior)
+    volume = interior[0]
+    q1, q2 = _obstruction_numerators(interior, boundary)
+    *_, numerator, denominator = objective_parts(boundary[0], volume, *central, q1, q2)
+    factor = volume * volume * 4
+    forms = zip((numerator, denominator), gram_parts(interior, boundary, *central))
+    return all(structured == gram * factor for structured, gram in forms)
+
+
 def verify_veritas() -> LemmaReport:
-    """The obstruction's two routes agree, and it vanishes on both invariant
-    subspaces.
+    """The obstruction's two routes agree, it vanishes on both invariant
+    subspaces, and the objective's two forms agree.
 
     Three polynomial identities over ABCD, on ``_cone_ingredients`` alone: the
     boundary route's numerators are q_i = delta * b_i, with b_i the transcribed
@@ -462,7 +489,10 @@ def verify_veritas() -> LemmaReport:
     alpha = beta = gamma, for every delta; on the hyperplane V they vanish at
     delta = 0 (the polygons there are centrally symmetric).  The edge sums are
     polynomials in the vertices and lengths, so the q_i at delta = 0 are those
-    of the delta = 0 polygon.
+    of the delta = 0 polygon.  A fourth, over the polygon's integrals
+    (``_objective_forms_identity``), ties the structured form, which
+    ``evaluate_calA_on_areas`` and gaudete's minimality deduction read, to the
+    Gram form that every chart's bundle holds.
     """
     *_, b1, b2, q1, q2 = _cone_ingredients()
     alpha, beta, gamma, delta = MultiPoly.gens(ABCD)
@@ -475,6 +505,7 @@ def verify_veritas() -> LemmaReport:
     v_zero = vanishes(alpha, beta, gamma, 0)
     witnesses = {
         "obstruction_routes_identity": routes,
+        "objective_forms_identity": _objective_forms_identity(),
         "W_identity": w_zero,
         "V_identity": v_zero,
     }

@@ -22,20 +22,26 @@ polygon integrals by substitution (``ConeChart.abcd_images``).
 A, B and C are held pi-free, as the central second moments over 4: their
 factor pi^-2 cancels out of the objective and is attached only when
 ``quantity_text`` prints them.  ``futaki_norm_sq`` forms ||F||^2 / pi^2 from
-the pi-free parts generically, a reference route to the structured assembly
-below.
+the pi-free parts generically, a reference route to the assemblies below.
 
-Denominator discipline: the objective is assembled over the structured
-denominator 8 * area * det, where det is the numerator of the moment
-determinant over area^2.  This keeps the convexity certificates' denominators
-manifestly positive and the second-derivative computation affordable; no
-cancellation is attempted anywhere.
+Denominator discipline: no cancellation is attempted anywhere.  The chart
+bundles hold the Gram form (``gram_parts``), calA = beta^T adj(M) beta /
+(2 det M) with M the Gram matrix of (1, u, v) over the polygon and beta =
+(perimeter, boundary(u), boundary(v)), one half of beta^T M^-1 beta
+(S. K. Donaldson, J. Differential Geom. 62 (2002); M. Abreu, Internat. J.
+Math. 9 (1998)).  Over ABCD it is homogeneous of degree 10 and det M has no
+negative coefficient, so the convexity certificates' denominators stay
+manifestly positive.  The structured form (``objective_parts``),
+[4 perimeter^2 det + N_F] / [8 area det] with det = area * det M the
+numerator of the central moment determinant, is 4 area^2 times it, part by
+part, which ``veritas`` certifies; over ABCD it has 512/428 terms
+against 226/181.
 
-One assembly serves both routes: its formulas use operators only, so they
-build the chart rational functions on MultiPolys and the values at a numeric
-area vector on the ints of the polygon dilated by 6L (``dilated_moments``),
+The numeric route (``evaluate_calA_on_areas``) keeps the structured form, so
+that a chart value and a polygon value come from two formulas.  It runs on
+the ints of the polygon dilated by 6L (``dilated_moments``), operators only,
 with no polynomial and no Fraction before one division at the end.  Either
-route reads every integral it needs from one pass over the polygon's edges
+route reads every integral from one pass over the polygon's edges
 (``polytope.moments`` or ``polytope.dilated_moments``), once per polygon.
 """
 
@@ -146,6 +152,34 @@ def objective_parts(perimeter, volume, puu, pvv, puv, q1, q2) -> tuple:
     return det, n_f, perimeter * perimeter * det * 4 + n_f, volume * det * 8
 
 
+def gram_parts(interior: Sequence, boundary: Sequence, puu, pvv, puv) -> tuple:
+    """(numerator, denominator) of the objective in its Gram form,
+
+        calA = beta^T adj(M) beta / (2 det M),
+
+    with M the Gram matrix of (1, u, v) over the polygon (the area, the first
+    and the second moments of ``interior``) and beta = (perimeter, boundary(u),
+    boundary(v)) from ``boundary``.  Three adjugate entries are the central
+    numerators: adj_11 = pvv, adj_12 = -puv, adj_22 = puu; the first row is
+    formed here, and det M is M's first row against it.  Operators only.
+    """
+    area, m10, m01, m20, m11, m02 = interior
+    perimeter, b10, b01 = boundary[:3]
+    adj00 = m20 * m02 - m11 * m11
+    adj01 = m11 * m01 - m10 * m02
+    adj02 = m10 * m11 - m20 * m01
+    det = area * adj00 + m10 * adj01 + m01 * adj02
+    if not det:
+        raise DegenerateMomentMatrix("moment matrix determinant vanishes")
+    twice10, twice01 = b10 * 2, b01 * 2  # the factor 2 on the small entries
+    numerator = (
+        perimeter * (perimeter * adj00 + twice10 * adj01 + twice01 * adj02)
+        + b10 * (b10 * pvv - twice01 * puv)
+        + b01 * b01 * puu
+    )
+    return numerator, det * 2
+
+
 class FunctionalBundle(NamedTuple):
     """Every exact ingredient of the objective on one coordinate chart."""
 
@@ -161,34 +195,44 @@ class FunctionalBundle(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _cone_ingredients() -> tuple[MultiPoly, ...]:
-    """(volume, puu, pvv, puv, perimeter, b1, b2, q1, q2) over ABCD, from one
-    polygon: every chart's bundle is the first seven under its substitution,
-    and q1, q2 are the boundary route's obstruction numerators (``veritas``)."""
+def _cone_ingredients() -> tuple:
+    """(interior, boundary, (puu, pvv, puv), b1, b2, q1, q2) over ABCD, from
+    one polygon: its integrals of ``polytope.MONOMIALS``, the central
+    numerators, the closed-form brackets and the boundary route's obstruction
+    numerators (``veritas``).  Every chart's bundle is the integrals up to
+    the boundary's first moments, the central numerators and the brackets
+    under its substitution."""
     polygon = _polygon_from_areas(AreaVector.from_abcd(*MultiPoly.gens(ABCD)), ABCD)
     interior, boundary = moments(polygon)
     b1, b2, volume = _closed_form_brackets()
     if interior[0] != volume:
         raise AssertionError("polygon area disagrees with the closed-form volume polynomial")
     q1, q2 = _obstruction_numerators(interior, boundary)
-    return (volume, *central_moment_numerators(*interior), boundary[0], b1, b2, q1, q2)
+    return interior, boundary, central_moment_numerators(*interior), b1, b2, q1, q2
 
 
 @lru_cache(maxsize=None)
 def build_bundle(chart: ConeChart) -> FunctionalBundle:
     """Assemble the objective and its ingredients on a chart, exactly.
 
-    Substitutes ``_cone_ingredients``; the second term and the full objective
-    share the structured denominator 8 * V * det of ``objective_parts``, with
-    the closed-form brackets b_i as the obstruction numerators.
+    Substitutes ``_cone_ingredients``: the polygon's integrals up to the
+    boundary's first moments, the central numerators and the closed-form
+    brackets b_i, the obstruction numerators of F_i = b_i / V.  The objective
+    is the Gram form of ``gram_parts``, assembled on the chart from the
+    substituted integrals.  Its structured form (``objective_parts``) is
+    4*V^2 times it, part by part, an identity in the polygon's integrals
+    that ``veritas`` certifies; it is formed there, never here.
     """
-    volume, puu, pvv, puv, perimeter, b1, b2 = _on_chart(chart, _cone_ingredients()[:7])
+    interior, boundary, central, b1, b2 = _cone_ingredients()[:5]
+    parts = _on_chart(chart, (*interior, *boundary[:3], *central, b1, b2))
+    interior, boundary, (puu, pvv, puv), (b1, b2) = parts[:6], parts[6:9], parts[9:12], parts[12:]
+    volume = interior[0]
     quarter = Fraction(1, 4)
-    _, _, numerator, denominator = objective_parts(perimeter, volume, puu, pvv, puv, b1, b2)
+    numerator, denominator = gram_parts(interior, boundary, puu, pvv, puv)
     return FunctionalBundle(
         chart=chart,
         volume=volume,
-        c1_pairing=perimeter,
+        c1_pairing=boundary[0],
         f1=RatFunc.make(b1, volume),
         f2=RatFunc.make(b2, volume),
         a=RatFunc.make(puu.scale(quarter), volume),

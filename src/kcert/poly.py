@@ -304,12 +304,13 @@ class MultiPoly(_Frozen):
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: MultiPoly | Scalar) -> MultiPoly:
+    def __add__(self, other: MultiPoly | Scalar, sign: int = 1) -> MultiPoly:
+        """self + sign * other, for sign 1 or -1 (``__sub__``), in one pass over other."""
         if not isinstance(other, MultiPoly):
             other = MultiPoly.const(self.variables, other)
         _check_variables(self.variables, other.variables)
         den = lcm(self.den, other.den)
-        lift, other_lift = den // self.den, den // other.den
+        lift, other_lift = den // self.den, sign * (den // other.den)
         table = {e: n * lift for e, n in self.numerators.items()}
         get = table.get
         for exps, n in other.numerators.items():
@@ -326,9 +327,7 @@ class MultiPoly(_Frozen):
         return self.scale(-1)
 
     def __sub__(self, other: MultiPoly | Scalar) -> MultiPoly:
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.variables, other)
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other: Scalar) -> MultiPoly:
         return (-self) + other
@@ -355,22 +354,22 @@ class MultiPoly(_Frozen):
             return MultiPoly.zero(self.variables)
         nvars = len(self.variables)
         pairs = len(self.numerators) * len(other.numerators)
-        box = 1  # multiplied in place: a list per product slows the many tiny ones
-        for name, a, b in zip(
-            self.variables, map(max, zip(*self.numerators)), map(max, zip(*other.numerators))
-        ):
-            if a + b >= 1 << _PACK_BITS:
+        # the product's top exponent per variable, which sizes its box
+        tops = list(map(add, map(max, zip(*self.numerators)), map(max, zip(*other.numerators))))
+        box = 1
+        for name, top in zip(self.variables, tops):
+            if top >= 1 << _PACK_BITS:
                 raise ValueError(
-                    f"degree {a + b} in {name!r} reaches the 2^{_PACK_BITS} exponent limit"
+                    f"degree {top} in {name!r} reaches the 2^{_PACK_BITS} exponent limit"
                 )
-            box *= a + b + 1
+            box *= top + 1
         if pairs >= _DENSE_MIN_PAIRS and box <= pairs:
             bound = _coefficient_bound(self, other)
             if bound < 1 << 63 and box <= _WORD_MAX_BOX:
-                return self._mul_dense(other, box, None)
+                return self._mul_dense(other, tops, None)
             width = _slot_width(bound)
             if width <= (sys.get_int_max_str_digits() or width):
-                return self._mul_dense(other, box, width)
+                return self._mul_dense(other, tops, width)
         left = [(_pack(e), n) for e, n in self.numerators.items()]
         right = [(_pack(e), n) for e, n in other.numerators.items()]
         if len(left) > len(right):
@@ -385,10 +384,12 @@ class MultiPoly(_Frozen):
         table = {e: v for e, v in zip(_unpack(acc, nvars), acc.values()) if v}
         return MultiPoly._build(self.variables, table, self.den * other.den)
 
-    def _mul_dense(self, other: MultiPoly, box: int, width: int | None) -> MultiPoly:
+    def _mul_dense(self, other: MultiPoly, tops: list[int], width: int | None) -> MultiPoly:
         """Kronecker substitution, one multiply: in 64-bit word slots when
         ``width`` is None, else in decimal slots of ``width`` digits.
 
+        ``tops`` are the product's top exponents, one per variable, as
+        ``__mul__`` found them; the exponent box has prod_i(tops_i + 1) slots.
         Exponent e maps to slot sum_i(e_i * stride_i) of the exponent box.
         In word slots, numerator n goes into its slot as the unsigned
         little-endian word 2^63 + n, packed by ``struct``; an operand is those
@@ -405,9 +406,7 @@ class MultiPoly(_Frozen):
         decimal operation runs in ``_EXACT``, which raises rather than lose a
         digit.
         """
-        tops = [
-            a + b for a, b in zip(map(max, zip(*self.numerators)), map(max, zip(*other.numerators)))
-        ]
+        box = prod(t + 1 for t in tops)
         # the last variable varies fastest, as in product()
         strides = [prod(t + 1 for t in tops[i + 1:]) for i in range(len(tops))]
         if width is None:
@@ -608,22 +607,34 @@ class MultiPoly(_Frozen):
     ) -> MultiPoly:
         """Image i is (c_i/d_i)*m_i; each term maps to one term over
         den * prod(d_i^D_i), with D_i the top exponent of variable i.
+
+        One variable at a time, over all the terms at once: a term's
+        numerator is multiplied by c_i^e * d_i^(D_i - e), formed once for each
+        exponent e that occurs, and its packed image exponents gain e times
+        m_i packed.
         """
         zero = ((0,) * len(target), 0)  # the zero image, 0*1 (0**0 == 1)
         monomials = [next(iter(img.numerators.items()), zero) + (img.den,) for img in images]
-        tops = list(map(max, zip(*self.numerators)))
+        columns = list(zip(*self.numerators))
+        tops = list(map(max, columns))
+        # a bound on every image exponent, so that no packed one carries
+        bound = sum(max(mono, default=0) * top for (mono, _, _), top in zip(monomials, tops))
+        if bound >> _PACK_BITS:
+            raise ValueError(f"an image exponent may reach the 2^{_PACK_BITS} exponent limit")
         den = self.den * prod(d ** top for (_, _, d), top in zip(monomials, tops))
-        table: dict[Exponents, int] = {}
-        for exps, n in self.numerators.items():
-            image = [0] * len(target)
-            for (mono, c, d), e, top in zip(monomials, exps, tops):
-                n *= c ** e * d ** (top - e)
-                for j, m in enumerate(mono):
-                    image[j] += m * e
-            key = tuple(image)
+        numerators, keys = self.numerators.values(), repeat(0)
+        for (mono, c, d), top, column in zip(monomials, tops, columns):
+            factors = {e: c ** e * d ** (top - e) for e in set(column)}
+            numerators = map(mul, numerators, map(factors.__getitem__, column))
+            if any(mono):
+                keys = map(add, keys, map(_pack(mono).__mul__, column))
+        table: dict[int, int] = {}
+        get = table.get
+        for key, n in zip(keys, numerators):
             # distinct terms can land on one monomial, as under gamma := beta
-            table[key] = table.get(key, 0) + n
-        return MultiPoly._build(target, {e: n for e, n in table.items() if n}, den)
+            table[key] = get(key, 0) + n
+        exponents = _unpack(table, len(target))
+        return MultiPoly._build(target, {e: n for e, n in zip(exponents, table.values()) if n}, den)
 
     # -- rendering -----------------------------------------------------------
 

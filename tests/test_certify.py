@@ -44,6 +44,39 @@ def test_convexity_certificates_pass():
     assert report3.witnesses["fixture"]["d2_alphabeta"]["constant"] == "12"
 
 
+def test_convexity_certificates_on_the_gram_form():
+    """The Gram form's second derivatives: 278 (k2) and 3,311 (k3) numerator
+    terms, none negative, over the cubes of its 36- and 181-term
+    denominators."""
+    for chart_id, terms, base_terms in (("k2", 278, 36), ("k3", 3311, 181)):
+        report = verify_convexity(chart_id)
+        assert report.status == "PASS"
+        cert = report.witnesses["certificate"]
+        assert (cert["numerator_terms"], cert["denominator_base_terms"]) == (terms, base_terms)
+        d2 = certify._second_derivative(chart_id, certify.CONVEXITY[chart_id][1])
+        assert len(d2.num.terms) == terms
+        assert min(d2.num.terms.values()) >= 0
+
+
+def test_k3_display_comparison_takes_no_dense_product(monkeypatch):
+    """The Gram form's k3 second derivative has 12 times the display's
+    numerator table over the display's denominator table, so SCALED(12) is
+    decided on identical tables: the comparison forms no dense product."""
+    _, fixture = certify._named_fixture("k3", "d2_alphabeta", None)
+    computed = certify._fixture_target("k3", "d2_alphabeta")
+    calls = []
+    dense = MultiPoly._mul_dense
+
+    def spy(self, other, *shape):
+        calls.append((len(self.terms), len(other.terms)))
+        return dense(self, other, *shape)
+
+    monkeypatch.setattr(MultiPoly, "_mul_dense", spy)
+    verdict = compare_against_fixture(computed, fixture)
+    assert (verdict.kind, verdict.constant) == ("SCALED", 12)
+    assert calls == []
+
+
 def test_k2_display_discrepancy_is_recorded_not_patched():
     report = verify_convexity("k2")
     fixture = report.witnesses["fixture"]["d2_antidiag"]
@@ -263,6 +296,7 @@ def test_veritas():
     assert report.status == "PASS"
     assert report.witnesses == {
         "obstruction_routes_identity": True,
+        "objective_forms_identity": True,
         "W_identity": True,
         "V_identity": True,
     }
@@ -294,6 +328,7 @@ def test_veritas_fails_on_a_changed_bracket(monkeypatch):
     assert report.status == "FAIL"
     assert report.witnesses == {
         "obstruction_routes_identity": False,
+        "objective_forms_identity": True,
         "W_identity": True,
         "V_identity": True,
     }
@@ -306,9 +341,35 @@ def test_veritas_fails_on_a_nonzero_obstruction_on_v(monkeypatch):
     assert report.status == "FAIL"
     assert report.witnesses == {
         "obstruction_routes_identity": False,
+        "objective_forms_identity": True,
         "W_identity": False,
         "V_identity": False,
     }
+
+
+@pytest.mark.parametrize("entry", ["m11", "b01", "pvv"])
+def test_objective_forms_identity_fails_on_a_changed_gram_entry(monkeypatch, entry):
+    """One coefficient changed in one entry that the Gram form reads, of M,
+    of beta or of the adjugate (pvv), breaks the 4*V^2 identity, and veritas
+    fails on that witness alone."""
+    assert certify._objective_forms_identity()
+    real = certify.gram_parts
+
+    def changed(interior, boundary, puu, pvv, puv):
+        interior, boundary = list(interior), list(boundary)
+        if entry == "m11":
+            interior[4] = interior[4] * 2
+        elif entry == "b01":
+            boundary[2] = boundary[2] * 2
+        else:
+            pvv = pvv + interior[0] * interior[5]  # its area*m02 term, coefficient 1 -> 2
+        return real(interior, boundary, puu, pvv, puv)
+
+    monkeypatch.setattr(certify, "gram_parts", changed)
+    assert not certify._objective_forms_identity()
+    report = verify_veritas()
+    assert report.status == "FAIL"
+    assert [k for k, ok in report.witnesses.items() if not ok] == ["objective_forms_identity"]
 
 
 def test_claritas_is_a_note():

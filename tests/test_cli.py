@@ -16,7 +16,9 @@ import pytest
 import kcert
 from kcert import certify
 from kcert.cli import emit_report, parse_rational, run
+from kcert.delpezzo import AreaVector
 from kcert.exprparse import MAX_EXPANSION, MAX_WORD_PAIRS
+from kcert.functional import evaluate_calA_on_areas
 from kcert.poly import MultiPoly
 
 
@@ -323,6 +325,7 @@ def test_seed_range_ends_run(seed, capsys):
     assert payload["config"]["seed"] == seed
     assert payload["lemmas"][0]["witnesses"] == {
         "obstruction_routes_identity": True,
+        "objective_forms_identity": True,
         "W_identity": True,
         "V_identity": True,
     }
@@ -557,15 +560,15 @@ def test_fixtures_dir_spellings_share_one_load_each(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize(
     "command, code, digest",
     [
-        (["report", "--format", "json"], 1, "81799df66e971883c4415c19ef2e1171"),
-        (["verify", "--all", "--format", "json"], 0, "ad656708fccb7625339c6ddd7c296334"),
+        (["report", "--format", "json"], 1, "4f8fe60c590181d7801284ff2a4f389c"),
+        (["verify", "--all", "--format", "json"], 0, "0d1b7751069114033bed0c89ce95e1bd"),
         (["fixtures", "check", "--format", "json"], 1, "81d5452ada4ddc76f1c3bcefbf93d038"),
-        (["report", "--format", "markdown"], 1, "3283aef3cb6fbc371d5c9a318d8e595c"),
+        (["report", "--format", "markdown"], 1, "82a6fbab3332c4c33760ff60c760cac4"),
         # every setting's flag, at its default
         (
             ["verify", "--all", "--width", "1/1073741824", "--seed", "12648430"],
             0,
-            "ad656708fccb7625339c6ddd7c296334",
+            "0d1b7751069114033bed0c89ce95e1bd",
         ),
     ],
     ids=["report", "verify-all", "fixtures-check", "report-markdown", "verify-all-flags"],
@@ -601,6 +604,33 @@ def test_eval_bytes_at_48_bit_heights_are_unchanged(capsys, chart, point, digest
     # commands in fresh processes under two hash seeds
     assert run(["eval", "--chart", chart, "--point", point, "--what", "calA"]) == 0
     assert hashlib.md5(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "chart, point, value",
+    [
+        # the anchors of perfbench/oracle.json, recorded before the Gram form
+        ("k2", "1,1", "2919/409"),
+        ("k2", "1,2", "178725/23887"),
+        ("k3", "1,1,1", "81/13"),
+        ("k3", "1,2,3", "242569257/37689731"),
+        # CI's points of 48-bit heights, whose bytes are pinned above
+        ("k3", "281474976710597/140737488355213,187649984473771/281474976710129,"
+               "99999999999973/70368744177643", None),
+        ("k2", "281474976710597/140737488355213,187649984473771/281474976710129", None),
+    ],
+    ids=["k2-1,1", "k2-1,2", "k3-1,1,1", "k3-1,2,3", "k3-48", "k2-48"],
+)
+def test_eval_calA_agrees_with_the_structured_numeric_route(capsys, chart, point, value):
+    """``eval --what calA`` reads the Gram form; it prints the recorded value,
+    which is the structured form's on the numeric polygon of the same class."""
+    assert run(["eval", "--chart", chart, "--point", point, "--what", "calA"]) == 0
+    printed = capsys.readouterr().out
+    coordinates = [Fraction(x) for x in point.split(",")]
+    abcd = ([0] if chart == "k2" else []) + coordinates + [1]
+    assert printed == f"{evaluate_calA_on_areas(AreaVector.from_abcd(*abcd))}\n"
+    if value is not None:
+        assert printed == f"{value}\n"
 
 
 def test_laudate_alone_matches_its_verify_all_entry(monkeypatch, capsys):
@@ -757,7 +787,7 @@ def test_cold_verify_convex2_refutes_the_display_without_products():
     assert done.returncode == 0, done.stderr
     # one comparison, of the k2 display over (beta, gamma), with no product
     assert done.stdout.split(maxsplit=2) == [
-        "0", "94027e8521a5e9403722910ca532fb4b", "[(('beta', 'gamma'), 0)]\n"
+        "0", "c1885a1eaf904d7c8a8d4c3900327ab3", "[(('beta', 'gamma'), 0)]\n"
     ]
 
 

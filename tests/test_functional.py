@@ -18,6 +18,7 @@ from kcert.functional import (
     evaluate_futaki_on_areas,
     first_variation_along_c1,
     futaki_norm_sq,
+    gram_parts,
     objective_parts,
     quantity_text,
 )
@@ -105,7 +106,8 @@ def _boundary_route(chart):
 
 def _chart_polygon_bundle(chart):
     """The bundle from the chart's own polygon over its variables, with the
-    boundary route's q_i (= b_i at delta = 1) as obstruction numerators."""
+    boundary route's q_i (= b_i at delta = 1) as obstruction numerators and
+    the objective in the structured form of ``objective_parts``."""
     interior, boundary = moments(build_polygon(chart.area_vector().as_tuple(), chart.variables))
     volume, perimeter = interior[0], boundary[0]
     puu, pvv, puv = central_moment_numerators(*interior)
@@ -134,11 +136,44 @@ def _terms(value):
 
 @pytest.mark.parametrize("chart", [K2_CHART, K3_CHART], ids=["k2", "k3"])
 def test_bundle_is_term_identical_to_the_chart_polygon_route(chart):
+    """Every field is the chart polygon's, term for term; the objective, in
+    the Gram form, is the structured form's through the 4*V^2 identity:
+    4*V^2 times each of its parts gives the structured form's canonical
+    tables."""
     bundle = build_bundle(chart)
-    for field, expected in _chart_polygon_bundle(chart).items():
+    expected = _chart_polygon_bundle(chart)
+    factor = bundle.volume * bundle.volume * 4
+    structured = expected.pop("calA")
+    gram = RatFunc.make(bundle.calA.num * factor, bundle.calA.den * factor)
+    assert _terms(gram) == _terms(structured)
+    for field, value in expected.items():
         got = getattr(bundle, field)
-        assert type(got) is type(expected), field
-        assert _terms(got) == _terms(expected), field
+        assert type(got) is type(value), field
+        assert _terms(got) == _terms(value), field
+
+
+def test_structured_form_is_4v2_times_the_gram_form_over_abcd():
+    """On the ABCD polygon's integrals the structured form, built from its
+    q_i, is 4*V^2 times the Gram form, numerator and denominator.  The Gram
+    form is homogeneous of degree 10 (226 and 181 terms), det M has no
+    negative coefficient, and one changed coefficient of one Gram entry
+    breaks the identity."""
+    interior, boundary, central, _, _, q1, q2 = functional._cone_ingredients()
+    volume = interior[0]
+    factor = volume * volume * 4
+    *_, numerator, denominator = objective_parts(boundary[0], volume, *central, q1, q2)
+    gram = gram_parts(interior, boundary, *central)
+    assert (numerator, denominator) == tuple(part * factor for part in gram)
+    assert [len(part.terms) for part in gram] == [226, 181]
+    assert all({sum(e) for e in part.terms} == {10} for part in gram)
+    assert min(gram[1].terms.values()) > 0
+    m11 = interior[4]
+    exponents = next(iter(m11.terms))
+    changed = list(interior)
+    changed[4] = m11 + MultiPoly(ABCD, {exponents: 1})
+    assert (m11 - changed[4]).terms == {exponents: -1}
+    changed_num, changed_den = gram_parts(changed, boundary, *central)
+    assert changed_num * factor != numerator and changed_den * factor != denominator
 
 
 def test_both_bundles_build_one_polygon(monkeypatch):

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from kcert import poly, univar
+from kcert import functional, poly, univar
 from kcert.delpezzo import K2_CHART, K3_CHART
 from kcert.exprparse import parse_expression
 from kcert.functional import build_bundle, restrict_diagonal
@@ -592,6 +592,18 @@ def test_exponent_packing_overflow_is_rejected():
         MultiPoly(BG, {(0, 1 << 23): 1}) * MultiPoly(BG, {(1, 1 << 23): 1})
 
 
+def test_substitution_exponent_overflow_is_rejected():
+    # the monomial map adds packed image exponents, so a bound on every image
+    # exponent must stay below the 2^24 slot
+    target = ("t",)
+    (t,) = MultiPoly.gens(target)
+    images = {"beta": t * t, "gamma": MultiPoly.const(target, 3)}
+    below = MultiPoly(BG, {((1 << 23) - 1, 1): 1, (1, 0): 1}).substitute(images, target)
+    assert below.terms == {((1 << 24) - 2,): 3, (2,): 1}
+    with pytest.raises(ValueError, match="exponent limit"):
+        MultiPoly(BG, {(1 << 23, 0): 1}).substitute(images, target)
+
+
 @pytest.mark.parametrize("nvars", range(7))
 def test_unpack_inverts_pack(nvars):
     top = (1 << poly._PACK_BITS) - 1
@@ -721,16 +733,17 @@ def _spy_widths(monkeypatch):
     calls = []
     dense = MultiPoly._mul_dense
 
-    def spy(self, other, box, width):
-        calls.append((box, width))
-        return dense(self, other, box, width)
+    def spy(self, other, tops, width):
+        calls.append((prod(t + 1 for t in tops), width))
+        return dense(self, other, tops, width)
 
     monkeypatch.setattr(MultiPoly, "_mul_dense", spy)
     return calls
 
 
-def _box(a, b):
-    return prod(x + y + 1 for x, y in zip(map(max, zip(*a.numerators)), map(max, zip(*b.numerators))))
+def _tops(a, b):
+    """The top exponent of a*b in each variable, as ``__mul__`` passes it to ``_mul_dense``."""
+    return [x + y for x, y in zip(map(max, zip(*a.numerators)), map(max, zip(*b.numerators)))]
 
 
 def test_mul_matches_termwise_reference(monkeypatch):
@@ -817,10 +830,10 @@ def test_word_slots_match_decimal_slots_and_the_pair_loop(monkeypatch):
         for a, b in (operands, operands[::-1]):
             bound = poly._coefficient_bound(a, b)
             assert bound < 1 << 63
-            words = a._mul_dense(b, _box(a, b), None)
+            words = a._mul_dense(b, _tops(a, b), None)
             assert words.terms == _termwise_product(a, b)
             _assert_stored_form(words)
-            assert a._mul_dense(b, _box(a, b), poly._slot_width(bound)) == words
+            assert a._mul_dense(b, _tops(a, b), poly._slot_width(bound)) == words
             products.append((a, b, words))
     monkeypatch.setattr(poly, "_DENSE_MIN_PAIRS", float("inf"))  # every product loops
     assert all(a * b == words for a, b, words in products)
@@ -851,17 +864,31 @@ def test_word_slots_up_to_the_box_crossover(monkeypatch):
         b = MultiPoly(("x",), {(k,): 2 - k % 3 for k in range(box + 1 - n) if k % 3 != 2})
         b += MultiPoly(("x",), {(box - n,): 1})  # the top exponent, whatever box is
         widths.append(poly._slot_width(poly._coefficient_bound(a, b)))
-        assert a * b == a._mul_dense(b, box, None) == a._mul_dense(b, box, widths[-1])
+        assert a * b == a._mul_dense(b, [box - 1], None) == a._mul_dense(b, [box - 1], widths[-1])
     assert calls[::3] == [(poly._WORD_MAX_BOX, None), (poly._WORD_MAX_BOX + 1, widths[1])]
 
 
+def _structured_objective(chart):
+    """The chart objective in the structured form of ``objective_parts``,
+    4*V^2 times the Gram form that ``build_bundle`` holds, part by part."""
+    interior, boundary, central, b1, b2 = functional._cone_ingredients()[:5]
+    volume, perimeter, puu, pvv, puv, b1, b2 = functional._on_chart(
+        chart, (interior[0], boundary[0], *central, b1, b2)
+    )
+    *_, numerator, denominator = functional.objective_parts(
+        perimeter, volume, puu, pvv, puv, b1, b2
+    )
+    return RatFunc.make(numerator, denominator)
+
+
 def test_structural_products_take_the_slots_their_size_calls_for(monkeypatch):
-    """The k2 direct route forms every product in words; the k3 one takes
-    words for its boxes of a few thousand slots and decimal for those past
-    10^4, whose bounds pass 2^63 as well."""
+    """On the structured form of the objective, whose products are larger
+    than the Gram form's, the k2 direct route forms every product in words;
+    the k3 one takes words for its boxes of a few thousand slots and decimal
+    for those past 10^4, whose bounds pass 2^63 as well."""
     calls = _spy_widths(monkeypatch)
     for chart, direction in ((K2_CHART, (1, -1)), (K3_CHART, (1, -1, 0))):
-        f = build_bundle(chart).calA
+        f = _structured_objective(chart)
         calls.clear()
         list(poly._structural_terms(f.num, f.den, (direction,)))
         words = sorted(box for box, width in calls if width is None)

@@ -121,6 +121,58 @@ MUTANTS = (
         ("tests/test_poly.py::test_second_derivative_k3_matches_uncached_reference",),
     ),
     Mutant(
+        "gram_parts: the sign of adj_01 flipped",
+        "src/kcert/functional.py",
+        "adj01 = m11 * m01 - m10 * m02",
+        "adj01 = m10 * m02 - m11 * m01",
+        (
+            "tests/test_functional.py::test_structured_form_is_4v2_times_the_gram_form_over_abcd",
+            "tests/test_certify.py::test_veritas",
+        ),
+    ),
+    Mutant(
+        "gram_parts: det M without its m01 * adj_02 term",
+        "src/kcert/functional.py",
+        "det = area * adj00 + m10 * adj01 + m01 * adj02",
+        "det = area * adj00 + m10 * adj01",
+        (
+            "tests/test_functional.py::test_structured_form_is_4v2_times_the_gram_form_over_abcd",
+            "tests/test_certify.py::test_veritas",
+        ),
+    ),
+    Mutant(
+        "gram_parts: adj_12 = -puv taken with the wrong sign",
+        "src/kcert/functional.py",
+        "+ b10 * (b10 * pvv - twice01 * puv)",
+        "+ b10 * (b10 * pvv + twice01 * puv)",
+        (
+            "tests/test_functional.py::test_structured_form_is_4v2_times_the_gram_form_over_abcd",
+            "tests/test_certify.py::test_veritas",
+            "tests/test_cli.py::test_eval_calA_agrees_with_the_structured_numeric_route[k3-1,2,3]",
+        ),
+    ),
+    Mutant(
+        "_substitute_monomials: the d-power of each factor dropped",
+        "src/kcert/poly.py",
+        "factors = {e: c ** e * d ** (top - e) for e in set(column)}",
+        "factors = {e: c ** e for e in set(column)}",
+        ("tests/test_poly.py::test_substitute_monomial_images_match_expansion",),
+    ),
+    Mutant(
+        "_substitute_monomials: the image exponents of one variable dropped",
+        "src/kcert/poly.py",
+        "            if any(mono):\n",
+        "            if any(mono[1:]):\n",
+        ("tests/test_poly.py::test_substitute_monomial_images_match_expansion",),
+    ),
+    Mutant(
+        "_substitute_monomials: no exponent guard",
+        "src/kcert/poly.py",
+        "        if bound >> _PACK_BITS:\n",
+        "        if bound >> _PACK_BITS + 1:\n",
+        ("tests/test_poly.py::test_substitution_exponent_overflow_is_rejected",),
+    ),
+    Mutant(
         "sturm: no division by gcd(p, p') at a multiple root",
         "src/kcert/sturm.py",
         "_values([exact_quotient(member, chain[-1]) for member in chain], a, b)",
