@@ -21,8 +21,7 @@ q_i = delta * b_i in every run.  Each chart takes the closed forms and the
 polygon integrals by substitution (``ConeChart.abcd_images``).
 A, B and C are held pi-free, as the central second moments over 4: their
 factor pi^-2 cancels out of the objective and is attached only when
-``quantity_text`` prints them.  ``futaki_norm_sq`` forms ||F||^2 / pi^2 from
-the pi-free parts generically, a reference route to the assemblies below.
+``quantity_text`` prints them.
 
 Denominator discipline: no cancellation is attempted anywhere.  The chart
 bundles hold the Gram form (``gram_parts``), calA = beta^T adj(M) beta /
@@ -115,25 +114,8 @@ def _obstruction_numerators(interior: Sequence, boundary: Sequence) -> tuple:
     on a symbolic polygon, ints over the polygon dilated by 6L on a numeric one.
     """
     area, m10, m01 = interior[:3]
-    perimeter, b10, b01 = boundary[:3]
+    perimeter, b10, b01 = boundary
     return (b10 * area - perimeter * m10) * 2, (b01 * area - perimeter * m01) * 2
-
-
-def futaki_norm_sq(
-    f1: RatFunc,
-    f2: RatFunc,
-    a: RatFunc,
-    b: RatFunc,
-    c: RatFunc,
-) -> RatFunc:
-    """||F||^2 / pi^2 = (b F1^2 - 2 c F1 F2 + a F2^2) / (ab - c^2) for the
-    pi-free parts a, b, c of A = a pi^-2, B and C: the objective's second
-    term is this over 32."""
-    numerator = b * f1 * f1 - (c * f1 * f2) * 2 + a * f2 * f2
-    determinant = a * b - c * c
-    if not determinant:
-        raise DegenerateMomentMatrix("moment matrix determinant vanishes")
-    return numerator / determinant
 
 
 def objective_parts(perimeter, volume, puu, pvv, puv, q1, q2) -> tuple:
@@ -164,7 +146,7 @@ def gram_parts(interior: Sequence, boundary: Sequence, puu, pvv, puv) -> tuple:
     formed here, and det M is M's first row against it.  Operators only.
     """
     area, m10, m01, m20, m11, m02 = interior
-    perimeter, b10, b01 = boundary[:3]
+    perimeter, b10, b01 = boundary
     adj00 = m20 * m02 - m11 * m11
     adj01 = m11 * m01 - m10 * m02
     adj02 = m10 * m11 - m20 * m01
@@ -197,11 +179,10 @@ class FunctionalBundle(NamedTuple):
 @lru_cache(maxsize=None)
 def _cone_ingredients() -> tuple:
     """(interior, boundary, (puu, pvv, puv), b1, b2, q1, q2) over ABCD, from
-    one polygon: its integrals of ``polytope.MONOMIALS``, the central
-    numerators, the closed-form brackets and the boundary route's obstruction
-    numerators (``veritas``).  Every chart's bundle is the integrals up to
-    the boundary's first moments, the central numerators and the brackets
-    under its substitution."""
+    one polygon: its integrals (``polytope.moments``), the central numerators,
+    the closed-form brackets and the boundary route's obstruction numerators
+    (``veritas``).  Every chart's bundle is the first five under its
+    substitution."""
     polygon = _polygon_from_areas(AreaVector.from_abcd(*MultiPoly.gens(ABCD)), ABCD)
     interior, boundary = moments(polygon)
     b1, b2, volume = _closed_form_brackets()
@@ -215,16 +196,16 @@ def _cone_ingredients() -> tuple:
 def build_bundle(chart: ConeChart) -> FunctionalBundle:
     """Assemble the objective and its ingredients on a chart, exactly.
 
-    Substitutes ``_cone_ingredients``: the polygon's integrals up to the
-    boundary's first moments, the central numerators and the closed-form
-    brackets b_i, the obstruction numerators of F_i = b_i / V.  The objective
-    is the Gram form of ``gram_parts``, assembled on the chart from the
-    substituted integrals.  Its structured form (``objective_parts``) is
-    4*V^2 times it, part by part, an identity in the polygon's integrals
-    that ``veritas`` certifies; it is formed there, never here.
+    Substitutes ``_cone_ingredients``: the polygon's integrals, the central
+    numerators and the closed-form brackets b_i, the obstruction numerators
+    of F_i = b_i / V.  The objective is the Gram form of ``gram_parts``,
+    assembled on the chart from the substituted integrals.  Its structured
+    form (``objective_parts``) is 4*V^2 times it, part by part, an identity
+    in the polygon's integrals that ``veritas`` certifies; it is formed
+    there, never here.
     """
     interior, boundary, central, b1, b2 = _cone_ingredients()[:5]
-    parts = _on_chart(chart, (*interior, *boundary[:3], *central, b1, b2))
+    parts = _on_chart(chart, (*interior, *boundary, *central, b1, b2))
     interior, boundary, (puu, pvv, puv), (b1, b2) = parts[:6], parts[6:9], parts[9:12], parts[12:]
     volume = interior[0]
     quarter = Fraction(1, 4)

@@ -701,7 +701,8 @@ class RatFunc(_Frozen):
     cancellation is ever attempted.  Two values with equal numerators and
     equal denominators are equal at once; any other pair is compared by
     cross-multiplication, after a comparison of the products' extreme terms
-    that can refute it without forming them.
+    that can refute it without forming them.  There is no field arithmetic:
+    a quotient is formed from its parts, by ``make``.
     """
 
     __slots__ = ("num", "den")
@@ -739,54 +740,13 @@ class RatFunc(_Frozen):
     def from_poly(p: MultiPoly) -> RatFunc:
         return RatFunc(p, MultiPoly.const(p.variables, 1))
 
-    @staticmethod
-    def const(variables: Sequence[str], value: Scalar) -> RatFunc:
-        return RatFunc.from_poly(MultiPoly.const(variables, value))
-
     @property
     def variables(self) -> tuple[str, ...]:
         return self.num.variables
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def __bool__(self) -> bool:
         """False exactly for the zero function, as for numbers."""
         return bool(self.num)
-
-    def __add__(self, other: RatFunc | MultiPoly | Scalar) -> RatFunc:
-        other = _coerce(other, self.variables)
-        if self.den == other.den:
-            return RatFunc.make(self.num + other.num, self.den)
-        return RatFunc.make(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> RatFunc:
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other: RatFunc | MultiPoly | Scalar) -> RatFunc:
-        return self + (-_coerce(other, self.variables))
-
-    def __rsub__(self, other: Scalar) -> RatFunc:
-        return (-self) + other
-
-    def __mul__(self, other: RatFunc | MultiPoly | Scalar) -> RatFunc:
-        other = _coerce(other, self.variables)
-        return RatFunc.make(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: RatFunc | MultiPoly | Scalar) -> RatFunc:
-        other = _coerce(other, self.variables)
-        if other.num.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        if self.den == other.den:
-            return RatFunc.make(self.num, other.num)
-        return RatFunc.make(self.num * other.den, self.den * other.num)
 
     def equals(self, other: RatFunc) -> bool:
         """Identical forms are equal; otherwise num1*den2 == num2*den1.
@@ -842,15 +802,6 @@ def _extreme_terms(a: MultiPoly, b: MultiPoly) -> list[tuple[Exponents, Fraction
         coefficient = Fraction(a.numerators[ea] * b.numerators[eb], a.den * b.den)
         out.append((tuple(map(add, ea, eb)), coefficient))
     return out
-
-
-def _coerce(value: RatFunc | MultiPoly | Scalar, variables: tuple[str, ...]) -> RatFunc:
-    if isinstance(value, RatFunc):
-        _check_variables(value.variables, variables)
-        return value
-    if isinstance(value, MultiPoly):
-        return RatFunc.from_poly(value)
-    return RatFunc.const(variables, value)
 
 
 def directional_second_derivative(f: RatFunc, direction: Sequence[Scalar]) -> RatFunc:

@@ -30,9 +30,9 @@ walk over the edges (``_moment_sums``).  Each edge has one kernel k(u^a v^b):
         int u^a v^b = sum_i c_i k / D,    D = 2, 6, 6, 12, 24, 12;
   * boundary, in the lattice measure (a primitive segment has length 1),
     with l_i the lattice length of the edge,
-        int u^a v^b = sum_i l_i k / K,    K = 1, 2, 2, 3, 6, 3,
-for 1, u, v, u^2, uv, v^2 (``MONOMIALS``): D = (a+b+2)!/(a! b!) and
-K = (a+b+1)!/(a! b!).  Degree > 2 is refused.
+        int u^a v^b = sum_i l_i k / K,    K = 1, 2, 2,
+for 1, u, v, u^2, uv, v^2 (``MONOMIALS``), on the boundary 1, u, v only:
+D = (a+b+2)!/(a! b!) and K = (a+b+1)!/(a! b!).  Higher degrees are refused.
 A polygon is its vertices and lattice lengths over one integer scale: for a
 chart polygon, MultiPolys over scale 1; for a numeric polygon (no variables),
 Python ints over L, the lcm of the six areas' denominators, made once from
@@ -41,7 +41,7 @@ type, and an integral divides its sum once, by D L^(a+b+2) or K L^(a+b+1),
 so a numeric polygon returns Fractions and stores none.  ``dilated_moments``
 integrates a numeric polygon dilated by 6L instead: L clears the scale and 6
 the divisor, so every integral is an int, 18, 36, 36, 108, 54, 108 times its
-interior sum and 6, 18, 18, 72, 36, 72 times its boundary sum.
+interior sum and 6, 18, 18 times its boundary sum.
 """
 
 from __future__ import annotations
@@ -157,9 +157,9 @@ def build_polygon(
 
 
 MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-_DIVISORS = ((2, 6, 6, 12, 24, 12), (1, 2, 2, 3, 6, 3))  # D (interior), K (boundary)
+_DIVISORS = ((2, 6, 6, 12, 24, 12), (1, 2, 2))  # D (interior), K (boundary)
 # 6^(a+b+2) / D and 6^(a+b+1) / K: the sums' multipliers over the polygon dilated by 6L
-_DILATIONS = ((18, 36, 36, 108, 54, 108), (6, 18, 18, 72, 36, 72))
+_DILATIONS = ((18, 36, 36, 108, 54, 108), (6, 18, 18))
 
 
 def _edges(us: Sequence, vs: Sequence):
@@ -170,18 +170,17 @@ def _edges(us: Sequence, vs: Sequence):
 
 
 def _moment_sums(polygon: ParamPolygon) -> tuple[list[Entry], list[Entry]]:
-    """(interior, boundary): the edge sums of ``MONOMIALS``, in the entries'
-    type, from one walk over the edges (module docstring)."""
+    """(interior, boundary): the edge sums of ``MONOMIALS`` and of 1, u, v, in
+    the entries' type, from one walk over the edges (module docstring)."""
     zero = MultiPoly.zero(polygon.variables) if polygon.variables else 0
-    i00 = i10 = i01 = i20 = i11 = i02 = b00 = b10 = b01 = b20 = b11 = b02 = zero
+    i00 = i10 = i01 = i20 = i11 = i02 = b00 = b10 = b01 = zero
     for (ui, vi, uj, vj, c), ell in zip(_edges(polygon.us, polygon.vs), polygon.lengths):
         su, sv = ui + uj, vi + vj
         kuu, kuv, kvv = ui * su + uj * uj, ui * (vi + sv) + uj * (vj + sv), vi * sv + vj * vj
         i00, i10, i01 = i00 + c, i10 + c * su, i01 + c * sv
         i20, i11, i02 = i20 + c * kuu, i11 + c * kuv, i02 + c * kvv
         b00, b10, b01 = b00 + ell, b10 + ell * su, b01 + ell * sv
-        b20, b11, b02 = b20 + ell * kuu, b11 + ell * kuv, b02 + ell * kvv
-    return [i00, i10, i01, i20, i11, i02], [b00, b10, b01, b20, b11, b02]
+    return [i00, i10, i01, i20, i11, i02], [b00, b10, b01]
 
 
 def _slot(a: int, b: int) -> int:
@@ -193,7 +192,7 @@ def _slot(a: int, b: int) -> int:
 
 def moments(polygon: ParamPolygon) -> tuple[tuple[Coordinate, ...], tuple[Coordinate, ...]]:
     """(interior, boundary): every integral of ``MONOMIALS`` over the polygon
-    and over its boundary, exactly, from one pass."""
+    and of 1, u, v over its boundary, exactly, from one pass."""
     return tuple(
         tuple(s * Fraction(1, d * polygon.scale ** (a + b + n))
               for s, d, (a, b) in zip(sums, divisors, MONOMIALS))
@@ -216,8 +215,10 @@ def integrate_monomial(polygon: ParamPolygon, a: int, b: int) -> Coordinate:
 
 
 def boundary_integral(polygon: ParamPolygon, a: int, b: int) -> Coordinate:
-    """Exact boundary integral of u^a v^b in the lattice measure, a + b <= 2."""
+    """Exact boundary integral of u^a v^b in the lattice measure, a + b <= 1."""
     i = _slot(a, b)
+    if i >= 3:
+        raise ValueError(f"boundary integrals run up to degree 1, not u^{a} v^{b}")
     return moments(polygon)[1][i]
 
 

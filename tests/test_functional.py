@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from operator import add, mul, sub
 
 import pytest
 
@@ -17,7 +18,6 @@ from kcert.functional import (
     evaluate_calA_on_areas,
     evaluate_futaki_on_areas,
     first_variation_along_c1,
-    futaki_norm_sq,
     gram_parts,
     objective_parts,
     quantity_text,
@@ -37,14 +37,43 @@ BG = K2_CHART.variables
 ABG = K3_CHART.variables
 
 
+def _times(*factors: RatFunc) -> RatFunc:
+    """The product of the quotients: one ``RatFunc.make`` of the products of
+    their numerators and of their denominators."""
+    return RatFunc.make(reduce(mul, (f.num for f in factors)), reduce(mul, (f.den for f in factors)))
+
+
+def _plus(x: RatFunc, y: RatFunc, combine=add) -> RatFunc:
+    """x + y, or x - y with ``combine=sub``, as one ``RatFunc.make``: over
+    the shared denominator, or cross-multiplied."""
+    if x.den == y.den:
+        return RatFunc.make(combine(x.num, y.num), x.den)
+    return RatFunc.make(combine(x.num * y.den, y.num * x.den), x.den * y.den)
+
+
+def futaki_norm_sq(f1: RatFunc, f2: RatFunc, a: RatFunc, b: RatFunc, c: RatFunc) -> RatFunc:
+    """||F||^2 / pi^2 = (b F1^2 - 2 c F1 F2 + a F2^2) / (ab - c^2) for the
+    pi-free parts a, b, c of A = a pi^-2, B and C: the objective's second
+    term is this over 32.  The reference route: generic in its five
+    quotients, over ``RatFunc.make`` and MultiPoly products alone, and
+    independent of ``gram_parts`` and ``objective_parts``."""
+    cross = _times(c, f1, f2)
+    numerator = _plus(
+        _plus(_times(b, f1, f1), _times(a, f2, f2)), RatFunc.make(cross.num.scale(2), cross.den), sub
+    )
+    determinant = _plus(_times(a, b), _times(c, c), sub)
+    return RatFunc.make(numerator.num * determinant.den, numerator.den * determinant.num)
+
+
 def _first_term(bundle) -> RatFunc:
     """(c1 . Omega)^2 / Omega^2, from the bundle's parts."""
     return RatFunc.make(bundle.c1_pairing * bundle.c1_pairing, bundle.volume.scale(2))
 
 
 def _second_term(bundle) -> RatFunc:
-    """||F||^2 / (32 pi^2), by the generic operation on the pi-free parts."""
-    return futaki_norm_sq(bundle.f1, bundle.f2, bundle.a, bundle.b, bundle.c) / 32
+    """||F||^2 / (32 pi^2), by ``futaki_norm_sq`` on the pi-free parts."""
+    norm = futaki_norm_sq(bundle.f1, bundle.f2, bundle.a, bundle.b, bundle.c)
+    return RatFunc.make(norm.num, norm.den.scale(32))
 
 
 def test_k2_closed_forms_are_the_alpha_zero_face_of_k3():
@@ -265,7 +294,7 @@ def test_k2_moment_brackets_match_transcribed_displays(bundle_k2):
 def test_norm_sq_generic_op_k2_spot(bundle_k2):
     second = _second_term(bundle_k2)
     assert second.evaluate((1, 1)) == Fraction(56, 409)
-    assert second.equals(bundle_k2.calA - _first_term(bundle_k2))
+    assert second.equals(_plus(bundle_k2.calA, _first_term(bundle_k2), sub))
 
 
 def test_norm_sq_generic_op_matches_structured_k3(bundle_k3):
@@ -280,7 +309,7 @@ def test_norm_sq_generic_op_matches_structured_k3(bundle_k3):
 
 
 def test_norm_sq_zero_obstruction(bundle_k2):
-    zero = RatFunc.const(BG, 0)
+    zero = RatFunc.from_poly(MultiPoly.zero(BG))
     norm = futaki_norm_sq(zero, zero, bundle_k2.a, bundle_k2.b, bundle_k2.c)
     assert norm.num.is_zero
 
@@ -296,7 +325,7 @@ def test_assembled_objective_values(bundle_k2, bundle_k3):
     assert bundle_k2.calA.evaluate((1, 1)) == Fraction(2919, 409)
     assert bundle_k3.calA.evaluate((1, 1, 1)) == Fraction(81, 13)
     for bundle in (bundle_k2, bundle_k3):
-        assert bundle.calA.equals(_first_term(bundle) + _second_term(bundle))
+        assert bundle.calA.equals(_plus(_first_term(bundle), _second_term(bundle)))
 
 
 def test_scale_invariance_sampled():
@@ -459,8 +488,8 @@ def test_minimality_deduction_holds_on_the_integer_route():
 
 
 def test_cone_ingredients_product_count(monkeypatch):
-    """The chart integrals come from one pass over the edges, 18 products per
-    edge: a fresh ``_cone_ingredients`` forms 164 polynomial products,
+    """The chart integrals come from one pass over the edges, 15 products per
+    edge: a fresh ``_cone_ingredients`` forms 143 polynomial products,
     __rmul__ and scalings included, of which the obstruction numerators q1, q2
     take 6 (boundary * area, perimeter * interior and the doubling, each);
     a pass per monomial formed 372 without them."""
@@ -473,7 +502,7 @@ def test_cone_ingredients_product_count(monkeypatch):
     monkeypatch.setattr(MultiPoly, "__mul__", counting)
     monkeypatch.setattr(MultiPoly, "__rmul__", counting)
     functional._cone_ingredients.__wrapped__()
-    assert count[0] == 164
+    assert count[0] == 143
 
 
 def test_each_route_makes_one_pass_over_the_edges(monkeypatch):
@@ -543,7 +572,10 @@ def test_average_scalar_curvature_identity(bundle_k2, bundle_k3):
     # over pi^2 on both sides: 32 times the objective's first term
     for bundle in (bundle_k2, bundle_k3):
         s0_over_pi = RatFunc.make(bundle.c1_pairing.scale(4), bundle.volume)
-        assert s0_over_pi * s0_over_pi * bundle.volume == _first_term(bundle) * 32
+        first = _first_term(bundle)
+        assert _times(s0_over_pi, s0_over_pi, RatFunc.from_poly(bundle.volume)) == RatFunc.make(
+            first.num.scale(32), first.den
+        )
 
 
 def test_exported_objective_is_pi_free():

@@ -393,7 +393,7 @@ def _comparison_family(seed: int, trials: int) -> list[tuple[str, RatFunc, RatFu
     beta, _ = MultiPoly.gens(BG)
     vanish = beta - SplitMix64(DEFAULT_SEED).point(len(BG))[0]
     one = MultiPoly.const(BG, 1)
-    zero = RatFunc.const(BG, 0)
+    zero = RatFunc.from_poly(MultiPoly.zero(BG))
     rng = SplitMix64(seed)
 
     def nonzero_poly() -> MultiPoly:

@@ -246,7 +246,7 @@ def _direct_boundary_moment(starts, lengths, a, b):
 
 
 def test_boundary_moments_match_direct_oracle():
-    """Every boundary moment of degree <= 2 against ``_direct_boundary_moment``:
+    """Every boundary moment of degree <= 1 against ``_direct_boundary_moment``:
     at SplitMix64 points of the k2 and k3 chart polygons, and on numeric
     polygons, the E3 = 0 pentagons among them."""
     rng = SplitMix64(0xB0DE)
@@ -269,7 +269,7 @@ def test_boundary_moments_match_direct_oracle():
         cases.append((label, starts, lengths, list(moments(polygon)[1])))
     assert pentagons >= 3
     for label, starts, lengths, got in cases:
-        expected = [_direct_boundary_moment(starts, lengths, a, b) for a, b in MOMENTS]
+        expected = [_direct_boundary_moment(starts, lengths, a, b) for a, b in BOUNDARY_MOMENTS]
         assert got == expected, label
 
 
@@ -278,9 +278,10 @@ def test_k3_degenerates_to_k2():
     polygon2 = k2_polygon()
     beta, gamma = MultiPoly.gens(BG)
     images = {"alpha": MultiPoly.zero(BG), "beta": beta, "gamma": gamma}
-    for (a, b) in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+    for a, b in MOMENTS:
         collapsed = integrate_monomial(polygon3, a, b).substitute(images, BG)
         assert collapsed == integrate_monomial(polygon2, a, b)
+    for a, b in BOUNDARY_MOMENTS:
         collapsed_boundary = boundary_integral(polygon3, a, b).substitute(images, BG)
         assert collapsed_boundary == boundary_integral(polygon2, a, b)
 
@@ -292,6 +293,7 @@ def test_degenerate_edges_allowed():
 
 
 MOMENTS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+BOUNDARY_MOMENTS = MOMENTS[:3]  # the boundary integrals stop at degree 1
 
 
 def _simpson_boundary(vertices, a, b):
@@ -343,10 +345,10 @@ def test_numeric_route_matches_independent_references(monkeypatch):
             for u, v in zip(polygon.us, polygon.vs)
         ]
         expected = [_greens_theorem_moment(vertices, a, b) for a, b in MOMENTS]
-        expected += [_simpson_boundary(vertices, a, b) for a, b in MOMENTS]
+        expected += [_simpson_boundary(vertices, a, b) for a, b in BOUNDARY_MOMENTS]
         if point is not None:
             chart = [integrate_monomial(symbolic, a, b).evaluate(point) for a, b in MOMENTS]
-            chart += [boundary_integral(symbolic, a, b).evaluate(point) for a, b in MOMENTS]
+            chart += [boundary_integral(symbolic, a, b).evaluate(point) for a, b in BOUNDARY_MOMENTS]
             assert chart == expected, label
         cases.append((label, polygon, expected))
 
@@ -358,7 +360,7 @@ def test_numeric_route_matches_independent_references(monkeypatch):
     monkeypatch.setattr(MultiPoly, "__rmul__", no_products)
     for label, polygon, expected in cases:
         got = [integrate_monomial(polygon, a, b) for a, b in MOMENTS]
-        got += [boundary_integral(polygon, a, b) for a, b in MOMENTS]
+        got += [boundary_integral(polygon, a, b) for a, b in BOUNDARY_MOMENTS]
         for value in got:
             assert type(value) is Fraction
         assert got == expected, label
@@ -368,10 +370,14 @@ def test_dilated_integral_is_the_integral_over_the_polygon_dilated_by_6L():
     for label, areas, _ in _numeric_classes():
         polygon = build_polygon(areas.as_tuple())
         dilation = 6 * polygon.scale
-        for (a, b), interior, boundary in zip(MOMENTS, *dilated_moments(polygon)):
-            assert type(interior) is int and type(boundary) is int, label
-            assert interior == dilation ** (a + b + 2) * integrate_monomial(polygon, a, b), label
-            assert boundary == dilation ** (a + b + 1) * boundary_integral(polygon, a, b), label
+        interior, boundary = dilated_moments(polygon)
+        assert len(interior) == len(MOMENTS) and len(boundary) == len(BOUNDARY_MOMENTS)
+        for (a, b), value in zip(MOMENTS, interior):
+            assert type(value) is int, label
+            assert value == dilation ** (a + b + 2) * integrate_monomial(polygon, a, b), label
+        for (a, b), value in zip(BOUNDARY_MOMENTS, boundary):
+            assert type(value) is int, label
+            assert value == dilation ** (a + b + 1) * boundary_integral(polygon, a, b), label
 
 
 @pytest.mark.parametrize("boundary", [False, True], ids=["interior", "boundary"])
@@ -385,6 +391,19 @@ def test_dilated_integral_refuses_degree_above_2(a, b, boundary):
             integral(polygon, a, b)
 
 
+def test_boundary_integral_refuses_degree_2():
+    """The boundary integrals stop at degree 1: each degree-2 monomial is
+    refused by name on a numeric and on a chart polygon, and its interior
+    integral is still served."""
+    for polygon in (build_polygon([1] * 6), k2_polygon()):
+        interior = moments(polygon)[0]
+        for a, b in MOMENTS[3:]:
+            message = re.escape(f"boundary integrals run up to degree 1, not u^{a} v^{b}")
+            with pytest.raises(ValueError, match=message):
+                boundary_integral(polygon, a, b)
+            assert integrate_monomial(polygon, a, b) == interior[MOMENTS.index((a, b))]
+
+
 def test_polygon_on_a_line_matches_the_numeric_polygon():
     # areas over one variable t, as when a chart is restricted to a line
     (t,) = MultiPoly.gens(("t",))
@@ -395,5 +414,5 @@ def test_polygon_on_a_line_matches_the_numeric_polygon():
         numeric = build_polygon(AreaVector.from_abcd(1 + t0, 2 - t0, 3, 1).as_tuple())
         for a, b in MOMENTS:
             assert integrate_monomial(line, a, b).evaluate((t0,)) == integrate_monomial(numeric, a, b)
-        for a, b in ((1, 0), (0, 1)):
+        for a, b in BOUNDARY_MOMENTS:
             assert boundary_integral(line, a, b).evaluate((t0,)) == boundary_integral(numeric, a, b)

@@ -100,11 +100,18 @@ MUTANTS = (
         ("tests/test_poly.py::test_leading_coefficient_matches_the_grevlex_key",),
     ),
     Mutant(
-        "_moment_sums: the uv boundary sum given the u^2 kernel",
+        "_moment_sums: the v boundary sum given the u kernel",
         "src/kcert/polytope.py",
-        "b11 + ell * kuv,",
-        "b11 + ell * kuu,",
+        "b01 + ell * sv",
+        "b01 + ell * su",
         ("tests/test_polytope.py::test_boundary_moments_match_direct_oracle",),
+    ),
+    Mutant(
+        "boundary_integral: degree 2 let through to the 3-entry boundary tuple",
+        "src/kcert/polytope.py",
+        "if i >= 3:",
+        "if i >= 6:",
+        ("tests/test_polytope.py::test_boundary_integral_refuses_degree_2",),
     ),
     Mutant(
         "_extreme_terms: coefficient without the denominators",
