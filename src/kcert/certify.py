@@ -245,6 +245,9 @@ def fixture_comparison(chart_id: str, name: str, fixtures_dir: Path | None = Non
     """
     meta, fixture_rf = _named_fixture(chart_id, name, fixtures_dir)
     computed = _fixture_target(chart_id, name)
+    if meta.variables != computed.variables:
+        raise FixtureError(f"{chart_id}/{name}.fix: [meta] vars are {' '.join(meta.variables)!r}, "
+                           f"expected {' '.join(computed.variables)!r}")
     return meta, compare_against_fixture(computed, fixture_rf)
 
 

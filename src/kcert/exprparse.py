@@ -47,23 +47,24 @@ Fixture files hold one transcribed display each::
     1 + 10 gamma + ...
 
 Each section appears once.  The denominator section may be omitted or empty
-(defaults to 1).  Comparison against pipeline output reports EXACT
-(cross-multiplication identity), SCALED (equal up to a positive rational
-constant, constant reported), SAMPLED_ONLY (agrees on 100 deterministic
-samples but not symbolically: flags a transcription or convention issue), or
-MISMATCH with a witness point.
+(defaults to 1).  Comparison against pipeline output is one exact check at
+the only constant that can work, the ratio of the cross products' lex-leading
+terms: EXACT (ratio 1) or SCALED (constant reported) when it holds.  Only a
+pair that fails it is sampled: MISMATCH at the first point where the values
+differ, or SAMPLED_ONLY when the 100 deterministic samples all agree.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 from math import prod
 from operator import add, mul
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .poly import _PACK_BITS, MultiPoly, RatFunc
+from .poly import _PACK_BITS, MultiPoly, RatFunc, _check_variables, _extreme_terms, _power
 from .sampling import DEFAULT_SEED, SplitMix64
 
 MAX_EXPONENT = 64
@@ -244,20 +245,13 @@ class _Parser:
         return exponent, index
 
     def factor(self) -> MultiPoly:
-        """A base and its power, formed by repeated squaring in the order of
-        ``MultiPoly.__pow__``; each product is bounded by its own operands."""
+        """A base and its power, formed by ``MultiPoly.__pow__``'s repeated
+        squaring; each product is bounded by its own operands."""
         base = self.base()
         exponent, index = self.exponent()
         if index is None:
             return base
-        result = None
-        while exponent:
-            if exponent & 1:
-                result = base if result is None else self.product(index, result, base)
-            exponent >>= 1
-            if exponent:
-                base = self.product(index, base, base)
-        return MultiPoly.const(self.variables, 1) if result is None else result
+        return _power(base, exponent, partial(self.product, index))
 
     def product(self, index: int, a: MultiPoly, b: MultiPoly) -> MultiPoly:
         """a * b, refused at token ``index`` when its term pairs, and its
@@ -343,8 +337,7 @@ def load_fixture(path: str | Path) -> tuple[FixtureFile, RatFunc]:
     raw = path.read_text(encoding="utf-8", errors="surrogateescape")
     bad = _UNDECODED.search(raw)
     if bad:
-        byte, at = ord(bad.group()) - 0xDC00, bad.start()
-        line, column = raw.count("\n", 0, at) + 1, at - raw.rfind("\n", 0, at)
+        byte, (line, column) = ord(bad.group()) - 0xDC00, _position(raw, bad.start(), 1)
         raise FixtureError(
             f"{path.name}: byte 0x{byte:02x} is not UTF-8 (line {line}, column {column})"
         )
@@ -404,32 +397,32 @@ class ComparisonVerdict(NamedTuple):
 def compare_against_fixture(computed: RatFunc, fixture: RatFunc) -> ComparisonVerdict:
     """Classify how pipeline output relates to a transcribed display.
 
-    Both sides are evaluated at up to ``COMPARISON_SAMPLES`` SplitMix64
-    points, in a fixed order; a point where either side's denominator
-    vanishes is skipped.  The decision order:
-
-    1. At the first point where the fixture value is nonzero, take the ratio
-       r of the two values.  If r > 0, check exactly (``RatFunc.equals``)
-       whether ``computed`` equals r times the fixture: if so, return EXACT
-       (r = 1) or SCALED(r) at once.  An r that the two sides' extreme terms
-       already refute costs no polynomial product; otherwise the check
-       cross-multiplies.
-    2. Otherwise return MISMATCH at the first point where the values differ,
-       with that point and both values as witness, and stop sampling: no
-       check is left that could still give EXACT or SCALED.  A difference
-       found before r is taken lies where the fixture value is 0 and the
-       computed one is not, which no constant multiple of the fixture gives.
-    3. If the values agree at every point, return SAMPLED_ONLY when the
-       check at r = 1 failed, and otherwise decide EXACT or SAMPLED_ONLY by
-       one exact check (the fixture was zero or undefined at every point).
+    The only constant that can work is the ratio r of the lex-leading terms
+    of ``computed.num * fixture.den`` and ``fixture.num * computed.den``, read
+    from the factors without forming either product.  If their exponents
+    agree and r > 0, one ``RatFunc.equals`` decides EXACT (r = 1) or
+    SCALED(r); if either numerator is zero, ``computed.equals(fixture)``
+    decides EXACT.  A pair that fails is sampled at up to
+    ``COMPARISON_SAMPLES`` SplitMix64 points in a fixed order, skipping those
+    where a denominator vanishes: MISMATCH at the first point where the values
+    differ, with the point and both values as witness, else SAMPLED_ONLY.
     """
-    if computed.variables != fixture.variables:
-        raise ValueError(
-            f"variable lists differ: {computed.variables} vs {fixture.variables}"
-        )
+    _check_variables(computed.variables, fixture.variables)
+    if not computed.num or not fixture.num:
+        if computed.equals(fixture):
+            return ComparisonVerdict("EXACT")
+    else:
+        (left_exponents, left), _ = _extreme_terms(computed.num, fixture.den)
+        (right_exponents, right), _ = _extreme_terms(fixture.num, computed.den)
+        ratio = left / right
+        if left_exponents == right_exponents and ratio > 0 and computed.equals(
+            RatFunc.make(fixture.num.scale(ratio), fixture.den)
+        ):
+            if ratio == 1:
+                return ComparisonVerdict("EXACT")
+            return ComparisonVerdict("SCALED", constant=ratio)
     rng = SplitMix64(DEFAULT_SEED)
     dimension = len(computed.variables)
-    ratio: Fraction | None = None
     for _ in range(COMPARISON_SAMPLES):
         point = rng.point(dimension)
         try:
@@ -437,18 +430,8 @@ def compare_against_fixture(computed: RatFunc, fixture: RatFunc) -> ComparisonVe
             right = fixture.evaluate(point)
         except ZeroDivisionError:
             continue
-        if ratio is None and right != 0:
-            ratio = left / right
-            if ratio > 0 and computed.equals(
-                RatFunc.make(fixture.num.scale(ratio), fixture.den)
-            ):
-                if ratio == 1:
-                    return ComparisonVerdict("EXACT")
-                return ComparisonVerdict("SCALED", constant=ratio)
         if left != right:
             return ComparisonVerdict(
                 "MISMATCH", witness_point=point, witness_values=(left, right)
             )
-    if ratio is None and computed.equals(fixture):
-        return ComparisonVerdict("EXACT")
     return ComparisonVerdict("SAMPLED_ONLY")

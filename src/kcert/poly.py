@@ -460,16 +460,7 @@ class MultiPoly(_Frozen):
     def __pow__(self, exponent: int) -> MultiPoly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial power requires a non-negative integer")
-        result = None
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return MultiPoly.const(self.variables, 1) if result is None else result
+        return _power(self, exponent, mul)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
@@ -791,6 +782,18 @@ class RatFunc(_Frozen):
 
     def __repr__(self) -> str:
         return f"RatFunc({self.render()!r})"
+
+
+def _power(base: MultiPoly, exponent: int, multiply) -> MultiPoly:
+    """base ** exponent by repeated squaring, each product formed by ``multiply``."""
+    result = None
+    while exponent:
+        if exponent & 1:
+            result = base if result is None else multiply(result, base)
+        exponent >>= 1
+        if exponent:
+            base = multiply(base, base)
+    return MultiPoly.const(base.variables, 1) if result is None else result
 
 
 def _extreme_terms(a: MultiPoly, b: MultiPoly) -> list[tuple[Exponents, Fraction]]:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kcert import certify, functional
+from kcert import certify, exprparse, functional
 from kcert.certify import (
     check_all_fixtures,
     positivity_certificate,
@@ -547,7 +547,7 @@ def test_fixture_battery():
 
 
 def test_fixture_comparisons_stop_sampling_once_decided(monkeypatch):
-    """An EXACT fixture needs one sample point, the k2 MISMATCH at most three."""
+    """An EXACT or SCALED fixture needs no sample point, the k2 MISMATCH at most three."""
     evaluations = 0
     evaluate = RatFunc.evaluate
 
@@ -556,11 +556,10 @@ def test_fixture_comparisons_stop_sampling_once_decided(monkeypatch):
         evaluations += 1
         return evaluate(self, point)
 
-    # every fixture but the two second-derivative displays is EXACT
     budgets = {
         ("k2", "d2_antidiag"): 6,
-        **{("k2", name): 2 for name in ("calA", "F_beta", "P", "Q")},
-        **{("k3", name): 2 for name in ("F1", "F2", "A", "B", "C", "calA")},
+        **{("k2", name): 0 for name in ("calA", "F_beta", "P", "Q")},
+        **{("k3", name): 0 for name in ("F1", "F2", "A", "B", "C", "calA", "d2_alphabeta")},
     }
     monkeypatch.setattr(RatFunc, "evaluate", counting_evaluate)
     for (chart_id, name), budget in budgets.items():
@@ -569,3 +568,32 @@ def test_fixture_comparisons_stop_sampling_once_decided(monkeypatch):
         evaluations = 0
         compare_against_fixture(computed, fixture)
         assert evaluations <= budget, (chart_id, name, evaluations)
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_shipped_verdicts_are_decided_before_sampling(samples, monkeypatch):
+    """EXACT and SCALED, and SCALED's constant, come from the exact check alone:
+    they are those of ``test_fixture_battery``'s 100 samples at any sample
+    count, and no side is evaluated.  With no sample, the k2 display, which
+    fails the check, reads SAMPLED_ONLY."""
+
+    def no_evaluation(self, point):
+        raise AssertionError("a shipped EXACT or SCALED verdict evaluated a side")
+
+    monkeypatch.setattr(exprparse, "COMPARISON_SAMPLES", samples)
+    monkeypatch.setattr(RatFunc, "evaluate", no_evaluation)
+    verdicts = {}
+    for chart_id, names in certify.FIXTURE_NAMES.items():
+        for name in names:
+            if samples and name == "d2_antidiag":
+                continue  # its MISMATCH witness is sampled
+            meta, fixture = certify._named_fixture(chart_id, name, None)
+            verdict = compare_against_fixture(certify._fixture_target(chart_id, name), fixture)
+            verdicts[meta.name] = (verdict.kind, verdict.constant)
+    exact = ("calA_k2", "F_beta_k2", "P_k2", "Q_k2",
+             "F1_k3", "F2_k3", "A_k3", "B_k3", "C_k3", "calA_k3")
+    expected = {name: ("EXACT", None) for name in exact}
+    expected["d2_alphabeta_k3"] = ("SCALED", 12)
+    if not samples:
+        expected["d2_antidiag_k2"] = ("SAMPLED_ONLY", None)
+    assert verdicts == expected

@@ -360,6 +360,23 @@ def test_mislabelled_fixture_is_usage_error(tmp_path, capsys):
     )
 
 
+def test_fixture_with_other_variables_is_usage_error(tmp_path, capsys):
+    """A fixture whose [meta] vars are not its target's variables, in their
+    order, is a fixture error naming the file, exit 2."""
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(certify.FIXTURES_DIR, fixtures)
+    path = fixtures / "k2" / "calA.fix"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("vars = beta gamma", "vars = gamma beta", 1), encoding="utf-8")
+    assert run(["fixtures", "check", "--fixtures-dir", str(fixtures), "--no-timing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "fixture error: k2/calA.fix: [meta] vars are 'gamma beta', expected 'beta gamma'\n"
+    )
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "numerator, column",
     [

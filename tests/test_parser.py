@@ -444,15 +444,25 @@ def test_compare_matches_sample_everything_reference():
 
 
 def test_compare_matches_reference_with_one_sample(monkeypatch):
+    """The exact check does not depend on the samples: with one sample, EXACT
+    and SCALED, and their constants, are those of 100 samples.  A pair that
+    fails the check reads as the one-sample reference does."""
+    family = _comparison_family(0xFACE, trials=3)
+    full = [compare_against_fixture(computed, fixture) for _, computed, fixture in family]
     monkeypatch.setattr(exprparse, "COMPARISON_SAMPLES", 1)
     kinds = {}
-    for case, computed, fixture in _comparison_family(0xFACE, trials=3):
+    for (case, computed, fixture), at_100 in zip(family, full):
         verdict = compare_against_fixture(computed, fixture)
-        assert verdict == _reference_compare(computed, fixture), case
+        if verdict.kind in ("EXACT", "SCALED") or at_100.kind in ("EXACT", "SCALED"):
+            assert verdict == at_100, case
+        else:
+            assert verdict == _reference_compare(computed, fixture), case
         kinds.setdefault(case, set()).add(verdict.kind)
     # the difference vanishes at the only point, and the exact check refutes it
     assert kinds["first point agrees"] == {"SAMPLED_ONLY"}
     assert kinds["zero at first point"] == {"SAMPLED_ONLY"}
-    # with the only point skipped nothing is sampled, and the exact check decides
+    # the only point is skipped; the exact check decides, with the constant if any
     assert kinds["fixture undefined first, exact"] == {"EXACT"}
+    assert kinds["fixture undefined first, scaled"] == {"SCALED"}
+    assert kinds["both undefined first"] == {"SCALED"}
     assert kinds["fixture undefined first, mismatch"] == {"SAMPLED_ONLY"}

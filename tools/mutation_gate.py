@@ -187,6 +187,27 @@ MUTANTS = (
         ("tests/test_sturm.py::test_counts_at_a_multiple_root",),
     ),
     Mutant(
+        "compare_against_fixture: a negative constant accepted",
+        "src/kcert/exprparse.py",
+        "and ratio > 0 and computed.equals(",
+        "and ratio != 0 and computed.equals(",
+        ("tests/test_parser.py::test_compare_matches_sample_everything_reference",),
+    ),
+    Mutant(
+        "compare_against_fixture: SCALED reported as EXACT",
+        "src/kcert/exprparse.py",
+        "            if ratio == 1:\n",
+        "            if True:\n",
+        ("tests/test_parser.py::test_compare_scaled_and_mismatch",),
+    ),
+    Mutant(
+        "compare_against_fixture: a zero numerator is EXACT",
+        "src/kcert/exprparse.py",
+        "        if computed.equals(fixture):\n",
+        "        if True:\n",
+        ("tests/test_parser.py::test_compare_matches_sample_everything_reference",),
+    ),
+    Mutant(
         "positivity_certificate: a zero numerator passes",
         "src/kcert/certify.py",
         "ok = nonneg and not f.num.is_zero and den_min > 0",
