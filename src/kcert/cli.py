@@ -16,8 +16,10 @@ JSON report is byte-identical across runs of the same configuration.
 ``_report`` builds a report's payload once and ``emit_report`` renders it.
 Each run setting is named once, in ``_ENV_CONFIG_TYPES``: a ``RunConfig``
 field, a ``KCERT_CONFIG`` key and its flag's argparse dest (``--width``
-sets ``isolation_width``).  ``--width`` reaches laudate's isolation,
-``--fixtures-dir`` the fixture comparisons and ``--format`` the rendering.
+sets ``isolation_width``).  Every command reads ``KCERT_CONFIG``, so a bad
+file exits 2 from each.  ``--width`` reaches laudate's isolation and
+``isolate``'s, ``--fixtures-dir`` the fixture comparisons and ``--format``
+the rendering.
 ``--seed`` reaches no computation (no lemma's claim rests on a sample): it
 is range-checked and echoed only, kept because the benchmark's cold-report
 command passes it.  Any other flag or key is a usage error.
@@ -240,12 +242,16 @@ def _load_env_config() -> dict:
     return settings
 
 
-def _config_from_args(args: argparse.Namespace, tasks: list[str]) -> RunConfig:
-    """``KCERT_CONFIG`` settings overridden by flags; ``RunConfig`` checks the values."""
+def _config_from_args(args: argparse.Namespace, tasks: list[str] | None = None) -> RunConfig:
+    """``KCERT_CONFIG`` settings overridden by flags; ``RunConfig`` checks the values.
+
+    Every command reads the file; a command without a setting's flag
+    (``eval`` has none, ``isolate`` only ``--width``) takes it from the file.
+    """
     settings = _load_env_config()
-    flags = {key: getattr(args, key) for key in _ENV_CONFIG_TYPES}
+    flags = {key: getattr(args, key, None) for key in _ENV_CONFIG_TYPES}
     settings.update((key, value) for key, value in flags.items() if value is not None)
-    return RunConfig(tasks=tasks, include_timing=not args.no_timing, **settings)
+    return RunConfig(tasks=tasks, include_timing=not getattr(args, "no_timing", False), **settings)
 
 
 def _report(
@@ -309,6 +315,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    _config_from_args(args)  # eval reads no setting, but a bad file is a usage error
     chart = CHARTS[args.chart]
     point = args.point
     if len(point) != len(chart.variables):
@@ -329,7 +336,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_isolate(args: argparse.Namespace) -> int:
-    intervals, _ = sturm_isolate(restrict_diagonal().p, (0, 2), args.isolation_width)
+    width = _config_from_args(args).isolation_width
+    intervals, _ = sturm_isolate(restrict_diagonal().p, (0, 2), width)
     if len(intervals) != 1:
         print(f"expected one critical interval, found {len(intervals)}", file=sys.stderr)
         return 1
@@ -376,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     isolate = sub.add_parser("isolate", help="certified critical interval (k2)")
     isolate.add_argument("--width", dest="isolation_width", type=parse_rational, metavar="WIDTH")
-    isolate.set_defaults(func=_cmd_isolate, isolation_width=DEFAULT_ISOLATION_WIDTH)
+    isolate.set_defaults(func=_cmd_isolate)
 
     fixtures = sub.add_parser("fixtures", help="fixture management")
     fixtures.add_argument("action", choices=("check",))

@@ -703,17 +703,26 @@ def test_env_config_override(tmp_path, monkeypatch, capsys):
         ("[" * 200_000, "KCERT_CONFIG nests too deeply to decode"),
         # the byte 0xff, which no UTF-8 text holds
         ('{"seed": 1}\udcff', "KCERT_CONFIG is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+        # no file at all
+        (None, "i/o error: [Errno 2] No such file or directory"),
     ],
 )
 def test_bad_env_config_is_usage_error(text, message, tmp_path, monkeypatch, capsys):
+    """Every command reads KCERT_CONFIG, so a bad file fails each alike."""
     config_path = tmp_path / "config.json"
-    config_path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    if text is not None:
+        config_path.write_bytes(text.encode("utf-8", "surrogateescape"))
     monkeypatch.setenv("KCERT_CONFIG", str(config_path))
-    assert run(["verify", "--lemma", "claritas", "--no-timing"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert message in captured.err
-    assert "Traceback" not in captured.err
+    for argv in (
+        ["verify", "--lemma", "claritas", "--no-timing"],
+        ["eval", "--chart", "k2", "--point", "1,1", "--what", "V"],
+        ["isolate"],
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_env_config_flags_override_and_width(tmp_path, monkeypatch, capsys):
@@ -728,6 +737,11 @@ def test_env_config_flags_override_and_width(tmp_path, monkeypatch, capsys):
     assert config["seed"] == 5
     assert config["isolation_width"] == "1/1024"
     assert config["fixtures_dir"] is None
+    # isolate takes the file's width, and --width overrides it
+    assert run(["isolate"]) == 0
+    assert capsys.readouterr().out == "[1069/1024, 535/512]\n"
+    assert run(["isolate", "--width", "1/64"]) == 0
+    assert capsys.readouterr().out == "[33/32, 67/64]\n"
 
 
 def test_cold_verify_all_forms_no_hessian():
@@ -809,17 +823,71 @@ def test_cold_verify_convex2_refutes_the_display_without_products():
 
 
 def test_cold_import_loads_no_dataclasses_machinery():
-    """A cold ``import kcert.cli`` loads neither ``dataclasses`` nor the
-    modules it pulls in, nor ``string``; every CLI process would pay for
-    them.  ``-S`` keeps site ``.pth`` files out of the child."""
+    """A cold import loads the kcert modules it imports and no others, since
+    the package's own names resolve on first access; and it loads neither
+    ``dataclasses`` nor the modules it pulls in, nor ``string``, which every
+    CLI process would pay for.  ``-S`` keeps site ``.pth`` files out
+    of the child."""
     unwanted = ("dataclasses", "inspect", "ast", "dis", "tokenize", "string")
-    program = f"import sys, kcert.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    # what the set-up import of the point-sweep and d2-build benchmarks loads
+    charts = ("delpezzo", "functional", "poly", "polytope", "univar")
+    library = (*charts, "certify", "exprparse", "sampling", "sturm")
+    cases = [
+        ("import kcert", ()),
+        ("import kcert.functional", charts),
+        ("from kcert import delpezzo, functional", charts),
+        ("from kcert import build_bundle", charts),
+        ("from kcert import certify", library),
+        # the tracer finds its targets in sys.modules after this import
+        ("import kcert.cli", (*library, "cli")),
+    ]
     env = dict(os.environ, PYTHONPATH=str(Path(kcert.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", program], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    for statement, loaded in cases:
+        program = (
+            f"import sys; {statement}\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'kcert'))\n"
+            f"print([m for m in {unwanted!r} if m in sys.modules])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", program],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        expected = sorted(["kcert", *(f"kcert.{m}" for m in loaded)])
+        assert done.stdout.splitlines() == [repr(expected), "[]"], statement
+
+
+def test_package_names_are_their_submodules_objects():
+    """Each package name resolves, on first access, to its defining
+    submodule's own object; ``dir`` lists every one, an unknown name is an
+    AttributeError, and ``from kcert import certify`` gives the submodule."""
+    import importlib
+
+    # each name the package exports, by the submodule that defines it
+    exported = {
+        "poly": "MultiPoly RatFunc coefficients_all_nonneg directional_second_derivative",
+        "exprparse": "ComparisonVerdict FixtureFile ParseError compare_against_fixture "
+        "load_fixture parse_expression",
+        "polytope": "ParamPolygon boundary_integral build_polygon integrate_monomial",
+        "delpezzo": "AreaVector CohClass ConeChart K2_CHART K3_CHART c1_class cremona pair "
+        "subspace_membership",
+        "functional": "FunctionalBundle build_bundle evaluate_calA_on_areas "
+        "first_variation_along_c1 restrict_diagonal",
+        "sturm": "sturm_isolate",
+        "certify": "LemmaReport PositivityCertificate run_lemma verify_convexity "
+        "verify_inequality_chain verify_uniqueness_k2 verify_uniqueness_k3",
+    }
+    expected = {name: module for module, names in exported.items() for name in names.split()}
+    assert sorted(kcert.__all__) == sorted(expected)
+    for name, module in expected.items():
+        assert getattr(kcert, name) is getattr(importlib.import_module(f"kcert.{module}"), name)
+    assert set(kcert.__all__) <= set(dir(kcert))
+    assert "__version__" in dir(kcert)
+    with pytest.raises(AttributeError, match="module 'kcert' has no attribute 'no_such_name'"):
+        kcert.no_such_name  # noqa: B018
+    from kcert import certify as imported
+
+    assert imported is sys.modules["kcert.certify"] is certify
 
 
 # the console script's entry point, as CI's hash-seed step and the benchmark run it

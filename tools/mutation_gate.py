@@ -222,6 +222,21 @@ MUTANTS = (
         ("tests/test_certify.py::test_positivity_certificate_requires_the_cube_denominator",),
     ),
     Mutant(
+        "kcert package: the certifier imported eagerly again",
+        "src/kcert/__init__.py",
+        "from importlib import import_module\n",
+        "from importlib import import_module\n\nfrom . import certify  # noqa: F401\n",
+        ("tests/test_cli.py::test_cold_import_loads_no_dataclasses_machinery",),
+    ),
+    Mutant(
+        "cli: isolate ignores the KCERT_CONFIG width",
+        "src/kcert/cli.py",
+        "    width = _config_from_args(args).isolation_width\n",
+        "    _config_from_args(args)\n"
+        "    width = args.isolation_width or DEFAULT_ISOLATION_WIDTH\n",
+        ("tests/test_cli.py::test_env_config_flags_override_and_width",),
+    ),
+    Mutant(
         "cli: run() freezes the heap",
         "src/kcert/cli.py",
         "    try:\n        return args.func(args)\n",
